@@ -58,28 +58,21 @@ def _finish(cfg: ExperimentConfig, csv_name: str, writer, t0: float) -> Path:
     return csv_path
 
 
+#: moments subcommand -> (engine it forces, None to keep the config's; CSV name)
+MOMENT_COMMANDS = {
+    "moments": (None, "moments.csv"),
+    "rtn": ("rtn", "moments_rtn.csv"),
+    "rmpu-exact": ("rmpu_exact", "moments_rmpu_exact.csv"),
+    "rmpu-asymptotic": ("rmpu_asymptotic", "moments_rmpu_asymptotic.csv"),
+}
+
+
 def cmd_moments(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.time()
-    rows = run_ensemble(cfg)
-    _finish(cfg, "moments.csv", lambda p: write_moments_csv(p, rows, cfg.engine), t0)
-    return 0
-
-
-def cmd_rmpu(args, engine: str) -> int:
+    engine, csv_name = MOMENT_COMMANDS[args.command]
     cfg = _load_config(args, default_engine=engine)
     t0 = time.time()
     rows = run_ensemble(cfg)
-    name = "moments_rmpu_exact.csv" if engine == "rmpu_exact" else "moments_rmpu_asymptotic.csv"
-    _finish(cfg, name, lambda p: write_moments_csv(p, rows, cfg.engine), t0)
-    return 0
-
-
-def cmd_rtn(args) -> int:
-    cfg = _load_config(args, default_engine="rtn")
-    t0 = time.time()
-    rows = run_ensemble(cfg)
-    _finish(cfg, "moments_rtn.csv", lambda p: write_moments_csv(p, rows, cfg.engine), t0)
+    _finish(cfg, csv_name, lambda p: write_moments_csv(p, rows, cfg.engine), t0)
     return 0
 
 
@@ -244,20 +237,15 @@ def main(argv=None) -> int:
         p.add_argument("--realizations", type=int, help="override ensemble size")
         p.add_argument("--threads", type=int, help="worker processes")
 
-    for name, fn in (
-        ("moments", cmd_moments),
-        ("spectrum-hist", cmd_spectrum_hist),
-        ("rtn", cmd_rtn),
-        ("truncate-mse", cmd_truncate_mse),
-    ):
+    for name in MOMENT_COMMANDS:
+        p = sub.add_parser(name)
+        add_common(p)
+        p.set_defaults(fn=cmd_moments)
+
+    for name, fn in (("spectrum-hist", cmd_spectrum_hist), ("truncate-mse", cmd_truncate_mse)):
         p = sub.add_parser(name)
         add_common(p)
         p.set_defaults(fn=fn)
-
-    for name, engine in (("rmpu-exact", "rmpu_exact"), ("rmpu-asymptotic", "rmpu_asymptotic")):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.set_defaults(fn=lambda a, e=engine: cmd_rmpu(a, e))
 
     p = sub.add_parser("fit-kappa")
     p.add_argument("--input", required=True, help="moments CSV")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Optional, Sequence
@@ -107,24 +106,28 @@ def _variant(spec: CircuitSpec, **overrides) -> CircuitSpec:
     d = spec.to_dict()
     d.update(overrides)
     if d["geometry"] != "rmpu":
-        d["r"] = d.get("r") if d["geometry"] == "rmpu" else None
+        d["r"] = None
     return CircuitSpec.from_dict(d)
+
+
+def _pauli_depths(spec_dict: dict, realization: int, depths: Sequence[int]):
+    """Pauli coefficients of one realization at each of the ascending depths."""
+    spec = CircuitSpec.from_dict(spec_dict)
+    want = set(depths)
+    for t, op in iter_circuit(spec, realization):
+        if t in want:
+            yield pauli_transform(op)
+        if t >= max(depths):
+            break
 
 
 def _moment_worker(args) -> np.ndarray:
     spec_dict, realization, depths, ks = args
-    spec = CircuitSpec.from_dict(spec_dict)
-    want = set(depths)
     out = np.empty((len(depths), len(ks), 2))
-    pos = {t: i for i, t in enumerate(depths)}
-    for t, op in iter_circuit(spec, realization):
-        if t in want:
-            coeffs = pauli_transform(op)
-            for j, k in enumerate(ks):
-                out[pos[t], j, 0] = moment_mu(coeffs, k)
-                out[pos[t], j, 1] = moment_nu(coeffs, k)
-        if t >= max(depths):
-            break
+    for i, coeffs in enumerate(_pauli_depths(spec_dict, realization, depths)):
+        for j, k in enumerate(ks):
+            out[i, j, 0] = moment_mu(coeffs, k)
+            out[i, j, 1] = moment_nu(coeffs, k)
     return out
 
 
@@ -273,19 +276,14 @@ def simulate_histogram(
 
 def _histogram_worker(args):
     spec_dict, realization, depths, n_bins, u_min, u_max = args
-    spec = CircuitSpec.from_dict(spec_dict)
     densities = []
     zmasses = []
     edges = None
-    want = set(depths)
-    for t, op in iter_circuit(spec, realization):
-        if t in want:
-            h = spectrum_histogram(pauli_transform(op), n_bins, u_min, u_max)
-            densities.append(h.density)
-            zmasses.append(h.zero_mass)
-            edges = h.bin_edges
-        if t >= max(depths):
-            break
+    for coeffs in _pauli_depths(spec_dict, realization, depths):
+        h = spectrum_histogram(coeffs, n_bins, u_min, u_max)
+        densities.append(h.density)
+        zmasses.append(h.zero_mass)
+        edges = h.bin_edges
     return densities, zmasses, edges
 
 

@@ -45,25 +45,14 @@ def fit_kappa(
             f"only {np.count_nonzero(keep)} significant points in the window, need >= 3"
         )
     t, dev, sig = t[keep], dev[keep], sig[keep]
-    y = np.log(dev)
     # relative errors of the deviation become absolute errors of its log;
     # exact series (stderr 0) get uniform unit weights
-    sigma_log = np.where(sig > 0, sig / dev, 1.0)
-    w = 1.0 / sigma_log**2
-    s0, sx, sy = np.sum(w), np.sum(w * t), np.sum(w * y)
-    sxx, sxy = np.sum(w * t * t), np.sum(w * t * y)
-    delta = s0 * sxx - sx * sx
-    slope = (s0 * sxy - sx * sy) / delta
-    intercept = (sxx * sy - sx * sxy) / delta
-    resid = y - (intercept + slope * t)
-    ybar = sy / s0
-    ss_tot = float(np.sum(w * (y - ybar) ** 2))
-    r2 = 1.0 - float(np.sum(w * resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    line = weighted_line_fit(t, np.log(dev), np.where(sig > 0, sig / dev, 1.0))
     return FitResult(
-        kappa=-float(slope),
-        kappa_stderr=math.sqrt(s0 / delta),
+        kappa=-line.slope,
+        kappa_stderr=line.slope_stderr,
         window=(float(t.min()), float(t.max())),
-        r_squared=r2,
+        r_squared=line.r_squared,
         n_points=int(len(t)),
     )
 

@@ -113,43 +113,24 @@ def _support_perm(n: int, support: tuple[int, ...]) -> tuple[np.ndarray, np.ndar
 
 
 def _apply_rows(mat: np.ndarray, u: np.ndarray, support, n: int) -> np.ndarray:
-    """mat <- (U on support bits of the row index) . mat"""
+    """mat <- (U on the contiguous ascending support bits of the row index) . mat"""
     w = len(support)
-    q = 2**w
     d = mat.shape[0]
-    if _is_contiguous_ascending(support):
-        s = support[0]
-        a, b = 2 ** (n - s - w), 2**s
-        out = np.matmul(u, mat.reshape(a, q, b * d))
-        return out.reshape(d, d)
-    t = mat.reshape((2,) * n + (d,))
-    # row axis of site s is n - 1 - s; combined gate index wants support[0]
-    # in the lowest bit, i.e. axes ordered (support[-1], ..., support[0])
-    src = [n - 1 - s for s in reversed(support)]
-    t = np.moveaxis(t, src, range(w))
-    t = np.matmul(u, t.reshape(q, -1)).reshape((2,) * w + t.shape[w:])
-    t = np.moveaxis(t, range(w), src)
-    return t.reshape(d, d)
+    s = support[0]
+    a, b = 2 ** (n - s - w), 2**s
+    return np.matmul(u, mat.reshape(a, 2**w, b * d)).reshape(d, d)
 
 
 def _apply_cols(mat: np.ndarray, u: np.ndarray, support, n: int) -> np.ndarray:
-    """mat <- mat . (U on support bits of the column index)^T, i.e. column
-    action with the given matrix; pass U.conj() to realize O -> O U^dag."""
+    """mat <- mat . (U on the contiguous ascending support bits of the column
+    index)^T, i.e. column action with the given matrix; pass U.conj() to
+    realize O -> O U^dag."""
     w = len(support)
-    q = 2**w
     d = mat.shape[0]
-    if _is_contiguous_ascending(support):
-        s = support[0]
-        a, b = 2 ** (n - s - w), 2**s
-        # column bits live inside the fast index: (d*a, q, b)
-        out = np.matmul(u, mat.reshape(d * a, q, b))
-        return out.reshape(d, d)
-    t = mat.reshape((d,) + (2,) * n)
-    src = [1 + n - 1 - s for s in reversed(support)]
-    t = np.moveaxis(t, src, range(w))
-    t = np.matmul(u, t.reshape(q, -1)).reshape((2,) * w + t.shape[w:])
-    t = np.moveaxis(t, range(w), src)
-    return t.reshape(d, d)
+    s = support[0]
+    a, b = 2 ** (n - s - w), 2**s
+    # column bits live inside the fast index: (d*a, 2^w, b)
+    return np.matmul(u, mat.reshape(d * a, 2**w, b)).reshape(d, d)
 
 
 def apply_gate(op: OperatorState, gate: GateMatrix) -> OperatorState:

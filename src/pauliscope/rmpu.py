@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .weingarten import (
     gram_matrix,
     noisy_weingarten,
     pauli_sum_weights,
+    traceless_seed_weights,
     weingarten_matrix,
 )
 
@@ -96,10 +97,8 @@ class TransferOperator:
 def boundary_vectors(params: RmpuParams) -> tuple[np.ndarray, np.ndarray]:
     """(L, R) boundary vectors; gamma = 0 uses the plain Weingarten in R."""
     n = 2 * params.k
-    tb = _tables(n)
-    chi = float(params.chi)
     lam1, lam2 = lambda_matrices(n, params.d)
-    left = np.where(tb.even, chi**tb.cycles.astype(float), 0.0)
+    left = traceless_seed_weights(n, float(params.chi))
     wg = noisy_weingarten(n, float(params.gate_dim), params.gamma).entries
     right = lam1 * (wg @ lam2 ** (params.r + 1))
     return left, right
@@ -141,13 +140,8 @@ def rmpu_moment_exact(params: RmpuParams) -> float:
     """Exact ensemble-averaged moment of the staircase ensemble.
 
     Returns mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
-    unnormalized nu_k average for gamma > 0.  k = 1 short-circuits to the
-    squared circuit fidelity F^2 = (1-gamma)^(2m) instead of running the
-    degenerate S_2 pipeline (exact at gamma = 0 and for single-gate
-    circuits; the leading fidelity factor otherwise).
+    unnormalized nu_k average for gamma > 0.
     """
-    if params.k == 1:
-        return (1.0 - params.gamma) ** (2 * params.m)
     return _scaled_product(transfer_matrix(params), params.m)
 
 
@@ -169,8 +163,7 @@ def global_haar_moment(q: float, k: int) -> float:
     involution seed); the deep-circuit limit of any geometry on q = 2^N."""
     n = 2 * k
     top = pauli_sum_weights(n, q)
-    tb = _tables(n)
-    bottom = np.where(tb.even, q**tb.cycles.astype(float), 0.0)
+    bottom = traceless_seed_weights(n, q)
     return float(top @ weingarten_matrix(n, q).entries @ bottom)
 
 

@@ -35,7 +35,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .circuits import CircuitSpec, layer_supports
-from .weingarten import _tables, gram_matrix, noisy_weingarten, pauli_sum_weights
+from .weingarten import (
+    gram_matrix,
+    noisy_weingarten,
+    pauli_sum_weights,
+    traceless_seed_weights,
+)
 
 
 @dataclass
@@ -66,10 +71,7 @@ def plaquette_weights(k: int, d: int = 2, gamma: float = 0.0) -> PlaquetteTensor
 def boundary_weights(k: int, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """(top per-site vector, bottom operator-site vector) over S_2k."""
     n = 2 * k
-    tb = _tables(n)
-    top = pauli_sum_weights(n, float(d))
-    bottom_op = np.where(tb.even, float(d) ** tb.cycles.astype(float), 0.0)
-    return top, bottom_op
+    return pauli_sum_weights(n, float(d)), traceless_seed_weights(n, float(d))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,38 +31,40 @@ MAX_DEGREE = 8  # 8! = 40320 hard cap on the enumeration
 
 @dataclass(frozen=True)
 class Permutation:
-    """Element of S_n with cached cycle statistics."""
+    """Element of S_n with its cycle type (lengths, descending) cached."""
 
     image: tuple[int, ...]
-    cycles: int = field(init=False)
-    fixed_points: int = field(init=False)
-    even_cycles_only: bool = field(init=False)
+    cycle_type: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         n = len(self.image)
         if sorted(self.image) != list(range(n)):
             raise ValueError(f"{self.image} is not a bijection on 0..{n - 1}")
         seen = [False] * n
-        n_cycles = 0
-        all_even = True
-        fixed = 0
+        lengths = []
         for start in range(n):
             if seen[start]:
                 continue
-            n_cycles += 1
             length = 0
             j = start
             while not seen[j]:
                 seen[j] = True
                 j = self.image[j]
                 length += 1
-            if length % 2:
-                all_even = False
-            if length == 1:
-                fixed += 1
-        object.__setattr__(self, "cycles", n_cycles)
-        object.__setattr__(self, "fixed_points", fixed)
-        object.__setattr__(self, "even_cycles_only", all_even and n > 0)
+            lengths.append(length)
+        object.__setattr__(self, "cycle_type", tuple(sorted(lengths, reverse=True)))
+
+    @property
+    def cycles(self) -> int:
+        return len(self.cycle_type)
+
+    @property
+    def fixed_points(self) -> int:
+        return self.cycle_type.count(1)
+
+    @property
+    def even_cycles_only(self) -> bool:
+        return bool(self.cycle_type) and all(c % 2 == 0 for c in self.cycle_type)
 
     @property
     def degree(self) -> int:
@@ -81,21 +82,6 @@ class Permutation:
             raise ValueError("degree mismatch")
         return Permutation(tuple(self.image[j] for j in other.image))
 
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * self.degree
-        lengths = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
 
 @lru_cache(maxsize=None)
 def enumerate_group(n: int) -> tuple[Permutation, ...]:
@@ -103,22 +89,6 @@ def enumerate_group(n: int) -> tuple[Permutation, ...]:
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree n={n} outside [1, {MAX_DEGREE}]")
     return tuple(Permutation(img) for img in itertools.permutations(range(n)))
-
-
-def cycle_count(sigma: Permutation) -> int:
-    return sigma.cycles
-
-
-def even_indicator(sigma: Permutation) -> bool:
-    return sigma.even_cycles_only
-
-
-def common_fixed_points(sigma: Permutation, pi: Permutation) -> int:
-    if sigma.degree != pi.degree:
-        raise ValueError("degree mismatch")
-    return sum(
-        1 for i in range(sigma.degree) if sigma.image[i] == i and pi.image[i] == i
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +120,11 @@ class _GroupTables:
             pos = np.searchsorted(codes[order], comp @ weights)
             rel[a] = order[pos]
         self.rel = rel
-        types = sorted({p.cycle_type() for p in perms})
+        types = sorted({p.cycle_type for p in perms})
         self.type_index = {t: i for i, t in enumerate(types)}
         self.types = types
         self.type_of = np.array(
-            [self.type_index[p.cycle_type()] for p in perms], dtype=np.int32
+            [self.type_index[p.cycle_type] for p in perms], dtype=np.int32
         )
         # common fixed points for every pair
         self.n_common_fixed = (
@@ -176,31 +146,19 @@ class GroupMatrix:
 
     n: int
     entries: np.ndarray
-    kind: str = "gram"
     pseudo_inverse: bool = False
 
 
-_CACHE_LOCK = threading.Lock()
-_GRAM_CACHE: dict = {}
-_WG_CACHE: dict = {}
-_NOISY_CACHE: dict = {}
-_WG_TYPE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def gram_matrix(n: int, q: float) -> GroupMatrix:
     """Overlap matrix G_{p,s}(q) = q^#(p^-1 s); diagonal q^n."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    key = (n, float(q))
-    with _CACHE_LOCK:
-        if key not in _GRAM_CACHE:
-            tb = _tables(n)
-            _GRAM_CACHE[key] = GroupMatrix(
-                n, float(q) ** tb.cycles[tb.rel], kind="gram"
-            )
-        return _GRAM_CACHE[key]
+    tb = _tables(n)
+    return GroupMatrix(n, float(q) ** tb.cycles[tb.rel])
 
 
+@lru_cache(maxsize=None)
 def weingarten_matrix(n: int, q: float) -> GroupMatrix:
     """(Pseudo)inverse of the Gram matrix.
 
@@ -209,48 +167,30 @@ def weingarten_matrix(n: int, q: float) -> GroupMatrix:
     For q < n an SVD pseudoinverse with cutoff 1e-12 * sigma_max is used and
     the result is flagged ``pseudo_inverse``.
     """
-    key = (n, float(q))
-    with _CACHE_LOCK:
-        if key in _WG_CACHE:
-            return _WG_CACHE[key]
     g = gram_matrix(n, q).entries
     scale = float(q) ** n
     gs = g / scale
     if q >= n:
         x = np.linalg.solve(gs, np.eye(len(g)))
         x += np.linalg.solve(gs, np.eye(len(g)) - gs @ x)
-        wg = GroupMatrix(n, x / scale, kind="weingarten")
-    else:
-        wg = GroupMatrix(
-            n,
-            np.linalg.pinv(gs, rcond=1e-12) / scale,
-            kind="weingarten",
-            pseudo_inverse=True,
-        )
-    with _CACHE_LOCK:
-        _WG_CACHE[key] = wg
-    return wg
+        return GroupMatrix(n, x / scale)
+    return GroupMatrix(n, np.linalg.pinv(gs, rcond=1e-12) / scale, pseudo_inverse=True)
 
 
+@lru_cache(maxsize=None)
 def _weingarten_by_type(n: int, q: float) -> dict[tuple[int, ...], float]:
     """Cycle type -> Weingarten entry Wg_{e, sigma}(q) for sigma of that type."""
-    key = (n, float(q))
-    with _CACHE_LOCK:
-        if key in _WG_TYPE_CACHE:
-            return _WG_TYPE_CACHE[key]
     if n == 0:
-        out = {(): 1.0}
-    else:
-        tb = _tables(n)
-        wg = weingarten_matrix(n, q).entries
-        out = {}
-        for idx, t in enumerate(tb.type_of):
-            out.setdefault(tb.types[t], float(wg[0, idx]))
-    with _CACHE_LOCK:
-        _WG_TYPE_CACHE[key] = out
+        return {(): 1.0}
+    tb = _tables(n)
+    wg = weingarten_matrix(n, q).entries
+    out = {}
+    for idx, t in enumerate(tb.type_of):
+        out.setdefault(tb.types[t], float(wg[0, idx]))
     return out
 
 
+@lru_cache(maxsize=None)
 def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
     """Weingarten coefficients of a Haar gate followed by depolarizing noise.
 
@@ -263,10 +203,6 @@ def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
     if gamma == 0.0:
         return weingarten_matrix(n, q)
-    key = (n, float(q), float(gamma))
-    with _CACHE_LOCK:
-        if key in _NOISY_CACHE:
-            return _NOISY_CACHE[key]
     tb = _tables(n)
     # value depends only on (cycle type of p^-1 s, nF(p, s))
     type_ids = tb.type_of[tb.rel]
@@ -293,19 +229,11 @@ def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
                 * wg_t[tuple(sorted(reduced, reverse=True))]
             )
         values[u_pos] = total
-    out = GroupMatrix(
-        n,
-        values[inverse].reshape(tb.rel.shape),
-        kind="noisy_weingarten",
-        pseudo_inverse=pseudo,
-    )
-    with _CACHE_LOCK:
-        _NOISY_CACHE[key] = out
-    return out
+    return GroupMatrix(n, values[inverse].reshape(tb.rel.shape), pseudo_inverse=pseudo)
 
 
 # ---------------------------------------------------------------------------
-# replica boundary weights and the exact fully scrambled moment
+# replica boundary weights
 
 
 def pauli_sum_weights(n: int, d: float) -> np.ndarray:
@@ -320,19 +248,6 @@ def traceless_seed_weights(n: int, d: float) -> np.ndarray:
     d^#(sigma) on even-cycle-only permutations, else 0."""
     tb = _tables(n)
     return np.where(tb.even, d ** tb.cycles.astype(float), 0.0)
-
-
-def haar_scrambled_moment(q: float, k: int) -> float:
-    """Exact ensemble moment mu_k for a single Haar unitary on dimension q
-    applied to a traceless Pauli seed: sum_{p,s} W_top(p) Wg_{p,s}(q) W_O(s).
-
-    Tends to (2k-1)!! as q -> infinity.
-    """
-    n = 2 * k
-    top = pauli_sum_weights(n, q)
-    bottom = traceless_seed_weights(n, q)
-    wg = weingarten_matrix(n, q).entries
-    return float(top @ wg @ bottom)
 
 
 def permutation_vectors(n: int, q: int) -> np.ndarray:

@@ -1,0 +1,49 @@
+"""The benchmark reaches into the package by name; these names must exist.
+
+``perfbench`` wraps functions where their callers look them up and marks
+the first engine call through names bound in ``pauliscope.cli``.  A lost
+name only reads as a zero metric there, so it is checked here.  Nothing is
+wrapped or installed.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from pauliscope import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    """Run a benchmark module from its path, writing no bytecode beside it."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"_bench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _resolves(module, attr) -> bool:
+    head, _, rest = attr.partition(".")
+    owner = module.__dict__.get(head)
+    if owner is None:
+        return False
+    for part in rest.split(".") if rest else ():
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "module_name, attr", [point[:2] for point in _load("spans").trace_points()]
+)
+def test_trace_point_resolves(module_name, attr):
+    assert _resolves(importlib.import_module(module_name), attr)
+
+
+def test_cli_binds_engine_entries():
+    for name in _load("child").ENGINE_ENTRIES:
+        assert callable(cli.__dict__.get(name)), name

@@ -85,9 +85,19 @@ def test_exact_matches_monte_carlo_noisy():
     assert abs(mean - exact) < 3 * se
 
 
-def test_k1_short_circuit():
+def test_k1_transfer_pipeline():
+    # noiseless nu_1 = 1 deterministically
     assert rmpu_moment_exact(RmpuParams(n_sites=5, r=2, k=1)) == 1.0
-    assert rmpu_moment_exact(RmpuParams(n_sites=5, r=2, k=1, gamma=0.1)) == 0.9**6
+    # with noise: the S_2 transfer value, confirmed by Monte Carlo
+    params = RmpuParams(n_sites=4, r=1, k=1, gamma=0.2)
+    exact = rmpu_moment_exact(params)
+    assert abs(exact - 0.36130816) < 1e-10
+    spec = CircuitSpec(
+        geometry="rmpu", n_sites=4, r=1, gamma=0.2, master_seed=77, initial_site=0
+    )
+    vals = [moment_nu(pauli_transform(run_circuit(spec, i)), 1) for i in range(600)]
+    mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
+    assert abs(mean - exact) < 3 * se
 
 
 def test_asymptotic_examples():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauliscope.circuits import sample_haar_unitary
 from pauliscope.weingarten import (
     Permutation,
-    common_fixed_points,
-    cycle_count,
     enumerate_group,
-    even_indicator,
     gram_matrix,
     noisy_weingarten,
     permutation_vectors,
@@ -28,23 +27,33 @@ def test_enumeration():
 
 def test_cycle_statistics():
     swap12 = Permutation((1, 0, 2))  # (12)(3)
-    assert cycle_count(swap12) == 2
-    assert not even_indicator(swap12)
+    assert swap12.cycles == 2
+    assert not swap12.even_cycles_only
     identity = Permutation((0, 1, 2, 3))
-    assert common_fixed_points(identity, identity) == 4
-    assert not even_indicator(identity)
+    assert _tables(4).n_common_fixed[0, 0] == 4  # index 0 is the identity
+    assert not identity.even_cycles_only
     pairing = Permutation((1, 0, 3, 2))
-    assert cycle_count(pairing) == 2 and even_indicator(pairing)
+    assert pairing.cycles == 2 and pairing.even_cycles_only
     with pytest.raises(ValueError):
-        common_fixed_points(identity, swap12)
+        identity.compose(swap12)
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))))
+def test_cycle_type_statistics_agree(image):
+    p = Permutation(tuple(image))
+    assert sum(p.cycle_type) == p.degree
+    assert p.cycles == len(p.cycle_type)
+    assert p.fixed_points == p.cycle_type.count(1)
+    assert p.fixed_points == sum(p.image[i] == i for i in range(p.degree))
+    assert p.even_cycles_only == all(c % 2 == 0 for c in p.cycle_type)
 
 
 def test_permutation_compose_inverse():
     a = Permutation((1, 2, 0))
     assert a.compose(a.inverse()).image == (0, 1, 2)
-    assert a.cycle_type() == (3,)
+    assert a.cycle_type == (3,)
 
 
 def test_gram_examples():
@@ -93,6 +102,10 @@ def test_weingarten_leading_order():
 
 def test_noisy_weingarten_reductions():
     assert noisy_weingarten(2, 4, 0.0) is weingarten_matrix(2, 4)
+    # memoized: repeat calls, int or float q, return the identical object
+    assert gram_matrix(4, 2) is gram_matrix(4, 2.0)
+    assert weingarten_matrix(4, 8) is weingarten_matrix(4, 8.0)
+    assert noisy_weingarten(4, 8, 0.1) is noisy_weingarten(4, 8.0, 0.1)
     nw = noisy_weingarten(1, 6, 0.37).entries
     assert abs(nw[0, 0] - 1 / 6) < 1e-15
     with pytest.raises(ValueError):
