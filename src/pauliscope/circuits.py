@@ -30,12 +30,12 @@ import numpy as np
 
 from .opsim import (
     GateMatrix,
-    OperatorState,
     apply_depolarizing,
     apply_depolarizing_support,
     apply_gate,
     init_local_pauli,
 )
+from .pauli import PauliCoefficients
 
 GEOMETRIES = ("chain", "grid", "rmpu")
 NOISE_PLACEMENTS = ("per_qubit_per_layer", "per_gate_support", "none")
@@ -173,8 +173,8 @@ def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
 
 def iter_circuit(
     spec: CircuitSpec, realization: int, lightcone: bool = True
-) -> Iterator[tuple[int, OperatorState]]:
-    """Evolve the initial local Pauli layer by layer, yielding (t, state).
+) -> Iterator[tuple[int, PauliCoefficients]]:
+    """Evolve the initial local Pauli layer by layer, yielding (t, coefficients).
 
     The yielded state is the live object; copy it if it must outlive the
     iteration.  Gates are drawn in (layer, gate) order from the realization
@@ -210,9 +210,8 @@ def iter_circuit(
         yield t + 1, op
 
 
-def run_circuit(spec: CircuitSpec, realization: int) -> OperatorState:
+def run_circuit(spec: CircuitSpec, realization: int) -> PauliCoefficients:
     """Heisenberg-evolve the initial operator through the full circuit."""
-    op = init_local_pauli(spec.n_sites, spec.initial_site, spec.initial_axis)
     for _, op in iter_circuit(spec, realization):
         pass
     return op

@@ -30,23 +30,25 @@ from .spectrum import haar_moment
 
 
 def _load_config(args, default_engine=None) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
+    """The JSON config with the subcommand's engine and the flags applied,
+    validated once as a whole."""
+    if not args.config:
         raise SystemExit("--config <path.json> is required for this subcommand")
-    if default_engine is not None:
-        cfg.engine = default_engine
-    if args.engine:
-        cfg.engine = args.engine
+    with open(args.config) as fh:
+        d = json.load(fh)
+    overrides = (
+        ("engine", default_engine),
+        ("engine", args.engine),
+        ("n_realizations", args.realizations),
+        ("threads", args.threads),
+        ("out_dir", args.out),
+    )
+    for key, value in overrides:
+        if value is not None:
+            d[key] = value
     if args.seed is not None:
-        cfg.circuit.master_seed = args.seed
-    if args.realizations is not None:
-        cfg.n_realizations = args.realizations
-    if args.threads is not None:
-        cfg.threads = args.threads
-    if args.out:
-        cfg.out_dir = args.out
-    return cfg
+        d["circuit"] = {**d.get("circuit", {}), "master_seed": args.seed}
+    return ExperimentConfig.from_dict(d)
 
 
 def _finish(cfg: ExperimentConfig, csv_name: str, writer, t0: float) -> Path:
@@ -112,22 +114,30 @@ def cmd_truncate_mse(args) -> int:
 
 
 def cmd_fit_kappa(args) -> int:
-    rows = read_csv_rows(args.input)
+    rows = [
+        row for row in read_csv_rows(args.input)
+        if row["quantity"] == "mu" and int(row["k"]) == 2
+    ]
+    if not rows:
+        raise SystemExit("no (quantity=mu, k=2) rows in the input CSV")
+    # gamma*N and the fit assume one system: every series shares N, engine, geometry
+    for key in ("N", "engine", "geometry"):
+        values = sorted({row[key] for row in rows})
+        if len(values) > 1:
+            raise SystemExit(
+                f"fit-kappa needs one {key} per input CSV, found {key} = {', '.join(values)}"
+            )
     series = defaultdict(list)
     for row in rows:
-        if row["quantity"] != "mu" or int(row["k"]) != 2:
-            continue
         series[float(row["gamma"])].append(
             (int(row["t"]), float(row["value"]), float(row["stderr"]))
         )
-    if not series:
-        raise SystemExit("no (quantity=mu, k=2) rows in the input CSV")
     window = tuple(args.window) if args.window else None
+    n_sites = int(rows[0]["N"])
     out_rows = []
     for gamma in sorted(series):
         pts = sorted(series[gamma])
         t, v, s = zip(*pts)
-        n_sites = int(rows[0]["N"])
         fit = fit_kappa(t, v, s, haar_value=haar_moment(2), window=window)
         out_rows.append(
             {
@@ -174,7 +184,6 @@ def cmd_selftest(args) -> int:
     import numpy as np
 
     from .circuits import run_circuit
-    from .pauli import pauli_transform
     from .rmpu import RmpuParams, global_haar_moment, rmpu_moment_exact
     from .rtn import contract_brickwork
     from .spectrum import moment_nu
@@ -199,7 +208,7 @@ def cmd_selftest(args) -> int:
                        master_seed=11, initial_site=0)
     vals = []
     for real in range(400):
-        vals.append(moment_nu(pauli_transform(run_circuit(spec, real)), 2))
+        vals.append(moment_nu(run_circuit(spec, real), 2))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     check("rmpu transfer vs Monte Carlo", abs(mean - exact) < 3 * se,

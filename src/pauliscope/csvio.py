@@ -13,8 +13,8 @@ MOMENTS_HEADER = [
     "k", "quantity", "value", "stderr", "n_samples", "seed",
 ]
 HISTOGRAM_HEADER = [
-    "N", "t", "gamma", "bin_lo", "bin_hi", "density", "zero_mass",
-    "n_samples", "seed",
+    "N", "t", "gamma", "bin_lo", "bin_hi", "density", "density_stderr",
+    "zero_mass", "n_samples", "seed",
 ]
 MSE_HEADER = ["N", "t", "gamma", "N_P", "mse", "stderr", "n_samples", "seed"]
 
@@ -62,11 +62,12 @@ def write_histogram_csv(path, ensembles, seed: int) -> None:
         w = csv.writer(fh)
         w.writerow(HISTOGRAM_HEADER)
         for h in ensembles:
-            for lo, hi, dens in zip(h.bin_edges[:-1], h.bin_edges[1:], h.density_mean):
+            bins = zip(h.bin_edges[:-1], h.bin_edges[1:], h.density_mean, h.density_stderr)
+            for lo, hi, dens, dens_err in bins:
                 w.writerow(
                     [h.n_sites, h.depth, _fmt(h.gamma), _fmt(float(lo)),
-                     _fmt(float(hi)), _fmt(float(dens)), _fmt(h.zero_mass),
-                     h.n_samples, seed]
+                     _fmt(float(hi)), _fmt(float(dens)), _fmt(float(dens_err)),
+                     _fmt(h.zero_mass), h.n_samples, seed]
                 )
 
 

@@ -9,7 +9,6 @@ deterministic values in the same row format.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .circuits import CircuitSpec, circuit_fidelity, iter_circuit
-from .pauli import pauli_transform
 from .rmpu import RmpuParams, rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
 from .spectrum import (
@@ -68,6 +66,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown engine {self.engine!r} (choose from {ENGINES})")
         if self.n_realizations < 2 and self.engine == "simulator":
             raise ValueError("need n_realizations >= 2 for standard errors")
+        if self.threads < 1:
+            raise ValueError(f"threads={self.threads} must be >= 1")
+        if self.chi_mps < 1:
+            raise ValueError(f"chi_mps={self.chi_mps} must be >= 1")
+        if not 0.0 <= self.svd_threshold < 1.0:
+            raise ValueError(f"svd_threshold={self.svd_threshold} outside [0, 1)")
+        if self.sweep.n is not None and self.circuit.geometry == "grid":
+            raise ValueError("sweep.n is not supported for grid circuits (N = lx * ly)")
+        if self.engine == "simulator" and self.sweep.t is not None:
+            for n_sites in self.sweep.n or [self.circuit.n_sites]:
+                layers = _variant(self.circuit, n_sites=n_sites, initial_site=None).n_layers
+                bad = [t for t in self.sweep.t if not 1 <= t <= layers]
+                if bad:
+                    raise ValueError(f"sweep.t {bad} outside [1, {layers}] at N={n_sites}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -81,11 +93,6 @@ class ExperimentConfig:
         if "sweep" in d:
             d["sweep"] = SweepSpec.from_dict(d["sweep"])
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def resolved(self) -> dict:
         out = {
@@ -114,9 +121,9 @@ def _pauli_depths(spec_dict: dict, realization: int, depths: Sequence[int]):
     """Pauli coefficients of one realization at each of the ascending depths."""
     spec = CircuitSpec.from_dict(spec_dict)
     want = set(depths)
-    for t, op in iter_circuit(spec, realization):
+    for t, coeffs in iter_circuit(spec, realization):
         if t in want:
-            yield pauli_transform(op)
+            yield coeffs
         if t >= max(depths):
             break
 

@@ -110,7 +110,8 @@ class PauliCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        # contiguous, so that reshapes are views the simulator updates in place
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.shape != (4**self.n_sites,):
             raise ValueError(
                 f"expected {4 ** self.n_sites} coefficients, got {self.values.shape}"
@@ -118,7 +119,7 @@ class PauliCoefficients:
 
 
 def _as_matrix(op) -> tuple[np.ndarray, int]:
-    mat = op.matrix if hasattr(op, "matrix") else np.asarray(op)
+    mat = np.asarray(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
     n = int(round(np.log2(mat.shape[0])))

@@ -183,5 +183,5 @@ class MomentEstimate:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.stderr < 0:
-            raise ValueError("stderr must be >= 0")
+        if not self.stderr >= 0:  # also rejects NaN
+            raise ValueError(f"stderr must be >= 0, got {self.stderr}")

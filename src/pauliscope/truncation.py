@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuits import CircuitSpec, run_circuit
-from .pauli import PauliCoefficients, inverse_pauli_transform, pauli_transform, zdiag_mask
+from .pauli import PauliCoefficients, inverse_pauli_transform, zdiag_mask
 from .spectrum import stable_sum
 
 TIE_RULE = "descending |a|, ties broken by ascending Pauli index"
@@ -117,7 +117,7 @@ def truncation_mse(
     mask = zdiag_mask(spec.n_sites)
     errors = np.empty((n_realizations, len(np_grid)))
     for real in range(n_realizations):
-        coeffs = pauli_transform(run_circuit(spec, real))
+        coeffs = run_circuit(spec, real)
         order = _top_order(coeffs.values)
         diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
         # dropped-tail expectation for every cutoff in one suffix sum

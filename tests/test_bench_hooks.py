@@ -7,12 +7,14 @@ wrapped or installed.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 from pauliscope import cli
+from pauliscope.driver import ExperimentConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,6 +23,7 @@ def _load(name):
     """Run a benchmark module from its path, writing no bytecode beside it."""
     path = BENCH / f"{name}.py"
     module = types.ModuleType(f"_bench_{name}")
+    sys.modules[module.__name__] = module  # dataclasses look their module up here
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
@@ -47,3 +50,9 @@ def test_trace_point_resolves(module_name, attr):
 def test_cli_binds_engine_entries():
     for name in _load("child").ENGINE_ENTRIES:
         assert callable(cli.__dict__.get(name)), name
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_workload_configs_pass_validation(size):
+    for workload in _load("workloads").WORKLOADS[size].values():
+        ExperimentConfig.from_dict(workload.config)

@@ -10,8 +10,7 @@ from pauliscope.circuits import (
     run_circuit,
     sample_haar_unitary,
 )
-from pauliscope.opsim import hs_norm_sq
-from pauliscope.pauli import pauli_transform
+from pauliscope.spectrum import moment_nu
 
 
 def test_chain_layer_supports():
@@ -74,9 +73,9 @@ def test_haar_moments_monte_carlo():
 
 def test_determinism():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=3, gamma=0.05, master_seed=42)
-    a = run_circuit(spec, 7).matrix
-    assert np.array_equal(a, run_circuit(spec, 7).matrix)
-    assert not np.array_equal(a, run_circuit(spec, 8).matrix)
+    a = run_circuit(spec, 7).values
+    assert np.array_equal(a, run_circuit(spec, 7).values)
+    assert not np.array_equal(a, run_circuit(spec, 8).values)
     # distinct realization streams
     r0 = realization_rng(1, 0).integers(2**31)
     assert r0 != realization_rng(1, 1).integers(2**31)
@@ -85,12 +84,12 @@ def test_determinism():
 
 def test_noiseless_norm_preserved():
     spec = CircuitSpec(geometry="chain", n_sites=5, depth=8, master_seed=1)
-    assert abs(hs_norm_sq(run_circuit(spec, 0)) - 1.0) < 1e-8
+    assert abs(moment_nu(run_circuit(spec, 0), 1) - 1.0) < 1e-8
 
 
 def test_lightcone_exact_zero_outside_cone():
     spec = CircuitSpec(geometry="chain", n_sites=5, depth=1, initial_site=4, master_seed=3)
-    coeffs = pauli_transform(run_circuit(spec, 0)).values
+    coeffs = run_circuit(spec, 0).values
     want = np.zeros(4**5)
     want[3 << 8] = 1.0  # Z at site 4
     assert np.array_equal(coeffs, want)
@@ -98,16 +97,16 @@ def test_lightcone_exact_zero_outside_cone():
 
 def test_lightcone_on_off_agree():
     spec = CircuitSpec(geometry="chain", n_sites=5, depth=4, gamma=0.07, master_seed=11)
-    on = run_circuit(spec, 0).matrix
+    on = run_circuit(spec, 0).values
     off = None
     for _, op in iter_circuit(spec, 0, lightcone=False):
-        off = op.matrix
+        off = op.values
     assert np.max(np.abs(on - off)) < 1e-12
 
 
 def test_full_depolarization_kills_traceless_operator():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=2, gamma=1.0, master_seed=5)
-    assert hs_norm_sq(run_circuit(spec, 0)) < 1e-20
+    assert moment_nu(run_circuit(spec, 0), 1) < 1e-20
 
 
 def test_fidelity_bookkeeping():

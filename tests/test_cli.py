@@ -46,6 +46,15 @@ def test_flag_overrides(tmp_path, cfg_path):
     assert rows[0]["seed"] == "99" and rows[0]["n_samples"] == "10"
 
 
+def test_flags_are_validated_with_the_config(tmp_path, cfg_path):
+    argv = ["moments", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    with pytest.raises(ValueError, match="n_realizations"):
+        main(argv + ["--realizations", "1"])
+    with pytest.raises(ValueError, match="threads"):
+        main(argv + ["--threads", "0"])
+    assert not (tmp_path / "run").exists()
+
+
 def test_spectrum_hist_command(tmp_path, cfg_path):
     out = tmp_path / "hist"
     assert main(["spectrum-hist", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -120,6 +129,21 @@ def test_fit_kappa_and_threshold_pipeline(tmp_path):
     payload = json.loads(out_json.read_text())
     assert 0.07 < payload["gammaN_critical"] < 0.35
     assert payload["n_sign_changes"] == 1
+
+
+def test_fit_kappa_rejects_mixed_sizes(tmp_path):
+    lines = ["engine,geometry,N,r,t,gamma,noise_placement,k,quantity,value,stderr,n_samples,seed"]
+    for n_sites in (6, 8):
+        for t in range(4, 9):
+            lines.append(
+                f"simulator,chain,{n_sites},,{t},0.01,per_qubit_per_layer,2,mu,"
+                f"{3.0 + np.exp(-0.3 * t)!r},0.0001,100,1"
+            )
+    moments = tmp_path / "moments.csv"
+    moments.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit, match="N = 6, 8"):
+        main(["fit-kappa", "--input", str(moments), "--out", str(tmp_path / "k.csv")])
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_selftest_passes():

@@ -40,7 +40,7 @@ BASE = {
 def test_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE))
-    cfg = ExperimentConfig.from_json(path)
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
     assert cfg.circuit.n_sites == 4
     assert cfg.sweep.t == [2, 4, 6]
     resolved = cfg.resolved()
@@ -55,6 +55,43 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({**BASE, "sweep": {"tt": [1]}})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({**BASE, "engine": "quantum"})
+
+
+RMPU_SIM = {
+    "circuit": {"geometry": "rmpu", "n_sites": 4, "r": 1, "master_seed": 5},
+    "sweep": {"t": [3], "n": [4, 6], "k": [2]},
+    "n_realizations": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**BASE, "threads": 0}, "threads"),
+        ({**BASE, "chi_mps": 0}, "chi_mps"),
+        ({**BASE, "svd_threshold": -1e-3}, "svd_threshold"),
+        ({**BASE, "svd_threshold": 1.0}, "svd_threshold"),
+        ({**BASE, "sweep": {"t": [2, 7], "k": [2]}}, r"sweep.t \[7\]"),
+        ({**BASE, "sweep": {"t": [0, 2], "k": [2]}}, r"sweep.t \[0\]"),
+        # rmpu depth is N - r: t=4 fits N=6 but not N=4
+        ({**RMPU_SIM, "sweep": {"t": [4], "n": [6, 4], "k": [2]}}, "at N=4"),
+        ({**BASE, "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 4},
+          "sweep": {"n": [4, 6]}}, "grid"),
+        ({**BASE, "n_realizations": 1}, "n_realizations"),
+    ],
+    ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
+         "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization"],
+)
+def test_config_rejects_bad_values(config, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(config)
+
+
+def test_config_accepts_t_within_every_swept_n():
+    cfg = ExperimentConfig.from_dict(RMPU_SIM)
+    assert cfg.sweep.n == [4, 6]
+    # the rtn and rmpu engines do not simulate, so their depths are not checked here
+    ExperimentConfig.from_dict({**BASE, "engine": "rtn", "sweep": {"t": [9], "k": [2]}})
 
 
 def test_run_ensemble_reproducible():
@@ -106,6 +143,9 @@ def test_csv_schemas(tmp_path):
     hrec = read_csv_rows(hpath)
     assert list(hrec[0].keys()) == HISTOGRAM_HEADER
     assert len(hrec) == 60
+    stderr = [float(r["density_stderr"]) for r in hrec]
+    assert min(stderr) >= 0.0 and max(stderr) > 0.0
+    assert stderr == hists[0].density_stderr.tolist()
 
     points = simulate_mse(spec, [1, 4], 5)
     spath = tmp_path / "mse.csv"

@@ -3,19 +3,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliscope.circuits import sample_haar_unitary
+from pauliscope.circuits import (
+    CircuitSpec,
+    layer_supports,
+    realization_rng,
+    run_circuit,
+    sample_haar_unitary,
+)
 from pauliscope.opsim import (
     GateMatrix,
-    OperatorState,
     apply_depolarizing,
     apply_depolarizing_support,
     apply_gate,
-    hs_norm_sq,
     init_local_pauli,
+    pauli_transfer_matrix,
 )
-from pauliscope.pauli import PAULI_MATRICES, encode_pauli, pauli_transform
+from pauliscope.pauli import (
+    PAULI_MATRICES,
+    PauliCoefficients,
+    encode_pauli,
+    inverse_pauli_transform,
+    pauli_transform,
+)
+from pauliscope.spectrum import moment_mu, moment_nu, pi_distribution
 
 from conftest import random_hermitian
+
+#: agreement of the coefficient evolution with the dense oracle
+ORACLE_TOL = 1e-12
 
 
 def embedded_unitary(u, support, n):
@@ -35,16 +50,47 @@ def embedded_unitary(u, support, n):
     return full
 
 
+def dense_depolarize(mat, gamma, support, n):
+    """Reference channel O <- (1-g) O + g Tr_S[O] x 1_S/2^|S| on a dense
+    matrix; the partial trace over S is taken one site at a time."""
+    traced = mat
+    for s in support:
+        a, b = 2 ** (n - 1 - s), 2**s
+        reduced = np.einsum("xiyzik->xyzk", traced.reshape(a, 2, b, a, 2, b))
+        traced = np.einsum("xyzk,ij->xiyzjk", reduced, np.eye(2) / 2).reshape(mat.shape)
+    return (1.0 - gamma) * mat + gamma * traced
+
+
+def dense_circuit(spec, realization):
+    """Reference run of a circuit on the dense D x D operator.
+
+    Gates are drawn in the simulator's order and every one is applied (no
+    lightcone); noise acts on every site, idle ones included.
+    """
+    n = spec.n_sites
+    rng = realization_rng(spec.master_seed, realization)
+    mat = embedded_unitary(PAULI_MATRICES[spec.initial_axis], (spec.initial_site,), n)
+    for t in range(spec.n_layers):
+        for support in layer_supports(spec, t):
+            full = embedded_unitary(sample_haar_unitary(2 ** len(support), rng), support, n)
+            mat = full @ mat @ full.conj().T
+            if spec.noise_placement == "per_gate_support":
+                mat = dense_depolarize(mat, spec.gamma, support, n)
+        if spec.noise_placement == "per_qubit_per_layer":
+            for s in range(n):
+                mat = dense_depolarize(mat, spec.gamma, (s,), n)
+    return mat
+
+
 def test_init_local_pauli():
-    op = init_local_pauli(2, 0, "Z")
-    coeffs = pauli_transform(op)
+    coeffs = init_local_pauli(2, 0, "Z")
     assert coeffs.values[encode_pauli("ZI").index] == 1.0
     assert np.count_nonzero(coeffs.values) == 1
     assert np.array_equal(
-        init_local_pauli(1, 0, "X").matrix, np.array([[0, 1], [1, 0]], dtype=complex)
+        inverse_pauli_transform(init_local_pauli(1, 0, "X")), PAULI_MATRICES["X"]
     )
-    assert abs(hs_norm_sq(init_local_pauli(3, 1, "Y")) - 1.0) < 1e-14
-    assert abs(np.trace(init_local_pauli(3, 2, "Z").matrix)) == 0.0
+    assert moment_nu(init_local_pauli(3, 1, "Y"), 1) == 1.0
+    assert init_local_pauli(3, 2, "Z").values[0] == 0.0  # traceless
 
 
 def test_init_guards():
@@ -66,118 +112,171 @@ def test_gate_matrix_validation(rng):
 
 
 def test_identity_gate_is_noop(rng):
-    h = random_hermitian(3, rng)
-    op = OperatorState(3, h.copy())
-    apply_gate(op, GateMatrix((1, 2), np.eye(4)))
-    assert np.allclose(op.matrix, h, atol=1e-14)
+    coeffs = pauli_transform(random_hermitian(3, rng))
+    before = coeffs.values.copy()
+    apply_gate(coeffs, GateMatrix((1, 2), np.eye(4)))
+    assert np.allclose(coeffs.values, before, atol=1e-14)
 
 
 def test_hadamard_conjugation():
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    op = init_local_pauli(1, 0, "Z")
-    apply_gate(op, GateMatrix((0,), had))
-    assert np.allclose(op.matrix, PAULI_MATRICES["X"], atol=1e-14)
+    coeffs = init_local_pauli(1, 0, "Z")
+    apply_gate(coeffs, GateMatrix((0,), had))
+    assert np.allclose(coeffs.values, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("support", [(0,), (2,), (0, 1), (1, 2), (0, 2), (2, 0)])
+@pytest.mark.parametrize("support", [(0,), (2,), (0, 1), (1, 2), (0, 2), (2, 0), (2, 0, 1)])
 def test_gate_matches_embedded_conjugation(support, rng):
     n = 3
     u = sample_haar_unitary(2 ** len(support), rng)
     h = random_hermitian(n, rng)
-    op = OperatorState(n, h.copy())
-    apply_gate(op, GateMatrix(support, u))
+    coeffs = pauli_transform(h)
+    apply_gate(coeffs, GateMatrix(support, u))
     full = embedded_unitary(u, support, n)
-    assert np.max(np.abs(op.matrix - full @ h @ full.conj().T)) < 1e-11
+    want = pauli_transform(full @ h @ full.conj().T).values
+    assert np.max(np.abs(coeffs.values - want)) < 1e-11
 
 
 def test_gate_preserves_norm_and_trace(rng):
+    coeffs = pauli_transform(random_hermitian(4, rng))
+    before = moment_nu(coeffs, 1)
+    trace_before = coeffs.values[0]
+    apply_gate(coeffs, GateMatrix((1, 2), sample_haar_unitary(4, rng)))
+    assert abs(moment_nu(coeffs, 1) - before) < 1e-10 * before
+    assert abs(coeffs.values[0] - trace_before) < 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31), w=st.integers(1, 3))
+def test_transfer_matrix_is_real_orthogonal_and_unital(seed, w):
+    r = pauli_transfer_matrix(sample_haar_unitary(2**w, np.random.default_rng(seed)))
+    assert r.dtype == np.float64 and r.shape == (4**w, 4**w)
+    assert np.max(np.abs(r @ r.T - np.eye(4**w))) < 1e-12
+    assert abs(r[0, 0] - 1.0) < 1e-12
+    assert np.max(np.abs(r[0, 1:])) < 1e-12 and np.max(np.abs(r[1:, 0])) < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**31), support=st.permutations(range(4)), w=st.integers(1, 3))
+def test_gate_then_inverse_round_trip(seed, support, w):
+    rng = np.random.default_rng(seed)
+    support = tuple(support[:w])
+    u = sample_haar_unitary(2**w, rng)
     h = random_hermitian(4, rng)
-    op = OperatorState(4, h.copy())
-    before = hs_norm_sq(op)
-    trace_before = np.trace(op.matrix)
-    apply_gate(op, GateMatrix((1, 2), sample_haar_unitary(4, rng)))
-    assert abs(hs_norm_sq(op) - before) < 1e-10 * before
-    assert abs(np.trace(op.matrix) - trace_before) < 1e-10
+    coeffs = pauli_transform(h / np.sqrt(moment_nu(pauli_transform(h), 1)))
+    before = coeffs.values.copy()
+    apply_gate(coeffs, GateMatrix(support, u))
+    apply_gate(coeffs, GateMatrix(support, u.conj().T))
+    assert np.max(np.abs(coeffs.values - before)) < 1e-12
 
 
 def test_depolarizing_examples():
-    op = init_local_pauli(1, 0, "X")
-    apply_depolarizing(op, 0.1, [0])
-    assert np.allclose(op.matrix, 0.9 * PAULI_MATRICES["X"], atol=1e-15)
-    assert abs(hs_norm_sq(op) - 0.81) < 1e-14
+    coeffs = init_local_pauli(1, 0, "X")
+    apply_depolarizing(coeffs, 0.1, [0])
+    assert np.allclose(coeffs.values, [0.0, 0.9, 0.0, 0.0], atol=1e-15)
+    assert abs(moment_nu(coeffs, 1) - 0.81) < 1e-14
 
-    ident = OperatorState(2, np.eye(4, dtype=complex))
+    ident = PauliCoefficients(2, np.eye(16)[0])
     apply_depolarizing(ident, 0.7, [0, 1])
-    assert np.allclose(ident.matrix, np.eye(4), atol=1e-14)
+    assert np.array_equal(ident.values, np.eye(16)[0])
 
-    zz = OperatorState(2, np.kron(PAULI_MATRICES["Z"], PAULI_MATRICES["Z"]))
+    zz = pauli_transform(np.kron(PAULI_MATRICES["Z"], PAULI_MATRICES["Z"]))
     apply_depolarizing(zz, 0.2, [0])
-    coeffs = pauli_transform(zz)
-    assert abs(coeffs.values[encode_pauli("ZZ").index] - 0.8) < 1e-14
+    assert abs(zz.values[encode_pauli("ZZ").index] - 0.8) < 1e-14
 
 
 def test_depolarizing_rejects_bad_gamma(rng):
-    op = OperatorState(2, random_hermitian(2, rng))
+    coeffs = pauli_transform(random_hermitian(2, rng))
     with pytest.raises(ValueError):
-        apply_depolarizing(op, 1.2, [0])
+        apply_depolarizing(coeffs, 1.2, [0])
     with pytest.raises(ValueError):
-        apply_depolarizing(op, -0.1, [0])
+        apply_depolarizing(coeffs, -0.1, [0])
     with pytest.raises(ValueError):
-        apply_depolarizing(op, 0.1, [5])
+        apply_depolarizing(coeffs, 0.1, [5])
 
 
 def test_depolarizing_pauli_picture(rng):
     for n in (2, 4):
         h = random_hermitian(n, rng)
         gamma, site = 0.23, n - 1
-        op = OperatorState(n, h.copy())
-        apply_depolarizing(op, gamma, [site])
-        got = pauli_transform(op).values
-        want = pauli_transform(h).values.copy()
-        idx = np.arange(4**n)
-        want[(idx >> (2 * site)) & 3 != 0] *= 1 - gamma
-        assert np.max(np.abs(got - want)) < 1e-10
+        coeffs = pauli_transform(h)
+        apply_depolarizing(coeffs, gamma, [site])
+        want = pauli_transform(dense_depolarize(h, gamma, (site,), n)).values
+        assert np.max(np.abs(coeffs.values - want)) < 1e-10
 
 
 def test_joint_support_depolarizing_rule(rng):
     n = 3
     h = random_hermitian(n, rng)
     gamma = 0.31
-    for support in [(0, 1), (0, 2), (0, 1, 2)]:
-        op = OperatorState(n, h.copy())
-        apply_depolarizing_support(op, gamma, support)
-        got = pauli_transform(op).values
-        want = pauli_transform(h).values.copy()
-        idx = np.arange(4**n)
-        hit = np.zeros(4**n, dtype=bool)
-        for s in support:
-            hit |= (idx >> (2 * s)) & 3 != 0
-        want[hit] *= 1 - gamma
-        assert np.max(np.abs(got - want)) < 1e-10
+    for support in [(0, 1), (0, 2), (2, 0), (0, 1, 2)]:
+        coeffs = pauli_transform(h)
+        apply_depolarizing_support(coeffs, gamma, support)
+        want = pauli_transform(dense_depolarize(h, gamma, support, n)).values
+        assert np.max(np.abs(coeffs.values - want)) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31), gamma=st.floats(0.0, 1.0))
 def test_depolarizing_site_order_commutes(seed, gamma):
-    rng = np.random.default_rng(seed)
-    h = random_hermitian(3, rng)
-    a = OperatorState(3, h.copy())
-    b = OperatorState(3, h.copy())
+    h = random_hermitian(3, np.random.default_rng(seed))
+    a = pauli_transform(h)
+    b = pauli_transform(h)
     apply_depolarizing(a, gamma, [0, 2, 1])
     apply_depolarizing(b, gamma, [1, 0, 2])
-    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+    assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
 def test_depolarizing_contracts_norm(rng):
-    h = random_hermitian(3, rng)
-    op = OperatorState(3, h.copy())
-    before = hs_norm_sq(op)
-    trace_before = np.trace(op.matrix)
-    apply_depolarizing(op, 0.4, [1])
-    assert hs_norm_sq(op) <= before + 1e-12
-    assert abs(np.trace(op.matrix) - trace_before) < 1e-10
+    coeffs = pauli_transform(random_hermitian(3, rng))
+    before = moment_nu(coeffs, 1)
+    trace_before = coeffs.values[0]
+    apply_depolarizing(coeffs, 0.4, [1])
+    assert moment_nu(coeffs, 1) <= before + 1e-12
+    assert coeffs.values[0] == trace_before
     # identity-supported operator is a fixed point, no contraction
-    ident = OperatorState(2, np.eye(4, dtype=complex))
-    norm0 = hs_norm_sq(ident)
+    ident = PauliCoefficients(2, np.eye(16)[0])
     apply_depolarizing(ident, 0.5, [0, 1])
-    assert abs(hs_norm_sq(ident) - norm0) < 1e-14
+    assert moment_nu(ident, 1) == 1.0
+
+
+SMALL_CIRCUITS = {
+    "chain": st.fixed_dictionaries(
+        {"geometry": st.just("chain"), "n_sites": st.integers(2, 5),
+         "depth": st.integers(1, 5)}
+    ),
+    "grid": st.fixed_dictionaries(
+        {"geometry": st.just("grid"), "lx": st.just(2), "ly": st.just(2),
+         "depth": st.integers(1, 5)}
+    ),
+    "rmpu_r1": st.fixed_dictionaries(
+        {"geometry": st.just("rmpu"), "n_sites": st.integers(2, 5), "r": st.just(1)}
+    ),
+    "rmpu_r2": st.fixed_dictionaries(
+        {"geometry": st.just("rmpu"), "n_sites": st.integers(3, 5), "r": st.just(2)}
+    ),
+}
+
+
+@pytest.mark.parametrize("placement", ["per_qubit_per_layer", "per_gate_support"])
+@pytest.mark.parametrize("kind", sorted(SMALL_CIRCUITS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_circuit_matches_dense_oracle_and_invariants(kind, placement, data):
+    circuit = data.draw(SMALL_CIRCUITS[kind])
+    n_sites = circuit.get("n_sites", 4)
+    spec = CircuitSpec(
+        **circuit,
+        gamma=data.draw(st.floats(0.0, 0.3)),
+        noise_placement=placement,
+        initial_site=data.draw(st.integers(0, n_sites - 1)),
+        initial_axis=data.draw(st.sampled_from("XYZ")),
+        master_seed=data.draw(st.integers(0, 2**31)),
+    )
+    coeffs = run_circuit(spec, 0)
+    want = pauli_transform(dense_circuit(spec, 0)).values
+    assert np.max(np.abs(coeffs.values - want)) < ORACLE_TOL
+    assert abs(float(np.sum(pi_distribution(coeffs))) - 1.0) < 1e-12
+    for k in (2, 3):
+        assert moment_mu(coeffs, k) >= 1.0
+    assert 0.0 <= moment_nu(coeffs, 1) <= 1.0 + 1e-12

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pauliscope.circuits import CircuitSpec, run_circuit
-from pauliscope.pauli import pauli_transform
 from pauliscope.rmpu import (
     RmpuParams,
     boundary_vectors,
@@ -69,7 +68,7 @@ def test_exact_matches_monte_carlo_noiseless():
     params = RmpuParams(n_sites=3, r=2, k=2)
     exact = rmpu_moment_exact(params)
     spec = CircuitSpec(geometry="rmpu", n_sites=3, r=2, master_seed=31, initial_site=0)
-    vals = [moment_nu(pauli_transform(run_circuit(spec, i)), 2) for i in range(600)]
+    vals = [moment_nu(run_circuit(spec, i), 2) for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
 
@@ -80,7 +79,7 @@ def test_exact_matches_monte_carlo_noisy():
     spec = CircuitSpec(
         geometry="rmpu", n_sites=4, r=2, gamma=0.05, master_seed=77, initial_site=0
     )
-    vals = [moment_nu(pauli_transform(run_circuit(spec, i)), 2) for i in range(600)]
+    vals = [moment_nu(run_circuit(spec, i), 2) for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
 
@@ -95,7 +94,7 @@ def test_k1_transfer_pipeline():
     spec = CircuitSpec(
         geometry="rmpu", n_sites=4, r=1, gamma=0.2, master_seed=77, initial_site=0
     )
-    vals = [moment_nu(pauli_transform(run_circuit(spec, i)), 1) for i in range(600)]
+    vals = [moment_nu(run_circuit(spec, i), 1) for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
 

@@ -25,7 +25,7 @@ from conftest import random_hermitian
 
 
 def test_local_pauli_moments_exact():
-    coeffs = pauli_transform(init_local_pauli(2, 0, "Z"))
+    coeffs = init_local_pauli(2, 0, "Z")
     assert moment_mu(coeffs, 1) == 1.0
     assert moment_mu(coeffs, 2) == 16.0
     assert moment_mu(coeffs, 3) == 4.0**4
@@ -70,7 +70,7 @@ def test_renyi_monotone(rng):
 
 
 def test_ose_edge_cases():
-    single = pauli_transform(init_local_pauli(2, 1, "X"))
+    single = init_local_pauli(2, 1, "X")
     assert ose(single, 2) == 0.0
     assert ose(single, 0) == 0.0  # support of size 1
     with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ def test_opt_density_normalization_and_moments():
 
 
 def test_histogram_local_operator():
-    coeffs = pauli_transform(init_local_pauli(2, 0, "Z"))
+    coeffs = init_local_pauli(2, 0, "Z")
     hist = spectrum_histogram(coeffs)
     assert abs(hist.zero_mass - 15 / 16) < 1e-15
     assert abs(hist.zero_mass + np.sum(hist.density * hist.widths) - 1) < 1e-8
@@ -114,7 +114,7 @@ def test_histogram_local_operator():
 
 
 def test_histogram_overflow_mass_in_last_bin():
-    coeffs = pauli_transform(init_local_pauli(8, 3, "Z"))  # u = 65536 > 1e3
+    coeffs = init_local_pauli(8, 3, "Z")  # u = 65536 > 1e3
     hist = spectrum_histogram(coeffs)
     assert hist.density[-1] > 0
     assert abs(hist.zero_mass + np.sum(hist.density * hist.widths) - 1) < 1e-8
@@ -139,3 +139,5 @@ def test_moment_estimate_validation():
         MomentEstimate("bogus", 2, 1.0, 0.0, 1)
     with pytest.raises(ValueError):
         MomentEstimate("mu", 2, 1.0, -0.1, 1)
+    with pytest.raises(ValueError, match="nan"):
+        MomentEstimate("mu", 2, 1.0, float("nan"), 1)

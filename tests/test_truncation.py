@@ -24,7 +24,7 @@ def test_truncate_sorting_example():
     assert set(res.kept_indices.tolist()) == {1, 2}
     assert abs(res.dropped_weight - 0.09) < 1e-15
     assert truncate_top(coeffs, 4).dropped_weight == 0.0
-    single = truncate_top(pauli_transform(init_local_pauli(2, 0, "Z")), 1)
+    single = truncate_top(init_local_pauli(2, 0, "Z"), 1)
     assert single.dropped_weight == 0.0
 
 
@@ -38,8 +38,8 @@ def test_truncate_tie_break_deterministic():
 
 
 def test_expectation_zero_state_examples():
-    assert expectation_zero_state(pauli_transform(init_local_pauli(1, 0, "Z"))) == 1.0
-    assert expectation_zero_state(pauli_transform(init_local_pauli(1, 0, "X"))) == 0.0
+    assert expectation_zero_state(init_local_pauli(1, 0, "Z")) == 1.0
+    assert expectation_zero_state(init_local_pauli(1, 0, "X")) == 0.0
     proj = (np.eye(2, dtype=complex) + PAULI_MATRICES["Z"]) / 2
     assert abs(expectation_zero_state(pauli_transform(proj)) - 1.0) < 1e-15
     trunc = truncate_top(pauli_transform(proj), 1)
@@ -56,7 +56,7 @@ def test_bound_examples():
 def test_bound_validity_against_adversarial_state():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=6, master_seed=10)
     for real in range(4):
-        coeffs = pauli_transform(run_circuit(spec, real))
+        coeffs = run_circuit(spec, real)
         m2 = ose(coeffs, 2)
         norm = math.sqrt(moment_nu(coeffs, 1))
         for n_keep in (1, 4, 16):
@@ -72,7 +72,7 @@ def test_top_truncation_is_optimal(seed):
     spec = CircuitSpec(
         geometry="chain", n_sites=3, depth=4, gamma=0.05, master_seed=int(seed) % 997
     )
-    coeffs = pauli_transform(run_circuit(spec, 0))
+    coeffs = run_circuit(spec, 0)
     n_keep = 8
     best = truncate_top(coeffs, n_keep).dropped_weight
     total = float(np.sum(coeffs.values**2))
@@ -101,7 +101,7 @@ def test_mse_matches_direct_truncation():
     points = truncation_mse(spec, grid, n_realizations=3)
     direct = np.zeros(len(grid))
     for real in range(3):
-        coeffs = pauli_transform(run_circuit(spec, real))
+        coeffs = run_circuit(spec, real)
         full = expectation_zero_state(coeffs)
         for j, n_keep in enumerate(grid):
             err = full - expectation_zero_state(truncate_top(coeffs, n_keep))
@@ -115,7 +115,7 @@ def test_ensemble_jensen_direction():
     # mean per-realization bound
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=8, master_seed=21)
     mus = [
-        moment_mu(pauli_transform(run_circuit(spec, real)), 2) for real in range(40)
+        moment_mu(run_circuit(spec, real), 2) for real in range(40)
     ]
     lhs = -math.log(np.mean(mus))
     rhs = float(np.mean([-math.log(m) for m in mus]))
