@@ -13,7 +13,7 @@ from pathlib import Path
 
 from pauliscope.fits import weighted_line_fit
 from pauliscope.rmpu import scaling_predictions
-from pauliscope.rtn import BrickworkContraction
+from pauliscope.rtn import contract_brickwork_series
 from pauliscope.spectrum import haar_moment
 
 
@@ -43,15 +43,14 @@ def main():
         writer.writerow(["N", "t", "t_over_tstar", "mu2", "truncation_error"])
         for n_sites in args.sizes:
             t_max = int(sp.t_star(n_sites)) + 4
-            eng = BrickworkContraction(
-                n_sites, k=2, chi_mps=args.chi, threshold=1e-9
+            series = contract_brickwork_series(
+                n_sites, range(1, t_max + 1), k=2, chi_mps=args.chi, threshold=1e-9
             )
             curve = {}
-            for t in range(1, t_max + 1):
-                eng.advance(1)
-                curve[t] = eng.value()
+            for t, res in series.items():
+                curve[t] = res.value
                 writer.writerow(
-                    [n_sites, t, t / sp.t_star(n_sites), curve[t], eng.mps.trunc_error]
+                    [n_sites, t, t / sp.t_star(n_sites), res.value, res.truncation_error]
                 )
             crossings[n_sites] = crossing_depth(curve, args.threshold)
             print(

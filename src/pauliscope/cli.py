@@ -20,6 +20,7 @@ from .csvio import (
     ensure_dir,
     read_csv_rows,
     write_histogram_csv,
+    write_kappa_csv,
     write_moments_csv,
     write_mse_csv,
     write_sidecar,
@@ -29,15 +30,28 @@ from .fits import fit_kappa, locate_threshold
 from .spectrum import haar_moment
 
 
-def _load_config(args, default_engine=None) -> ExperimentConfig:
+#: subcommands that run the simulator whatever the config's engine says
+SIMULATOR_COMMANDS = ("spectrum-hist", "truncate-mse")
+
+#: subcommand -> sweep entries it would silently ignore
+IGNORED_SWEEPS = {
+    "spectrum-hist": ("n",),
+    "truncate-mse": ("n", "t"),
+    "rmpu-exact": ("t",),
+    "rmpu-asymptotic": ("t",),
+}
+
+
+def _load_config(args) -> ExperimentConfig:
     """The JSON config with the subcommand's engine and the flags applied,
-    validated once as a whole."""
+    validated once as a whole, and rejected if the subcommand would ignore
+    part of it."""
     if not args.config:
         raise SystemExit("--config <path.json> is required for this subcommand")
     with open(args.config) as fh:
         d = json.load(fh)
     overrides = (
-        ("engine", default_engine),
+        ("engine", MOMENT_COMMANDS.get(args.command, (None,))[0]),
         ("engine", args.engine),
         ("n_realizations", args.realizations),
         ("threads", args.threads),
@@ -48,7 +62,13 @@ def _load_config(args, default_engine=None) -> ExperimentConfig:
             d[key] = value
     if args.seed is not None:
         d["circuit"] = {**d.get("circuit", {}), "master_seed": args.seed}
-    return ExperimentConfig.from_dict(d)
+    cfg = ExperimentConfig.from_dict(d)
+    if args.command in SIMULATOR_COMMANDS and cfg.engine != "simulator":
+        raise ValueError(f"{args.command} runs the simulator only, not engine {cfg.engine!r}")
+    for key in IGNORED_SWEEPS.get(args.command, ()):
+        if getattr(cfg.sweep, key) is not None:
+            raise ValueError(f"{args.command} does not use sweep.{key}; remove it")
+    return cfg
 
 
 def _finish(cfg: ExperimentConfig, csv_name: str, writer, t0: float) -> Path:
@@ -70,8 +90,8 @@ MOMENT_COMMANDS = {
 
 
 def cmd_moments(args) -> int:
-    engine, csv_name = MOMENT_COMMANDS[args.command]
-    cfg = _load_config(args, default_engine=engine)
+    cfg = _load_config(args)
+    csv_name = MOMENT_COMMANDS[args.command][1]
     t0 = time.time()
     rows = run_ensemble(cfg)
     _finish(cfg, csv_name, lambda p: write_moments_csv(p, rows, cfg.engine), t0)
@@ -152,11 +172,7 @@ def cmd_fit_kappa(args) -> int:
             }
         )
     out = Path(args.out or "kappa.csv")
-    with open(out, "w") as fh:
-        keys = list(out_rows[0])
-        fh.write(",".join(keys) + "\n")
-        for r in out_rows:
-            fh.write(",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys) + "\n")
+    write_kappa_csv(out, out_rows)
     print(f"wrote {out}")
     return 0
 
@@ -185,7 +201,7 @@ def cmd_selftest(args) -> int:
 
     from .circuits import run_circuit
     from .rmpu import RmpuParams, global_haar_moment, rmpu_moment_exact
-    from .rtn import contract_brickwork
+    from .rtn import contract_brickwork_series
     from .spectrum import moment_nu
     from .weingarten import gram_matrix, weingarten_matrix
 
@@ -214,14 +230,14 @@ def cmd_selftest(args) -> int:
     check("rmpu transfer vs Monte Carlo", abs(mean - exact) < 3 * se,
           f"{mean:.4f}+-{se:.4f} vs {exact:.4f}")
 
-    r = contract_brickwork(2, 1, k=2)
+    r = contract_brickwork_series(2, [1], k=2)[1]
     ref = rmpu_moment_exact(RmpuParams(n_sites=2, r=1, k=2))
     check("rtn vs transfer (N=2, t=1)", abs(r.value - ref) < 1e-9 * ref)
 
-    r1 = contract_brickwork(5, 4, k=1)
+    r1 = contract_brickwork_series(5, [4], k=1)[4]
     check("rtn norm identity (nu1=1)", abs(r1.value - 1.0) < 1e-10)
 
-    deep = contract_brickwork(4, 20, k=2)
+    deep = contract_brickwork_series(4, [20], k=2)[20]
     gh = global_haar_moment(16.0, 2)
     check("rtn deep limit vs global Haar", abs(deep.value - gh) < 1e-3,
           f"{deep.value:.6f} vs {gh:.6f}")

@@ -82,6 +82,15 @@ def write_mse_csv(path, points, spec, seed: int) -> None:
             )
 
 
+def write_kappa_csv(path, rows: list[dict]) -> None:
+    """One row per fitted series, columns in the order of the first row's keys."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(rows[0].keys())
+        for row in rows:
+            w.writerow([_fmt(v) for v in row.values()])
+
+
 def write_sidecar(path, resolved_config: dict, wall_seconds: float) -> None:
     payload = dict(resolved_config)
     payload["wall_seconds"] = wall_seconds

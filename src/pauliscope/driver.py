@@ -223,6 +223,12 @@ def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
                         op_site=sp.initial_site,
                     )
                     for t, res in series.items():
+                        if not (math.isfinite(res.value) and res.value >= 0.0):
+                            raise FloatingPointError(
+                                f"rtn contraction at N={n_sites}, t={t}, k={k} gave the "
+                                f"non-physical value {res.value!r} (truncation error "
+                                f"{res.truncation_error:.3g}); raise chi_mps"
+                            )
                         meta = {"spec": sp.to_dict(), "t": t,
                                 "truncation_error": res.truncation_error,
                                 "max_bond": res.max_bond}

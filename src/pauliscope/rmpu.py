@@ -117,6 +117,21 @@ def transfer_matrix(params: RmpuParams) -> TransferOperator:
     return TransferOperator(n, t, left, right, pseudo_inverse=wg.pseudo_inverse)
 
 
+def rescale_pow2(arr: np.ndarray, peak: float) -> float:
+    """Divide ``arr`` in place by the largest power of two <= ``peak`` > 0 and
+    return the log of the divisor; the division is exact in floating point."""
+    s = 2.0 ** math.floor(math.log2(peak))
+    arr /= s
+    return math.log(s)
+
+
+def unscale(val: float, log_scale: float) -> float:
+    """val * exp(log_scale), formed in logs so large scales do not overflow."""
+    if val == 0.0:
+        return 0.0
+    return math.copysign(math.exp(log_scale + math.log(abs(val))), val)
+
+
 def _scaled_product(op: TransferOperator, m: int) -> float:
     """L^T T^(m-1) R with power-of-two rescaling of the running vector."""
     v = op.L.copy()
@@ -126,14 +141,8 @@ def _scaled_product(op: TransferOperator, m: int) -> float:
         peak = float(np.max(np.abs(v)))
         if peak == 0.0:
             return 0.0
-        # lossless power-of-two rescale keeps the product exact
-        s = 2.0 ** math.floor(math.log2(peak))
-        v /= s
-        log_scale += math.log(s)
-    val = float(v @ op.R)
-    if val == 0.0:
-        return 0.0
-    return math.copysign(math.exp(log_scale + math.log(abs(val))), val)
+        log_scale += rescale_pow2(v, peak)
+    return unscale(float(v @ op.R), log_scale)
 
 
 def rmpu_moment_exact(params: RmpuParams) -> float:

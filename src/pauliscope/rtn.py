@@ -1,21 +1,23 @@
 """Replica tensor-network contraction of the brickwork ensemble average.
 
-Haar-averaging 2k replicas of a noisy brickwork circuit leaves one
-permutation variable per gate, coupled by plaquette weights
+Haar-averaging 2k replicas of a noisy brickwork qubit chain (local
+dimension q = 2) leaves one permutation variable per gate, coupled by
+plaquette weights
 
     J[s, p, r] = sum_d Wg~_{r,d}(q^2, gamma) G_{d,s}(q) G_{d,p}(q)
 
 between a gate's variable r and the variables s, p of the two gates below
-its legs (q the local dimension).  Wires never touched carry the identity
-permutation e (the lightcone identity J[e, e, r] = delta_{e,r} pins
-everything outside the causal cone), the wire holding the initial Pauli
-contributes q^#(s) 1_E(s) at its first gate, and every wire ends on the
-Pauli-sum weight q^(#(s) + 2*1_E(s) - 2).
+its legs.  Wires never touched carry the identity permutation e (the
+lightcone identity J[e, e, r] = delta_{e,r} pins everything outside the
+causal cone), the wire holding the initial Pauli contributes q^#(s) 1_E(s)
+at its first gate, and every wire ends on the Pauli-sum weight
+q^(#(s) + 2*1_E(s) - 2).
 
-The 2D network is contracted bottom to top with a boundary MPS.  Wire
-states are kept in an orthonormal basis of the span of the single-site
-permutation states (dimension 14 for 2k = 4 at q = 2, well below (2k)!):
-the Gram matrix G(q) is rank deficient there, and label-basis bonds would
+The 2D network is contracted bottom to top, either as one dense state or
+as a boundary MPS; both apply a gate as the same (rank^2, rank^2) kernel.
+Wire states are kept in an orthonormal basis of the span of the
+single-site permutation states (rank 14 for 2k = 4, well below (2k)!): the
+Gram matrix G(q) is rank deficient there, and label-basis bonds would
 otherwise waste bond dimension on null directions that cannot influence
 any contraction.  In this basis the SVD truncation error is an honest
 estimate of the error of the reported value.
@@ -35,6 +37,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .circuits import CircuitSpec, layer_supports
+from .rmpu import rescale_pow2, unscale
 from .weingarten import (
     gram_matrix,
     noisy_weingarten,
@@ -43,55 +46,27 @@ from .weingarten import (
 )
 
 
-@dataclass
-class PlaquetteTensor:
-    """Three-index gate weight over S_2k^3, indexed (below-left s,
-    below-right p, above r)."""
-
-    k: int
-    gamma: float
-    J: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return 2 * self.k
-
-
-def plaquette_weights(k: int, d: int = 2, gamma: float = 0.0) -> PlaquetteTensor:
-    """Elementary plaquette weights J[s, p, r] (k <= 2 supported)."""
-    if k not in (1, 2):
-        raise ValueError("plaquette contraction supports k in {1, 2}")
-    n = 2 * k
-    w = noisy_weingarten(n, float(d * d), gamma).entries
-    g = gram_matrix(n, float(d)).entries
-    j = np.einsum("rd,ds,dp->spr", w, g, g, optimize=True)
-    return PlaquetteTensor(k=k, gamma=gamma, J=j)
-
-
-def boundary_weights(k: int, d: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """(top per-site vector, bottom operator-site vector) over S_2k."""
-    n = 2 * k
-    return pauli_sum_weights(n, float(d)), traceless_seed_weights(n, float(d))
-
-
 @lru_cache(maxsize=None)
-def _wire_basis(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _wire_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, f_top, g_op): coordinates of permutation states in an orthonormal
     basis of their span (C[:, s] are the coordinates of |s>>), plus the top
     and operator-seed boundary functionals expressed in that basis."""
-    g = gram_matrix(n, float(d)).entries
+    g = gram_matrix(n, 2.0).entries
     evals, evecs = np.linalg.eigh(g)
     keep = evals > 1e-12 * evals[-1]
     coords = (evecs[:, keep] * np.sqrt(evals[keep])).T  # (rank, n!)
-    k = n // 2
-    top, bottom_op = boundary_weights(k, d)
-    f_top, res_top, *_ = np.linalg.lstsq(coords.T, top, rcond=None)
-    g_op, res_op, *_ = np.linalg.lstsq(coords.T, bottom_op, rcond=None)
+    top, bottom_op = pauli_sum_weights(n, 2.0), traceless_seed_weights(n, 2.0)
+    f_top = np.linalg.lstsq(coords.T, top, rcond=None)[0]
+    g_op = np.linalg.lstsq(coords.T, bottom_op, rcond=None)[0]
     for name, vec, target in (("top", f_top, top), ("seed", g_op, bottom_op)):
         resid = np.max(np.abs(coords.T @ vec - target))
         if resid > 1e-8 * max(1.0, float(np.max(np.abs(target)))):
             raise FloatingPointError(f"{name} boundary not in the wire span ({resid:.2e})")
     return coords, f_top, g_op
+
+
+#: truncation-error estimate above which a result is flagged
+FLAG_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -139,13 +114,13 @@ class _BoundaryMps:
             self._shift_left(self.center)
             self.center -= 1
 
-    def apply_two_site(self, i: int, theta_map, chi_max: int, threshold: float):
-        """Apply theta -> theta' (callable on (Dl, p, p, Dr)) at wires
-        (i, i+1) and split by SVD with relative-threshold truncation."""
+    def apply_two_site(self, i: int, kernel: np.ndarray, chi_max: int, threshold: float):
+        """Apply the gate kernel at wires (i, i+1) and split by SVD with
+        relative-threshold truncation."""
         self.move_center(i)
         theta = np.tensordot(self.tensors[i], self.tensors[i + 1], axes=(2, 0))
-        theta = theta_map(theta)
         dl, p, _, dr = theta.shape
+        theta = np.matmul(kernel, theta.reshape(dl, p * p, dr))
         mat = theta.reshape(dl * p, p * dr)
         try:
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -166,12 +141,9 @@ class _BoundaryMps:
         m = max(m, 1)
         discarded = float(np.sum(s[m:] ** 2))
         self.trunc_error += math.sqrt(discarded / total)
-        a_new = u[:, :m].reshape(dl, p, m)
         b_new = (s[:m, None] * vt[:m]).reshape(m, p, dr)
-        scale = 2.0 ** math.floor(math.log2(float(s[0])))
-        b_new /= scale
-        self.log_scale += math.log(scale)
-        self.tensors[i] = a_new
+        self.log_scale += rescale_pow2(b_new, float(s[0]))
+        self.tensors[i] = u[:, :m].reshape(dl, p, m)
         self.tensors[i + 1] = b_new
         self.center = i + 1
         self.max_bond = max(self.max_bond, m)
@@ -180,10 +152,7 @@ class _BoundaryMps:
         v = np.ones(1)
         for a, w in zip(self.tensors, site_vectors):
             v = np.einsum("l,lsr,s->r", v, a, w, optimize=True)
-        val = float(v[0])
-        if val == 0.0:
-            return 0.0
-        return math.copysign(math.exp(self.log_scale + math.log(abs(val))), val)
+        return unscale(float(v[0]), self.log_scale)
 
 
 class _ExactState:
@@ -208,19 +177,14 @@ class _ExactState:
         peak = float(np.max(np.abs(out)))
         if peak == 0.0:
             raise FloatingPointError("contraction vanished")
-        scale = 2.0 ** math.floor(math.log2(peak))
-        out /= scale
-        self.log_scale += math.log(scale)
+        self.log_scale += rescale_pow2(out, peak)
         self.state = out.reshape((r,) * self.n_sites)
 
     def contract_with(self, site_vectors: list[np.ndarray]) -> float:
         v = self.state
         for w in reversed(site_vectors):
             v = v @ w
-        val = float(v)
-        if val == 0.0:
-            return 0.0
-        return math.copysign(math.exp(self.log_scale + math.log(abs(val))), val)
+        return unscale(float(v), self.log_scale)
 
 
 #: largest dense wire-coordinate state the exact engine will allocate
@@ -239,7 +203,6 @@ class BrickworkContraction:
         self,
         n_sites: int,
         k: int = 2,
-        d: int = 2,
         gamma: float = 0.0,
         chi_mps: int = 256,
         threshold: float = 1e-12,
@@ -251,17 +214,14 @@ class BrickworkContraction:
             raise ValueError("replica contraction supports k in {1, 2}")
         self.n_sites = n_sites
         self.k = k
-        self.d = d
         self.gamma = gamma
         self.chi_mps = chi_mps
         self.threshold = threshold
         self.op_site = n_sites // 2 if op_site is None else op_site
         self.lightcone = lightcone
         n = 2 * k
-        self.w_noisy = noisy_weingarten(n, float(d * d), gamma).entries
-        coords, self.f_top, g_op = _wire_basis(n, d)
-        self.coords = coords
-        self.g_op = g_op
+        w_noisy = noisy_weingarten(n, 4.0, gamma).entries
+        coords, self.f_top, self.g_op = _wire_basis(n)
         rank = coords.shape[0]
         if engine == "auto":
             engine = "exact" if rank**n_sites <= _EXACT_ENTRY_CAP else "mps"
@@ -269,29 +229,22 @@ class BrickworkContraction:
             raise ValueError(f"unknown engine {engine!r}")
         self.engine = engine
         site_vectors = [coords[:, 0].copy() for _ in range(n_sites)]
-        site_vectors[self.op_site] = g_op.copy()
+        site_vectors[self.op_site] = self.g_op.copy()
         if engine == "exact":
             if rank**n_sites > _EXACT_ENTRY_CAP:
                 raise ValueError(
                     f"exact engine needs {rank}^{n_sites} entries; use engine='mps'"
                 )
             self.mps = _ExactState(site_vectors)
-            # kernel[(s' p'), (s p)] of one gate in wire coordinates
-            y = np.einsum("sa,pa,ad->spad", coords, coords, self.w_noisy)
-            y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
-            self._kernel = y.reshape(rank * rank, rank * rank)
         else:
             self.mps = _BoundaryMps(site_vectors)
+        # kernel[(s' p'), (s p)] of one gate in wire coordinates
+        y = np.einsum("sa,pa,ad->spad", coords, coords, w_noisy)
+        y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
+        self._kernel = y.reshape(rank * rank, rank * rank)
         self.cone = {self.op_site}
         self.op_touched = False
         self.depth_done = 0
-
-    def _theta_map(self, theta: np.ndarray) -> np.ndarray:
-        c = self.coords
-        x = np.einsum("sd,lspr->ldpr", c, theta, optimize=True)
-        x = np.einsum("pd,ldpr->ldr", c, x, optimize=True)
-        y = np.einsum("ad,ldr->lar", self.w_noisy, x, optimize=True)
-        return np.einsum("sa,pa,lar->lspr", c, c, y, optimize=True)
 
     def advance(self, n_layers: int = 1):
         spec = CircuitSpec(
@@ -308,70 +261,46 @@ class BrickworkContraction:
                 if self.engine == "exact":
                     self.mps.apply_kernel(i, self._kernel)
                 else:
-                    self.mps.apply_two_site(
-                        i, self._theta_map, self.chi_mps, self.threshold
-                    )
+                    self.mps.apply_two_site(i, self._kernel, self.chi_mps, self.threshold)
             self.depth_done += 1
 
     def value(self) -> float:
         vectors = [self.f_top] * self.n_sites
         if not self.op_touched:
             # the raw seed is outside the permutation-state span; its direct
-            # top contraction is d^(2k-2) exactly, not f.g_op
-            target = float(self.d) ** (2 * self.k - 2)
+            # top contraction is q^(2k-2) = 4^(k-1) exactly, not f.g_op
+            target = 4.0 ** (self.k - 1)
             vectors[self.op_site] = self.g_op * (target / float(self.g_op @ self.g_op))
         return self.mps.contract_with(vectors)
 
-    def result(self, report_threshold: float = 1e-6) -> RtnResult:
+    def result(self) -> RtnResult:
         err = self.mps.trunc_error
         return RtnResult(
             value=self.value(),
             truncation_error=err,
-            flagged=err > report_threshold,
+            flagged=err > FLAG_THRESHOLD,
             max_bond=self.mps.max_bond,
         )
-
-
-def contract_brickwork(
-    n_sites: int,
-    depth: int,
-    k: int = 2,
-    d: int = 2,
-    gamma: float = 0.0,
-    chi_mps: int = 256,
-    threshold: float = 1e-12,
-    op_site: Optional[int] = None,
-    report_threshold: float = 1e-6,
-    lightcone: bool = True,
-) -> RtnResult:
-    """Ensemble-averaged nu_k of a depth-``depth`` noisy brickwork chain
-    (per-gate-support noise convention), contracted up to the reported MPS
-    truncation error."""
-    eng = BrickworkContraction(
-        n_sites, k, d, gamma, chi_mps, threshold, op_site, lightcone
-    )
-    eng.advance(depth)
-    return eng.result(report_threshold)
 
 
 def contract_brickwork_series(
     n_sites: int,
     depths: Iterable[int],
     k: int = 2,
-    d: int = 2,
     gamma: float = 0.0,
     chi_mps: int = 256,
     threshold: float = 1e-12,
     op_site: Optional[int] = None,
-    report_threshold: float = 1e-6,
 ) -> dict[int, RtnResult]:
-    """One sweep evaluating several depths (ascending) of the same lattice."""
+    """Ensemble-averaged nu_k of a noisy brickwork chain (per-gate-support
+    noise convention) at each of several depths, from one bottom-to-top
+    sweep, contracted up to the reported MPS truncation error."""
     depths = sorted(set(int(t) for t in depths))
     if depths and depths[0] < 0:
         raise ValueError("depths must be non-negative")
-    eng = BrickworkContraction(n_sites, k, d, gamma, chi_mps, threshold, op_site)
+    eng = BrickworkContraction(n_sites, k, gamma, chi_mps, threshold, op_site)
     out = {}
     for t in depths:
         eng.advance(t - eng.depth_done)
-        out[t] = eng.result(report_threshold)
+        out[t] = eng.result()
     return out

@@ -106,12 +106,12 @@ def truncation_mse(
 
     Per realization the error is the sum of dropped diagonal-string
     coefficients; the ensemble average is taken over circuit realizations
-    at every N_P of the grid (default: powers of two up to 2^12).
+    at every N_P of the grid (default: powers of two up to min(2^12, 4^N)).
     """
-    if np_grid is None:
-        np_grid = [2**j for j in range(0, 13)]
-    np_grid = sorted(set(int(v) for v in np_grid))
     total = 4**spec.n_sites
+    if np_grid is None:
+        np_grid = [2**j for j in range(0, min(12, 2 * spec.n_sites) + 1)]
+    np_grid = sorted(set(int(v) for v in np_grid))
     if np_grid[0] < 1 or np_grid[-1] > total:
         raise ValueError(f"N_P grid outside [1, {total}]")
     mask = zdiag_mask(spec.n_sites)

@@ -6,7 +6,9 @@ name only reads as a zero metric there, so it is checked here.  Nothing is
 wrapped or installed.
 """
 
+import argparse
 import importlib
+import json
 import sys
 import types
 from pathlib import Path
@@ -53,6 +55,10 @@ def test_cli_binds_engine_entries():
 
 
 @pytest.mark.parametrize("size", ["full", "smoke"])
-def test_workload_configs_pass_validation(size):
+def test_workload_configs_pass_validation(size, tmp_path):
     for workload in _load("workloads").WORKLOADS[size].values():
-        ExperimentConfig.from_dict(workload.config)
+        path = tmp_path / f"{workload.name}.json"
+        path.write_text(json.dumps(workload.config))
+        args = argparse.Namespace(command=workload.command, config=str(path), engine=None,
+                                  realizations=None, threads=None, out=None, seed=None)
+        assert cli._load_config(args) == ExperimentConfig.from_dict(workload.config)

@@ -96,6 +96,23 @@ def test_rtn_command(tmp_path):
     assert len(rows) == 2 and rows[0]["engine"] == "rtn"
 
 
+def test_rtn_command_rejects_non_physical_values(tmp_path):
+    # chi_mps = 8 truncates so hard that the contraction at t = 6 goes negative
+    cfg = {
+        "circuit": {"geometry": "chain", "n_sites": 7, "depth": 6, "gamma": 0.0,
+                     "master_seed": 1},
+        "sweep": {"t": [2, 4, 6], "k": [2]},
+        "engine": "rtn",
+        "chi_mps": 8,
+    }
+    p = tmp_path / "rtn.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(FloatingPointError, match=r"N=7, t=6, k=2 .* non-physical value -8\.9"):
+        main(["rtn", "--config", str(p), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_truncate_mse_command(tmp_path):
     cfg = dict(CFG)
     cfg["sweep"] = {"gamma": [0.1], "n_paulis": [1, 4, 16], "k": [2]}
@@ -105,6 +122,41 @@ def test_truncate_mse_command(tmp_path):
     assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
     rows = read_csv_rows(out / "mse_gamma0.1.csv")
     assert [r["N_P"] for r in rows] == ["1", "4", "16"]
+
+
+def test_truncate_mse_default_grid_fits_small_n(tmp_path):
+    # at N = 4 there are 4^4 = 256 Pauli strings: the default grid stops there
+    p = tmp_path / "mse.json"
+    p.write_text(json.dumps({**CFG, "sweep": {}}))
+    out = tmp_path / "out"
+    assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
+    rows = read_csv_rows(out / "mse_gamma0.05.csv")
+    assert [int(r["N_P"]) for r in rows] == [2**j for j in range(9)]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("spectrum-hist", {"engine": "rtn"}, "simulator only"),
+        ("truncate-mse", {"engine": "rtn", "sweep": {}}, "simulator only"),
+        ("spectrum-hist", {"sweep": {"n": [4, 6]}}, "sweep.n"),
+        ("truncate-mse", {"sweep": {"n": [4, 6]}}, "sweep.n"),
+        ("truncate-mse", {"sweep": {"t": [2]}}, "sweep.t"),
+        ("rmpu-exact", {"sweep": {"t": [2]}}, "sweep.t"),
+        ("rmpu-asymptotic", {"sweep": {"t": [2]}}, "sweep.t"),
+    ],
+    ids=["hist_engine", "mse_engine", "hist_n", "mse_n", "mse_t", "rmpu_exact_t",
+         "rmpu_asymptotic_t"],
+)
+def test_commands_reject_config_they_ignore(tmp_path, command, overrides, message):
+    base = dict(CFG)
+    if command.startswith("rmpu"):
+        base["circuit"] = {"geometry": "rmpu", "n_sites": 4, "r": 1}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**base, **overrides}))
+    with pytest.raises(ValueError, match=message):
+        main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_kappa_and_threshold_pipeline(tmp_path):
@@ -120,6 +172,9 @@ def test_fit_kappa_and_threshold_pipeline(tmp_path):
     moments.write_text("\n".join(lines) + "\n")
     kappa_csv = tmp_path / "kappa.csv"
     assert main(["fit-kappa", "--input", str(moments), "--out", str(kappa_csv)]) == 0
+    data = kappa_csv.read_bytes()
+    assert data.startswith(b"gamma,gammaN,kappa,kappa_stderr,t_min,t_max,r_squared,n_points\n")
+    assert b"\r" not in data and data.count(b"\n") == 3
     rows = read_csv_rows(kappa_csv)
     assert len(rows) == 2
     assert abs(float(rows[0]["kappa"]) - 0.4) < 1e-3

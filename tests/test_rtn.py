@@ -2,52 +2,68 @@ import numpy as np
 import pytest
 
 from pauliscope.rmpu import RmpuParams, global_haar_moment, rmpu_moment_exact
-from pauliscope.rtn import (
-    BrickworkContraction,
-    boundary_weights,
-    contract_brickwork,
-    contract_brickwork_series,
-    plaquette_weights,
+from pauliscope.rtn import BrickworkContraction, _wire_basis, contract_brickwork_series
+from pauliscope.weingarten import (
+    enumerate_group,
+    gram_matrix,
+    noisy_weingarten,
+    pauli_sum_weights,
+    traceless_seed_weights,
 )
-from pauliscope.weingarten import enumerate_group
 
 
 def perm_index(image):
     return next(i for i, p in enumerate(enumerate_group(len(image))) if p.image == image)
 
 
+def plaquette_j(k, gamma):
+    """J[s, p, r] = sum_d Wg~_{r,d}(4, gamma) G_{d,s}(2) G_{d,p}(2)."""
+    w = noisy_weingarten(2 * k, 4.0, gamma).entries
+    g = gram_matrix(2 * k, 2.0).entries
+    return np.einsum("rd,ds,dp->spr", w, g, g)
+
+
 def test_plaquette_lightcone_identity():
-    for gamma in (0.0, 0.1, 0.7):
-        j = plaquette_weights(2, 2, gamma).J
-        want = np.zeros(24)
-        want[0] = 1.0
-        assert np.max(np.abs(j[0, 0, :] - want)) < 1e-12
+    # J[e, e, r] = delta_{e,r}: the gate kernel fixes the state e x e
+    for k in (1, 2):
+        c_e = _wire_basis(2 * k)[0][:, 0]
+        ee = np.kron(c_e, c_e)
+        for gamma in (0.0, 0.1, 0.7):
+            kernel = BrickworkContraction(2, k, gamma=gamma)._kernel
+            assert np.max(np.abs(kernel @ ee - ee)) < 1e-12 * np.max(np.abs(ee))
 
 
 def test_plaquette_uniform_weights():
-    j = plaquette_weights(2, 2, 0.1).J
+    j = plaquette_j(2, 0.1)
     for idx, p in enumerate(enumerate_group(4)):
         assert abs(j[idx, idx, idx] - 0.9 ** (4 - p.fixed_points)) < 1e-12
     i_tau = perm_index((1, 0, 3, 2))
     assert abs(j[i_tau, i_tau, i_tau] - 0.6561) < 1e-12
-    j0 = plaquette_weights(2, 2, 0.0).J
+    j0 = plaquette_j(2, 0.0)
     assert np.allclose(np.einsum("iii->i", j0), 1.0, atol=1e-12)
+    # the gate kernel maps |s>> x |p>> to sum_r J[s, p, r] |r>> x |r>>
+    coords = _wire_basis(4)[0]
+    pairs = np.einsum("as,bs->abs", coords, coords).reshape(-1, 24)
+    kernel = BrickworkContraction(2, 2, gamma=0.1)._kernel
+    for s in range(24):
+        got = kernel @ np.einsum("a,bp->abp", coords[:, s], coords).reshape(-1, 24)
+        assert np.max(np.abs(got - pairs @ j[s].T)) < 1e-12 * np.max(np.abs(got))
 
 
 def test_plaquette_rejects_large_k():
     with pytest.raises(ValueError):
-        plaquette_weights(3)
+        BrickworkContraction(4, k=3)
 
 
-def test_boundary_weights():
-    top, bottom = boundary_weights(2, 2)
+def test_pauli_sum_and_seed_weights():
+    top, bottom = pauli_sum_weights(4, 2.0), traceless_seed_weights(4, 2.0)
     assert top[perm_index((1, 0, 3, 2))] == 4.0  # pairing: 2^(2+2-2)
     assert bottom[0] == 0.0  # identity permutation has odd cycles
     assert bottom[perm_index((1, 2, 3, 0))] == 2.0  # four-cycle: 2^1
 
 
 def test_single_gate_matches_transfer_matrix():
-    res = contract_brickwork(2, 1, k=2)
+    res = contract_brickwork_series(2, [1], k=2)[1]
     ref = rmpu_moment_exact(RmpuParams(n_sites=2, r=1, k=2))
     assert res.truncation_error == 0.0
     assert abs(res.value - ref) < 1e-10 * ref
@@ -60,21 +76,27 @@ def test_unevolved_value_is_d_squared_k():
 
 @pytest.mark.parametrize("n_sites,depth", [(2, 1), (4, 3), (5, 4), (6, 9)])
 def test_norm_moment_is_one(n_sites, depth):
-    res = contract_brickwork(n_sites, depth, k=1)
+    res = contract_brickwork_series(n_sites, [depth], k=1)[depth]
     assert abs(res.value - 1.0) < 1e-10
 
 
 def test_lightcone_pinning_is_exact():
-    on = contract_brickwork(4, 3, k=2, gamma=0.03, lightcone=True)
-    off = contract_brickwork(4, 3, k=2, gamma=0.03, lightcone=False)
+    on = contract_brickwork_series(4, [3], k=2, gamma=0.03)[3]
+    off = BrickworkContraction(4, 2, gamma=0.03, lightcone=False)
+    off.advance(3)
+    off = off.result()
     assert abs(on.value - off.value) < 1e-9 * abs(off.value)
 
 
-def test_exact_and_mps_engines_agree():
-    exact = contract_brickwork(5, 4, k=2, gamma=0.02)
-    eng = BrickworkContraction(5, 2, gamma=0.02, chi_mps=512, threshold=1e-13, engine="mps")
-    eng.advance(4)
-    mps = eng.result()
+@pytest.mark.parametrize("k, gamma", [(1, 0.0), (1, 0.02), (2, 0.0), (2, 0.02)])
+def test_exact_and_mps_engines_agree(k, gamma):
+    results = {}
+    for engine in ("exact", "mps"):
+        eng = BrickworkContraction(5, k, gamma=gamma, chi_mps=512, threshold=1e-13,
+                                   engine=engine)
+        eng.advance(4)
+        results[engine] = eng.result()
+    exact, mps = results["exact"], results["mps"]
     assert exact.truncation_error == 0.0
     assert abs(exact.value - mps.value) < 1e-8 * exact.value
 
@@ -88,7 +110,7 @@ def test_truncation_error_monotone_in_chi():
     errs = [results[chi].truncation_error for chi in (16, 32, 64)]
     assert errs[0] >= errs[1] >= errs[2]
     # value deviation from the exact engine stays within a few reported errors
-    exact = contract_brickwork(6, 6, k=2).value
+    exact = contract_brickwork_series(6, [6], k=2)[6].value
     for chi in (32, 64):
         res = results[chi]
         assert abs(res.value - exact) <= max(5 * res.truncation_error * exact, 1e-9)
@@ -106,5 +128,5 @@ def test_deep_limit_matches_global_haar():
 def test_series_matches_individual_runs():
     series = contract_brickwork_series(5, [2, 4], k=2, gamma=0.05)
     for t in (2, 4):
-        single = contract_brickwork(5, t, k=2, gamma=0.05)
+        single = contract_brickwork_series(5, [t], k=2, gamma=0.05)[t]
         assert abs(series[t].value - single.value) < 1e-12 * single.value
