@@ -24,6 +24,7 @@ Noise placements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from multiprocessing import get_context
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -208,6 +209,18 @@ def iter_circuit(
             sites = sorted(cone) if lightcone else range(spec.n_sites)
             apply_depolarizing(op, spec.gamma, sites)
         yield t + 1, op
+
+
+def map_ordered(fn, jobs: list, threads: int) -> list:
+    """``[fn(j) for j in jobs]``, spread over ``threads`` spawned processes.
+
+    Each realization draws from its own seeded stream, so the results do not
+    depend on how the jobs are scheduled.
+    """
+    if threads <= 1 or len(jobs) <= 1:
+        return [fn(j) for j in jobs]
+    with get_context("spawn").Pool(threads) as pool:
+        return pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * threads)))
 
 
 def run_circuit(spec: CircuitSpec, realization: int) -> PauliCoefficients:

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -30,29 +31,41 @@ from .fits import fit_kappa, locate_threshold
 from .spectrum import haar_moment
 
 
-#: subcommands that run the simulator whatever the config's engine says
-SIMULATOR_COMMANDS = ("spectrum-hist", "truncate-mse")
+_MOMENT_SWEEPS = ("t", "gamma", "n", "k")
 
-#: subcommand -> sweep entries it would silently ignore
-IGNORED_SWEEPS = {
-    "spectrum-hist": ("n",),
-    "truncate-mse": ("n", "t"),
-    "rmpu-exact": ("t",),
-    "rmpu-asymptotic": ("t",),
+#: subcommand -> (engine it runs, CSV name, sweep keys it reads); truncate-mse
+#: writes one <stem>_gamma<g>.csv per gamma, every command one <stem>.meta.json
+COMMANDS = {
+    "moments": ("simulator", "moments.csv", _MOMENT_SWEEPS),
+    "rtn": ("rtn", "moments_rtn.csv", _MOMENT_SWEEPS),
+    "rmpu-exact": ("rmpu_exact", "moments_rmpu_exact.csv", ("gamma", "n", "k")),
+    "rmpu-asymptotic": ("rmpu_asymptotic", "moments_rmpu_asymptotic.csv", ("gamma", "n", "k")),
+    "spectrum-hist": ("simulator", "histogram.csv", ("t", "gamma")),
+    "truncate-mse": ("simulator", "mse.csv", ("gamma", "n_paulis")),
 }
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The JSON config with the subcommand's engine and the flags applied,
-    validated once as a whole, and rejected if the subcommand would ignore
-    part of it."""
+    """The JSON config with the flags applied, validated once as a whole.
+
+    Rejected if it has a sweep the subcommand does not read or names another
+    engine than the subcommand's.
+    """
     if not args.config:
         raise SystemExit("--config <path.json> is required for this subcommand")
     with open(args.config) as fh:
         d = json.load(fh)
+    engine, _, sweeps = COMMANDS[args.command]
+    for key, value in d.get("sweep", {}).items():
+        if value is not None and key not in sweeps:
+            raise ValueError(f"{args.command} does not use sweep.{key}; remove it")
+    if d.get("engine") not in (None, engine):
+        raise ValueError(
+            f"{args.command} runs the {engine} engine, not {d['engine']!r}; "
+            "set engine to match or leave it out"
+        )
     overrides = (
-        ("engine", MOMENT_COMMANDS.get(args.command, (None,))[0]),
-        ("engine", args.engine),
+        ("engine", engine),
         ("n_realizations", args.realizations),
         ("threads", args.threads),
         ("out_dir", args.out),
@@ -62,74 +75,52 @@ def _load_config(args) -> ExperimentConfig:
             d[key] = value
     if args.seed is not None:
         d["circuit"] = {**d.get("circuit", {}), "master_seed": args.seed}
-    cfg = ExperimentConfig.from_dict(d)
-    if args.command in SIMULATOR_COMMANDS and cfg.engine != "simulator":
-        raise ValueError(f"{args.command} runs the simulator only, not engine {cfg.engine!r}")
-    for key in IGNORED_SWEEPS.get(args.command, ()):
-        if getattr(cfg.sweep, key) is not None:
-            raise ValueError(f"{args.command} does not use sweep.{key}; remove it")
-    return cfg
+    return ExperimentConfig.from_dict(d)
 
 
-def _finish(cfg: ExperimentConfig, csv_name: str, writer, t0: float) -> Path:
+def _finish(cfg: ExperimentConfig, command: str, t0: float, writers: dict) -> None:
+    """Write each CSV (file name -> writer taking the path), then the sidecar."""
     out = ensure_dir(cfg.out_dir)
-    csv_path = out / csv_name
-    writer(csv_path)
-    write_sidecar(out / (csv_path.stem + ".meta.json"), cfg.resolved(), time.time() - t0)
-    print(f"wrote {csv_path}")
-    return csv_path
-
-
-#: moments subcommand -> (engine it forces, None to keep the config's; CSV name)
-MOMENT_COMMANDS = {
-    "moments": (None, "moments.csv"),
-    "rtn": ("rtn", "moments_rtn.csv"),
-    "rmpu-exact": ("rmpu_exact", "moments_rmpu_exact.csv"),
-    "rmpu-asymptotic": ("rmpu_asymptotic", "moments_rmpu_asymptotic.csv"),
-}
+    for name, writer in writers.items():
+        writer(out / name)
+        print(f"wrote {out / name}")
+    stem = Path(COMMANDS[command][1]).stem
+    write_sidecar(out / f"{stem}.meta.json", cfg.resolved(), time.time() - t0)
 
 
 def cmd_moments(args) -> int:
     cfg = _load_config(args)
-    csv_name = MOMENT_COMMANDS[args.command][1]
     t0 = time.time()
     rows = run_ensemble(cfg)
-    _finish(cfg, csv_name, lambda p: write_moments_csv(p, rows, cfg.engine), t0)
+    writer = partial(write_moments_csv, estimates=rows, engine=cfg.engine)
+    _finish(cfg, args.command, t0, {COMMANDS[args.command][1]: writer})
     return 0
 
 
 def cmd_spectrum_hist(args) -> int:
     cfg = _load_config(args)
     t0 = time.time()
-    depths = cfg.sweep.t if cfg.sweep.t is not None else [cfg.circuit.n_layers]
-    gammas = cfg.sweep.gamma if cfg.sweep.gamma is not None else [cfg.circuit.gamma]
     ensembles = []
-    for gamma in gammas:
-        spec = CircuitSpec.from_dict({**cfg.circuit.to_dict(), "gamma": gamma})
+    for spec in cfg.points():
+        depths = cfg.sweep.t if cfg.sweep.t is not None else [spec.n_layers]
         ensembles.extend(
             simulate_histogram(spec, depths, cfg.n_realizations, threads=cfg.threads)
         )
-    _finish(
-        cfg,
-        "histogram.csv",
-        lambda p: write_histogram_csv(p, ensembles, cfg.circuit.master_seed),
-        t0,
-    )
+    writer = partial(write_histogram_csv, ensembles=ensembles, seed=cfg.circuit.master_seed)
+    _finish(cfg, args.command, t0, {COMMANDS[args.command][1]: writer})
     return 0
 
 
 def cmd_truncate_mse(args) -> int:
     cfg = _load_config(args)
     t0 = time.time()
-    gammas = cfg.sweep.gamma if cfg.sweep.gamma is not None else [cfg.circuit.gamma]
-    out = ensure_dir(cfg.out_dir)
-    for gamma in gammas:
-        spec = CircuitSpec.from_dict({**cfg.circuit.to_dict(), "gamma": gamma})
-        points = simulate_mse(spec, cfg.sweep.n_paulis, cfg.n_realizations)
-        path = out / f"mse_gamma{gamma:g}.csv"
-        write_mse_csv(path, points, spec, spec.master_seed)
-        print(f"wrote {path}")
-    write_sidecar(out / "mse.meta.json", cfg.resolved(), time.time() - t0)
+    writers = {}
+    for spec in cfg.points():
+        points = simulate_mse(spec, cfg.sweep.n_paulis, cfg.n_realizations, cfg.threads)
+        writers[f"mse_gamma{spec.gamma:g}.csv"] = partial(
+            write_mse_csv, points=points, spec=spec, seed=spec.master_seed
+        )
+    _finish(cfg, args.command, t0, writers)
     return 0
 
 
@@ -254,23 +245,15 @@ def main(argv=None) -> int:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    handlers = {"spectrum-hist": cmd_spectrum_hist, "truncate-mse": cmd_truncate_mse}
+    for name in COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="override master seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--engine", help="override engine")
         p.add_argument("--realizations", type=int, help="override ensemble size")
         p.add_argument("--threads", type=int, help="worker processes")
-
-    for name in MOMENT_COMMANDS:
-        p = sub.add_parser(name)
-        add_common(p)
-        p.set_defaults(fn=cmd_moments)
-
-    for name, fn in (("spectrum-hist", cmd_spectrum_hist), ("truncate-mse", cmd_truncate_mse)):
-        p = sub.add_parser(name)
-        add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=handlers.get(name, cmd_moments))
 
     p = sub.add_parser("fit-kappa")
     p.add_argument("--input", required=True, help="moments CSV")
@@ -284,7 +267,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser("selftest")
-    add_common(p)
     p.set_defaults(fn=cmd_selftest)
 
     args = ap.parse_args(argv)

@@ -10,14 +10,13 @@ deterministic values in the same row format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from multiprocessing import get_context
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitSpec, circuit_fidelity, iter_circuit
+from .circuits import CircuitSpec, circuit_fidelity, iter_circuit, map_ordered
 from .rmpu import RmpuParams, rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
 from .spectrum import (
@@ -75,11 +74,12 @@ class ExperimentConfig:
         if self.sweep.n is not None and self.circuit.geometry == "grid":
             raise ValueError("sweep.n is not supported for grid circuits (N = lx * ly)")
         if self.engine == "simulator" and self.sweep.t is not None:
-            for n_sites in self.sweep.n or [self.circuit.n_sites]:
-                layers = _variant(self.circuit, n_sites=n_sites, initial_site=None).n_layers
-                bad = [t for t in self.sweep.t if not 1 <= t <= layers]
+            for spec in self.points():
+                bad = [t for t in self.sweep.t if not 1 <= t <= spec.n_layers]
                 if bad:
-                    raise ValueError(f"sweep.t {bad} outside [1, {layers}] at N={n_sites}")
+                    raise ValueError(
+                        f"sweep.t {bad} outside [1, {spec.n_layers}] at N={spec.n_sites}"
+                    )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -88,6 +88,10 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if (d.get("circuit", {}).get("initial_site") is not None
+                and d.get("sweep", {}).get("n") is not None):
+            raise ValueError("circuit.initial_site cannot be combined with sweep.n: "
+                             "each swept N starts at its default site")
         if "circuit" in d:
             d["circuit"] = CircuitSpec.from_dict(d["circuit"])
         if "sweep" in d:
@@ -95,18 +99,18 @@ class ExperimentConfig:
         return cls(**d)
 
     def resolved(self) -> dict:
-        out = {
-            "circuit": self.circuit.to_dict(),
-            "sweep": {k: getattr(self.sweep, k) for k in SweepSpec.__dataclass_fields__},
-            "n_realizations": self.n_realizations,
-            "engine": self.engine,
-            "threads": self.threads,
-            "out_dir": self.out_dir,
-            "chi_mps": self.chi_mps,
-            "svd_threshold": self.svd_threshold,
-            "version": __version__,
-        }
-        return out
+        return {**asdict(self), "version": __version__}
+
+    def points(self) -> list[CircuitSpec]:
+        """The circuit at every swept (N, gamma), N outermost.
+
+        A swept N starts at its own default site; otherwise the configured
+        initial site is kept.
+        """
+        sw = self.sweep
+        sizes = [{}] if sw.n is None else [{"n_sites": n, "initial_site": None} for n in sw.n]
+        gammas = sw.gamma if sw.gamma is not None else [self.circuit.gamma]
+        return [_variant(self.circuit, gamma=g, **size) for size in sizes for g in gammas]
 
 
 def _variant(spec: CircuitSpec, **overrides) -> CircuitSpec:
@@ -138,13 +142,6 @@ def _moment_worker(args) -> np.ndarray:
     return out
 
 
-def _map_ordered(fn, jobs: list, threads: int) -> list:
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with get_context("spawn").Pool(threads) as pool:
-        return pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * threads)))
-
-
 def simulate_moments(
     spec: CircuitSpec,
     depths: Sequence[int],
@@ -157,7 +154,7 @@ def simulate_moments(
     if depths[0] < 1 or depths[-1] > spec.n_layers:
         raise ValueError(f"depths must lie in [1, {spec.n_layers}]")
     jobs = [(spec.to_dict(), r, depths, list(ks)) for r in range(n_realizations)]
-    samples = np.stack(_map_ordered(_moment_worker, jobs, threads))
+    samples = np.stack(map_ordered(_moment_worker, jobs, threads))
     out = []
     root_n = math.sqrt(n_realizations)
     for i, t in enumerate(depths):
@@ -185,57 +182,44 @@ def simulate_moments(
 
 def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
     """Dispatch a full sweep on the configured engine."""
-    spec = config.circuit
-    sw = config.sweep
-    gammas = sw.gamma if sw.gamma is not None else [spec.gamma]
-    ns = sw.n if sw.n is not None else [spec.n_sites]
-    ks = list(sw.k)
+    ks = list(config.sweep.k)
     out: list[MomentEstimate] = []
-    for n_sites in ns:
-        for gamma in gammas:
-            if config.engine == "simulator":
-                sp = _variant(spec, n_sites=n_sites, gamma=gamma, initial_site=None)
-                depths = sw.t if sw.t is not None else [sp.n_layers]
-                out.extend(
-                    simulate_moments(sp, depths, ks, config.n_realizations, config.threads)
+    for spec in config.points():
+        depths = config.sweep.t if config.sweep.t is not None else [spec.n_layers]
+        q = "mu" if spec.gamma == 0.0 else "nu"
+        if config.engine == "simulator":
+            out.extend(simulate_moments(spec, depths, ks, config.n_realizations, config.threads))
+        elif config.engine in ("rmpu_exact", "rmpu_asymptotic"):
+            if spec.geometry != "rmpu":
+                raise ValueError("rmpu engines need an rmpu circuit")
+            fn = rmpu_moment_exact if config.engine == "rmpu_exact" else rmpu_moment_asymptotic
+            for k in ks:
+                params = RmpuParams(n_sites=spec.n_sites, r=spec.r, k=k, gamma=spec.gamma)
+                meta = {"spec": spec.to_dict(), "t": spec.n_layers}
+                out.append(MomentEstimate(q, k, fn(params), 0.0, 0, meta))
+        elif config.engine == "rtn":
+            if spec.geometry != "chain":
+                raise ValueError("the rtn engine contracts 1D chains")
+            sp = _variant(spec, noise_placement="per_gate_support")
+            for k in ks:
+                series = contract_brickwork_series(
+                    sp.n_sites, depths, k=k, gamma=sp.gamma,
+                    chi_mps=config.chi_mps, threshold=config.svd_threshold,
+                    op_site=sp.initial_site,
                 )
-            elif config.engine in ("rmpu_exact", "rmpu_asymptotic"):
-                if spec.geometry != "rmpu":
-                    raise ValueError("rmpu engines need an rmpu circuit")
-                fn = rmpu_moment_exact if config.engine == "rmpu_exact" else rmpu_moment_asymptotic
-                for k in ks:
-                    params = RmpuParams(n_sites=n_sites, r=spec.r, k=k, gamma=gamma)
-                    meta = {"spec": _variant(spec, n_sites=n_sites, gamma=gamma,
-                                             initial_site=None).to_dict(),
-                            "t": n_sites - spec.r}
-                    q = "mu" if gamma == 0.0 else "nu"
-                    out.append(MomentEstimate(q, k, fn(params), 0.0, 0, meta))
-            elif config.engine == "rtn":
-                if spec.geometry != "chain":
-                    raise ValueError("the rtn engine contracts 1D chains")
-                sp = _variant(spec, n_sites=n_sites, gamma=gamma, initial_site=None,
-                              noise_placement="per_gate_support")
-                depths = sw.t if sw.t is not None else [sp.n_layers]
-                for k in ks:
-                    series = contract_brickwork_series(
-                        n_sites, depths, k=k, gamma=gamma,
-                        chi_mps=config.chi_mps, threshold=config.svd_threshold,
-                        op_site=sp.initial_site,
-                    )
-                    for t, res in series.items():
-                        if not (math.isfinite(res.value) and res.value >= 0.0):
-                            raise FloatingPointError(
-                                f"rtn contraction at N={n_sites}, t={t}, k={k} gave the "
-                                f"non-physical value {res.value!r} (truncation error "
-                                f"{res.truncation_error:.3g}); raise chi_mps"
-                            )
-                        meta = {"spec": sp.to_dict(), "t": t,
-                                "truncation_error": res.truncation_error,
-                                "max_bond": res.max_bond}
-                        q = "mu" if gamma == 0.0 else "nu"
-                        # stderr column carries the truncation-error estimate
-                        out.append(MomentEstimate(q, k, res.value,
-                                                  res.truncation_error, 0, meta))
+                for t, res in series.items():
+                    if not (math.isfinite(res.value) and res.value >= 0.0):
+                        raise FloatingPointError(
+                            f"rtn contraction at N={sp.n_sites}, t={t}, k={k} gave the "
+                            f"non-physical value {res.value!r} (truncation error "
+                            f"{res.truncation_error:.3g}); raise chi_mps"
+                        )
+                    meta = {"spec": sp.to_dict(), "t": t,
+                            "truncation_error": res.truncation_error,
+                            "max_bond": res.max_bond}
+                    # stderr column carries the truncation-error estimate
+                    out.append(MomentEstimate(q, k, res.value,
+                                              res.truncation_error, 0, meta))
     return out
 
 
@@ -266,7 +250,7 @@ def simulate_histogram(
         (spec.to_dict(), r, depths, n_bins, u_min, u_max)
         for r in range(n_realizations)
     ]
-    rows = _map_ordered(_histogram_worker, jobs, threads)
+    rows = map_ordered(_histogram_worker, jobs, threads)
     out = []
     for i, t in enumerate(depths):
         dens = np.stack([r[0][i] for r in rows])
@@ -304,6 +288,7 @@ def simulate_mse(
     spec: CircuitSpec,
     np_grid: Optional[Sequence[int]],
     n_realizations: int,
+    threads: int = 1,
 ):
     """Thin wrapper kept for symmetry with the other drivers."""
-    return truncation_mse(spec, np_grid, n_realizations)
+    return truncation_mse(spec, np_grid, n_realizations, threads)

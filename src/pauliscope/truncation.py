@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuits import CircuitSpec, run_circuit
+from .circuits import CircuitSpec, map_ordered, run_circuit
 from .pauli import PauliCoefficients, inverse_pauli_transform, zdiag_mask
 from .spectrum import stable_sum
 
@@ -97,10 +97,22 @@ class MsePoint:
     n_samples: int
 
 
+def _dropped_tails(args) -> np.ndarray:
+    """One realization's zero-state error left by each cutoff of the grid."""
+    spec, realization, mask, np_grid = args
+    coeffs = run_circuit(spec, realization)
+    order = _top_order(coeffs.values)
+    diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
+    # dropped-tail expectation for every cutoff in one suffix sum
+    suffix = np.concatenate([np.cumsum(diag_sorted[::-1])[::-1], [0.0]])
+    return suffix[np_grid]
+
+
 def truncation_mse(
     spec: CircuitSpec,
     np_grid: Optional[Sequence[int]] = None,
     n_realizations: int = 100,
+    threads: int = 1,
 ) -> list[MsePoint]:
     """Mean squared error of the zero-state expectation after truncation.
 
@@ -115,14 +127,8 @@ def truncation_mse(
     if np_grid[0] < 1 or np_grid[-1] > total:
         raise ValueError(f"N_P grid outside [1, {total}]")
     mask = zdiag_mask(spec.n_sites)
-    errors = np.empty((n_realizations, len(np_grid)))
-    for real in range(n_realizations):
-        coeffs = run_circuit(spec, real)
-        order = _top_order(coeffs.values)
-        diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
-        # dropped-tail expectation for every cutoff in one suffix sum
-        suffix = np.concatenate([np.cumsum(diag_sorted[::-1])[::-1], [0.0]])
-        errors[real] = suffix[np_grid]
+    jobs = [(spec, real, mask, np_grid) for real in range(n_realizations)]
+    errors = np.stack(map_ordered(_dropped_tails, jobs, threads))
     mse = np.mean(errors**2, axis=0)
     stderr = (
         np.std(errors**2, axis=0, ddof=1) / math.sqrt(n_realizations)

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from pauliscope import truncation
+from pauliscope.circuits import CircuitSpec
 from pauliscope.cli import main
 from pauliscope.csvio import read_csv_rows
+from pauliscope.driver import ExperimentConfig, run_ensemble, simulate_moments
+from pauliscope.rtn import contract_brickwork_series
 
 CFG = {
     "circuit": {
@@ -36,6 +40,14 @@ def test_moments_command(tmp_path, cfg_path):
     assert meta["n_realizations"] == 20 and "wall_seconds" in meta
 
 
+def test_null_entries_count_as_left_out(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**CFG, "engine": None, "sweep": {"t": [2], "n_paulis": None}}))
+    out = tmp_path / "run"
+    assert main(["moments", "--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "moments.meta.json").read_text())["engine"] == "simulator"
+
+
 def test_flag_overrides(tmp_path, cfg_path):
     out = tmp_path / "run"
     main([
@@ -55,9 +67,11 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path):
     assert not (tmp_path / "run").exists()
 
 
-def test_spectrum_hist_command(tmp_path, cfg_path):
+def test_spectrum_hist_command(tmp_path):
+    p = tmp_path / "hist.json"
+    p.write_text(json.dumps({**CFG, "sweep": {"t": [2, 4, 6]}}))
     out = tmp_path / "hist"
-    assert main(["spectrum-hist", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["spectrum-hist", "--config", str(p), "--out", str(out)]) == 0
     rows = read_csv_rows(out / "histogram.csv")
     assert len(rows) == 3 * 60  # three depths x 60 bins
 
@@ -67,7 +81,6 @@ def test_rmpu_commands(tmp_path):
         "circuit": {"geometry": "rmpu", "n_sites": 4, "r": 1, "master_seed": 3,
                      "initial_site": 0},
         "sweep": {"k": [2], "gamma": [0.0, 0.05]},
-        "engine": "rmpu_exact",
         "n_realizations": 2,
     }
     p = tmp_path / "rmpu.json"
@@ -96,6 +109,35 @@ def test_rtn_command(tmp_path):
     assert len(rows) == 2 and rows[0]["engine"] == "rtn"
 
 
+@pytest.mark.parametrize("command, engine", [("moments", "simulator"), ("rtn", "rtn")])
+def test_configured_initial_site_reaches_the_rows(tmp_path, command, engine):
+    # on 5 sites the edge site 0 and the default centre site 2 give different values
+    cfg = {
+        "circuit": {"geometry": "chain", "n_sites": 5, "depth": 4, "gamma": 0.05,
+                     "master_seed": 7, "initial_site": 0},
+        "sweep": {"t": [2, 4], "k": [2]},
+        "n_realizations": 20,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 0
+    stem = "moments" if command == "moments" else "moments_rtn"
+    sidecar = json.loads((out / f"{stem}.meta.json").read_text())["circuit"]
+    assert sidecar["initial_site"] == 0
+    rows = run_ensemble(ExperimentConfig.from_dict({**cfg, "engine": engine}))
+    placement = {"noise_placement": "per_gate_support"} if engine == "rtn" else {}
+    assert all(r.meta["spec"] == {**sidecar, **placement} for r in rows)
+    spec = CircuitSpec(**cfg["circuit"])
+    if engine == "simulator":
+        expected = [e.value for e in simulate_moments(spec, [2, 4], [2], 20)]
+    else:
+        series = contract_brickwork_series(5, [2, 4], k=2, gamma=0.05, op_site=0)
+        expected = [series[t].value for t in (2, 4)]
+    values = [float(r["value"]) for r in read_csv_rows(out / f"{stem}.csv")]
+    assert values == expected == [r.value for r in rows]
+
+
 def test_rtn_command_rejects_non_physical_values(tmp_path):
     # chi_mps = 8 truncates so hard that the contraction at t = 6 goes negative
     cfg = {
@@ -115,13 +157,33 @@ def test_rtn_command_rejects_non_physical_values(tmp_path):
 
 def test_truncate_mse_command(tmp_path):
     cfg = dict(CFG)
-    cfg["sweep"] = {"gamma": [0.1], "n_paulis": [1, 4, 16], "k": [2]}
+    cfg["sweep"] = {"gamma": [0.1], "n_paulis": [1, 4, 16]}
     p = tmp_path / "mse.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
     rows = read_csv_rows(out / "mse_gamma0.1.csv")
     assert [r["N_P"] for r in rows] == ["1", "4", "16"]
+
+
+def test_truncate_mse_honours_threads(tmp_path, monkeypatch):
+    used = []
+    map_ordered = truncation.map_ordered
+
+    def spy(fn, jobs, threads):
+        used.append(threads)
+        return map_ordered(fn, jobs, threads)
+
+    monkeypatch.setattr(truncation, "map_ordered", spy)
+    data = []
+    for threads in (1, 2):
+        p = tmp_path / f"mse{threads}.json"
+        p.write_text(json.dumps({**CFG, "sweep": {"n_paulis": [1, 4, 16]}, "threads": threads}))
+        out = tmp_path / f"out{threads}"
+        assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
+        data.append((out / "mse_gamma0.05.csv").read_bytes())
+    assert used == [1, 2]
+    assert data[0] == data[1]
 
 
 def test_truncate_mse_default_grid_fits_small_n(tmp_path):
@@ -137,16 +199,24 @@ def test_truncate_mse_default_grid_fits_small_n(tmp_path):
 @pytest.mark.parametrize(
     "command, overrides, message",
     [
-        ("spectrum-hist", {"engine": "rtn"}, "simulator only"),
-        ("truncate-mse", {"engine": "rtn", "sweep": {}}, "simulator only"),
+        ("spectrum-hist", {"engine": "rtn", "sweep": {}}, "runs the simulator engine, not 'rtn'"),
+        ("truncate-mse", {"engine": "rtn", "sweep": {}}, "runs the simulator engine, not 'rtn'"),
         ("spectrum-hist", {"sweep": {"n": [4, 6]}}, "sweep.n"),
         ("truncate-mse", {"sweep": {"n": [4, 6]}}, "sweep.n"),
         ("truncate-mse", {"sweep": {"t": [2]}}, "sweep.t"),
         ("rmpu-exact", {"sweep": {"t": [2]}}, "sweep.t"),
         ("rmpu-asymptotic", {"sweep": {"t": [2]}}, "sweep.t"),
+        ("moments", {"engine": "rtn"}, "runs the simulator engine, not 'rtn'"),
+        ("rmpu-asymptotic", {"engine": "rmpu_exact", "sweep": {}},
+         "runs the rmpu_asymptotic engine, not 'rmpu_exact'"),
+        ("spectrum-hist", {"sweep": {"k": [2]}}, "sweep.k"),
+        ("truncate-mse", {"sweep": {"k": [2]}}, "sweep.k"),
+        ("moments", {"sweep": {"n_paulis": [4]}}, "sweep.n_paulis"),
+        ("rtn", {"sweep": {"n_paulis": [4]}}, "sweep.n_paulis"),
     ],
     ids=["hist_engine", "mse_engine", "hist_n", "mse_n", "mse_t", "rmpu_exact_t",
-         "rmpu_asymptotic_t"],
+         "rmpu_asymptotic_t", "moments_engine", "rmpu_asymptotic_engine", "hist_k",
+         "mse_k", "moments_n_paulis", "rtn_n_paulis"],
 )
 def test_commands_reject_config_they_ignore(tmp_path, command, overrides, message):
     base = dict(CFG)
@@ -203,3 +273,14 @@ def test_fit_kappa_rejects_mixed_sizes(tmp_path):
 
 def test_selftest_passes():
     assert main(["selftest"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["selftest", "--seed", "1"], ["moments", "--engine", "simulator"]],
+    ids=["selftest_seed", "moments_engine_flag"],
+)
+def test_removed_flags_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -78,9 +78,11 @@ RMPU_SIM = {
         ({**BASE, "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 4},
           "sweep": {"n": [4, 6]}}, "grid"),
         ({**BASE, "n_realizations": 1}, "n_realizations"),
+        ({**BASE, "circuit": {**BASE["circuit"], "initial_site": 0},
+          "sweep": {"n": [4, 6]}}, "initial_site cannot be combined with sweep.n"),
     ],
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
-         "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization"],
+         "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep"],
 )
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(ValueError, match=message):
@@ -186,8 +188,7 @@ def test_rmpu_engine_rows():
     cfg = ExperimentConfig.from_dict(
         {
             "circuit": {
-                "geometry": "rmpu", "n_sites": 4, "r": 1,
-                "master_seed": 5, "initial_site": 0,
+                "geometry": "rmpu", "n_sites": 4, "r": 1, "master_seed": 5,
             },
             "sweep": {"k": [2, 3], "gamma": [0.0, 0.05], "n": [3, 4]},
             "engine": "rmpu_exact",
