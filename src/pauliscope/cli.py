@@ -33,8 +33,8 @@ from .spectrum import haar_moment
 
 _MOMENT_SWEEPS = ("t", "gamma", "n", "k")
 
-#: subcommand -> (engine it runs, CSV name, sweep keys it reads); truncate-mse
-#: writes one <stem>_gamma<g>.csv per gamma, every command one <stem>.meta.json
+#: subcommand -> (engine it runs, CSV name, sweep keys it reads); the sidecar is
+#: <CSV stem>.meta.json, and truncate-mse writes one mse_gamma<g>.csv per gamma
 COMMANDS = {
     "moments": ("simulator", "moments.csv", _MOMENT_SWEEPS),
     "rtn": ("rtn", "moments_rtn.csv", _MOMENT_SWEEPS),
