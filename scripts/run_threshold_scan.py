@@ -7,10 +7,10 @@ change of kappa; the large-N prediction is gammaN_c = log((d^2+1)/(2d)).
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from pauliscope.circuits import CircuitSpec
+from pauliscope.csvio import write_kappa_csv
 from pauliscope.driver import simulate_moments
 from pauliscope.fits import fit_kappa, locate_threshold
 
@@ -46,15 +46,14 @@ def main():
         )
         t, v, s = zip(*pts)
         fit = fit_kappa(t, v, s)
-        rows.append((gn, fit.kappa, fit.kappa_stderr, fit.r_squared, fit.n_points))
+        rows.append({"gammaN": gn, "kappa": fit.kappa, "kappa_stderr": fit.kappa_stderr,
+                     "r_squared": fit.r_squared, "n_points": fit.n_points})
         print(f"gammaN={gn}: kappa={fit.kappa:+.4f} +- {fit.kappa_stderr:.4f}")
 
-    with open(out / "kappa.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gammaN", "kappa", "kappa_stderr", "r_squared", "n_points"])
-        writer.writerows(rows)
+    write_kappa_csv(out / "kappa.csv", rows)
     res = locate_threshold(
-        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+        [r["gammaN"] for r in rows], [r["kappa"] for r in rows],
+        [r["kappa_stderr"] for r in rows],
     )
     print(
         f"threshold gammaN_c = {res.value:.4f} +- {res.stderr:.4f} "

@@ -28,7 +28,6 @@ from .csvio import (
 )
 from .driver import ExperimentConfig, run_ensemble, simulate_histogram, simulate_mse
 from .fits import fit_kappa, locate_threshold
-from .spectrum import haar_moment
 
 
 _MOMENT_SWEEPS = ("t", "gamma", "n", "k")
@@ -149,7 +148,7 @@ def cmd_fit_kappa(args) -> int:
     for gamma in sorted(series):
         pts = sorted(series[gamma])
         t, v, s = zip(*pts)
-        fit = fit_kappa(t, v, s, haar_value=haar_moment(2), window=window)
+        fit = fit_kappa(t, v, s, window=window)
         out_rows.append(
             {
                 "gamma": gamma,

@@ -8,6 +8,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .spectrum import haar_moment
+
 
 @dataclass
 class FitResult:
@@ -24,20 +26,19 @@ def fit_kappa(
     depths: Sequence[float],
     values: Sequence[float],
     stderrs: Sequence[float],
-    haar_value: float = 3.0,
     window: Optional[tuple[float, float]] = None,
-    significance: float = 3.0,
 ) -> FitResult:
-    """Weighted linear least squares of log|value - haar_value| against depth.
+    """Weighted linear least squares of log|value - 3| against depth, where
+    3 is the fully scrambled mu_2.
 
-    Points whose deviation is within ``significance`` standard errors of zero
-    carry no usable sign and are excluded; at least 3 significant points are
+    Points whose deviation is within 3 standard errors of zero carry no
+    usable sign and are excluded; at least 3 significant points are
     required.  kappa = -slope, so decay gives kappa > 0 and growth < 0.
     """
     t = np.asarray(depths, dtype=float)
-    dev = np.abs(np.asarray(values, dtype=float) - haar_value)
+    dev = np.abs(np.asarray(values, dtype=float) - haar_moment(2))
     sig = np.asarray(stderrs, dtype=float)
-    keep = dev > significance * sig
+    keep = dev > 3.0 * sig
     if window is not None:
         keep &= (t >= window[0]) & (t <= window[1])
     if np.count_nonzero(keep) < 3:

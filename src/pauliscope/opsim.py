@@ -12,15 +12,15 @@ string index), consistent with :mod:`pauliscope.pauli`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .pauli import LETTERS, PauliCoefficients, pauli_transform
 
-#: refuse evolution above this size unless explicitly overridden
-#: (4^13 coefficients * 8 bytes is already ~0.5 GB)
+#: largest N the dense 4^N coefficient vector is built for
+#: (4^13 coefficients * 8 bytes is already ~0.5 GB per copy)
 MAX_SITES = 13
 
 
@@ -30,7 +30,6 @@ class GateMatrix:
 
     support: tuple[int, ...]
     matrix: np.ndarray
-    unitarity_tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         self.support = tuple(int(s) for s in self.support)
@@ -44,19 +43,14 @@ class GateMatrix:
         if len(set(self.support)) != len(self.support):
             raise ValueError(f"repeated sites in support {self.support}")
         dev = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(q)))
-        if dev > self.unitarity_tol:
+        if dev > 1e-12:
             raise ValueError(f"gate is not unitary (||U U+ - 1|| = {dev:.2e})")
 
 
-def init_local_pauli(
-    n_sites: int, site: int, axis: str, allow_large: bool = False
-) -> PauliCoefficients:
+def init_local_pauli(n_sites: int, site: int, axis: str) -> PauliCoefficients:
     """Pauli ``axis`` at ``site``, identity elsewhere (traceless, O^2 = 1)."""
-    if n_sites > MAX_SITES and not allow_large:
-        raise ValueError(
-            f"N={n_sites} exceeds the evolution guard ({MAX_SITES}); "
-            "pass allow_large=True to override"
-        )
+    if n_sites > MAX_SITES:
+        raise ValueError(f"N={n_sites} exceeds the evolution guard ({MAX_SITES})")
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for N={n_sites}")
     if axis not in ("X", "Y", "Z"):

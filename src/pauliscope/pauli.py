@@ -14,14 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LETTERS = "IXYZ"
-_LETTER_CODE = {c: i for i, c in enumerate(LETTERS)}
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Site-local change of basis: _SITE_FORWARD[a, 2*i + j] = P_a[j, i], so that
 # contracting it with the (row, col) pair of one site computes Tr[. P_a] on
@@ -36,62 +28,6 @@ _SITE_FORWARD = np.array(
     dtype=complex,
 )
 _SITE_INVERSE = _SITE_FORWARD.conj().T / 2.0
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A word over {I, X, Y, Z} together with its flat base-4 index."""
-
-    letters: str
-    index: int
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.letters)
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("empty Pauli word")
-        if self.index != _index_of_word(self.letters):
-            raise ValueError(
-                f"index {self.index} inconsistent with letters {self.letters!r}"
-            )
-
-
-def _index_of_word(letters: str) -> int:
-    idx = 0
-    for site, c in enumerate(letters):
-        try:
-            idx += _LETTER_CODE[c] << (2 * site)
-        except KeyError:
-            raise ValueError(f"invalid Pauli letter {c!r} (expected one of IXYZ)")
-    return idx
-
-
-def encode_pauli(letters: str) -> PauliString:
-    """Encode a word over {I,X,Y,Z} into its indexed PauliString."""
-    return PauliString(letters, _index_of_word(letters))
-
-
-def decode_pauli(index: int, n_sites: int) -> PauliString:
-    """Inverse of :func:`encode_pauli` for a flat index in [0, 4^n_sites)."""
-    if not 0 <= index < 4**n_sites:
-        raise ValueError(f"index {index} out of range for {n_sites} sites")
-    letters = "".join(LETTERS[(index >> (2 * s)) & 3] for s in range(n_sites))
-    return PauliString(letters, index)
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of a Pauli string (site 0 in the low bits)."""
-    m = np.ones((1, 1), dtype=complex)
-    for c in p.letters:
-        m = np.kron(PAULI_MATRICES[c], m)
-    return m
-
-
-def zdiag_indicator(p: PauliString) -> bool:
-    """True iff every letter is I or Z, i.e. Tr[P |0..0><0..0|] = 1."""
-    return all(c in "IZ" for c in p.letters)
 
 
 def zdiag_mask(n_sites: int) -> np.ndarray:
@@ -145,13 +81,13 @@ def _deinterleave(t: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(inv).reshape(d, d)
 
 
-def pauli_transform(op, imag_tol: float = 1e-10) -> PauliCoefficients:
+def pauli_transform(op) -> PauliCoefficients:
     """Rotate an operator matrix into the Pauli basis.
 
     Returns a_P = Tr[O P]/D for every string P, computed by N sequential
     site-local 4x4 rotations on the reshaped 2N-leg tensor (cost O(N 4^N)).
     The result of a Hermitian input is real; a residual imaginary part
-    above ``imag_tol`` (relative to the largest coefficient) raises.
+    above 1e-10 (relative to the largest coefficient) raises.
     """
     mat, n = _as_matrix(op)
     d = 2**n
@@ -162,7 +98,7 @@ def pauli_transform(op, imag_tol: float = 1e-10) -> PauliCoefficients:
     t = t.reshape(-1) / d
     scale = max(1.0, float(np.max(np.abs(t.real))))
     resid = float(np.max(np.abs(t.imag)))
-    if resid > imag_tol * scale:
+    if resid > 1e-10 * scale:
         raise ValueError(
             f"imaginary residue {resid:.3e} exceeds tolerance (non-Hermitian input?)"
         )

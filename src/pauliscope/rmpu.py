@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,7 +90,6 @@ class TransferOperator:
     T: np.ndarray
     L: np.ndarray
     R: np.ndarray
-    pseudo_inverse: bool = False
 
 
 def boundary_vectors(params: RmpuParams) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +112,7 @@ def transfer_matrix(params: RmpuParams) -> TransferOperator:
     g = gram_matrix(n, float(params.chi)).entries
     t = (lam1[:, None] * wg.entries) @ (lam2[:, None] * g)
     left, right = boundary_vectors(params)
-    return TransferOperator(n, t, left, right, pseudo_inverse=wg.pseudo_inverse)
+    return TransferOperator(n, t, left, right)
 
 
 def rescale_pow2(arr: np.ndarray, peak: float) -> float:
@@ -189,26 +187,11 @@ class ScalingPredictions:
         """Scrambling depth t_k* = N tau (1 - 1/k) log d."""
         return n_sites * self.tau * (1.0 - 1.0 / self.k) * math.log(self.d)
 
-    def brickwork_correction(
-        self, n_sites: int, t: float, gamma: float, c_prime: float = 1.0
-    ) -> float:
-        """Bracketed correction factor of the noisy scaling form,
-        1 + C' (e^(gamma N t) d^(N(1-1/k)) e^(-t/tau))^2k, with the
-        non-universal constant C' defaulting to 1."""
-        log_arg = (
-            gamma * n_sites * t
-            + n_sites * (1.0 - 1.0 / self.k) * math.log(self.d)
-            - t / self.tau
-        )
-        return 1.0 + c_prime * math.exp(2 * self.k * log_arg)
 
-
-def scaling_predictions(
-    d: int = 2, k: int = 2, tau_override: Optional[float] = None
-) -> ScalingPredictions:
-    """tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d)),
-    or a user-supplied override; derived thresholds follow from it."""
+def scaling_predictions(d: int = 2, k: int = 2) -> ScalingPredictions:
+    """tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d));
+    derived thresholds follow from it."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    tau = tau_override if tau_override is not None else 1.0 / math.log((d * d + 1.0) / (2.0 * d))
+    tau = 1.0 / math.log((d * d + 1.0) / (2.0 * d))
     return ScalingPredictions(d=d, k=k, tau=tau, gamma_c_times_n=1.0 / tau)

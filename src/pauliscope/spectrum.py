@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -107,14 +106,6 @@ def haar_moment(k: int) -> float:
     return out
 
 
-def opt_density(u) -> np.ndarray:
-    """Operator Porter-Thomas density exp(-u/2)/sqrt(2 pi u), u > 0."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("OPT density is defined for u > 0")
-    return np.exp(-u / 2.0) / np.sqrt(2.0 * np.pi * u)
-
-
 def opt_bin_mass(u_lo: float, u_hi: float) -> float:
     """Exact OPT probability mass of a bin, erf(sqrt(u/2)) differences."""
     return math.erf(math.sqrt(u_hi / 2.0)) - math.erf(math.sqrt(u_lo / 2.0))
@@ -132,18 +123,6 @@ class SpectrumHistogram:
     bin_edges: np.ndarray
     density: np.ndarray
     zero_mass: float
-
-    @property
-    def bins(self) -> list[tuple[float, float]]:
-        return list(zip(self.bin_edges[:-1], self.bin_edges[1:]))
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.bin_edges)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.sqrt(self.bin_edges[:-1] * self.bin_edges[1:])
 
 
 def spectrum_histogram(

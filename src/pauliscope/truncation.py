@@ -21,55 +21,12 @@ import numpy as np
 
 from .circuits import CircuitSpec, map_ordered, run_circuit
 from .pauli import PauliCoefficients, inverse_pauli_transform, zdiag_mask
-from .spectrum import stable_sum
-
-TIE_RULE = "descending |a|, ties broken by ascending Pauli index"
-
-
-@dataclass
-class TruncationResult:
-    """The N_P kept coefficients (sorted per TIE_RULE) and what was lost."""
-
-    n_sites: int
-    kept_indices: np.ndarray
-    kept_values: np.ndarray
-    dropped_weight: float
-    tie_rule: str = TIE_RULE
-
-    @property
-    def kept(self) -> list[tuple[int, float]]:
-        return list(zip(self.kept_indices.tolist(), self.kept_values.tolist()))
 
 
 def _top_order(values: np.ndarray) -> np.ndarray:
+    """Indices by descending |a|, ties broken by ascending Pauli index."""
     # stable sort on -|a| keeps ascending-index order within ties
     return np.argsort(-np.abs(values), kind="stable")
-
-
-def truncate_top(coeffs: PauliCoefficients, n_keep: int) -> TruncationResult:
-    """Keep the n_keep largest-|a| strings (deterministic tie-break)."""
-    total = coeffs.values.size
-    if not 1 <= n_keep <= total:
-        raise ValueError(f"n_keep={n_keep} outside [1, {total}]")
-    order = _top_order(coeffs.values)
-    kept = order[:n_keep]
-    dropped = coeffs.values[order[n_keep:]]
-    return TruncationResult(
-        n_sites=coeffs.n_sites,
-        kept_indices=kept,
-        kept_values=coeffs.values[kept],
-        dropped_weight=float(stable_sum(np.square(dropped))),
-    )
-
-
-def expectation_zero_state(obj, n_sites: Optional[int] = None) -> float:
-    """<0..0| O |0..0> = sum of a_P over the {I, Z}^N strings."""
-    if isinstance(obj, TruncationResult):
-        mask = zdiag_mask(obj.n_sites)
-        return float(stable_sum(obj.kept_values[mask[obj.kept_indices]]))
-    if isinstance(obj, PauliCoefficients):
-        return float(stable_sum(obj.values[zdiag_mask(obj.n_sites)]))
-    raise TypeError("expected PauliCoefficients or TruncationResult")
 
 
 def simulability_bound(norm: float, m2: float, n_paulis: int, n_sites: int) -> float:

@@ -59,28 +59,8 @@ class Permutation:
         return len(self.cycle_type)
 
     @property
-    def fixed_points(self) -> int:
-        return self.cycle_type.count(1)
-
-    @property
     def even_cycles_only(self) -> bool:
         return bool(self.cycle_type) and all(c % 2 == 0 for c in self.cycle_type)
-
-    @property
-    def degree(self) -> int:
-        return len(self.image)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self.image[j] for j in other.image))
 
 
 @lru_cache(maxsize=None)
@@ -249,24 +229,3 @@ def traceless_seed_weights(n: int, d: float) -> np.ndarray:
     tb = _tables(n)
     return np.where(tb.even, d ** tb.cycles.astype(float), 0.0)
 
-
-def permutation_vectors(n: int, q: int) -> np.ndarray:
-    """Vectorized permutation operators for n replicas of a q-dim space.
-
-    Row s is |sigma_s>> with interleaved (row, col) index pairs per replica,
-    matching kron(M, M, ..., M) ordering of per-replica superoperators; used
-    by the Monte-Carlo channel oracles.
-    """
-    perms = enumerate_group(n)
-    out = np.zeros((len(perms), q ** (2 * n)))
-    for s_idx, perm in enumerate(perms):
-        inv = perm.inverse().image
-        v = np.zeros((q,) * (2 * n))
-        for idx in itertools.product(range(q), repeat=n):
-            pos = [0] * (2 * n)
-            for a in range(n):
-                pos[2 * a] = idx[a]
-                pos[2 * a + 1] = idx[inv[a]]
-            v[tuple(pos)] = 1.0
-        out[s_idx] = v.reshape(-1)
-    return out

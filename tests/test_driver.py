@@ -80,9 +80,12 @@ RMPU_SIM = {
         ({**BASE, "n_realizations": 1}, "n_realizations"),
         ({**BASE, "circuit": {**BASE["circuit"], "initial_site": 0},
           "sweep": {"n": [4, 6]}}, "initial_site cannot be combined with sweep.n"),
+        # every engine, the rtn contraction included, stops at circuit.depth
+        ({**BASE, "engine": "rtn", "sweep": {"t": [2, 9], "k": [2]}}, r"sweep.t \[9\]"),
     ],
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
-         "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep"],
+         "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep",
+         "rtn_t_above_depth"],
 )
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(ValueError, match=message):
@@ -92,8 +95,6 @@ def test_config_rejects_bad_values(config, message):
 def test_config_accepts_t_within_every_swept_n():
     cfg = ExperimentConfig.from_dict(RMPU_SIM)
     assert cfg.sweep.n == [4, 6]
-    # the rtn and rmpu engines do not simulate, so their depths are not checked here
-    ExperimentConfig.from_dict({**BASE, "engine": "rtn", "sweep": {"t": [9], "k": [2]}})
 
 
 def test_run_ensemble_reproducible():

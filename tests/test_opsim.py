@@ -11,6 +11,7 @@ from pauliscope.circuits import (
     sample_haar_unitary,
 )
 from pauliscope.opsim import (
+    MAX_SITES,
     GateMatrix,
     apply_depolarizing,
     apply_depolarizing_support,
@@ -19,15 +20,13 @@ from pauliscope.opsim import (
     pauli_transfer_matrix,
 )
 from pauliscope.pauli import (
-    PAULI_MATRICES,
     PauliCoefficients,
-    encode_pauli,
     inverse_pauli_transform,
     pauli_transform,
 )
 from pauliscope.spectrum import moment_mu, moment_nu, pi_distribution
 
-from conftest import random_hermitian
+from conftest import PAULI_MATRICES, random_hermitian
 
 #: agreement of the coefficient evolution with the dense oracle
 ORACLE_TOL = 1e-12
@@ -84,13 +83,15 @@ def dense_circuit(spec, realization):
 
 def test_init_local_pauli():
     coeffs = init_local_pauli(2, 0, "Z")
-    assert coeffs.values[encode_pauli("ZI").index] == 1.0
+    assert coeffs.values[3] == 1.0  # Z on site 0, I on site 1
     assert np.count_nonzero(coeffs.values) == 1
     assert np.array_equal(
         inverse_pauli_transform(init_local_pauli(1, 0, "X")), PAULI_MATRICES["X"]
     )
     assert moment_nu(init_local_pauli(3, 1, "Y"), 1) == 1.0
     assert init_local_pauli(3, 2, "Z").values[0] == 0.0  # traceless
+    with pytest.raises(ValueError, match="guard"):
+        init_local_pauli(MAX_SITES + 1, 0, "Z")
 
 
 def test_init_guards():
@@ -182,7 +183,7 @@ def test_depolarizing_examples():
 
     zz = pauli_transform(np.kron(PAULI_MATRICES["Z"], PAULI_MATRICES["Z"]))
     apply_depolarizing(zz, 0.2, [0])
-    assert abs(zz.values[encode_pauli("ZZ").index] - 0.8) < 1e-14
+    assert abs(zz.values[15] - 0.8) < 1e-14  # ZZ = 3 + 3*4
 
 
 def test_depolarizing_rejects_bad_gamma(rng):

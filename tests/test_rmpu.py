@@ -150,12 +150,6 @@ def test_scaling_predictions():
     assert abs(sp.tau - 4.4814) < 1e-3
     assert abs(sp.gamma_c_times_n - math.log(1.25)) < 1e-12
     assert abs(sp.t_star(10) - 15.53) < 0.01
-    assert abs(scaling_predictions(2, 2, tau_override=3.0).tau - 3.0) == 0.0
-    # noiseless correction at t = t* equals 1 + C'
-    corr = sp.brickwork_correction(8, sp.t_star(8), 0.0)
-    assert abs(corr - 2.0) < 1e-9
-    # noise increases the correction
-    assert sp.brickwork_correction(8, 10.0, 0.03) > sp.brickwork_correction(8, 10.0, 0.0)
 
 
 def test_params_validation():

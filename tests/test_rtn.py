@@ -36,7 +36,7 @@ def test_plaquette_lightcone_identity():
 def test_plaquette_uniform_weights():
     j = plaquette_j(2, 0.1)
     for idx, p in enumerate(enumerate_group(4)):
-        assert abs(j[idx, idx, idx] - 0.9 ** (4 - p.fixed_points)) < 1e-12
+        assert abs(j[idx, idx, idx] - 0.9 ** (4 - p.cycle_type.count(1))) < 1e-12
     i_tau = perm_index((1, 0, 3, 2))
     assert abs(j[i_tau, i_tau, i_tau] - 0.6561) < 1e-12
     j0 = plaquette_j(2, 0.0)

@@ -7,21 +7,20 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pauliscope.opsim import init_local_pauli
-from pauliscope.pauli import PAULI_MATRICES, pauli_transform
+from pauliscope.pauli import pauli_transform
 from pauliscope.spectrum import (
     MomentEstimate,
     haar_moment,
     moment_mu,
     moment_nu,
     opt_bin_mass,
-    opt_density,
     ose,
     pi_distribution,
     spectrum_histogram,
     stable_sum,
 )
 
-from conftest import random_hermitian
+from conftest import PAULI_MATRICES, random_hermitian
 
 
 def test_local_pauli_moments_exact():
@@ -95,21 +94,26 @@ def test_haar_moment_double_factorial():
 
 
 def test_opt_density_normalization_and_moments():
-    total, _ = quad(lambda u: float(opt_density(u)), 0, np.inf)
-    assert abs(total - 1) < 1e-8
-    second, _ = quad(lambda u: u * u * float(opt_density(u)), 0, np.inf)
-    assert abs(second - 3) < 1e-7
+    def density(u):
+        return math.exp(-u / 2) / math.sqrt(2 * math.pi * u)
+
+    for lo, hi in ((1e-6, 1e-3), (0.5, 2.0), (3.0, 40.0)):
+        assert abs(opt_bin_mass(lo, hi) - quad(density, lo, hi)[0]) < 1e-10
     assert abs(opt_bin_mass(1e-9, 1e6) - 1.0) < 1e-4
+    # the bin masses carry the second moment (2k-1)!! = 3
+    edges = np.geomspace(1e-12, 1e3, 4001)
+    masses = [opt_bin_mass(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert abs(np.dot(masses, edges[:-1] * edges[1:]) - 3) < 1e-3
 
 
 def test_histogram_local_operator():
     coeffs = init_local_pauli(2, 0, "Z")
     hist = spectrum_histogram(coeffs)
     assert abs(hist.zero_mass - 15 / 16) < 1e-15
-    assert abs(hist.zero_mass + np.sum(hist.density * hist.widths) - 1) < 1e-8
+    assert abs(hist.zero_mass + np.sum(hist.density * np.diff(hist.bin_edges)) - 1) < 1e-8
     nz = np.nonzero(hist.density)[0]
     assert len(nz) == 1
-    lo, hi = hist.bins[nz[0]]
+    lo, hi = hist.bin_edges[nz[0]], hist.bin_edges[nz[0] + 1]
     assert lo <= 16.0 < hi
 
 
@@ -117,14 +121,15 @@ def test_histogram_overflow_mass_in_last_bin():
     coeffs = init_local_pauli(8, 3, "Z")  # u = 65536 > 1e3
     hist = spectrum_histogram(coeffs)
     assert hist.density[-1] > 0
-    assert abs(hist.zero_mass + np.sum(hist.density * hist.widths) - 1) < 1e-8
+    assert abs(hist.zero_mass + np.sum(hist.density * np.diff(hist.bin_edges)) - 1) < 1e-8
 
 
 def test_histogram_moment_reconstruction(rng):
     # int u^k Pi(u) du = mu_k, up to binning error
     coeffs = pauli_transform(random_hermitian(4, rng))
     hist = spectrum_histogram(coeffs, n_bins=4000, u_min=1e-8, u_max=1e4)
-    recon = np.sum(hist.density * hist.centers**2 * hist.widths)
+    edges = hist.bin_edges
+    recon = np.sum(hist.density * edges[:-1] * edges[1:] * np.diff(edges))
     exact = moment_mu(coeffs, 2)
     assert abs(recon - exact) < 2e-3 * exact
 

@@ -1,0 +1,67 @@
+"""Every public name in the package is reached by the program itself.
+
+A top-level function, class or constant of ``src/pauliscope`` stays only if
+a subcommand, a script or ``selftest`` can reach it: some other statement in
+``src/`` or ``scripts/`` must use it.  Reference code that only tests compare
+against lives in ``tests/conftest.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pauliscope"
+
+#: the paper's hardness bound: no subcommand reaches it yet; it is kept for
+#: the bound column truncate-mse is to write (ROADMAP.md, truncated Pauli
+#: propagation)
+RESERVED = {
+    "truncation.simulability_bound",
+    "truncation.residual_spectral_norm",
+    "spectrum.ose",
+}
+
+
+def _defined(node) -> list[str]:
+    """Public names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
+def _used(node) -> set[str]:
+    """Names a statement reads, as a variable, an attribute or an import."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_public_names_are_reached():
+    definitions = []  # (module, name, defining statement)
+    uses = []  # (statement, names it reads)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            uses.append((node, _used(node)))
+            if path.parent == PACKAGE:
+                definitions.extend((path.stem, name, node) for name in _defined(node))
+    unreached = {
+        f"{module}.{name}"
+        for module, name, home in definitions
+        if not any(name in names for node, names in uses if node is not home)
+    }
+    assert RESERVED <= unreached, (
+        f"{sorted(RESERVED - unreached)} are gone or reached now; drop them from RESERVED"
+    )
+    extra = sorted(unreached - RESERVED)
+    assert not extra, f"only tests reach {extra}; move them to tests/"

@@ -7,43 +7,39 @@ from hypothesis import strategies as st
 
 from pauliscope.circuits import CircuitSpec, run_circuit
 from pauliscope.opsim import init_local_pauli
-from pauliscope.pauli import PAULI_MATRICES, PauliCoefficients, pauli_transform
+from pauliscope.pauli import pauli_transform, zdiag_mask
 from pauliscope.spectrum import moment_mu, moment_nu, ose
 from pauliscope.truncation import (
-    expectation_zero_state,
+    _top_order,
     residual_spectral_norm,
     simulability_bound,
-    truncate_top,
     truncation_mse,
 )
 
+from conftest import decode_pauli, random_hermitian, truncate_top, zdiag_indicator
+
 
 def test_truncate_sorting_example():
-    coeffs = PauliCoefficients(1, np.array([0.0, 0.8, 0.5, 0.3]))
-    res = truncate_top(coeffs, 2)
-    assert set(res.kept_indices.tolist()) == {1, 2}
-    assert abs(res.dropped_weight - 0.09) < 1e-15
-    assert truncate_top(coeffs, 4).dropped_weight == 0.0
-    single = truncate_top(init_local_pauli(2, 0, "Z"), 1)
-    assert single.dropped_weight == 0.0
+    values = np.array([0.0, 0.8, 0.5, 0.3])
+    assert _top_order(values).tolist() == [1, 2, 3, 0]
+    assert _top_order(init_local_pauli(2, 0, "Z").values)[0] == 3
 
 
 def test_truncate_tie_break_deterministic():
-    coeffs = PauliCoefficients(1, np.array([0.5, -0.5, 0.5, 0.2]))
-    assert truncate_top(coeffs, 2).kept_indices.tolist() == [0, 1]
-    with pytest.raises(ValueError):
-        truncate_top(coeffs, 0)
-    with pytest.raises(ValueError):
-        truncate_top(coeffs, 5)
+    values = np.array([0.5, -0.5, 0.5, 0.2])
+    assert _top_order(values).tolist() == [0, 1, 2, 3]
+    spec = CircuitSpec(geometry="chain", n_sites=2, depth=1)
+    for bad in ([0, 4], [4, 17]):
+        with pytest.raises(ValueError, match="outside"):
+            truncation_mse(spec, bad, n_realizations=2)
 
 
-def test_expectation_zero_state_examples():
-    assert expectation_zero_state(init_local_pauli(1, 0, "Z")) == 1.0
-    assert expectation_zero_state(init_local_pauli(1, 0, "X")) == 0.0
-    proj = (np.eye(2, dtype=complex) + PAULI_MATRICES["Z"]) / 2
-    assert abs(expectation_zero_state(pauli_transform(proj)) - 1.0) < 1e-15
-    trunc = truncate_top(pauli_transform(proj), 1)
-    assert abs(expectation_zero_state(trunc) - 0.5) < 1e-15
+def test_expectation_zero_state_examples(rng):
+    # <0..0| O |0..0> is the sum of a_P over the {I, Z}^N strings
+    for n in (1, 2, 3):
+        h = random_hermitian(n, rng)
+        diag_sum = np.sum(pauli_transform(h).values[zdiag_mask(n)])
+        assert abs(diag_sum - h[0, 0].real) < 1e-12 * np.max(np.abs(h))
 
 
 def test_bound_examples():
@@ -74,8 +70,10 @@ def test_top_truncation_is_optimal(seed):
     )
     coeffs = run_circuit(spec, 0)
     n_keep = 8
-    best = truncate_top(coeffs, n_keep).dropped_weight
+    kept = _top_order(coeffs.values)[:n_keep]
+    assert kept.tolist() == truncate_top(coeffs.values, n_keep)
     total = float(np.sum(coeffs.values**2))
+    best = total - float(np.sum(coeffs.values[kept] ** 2))
     for _ in range(10):
         subset = rng.choice(coeffs.values.size, size=n_keep, replace=False)
         alt = total - float(np.sum(coeffs.values[subset] ** 2))
@@ -101,10 +99,11 @@ def test_mse_matches_direct_truncation():
     points = truncation_mse(spec, grid, n_realizations=3)
     direct = np.zeros(len(grid))
     for real in range(3):
-        coeffs = run_circuit(spec, real)
-        full = expectation_zero_state(coeffs)
+        values = run_circuit(spec, real).values
+        diagonal = [i for i in range(values.size) if zdiag_indicator(decode_pauli(i, 3))]
         for j, n_keep in enumerate(grid):
-            err = full - expectation_zero_state(truncate_top(coeffs, n_keep))
+            dropped = set(diagonal) - set(truncate_top(values, n_keep))
+            err = sum(values[i] for i in sorted(dropped))
             direct[j] += err**2 / 3
     for p, want in zip(points, direct):
         assert abs(p.mse - want) < 1e-12
