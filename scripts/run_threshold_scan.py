@@ -13,6 +13,7 @@ from pauliscope.circuits import CircuitSpec
 from pauliscope.csvio import write_kappa_csv
 from pauliscope.driver import simulate_moments
 from pauliscope.fits import fit_kappa, locate_threshold
+from pauliscope.rmpu import scaling_predictions
 
 
 def main():
@@ -57,7 +58,8 @@ def main():
     )
     print(
         f"threshold gammaN_c = {res.value:.4f} +- {res.stderr:.4f} "
-        f"({res.n_sign_changes} sign change(s); prediction log(5/4) = 0.2231)"
+        f"({res.n_sign_changes} sign change(s); prediction log((d^2+1)/(2d)) = "
+        f"{scaling_predictions().gamma_c_times_n:.4f})"
     )
 
 

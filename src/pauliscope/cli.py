@@ -209,7 +209,7 @@ def cmd_selftest(args) -> int:
         check(f"gram-inverse n={n} q={q}", rel < 1e-10, f"resid={rel:.1e}")
 
     p = RmpuParams(n_sites=3, r=1, k=2, gamma=0.05)
-    exact = rmpu_moment_exact(p)
+    exact = rmpu_moment_exact([p])[0]
     spec = CircuitSpec(geometry="rmpu", n_sites=3, r=1, gamma=0.05,
                        master_seed=11, initial_site=0)
     vals = []
@@ -221,7 +221,7 @@ def cmd_selftest(args) -> int:
           f"{mean:.4f}+-{se:.4f} vs {exact:.4f}")
 
     r = contract_brickwork_series(2, [1], k=2)[1]
-    ref = rmpu_moment_exact(RmpuParams(n_sites=2, r=1, k=2))
+    ref = rmpu_moment_exact([RmpuParams(n_sites=2, r=1, k=2)])[0]
     check("rtn vs transfer (N=2, t=1)", abs(r.value - ref) < 1e-9 * ref)
 
     r1 = contract_brickwork_series(5, [4], k=1)[4]

@@ -183,20 +183,25 @@ def simulate_moments(
 def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
     """Dispatch a full sweep on the configured engine."""
     ks = list(config.sweep.k)
+    if config.engine in ("rmpu_exact", "rmpu_asymptotic"):
+        specs = config.points()
+        if any(spec.geometry != "rmpu" for spec in specs):
+            raise ValueError("rmpu engines need an rmpu circuit")
+        rows = [(spec, RmpuParams(n_sites=spec.n_sites, r=spec.r, k=k, gamma=spec.gamma))
+                for spec in specs for k in ks]
+        params = [p for _, p in rows]
+        # one call over every point, so each (r, k, gamma) builds one T for all N
+        values = (rmpu_moment_exact(params) if config.engine == "rmpu_exact"
+                  else [rmpu_moment_asymptotic(p) for p in params])
+        return [MomentEstimate("mu" if spec.gamma == 0.0 else "nu", p.k, value, 0.0, 0,
+                               {"spec": spec.to_dict(), "t": spec.n_layers})
+                for (spec, p), value in zip(rows, values)]
     out: list[MomentEstimate] = []
     for spec in config.points():
         depths = config.sweep.t if config.sweep.t is not None else [spec.n_layers]
         q = "mu" if spec.gamma == 0.0 else "nu"
         if config.engine == "simulator":
             out.extend(simulate_moments(spec, depths, ks, config.n_realizations, config.threads))
-        elif config.engine in ("rmpu_exact", "rmpu_asymptotic"):
-            if spec.geometry != "rmpu":
-                raise ValueError("rmpu engines need an rmpu circuit")
-            fn = rmpu_moment_exact if config.engine == "rmpu_exact" else rmpu_moment_asymptotic
-            for k in ks:
-                params = RmpuParams(n_sites=spec.n_sites, r=spec.r, k=k, gamma=spec.gamma)
-                meta = {"spec": spec.to_dict(), "t": spec.n_layers}
-                out.append(MomentEstimate(q, k, fn(params), 0.0, 0, meta))
         elif config.engine == "rtn":
             if spec.geometry != "chain":
                 raise ValueError("the rtn engine contracts 1D chains")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -86,7 +87,6 @@ def lambda_matrices(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
 class TransferOperator:
     """Transfer matrix and boundary vectors over S_2k."""
 
-    n: int
     T: np.ndarray
     L: np.ndarray
     R: np.ndarray
@@ -112,7 +112,7 @@ def transfer_matrix(params: RmpuParams) -> TransferOperator:
     g = gram_matrix(n, float(params.chi)).entries
     t = (lam1[:, None] * wg.entries) @ (lam2[:, None] * g)
     left, right = boundary_vectors(params)
-    return TransferOperator(n, t, left, right)
+    return TransferOperator(t, left, right)
 
 
 def rescale_pow2(arr: np.ndarray, peak: float) -> float:
@@ -130,26 +130,44 @@ def unscale(val: float, log_scale: float) -> float:
     return math.copysign(math.exp(log_scale + math.log(abs(val))), val)
 
 
-def _scaled_product(op: TransferOperator, m: int) -> float:
-    """L^T T^(m-1) R with power-of-two rescaling of the running vector."""
+def _scaled_product(op: TransferOperator, ms: Sequence[int]) -> list[float]:
+    """L^T T^(m-1) R at each of the ascending ``ms``, read off one pass of the
+    running vector with power-of-two rescaling; 0.0 once the vector vanishes."""
+    out: list[float] = []
     v = op.L.copy()
     log_scale = 0.0
-    for _ in range(m - 1):
-        v = v @ op.T
-        peak = float(np.max(np.abs(v)))
-        if peak == 0.0:
-            return 0.0
-        log_scale += rescale_pow2(v, peak)
-    return unscale(float(v @ op.R), log_scale)
+    steps = 1
+    for m in ms:
+        while steps < m:
+            v = v @ op.T
+            peak = float(np.max(np.abs(v)))
+            if peak == 0.0:
+                return out + [0.0] * (len(ms) - len(out))
+            log_scale += rescale_pow2(v, peak)
+            steps += 1
+        out.append(unscale(float(v @ op.R), log_scale))
+    return out
 
 
-def rmpu_moment_exact(params: RmpuParams) -> float:
-    """Exact ensemble-averaged moment of the staircase ensemble.
+def rmpu_moment_exact(points: Sequence[RmpuParams]) -> list[float]:
+    """Exact ensemble-averaged moments of the staircase ensemble, in input order.
 
-    Returns mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
-    unnormalized nu_k average for gamma > 0.
+    Each value is mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
+    unnormalized nu_k average for gamma > 0.  T, L and R depend only on
+    (r, k, d, gamma), so every N of one such group is read off one transfer
+    matrix and one sweep of the running vector.
     """
-    return _scaled_product(transfer_matrix(params), params.m)
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault((p.r, p.k, p.d, p.gamma), []).append(i)
+    out = [0.0] * len(points)
+    for idx in groups.values():
+        idx.sort(key=lambda i: points[i].m)
+        # T is a temporary: the previous group's T is freed before the next is built
+        values = _scaled_product(transfer_matrix(points[idx[0]]), [points[i].m for i in idx])
+        for i, value in zip(idx, values):
+            out[i] = value
+    return out
 
 
 def rmpu_moment_asymptotic(params: RmpuParams) -> float:

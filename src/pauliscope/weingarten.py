@@ -81,7 +81,6 @@ class _GroupTables:
     def __init__(self, n: int):
         perms = enumerate_group(n)
         size = len(perms)
-        self.n = n
         self.images = np.array([p.image for p in perms], dtype=np.int64)
         self.cycles = np.array([p.cycles for p in perms], dtype=np.int64)
         self.even = np.array([p.even_cycles_only for p in perms], dtype=bool)
@@ -110,6 +109,12 @@ class _GroupTables:
         self.n_common_fixed = (
             self.fixed_mask.astype(np.int16) @ self.fixed_mask.astype(np.int16).T
         ).astype(np.int32)
+        # noisy Weingarten entries depend only on (cycle type of p^-1 s, nF(p, s)):
+        # pair_class[p, s] indexes that pair's (type id, nF) in pair_classes
+        pair_code = self.type_of[rel].astype(np.int64) * (n + 1) + self.n_common_fixed
+        codes, inverse = np.unique(pair_code, return_inverse=True)
+        self.pair_classes = [divmod(int(c), n + 1) for c in codes]
+        self.pair_class = inverse.reshape(rel.shape).astype(np.int32)
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +129,6 @@ def _tables(n: int) -> _GroupTables:
 class GroupMatrix:
     """Dense n! x n! matrix over the fixed enumeration of S_n."""
 
-    n: int
     entries: np.ndarray
     pseudo_inverse: bool = False
 
@@ -135,7 +139,7 @@ def gram_matrix(n: int, q: float) -> GroupMatrix:
     if q < 2:
         raise ValueError("q must be >= 2")
     tb = _tables(n)
-    return GroupMatrix(n, float(q) ** tb.cycles[tb.rel])
+    return GroupMatrix(float(q) ** tb.cycles[tb.rel])
 
 
 @lru_cache(maxsize=None)
@@ -153,8 +157,8 @@ def weingarten_matrix(n: int, q: float) -> GroupMatrix:
     if q >= n:
         x = np.linalg.solve(gs, np.eye(len(g)))
         x += np.linalg.solve(gs, np.eye(len(g)) - gs @ x)
-        return GroupMatrix(n, x / scale)
-    return GroupMatrix(n, np.linalg.pinv(gs, rcond=1e-12) / scale, pseudo_inverse=True)
+        return GroupMatrix(x / scale)
+    return GroupMatrix(np.linalg.pinv(gs, rcond=1e-12) / scale, pseudo_inverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -176,22 +180,15 @@ def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
 
     Implements the common-fixed-point expansion quoted in the module
     docstring; gamma = 0 returns the plain Weingarten matrix (identical
-    object).  Defined for q >= n (the pseudo-inverse regime is flagged
-    through the underlying Weingarten matrices).
+    object).  Defined for q >= n.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
     if gamma == 0.0:
         return weingarten_matrix(n, q)
     tb = _tables(n)
-    # value depends only on (cycle type of p^-1 s, nF(p, s))
-    type_ids = tb.type_of[tb.rel]
-    pair_code = type_ids.astype(np.int64) * (n + 1) + tb.n_common_fixed
-    uniq, inverse = np.unique(pair_code, return_inverse=True)
-    values = np.empty(uniq.shape, dtype=float)
-    pseudo = False
-    for u_pos, code in enumerate(uniq):
-        t_id, nf = divmod(int(code), n + 1)
+    values = np.empty(len(tb.pair_classes), dtype=float)
+    for u_pos, (t_id, nf) in enumerate(tb.pair_classes):
         ctype = list(tb.types[t_id])
         total = 0.0
         for i in range(nf + 1):
@@ -200,8 +197,6 @@ def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
                 reduced.remove(1)
             m = n - i
             wg_t = _weingarten_by_type(m, q)
-            if m > 0 and weingarten_matrix(m, q).pseudo_inverse:
-                pseudo = True
             total += (
                 math.comb(nf, i)
                 * (gamma / q) ** i
@@ -209,7 +204,7 @@ def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
                 * wg_t[tuple(sorted(reduced, reverse=True))]
             )
         values[u_pos] = total
-    return GroupMatrix(n, values[inverse].reshape(tb.rel.shape), pseudo_inverse=pseudo)
+    return GroupMatrix(values[tb.pair_class])
 
 
 # ---------------------------------------------------------------------------

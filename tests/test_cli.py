@@ -8,6 +8,7 @@ from pauliscope.circuits import CircuitSpec
 from pauliscope.cli import main
 from pauliscope.csvio import read_csv_rows
 from pauliscope.driver import ExperimentConfig, run_ensemble, simulate_moments
+from pauliscope.rmpu import RmpuParams, rmpu_moment_exact
 from pauliscope.rtn import contract_brickwork_series
 
 CFG = {
@@ -92,6 +93,24 @@ def test_rmpu_commands(tmp_path):
     asym = read_csv_rows(out / "moments_rmpu_asymptotic.csv")
     assert len(exact) == 2 and len(asym) == 2
     assert exact[0]["engine"] == "rmpu_exact"
+
+
+def test_rmpu_exact_sweep_matches_single_points(tmp_path):
+    cfg = {
+        "circuit": {"geometry": "rmpu", "n_sites": 6, "r": 2, "master_seed": 3},
+        "sweep": {"n": [6, 7, 8, 9, 10, 11, 12], "gamma": [0.0, 0.03], "k": [1, 2, 3]},
+        "n_realizations": 1,
+    }
+    p = tmp_path / "rmpu.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["rmpu-exact", "--config", str(p), "--out", str(tmp_path)]) == 0
+    rows = read_csv_rows(tmp_path / "moments_rmpu_exact.csv")
+    # N outermost, then gamma, then k
+    want = [(n, g, k) for n in range(6, 13) for g in (0.0, 0.03) for k in (1, 2, 3)]
+    assert [(int(r["N"]), float(r["gamma"]), int(r["k"])) for r in rows] == want
+    for row, (n, g, k) in zip(rows, want):
+        single = rmpu_moment_exact([RmpuParams(n_sites=n, r=2, k=k, gamma=g)])[0]
+        assert float(row["value"]) == single
 
 
 def test_rtn_command(tmp_path):

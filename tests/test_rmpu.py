@@ -39,7 +39,7 @@ def test_left_boundary_structure():
 
 
 def test_single_gate_equals_global_haar():
-    val = rmpu_moment_exact(RmpuParams(n_sites=2, r=1, k=2))
+    val = rmpu_moment_exact([RmpuParams(n_sites=2, r=1, k=2)])[0]
     assert abs(val - global_haar_moment(4.0, 2)) < 1e-12 * val
 
 
@@ -66,7 +66,7 @@ def test_transfer_diagonal_dominance():
 
 def test_exact_matches_monte_carlo_noiseless():
     params = RmpuParams(n_sites=3, r=2, k=2)
-    exact = rmpu_moment_exact(params)
+    exact = rmpu_moment_exact([params])[0]
     spec = CircuitSpec(geometry="rmpu", n_sites=3, r=2, master_seed=31, initial_site=0)
     vals = [moment_nu(run_circuit(spec, i), 2) for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
@@ -75,7 +75,7 @@ def test_exact_matches_monte_carlo_noiseless():
 
 def test_exact_matches_monte_carlo_noisy():
     params = RmpuParams(n_sites=4, r=2, k=2, gamma=0.05)
-    exact = rmpu_moment_exact(params)
+    exact = rmpu_moment_exact([params])[0]
     spec = CircuitSpec(
         geometry="rmpu", n_sites=4, r=2, gamma=0.05, master_seed=77, initial_site=0
     )
@@ -86,10 +86,10 @@ def test_exact_matches_monte_carlo_noisy():
 
 def test_k1_transfer_pipeline():
     # noiseless nu_1 = 1 deterministically
-    assert rmpu_moment_exact(RmpuParams(n_sites=5, r=2, k=1)) == 1.0
+    assert rmpu_moment_exact([RmpuParams(n_sites=5, r=2, k=1)])[0] == 1.0
     # with noise: the S_2 transfer value, confirmed by Monte Carlo
     params = RmpuParams(n_sites=4, r=1, k=1, gamma=0.2)
-    exact = rmpu_moment_exact(params)
+    exact = rmpu_moment_exact([params])[0]
     assert abs(exact - 0.36130816) < 1e-10
     spec = CircuitSpec(
         geometry="rmpu", n_sites=4, r=1, gamma=0.2, master_seed=77, initial_site=0
@@ -97,6 +97,27 @@ def test_k1_transfer_pipeline():
     vals = [moment_nu(run_circuit(spec, i), 1) for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
+
+
+def test_grouped_points_match_single_points():
+    # two (r, k, gamma) groups interleaved, N shuffled, N = 7 of the first twice
+    first = [RmpuParams(n_sites=n, r=2, k=2, gamma=0.05) for n in (9, 4, 7, 3, 7)]
+    second = [RmpuParams(n_sites=n, r=1, k=3) for n in (6, 2, 5)]
+    points = [first[0], second[0], first[1], first[2], second[1], first[3],
+              second[2], first[4]]
+    values = rmpu_moment_exact(points)
+    assert values == [rmpu_moment_exact([p])[0] for p in points]
+    assert values[3] == values[7]  # the repeated N
+    assert len({values[i] for i in (0, 2, 3, 5)}) == 4  # distinct N, distinct values
+    op = transfer_matrix(first[0])  # unscaled reference at these small m
+    for p in first:
+        ref = float(op.L @ np.linalg.matrix_power(op.T, p.m - 1) @ op.R)
+        assert values[points.index(p)] == pytest.approx(ref, rel=1e-12)
+    # gamma = 1 keeps only the identity-identity coefficient, where L vanishes:
+    # the vector dies on the first step, so that m and every later one read 0.0
+    dead = [RmpuParams(n_sites=n, r=1, k=2, gamma=1.0) for n in (4, 2, 3)]
+    assert rmpu_moment_exact(dead) == [0.0, 0.0, 0.0]
+    assert rmpu_moment_exact([]) == []
 
 
 def test_asymptotic_examples():
@@ -114,8 +135,8 @@ def test_asymptotic_examples():
 
 def test_noiseless_reduction_is_bit_identical():
     for n_sites, r, k in ((4, 2, 2), (6, 3, 3)):
-        plain = rmpu_moment_exact(RmpuParams(n_sites=n_sites, r=r, k=k))
-        zero_gamma = rmpu_moment_exact(RmpuParams(n_sites=n_sites, r=r, k=k, gamma=0.0))
+        plain = rmpu_moment_exact([RmpuParams(n_sites=n_sites, r=r, k=k)])[0]
+        zero_gamma = rmpu_moment_exact([RmpuParams(n_sites=n_sites, r=r, k=k, gamma=0.0)])[0]
         assert plain == zero_gamma
         a = rmpu_moment_asymptotic(RmpuParams(n_sites=n_sites, r=r, k=2))
         b = rmpu_moment_asymptotic(RmpuParams(n_sites=n_sites, r=r, k=2, gamma=0.0))
@@ -128,7 +149,7 @@ def test_asymptotic_gap_halves_as_chi_doubles():
         for n_sites in (4, 6, 8, 10, 12):
             params = RmpuParams(n_sites=n_sites, r=r_of(n_sites), k=2)
             gaps.append(
-                abs(rmpu_moment_exact(params) - rmpu_moment_asymptotic(params))
+                abs(rmpu_moment_exact([params])[0] - rmpu_moment_asymptotic(params))
                 / rmpu_moment_asymptotic(params)
             )
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
@@ -139,7 +160,7 @@ def test_haar_floor():
     # noiseless exact moments approach (2k-1)!! from above as chi grows at fixed N
     for k in (2, 3):
         vals = [
-            rmpu_moment_exact(RmpuParams(n_sites=8, r=r, k=k)) for r in (3, 5, 7)
+            rmpu_moment_exact([RmpuParams(n_sites=8, r=r, k=k)])[0] for r in (3, 5, 7)
         ]
         assert all(v >= haar_moment(k) * (1 - 1e-9) for v in vals)
         assert abs(vals[-1] - haar_moment(k)) < abs(vals[0] - haar_moment(k))

@@ -64,7 +64,7 @@ def test_pauli_sum_and_seed_weights():
 
 def test_single_gate_matches_transfer_matrix():
     res = contract_brickwork_series(2, [1], k=2)[1]
-    ref = rmpu_moment_exact(RmpuParams(n_sites=2, r=1, k=2))
+    ref = rmpu_moment_exact([RmpuParams(n_sites=2, r=1, k=2)])[0]
     assert res.truncation_error == 0.0
     assert abs(res.value - ref) < 1e-10 * ref
 

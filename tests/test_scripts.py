@@ -8,6 +8,7 @@ from pathlib import Path
 
 from pauliscope.cli import main
 from pauliscope.csvio import HISTOGRAM_HEADER, MSE_HEADER, read_csv_rows
+from pauliscope.rmpu import scaling_predictions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +66,8 @@ def test_run_threshold_scan_finds_the_sign_change(tmp_path):
     assert lines[0] == "gammaN,kappa,kappa_stderr,r_squared,n_points"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.5"]
     assert "(1 sign change(s);" in stdout
+    prediction = scaling_predictions().gamma_c_times_n
+    assert f"prediction log((d^2+1)/(2d)) = {prediction:.4f})" in stdout
     # the threshold subcommand reads it and finds the crossing the script printed
     out_json = tmp_path / "threshold.json"
     assert main(["threshold", "--input", str(kappa_csv), "--out", str(out_json)]) == 0
