@@ -203,8 +203,8 @@ def cmd_selftest(args) -> int:
         failures += 0 if ok else 1
 
     for n, q in ((2, 4.0), (4, 2.0), (4, 8.0)):
-        g = gram_matrix(n, q).entries
-        w = weingarten_matrix(n, q).entries
+        g = gram_matrix(n, q)
+        w = weingarten_matrix(n, q)
         rel = float(np.max(np.abs(g @ w @ g - g)) / np.max(np.abs(g)))
         check(f"gram-inverse n={n} q={q}", rel < 1e-10, f"resid={rel:.1e}")
 

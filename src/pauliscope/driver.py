@@ -26,8 +26,17 @@ from .spectrum import (
     spectrum_histogram,
 )
 from .truncation import truncation_mse
+from .weingarten import MAX_DEGREE
 
 ENGINES = ("simulator", "rtn", "rmpu_exact", "rmpu_asymptotic")
+
+#: the replica orders k each engine evaluates, as a closed range
+_K_RANGES = {
+    "simulator": (1, math.inf),
+    "rtn": (1, 2),
+    "rmpu_exact": (1, MAX_DEGREE // 2),
+    "rmpu_asymptotic": (2, math.inf),
+}
 
 
 @dataclass
@@ -67,6 +76,10 @@ class ExperimentConfig:
             raise ValueError("need n_realizations >= 2 for standard errors")
         if self.threads < 1:
             raise ValueError(f"threads={self.threads} must be >= 1")
+        k_lo, k_hi = _K_RANGES[self.engine]
+        bad_k = [k for k in self.sweep.k if not k_lo <= k <= k_hi]
+        if bad_k:
+            raise ValueError(f"sweep.k {bad_k} outside [{k_lo}, {k_hi}] for engine {self.engine}")
         if self.chi_mps < 1:
             raise ValueError(f"chi_mps={self.chi_mps} must be >= 1")
         if not 0.0 <= self.svd_threshold < 1.0:

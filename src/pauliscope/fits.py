@@ -99,7 +99,6 @@ def locate_threshold(
 class LineFit:
     slope: float
     slope_stderr: float
-    intercept: float
     r_squared: float
 
 
@@ -123,4 +122,4 @@ def weighted_line_fit(
     ybar = sy / s0
     ss_tot = float(np.sum(w * (y - ybar) ** 2))
     r2 = 1.0 - float(np.sum(w * resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return LineFit(float(slope), math.sqrt(s0 / delta), float(intercept), r2)
+    return LineFit(float(slope), math.sqrt(s0 / delta), r2)

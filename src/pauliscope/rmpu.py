@@ -73,46 +73,18 @@ class RmpuParams:
         return self.d ** (self.r + 1)
 
 
-def lambda_matrices(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of Lam1 and Lam2 over the fixed enumeration of S_n."""
-    if n % 2:
-        raise ValueError("replica count n must be even")
-    tb = _tables(n)
-    lam1 = (float(d) ** tb.cycles).astype(float)
-    lam2 = pauli_sum_weights(n, float(d))
-    return lam1, lam2
-
-
-@dataclass
-class TransferOperator:
-    """Transfer matrix and boundary vectors over S_2k."""
-
-    T: np.ndarray
-    L: np.ndarray
-    R: np.ndarray
-
-
-def boundary_vectors(params: RmpuParams) -> tuple[np.ndarray, np.ndarray]:
-    """(L, R) boundary vectors; gamma = 0 uses the plain Weingarten in R."""
+def transfer_matrix(params: RmpuParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, L, R) over S_2k: T = Lam1 Wg~(d*chi, gamma) Lam2 G(chi) and the
+    boundary vectors of the module docstring."""
     n = 2 * params.k
-    lam1, lam2 = lambda_matrices(n, params.d)
-    left = traceless_seed_weights(n, float(params.chi))
-    wg = noisy_weingarten(n, float(params.gate_dim), params.gamma).entries
-    right = lam1 * (wg @ lam2 ** (params.r + 1))
-    return left, right
-
-
-def transfer_matrix(params: RmpuParams) -> TransferOperator:
-    """Exact transfer operator T = Lam1 Wg~(d*chi, gamma) Lam2 G(chi)."""
-    n = 2 * params.k
-    if n > 6:
-        raise ValueError("transfer matrices supported for 2k <= 6")
-    lam1, lam2 = lambda_matrices(n, params.d)
+    lam1 = float(params.d) ** _tables(n).cycles
+    lam2 = pauli_sum_weights(n, float(params.d))
     wg = noisy_weingarten(n, float(params.gate_dim), params.gamma)
-    g = gram_matrix(n, float(params.chi)).entries
-    t = (lam1[:, None] * wg.entries) @ (lam2[:, None] * g)
-    left, right = boundary_vectors(params)
-    return TransferOperator(t, left, right)
+    g = gram_matrix(n, float(params.chi))
+    t = (lam1[:, None] * wg) @ (lam2[:, None] * g)
+    left = traceless_seed_weights(n, float(params.chi))
+    right = lam1 * (wg @ lam2 ** (params.r + 1))
+    return t, left, right
 
 
 def rescale_pow2(arr: np.ndarray, peak: float) -> float:
@@ -130,22 +102,26 @@ def unscale(val: float, log_scale: float) -> float:
     return math.copysign(math.exp(log_scale + math.log(abs(val))), val)
 
 
-def _scaled_product(op: TransferOperator, ms: Sequence[int]) -> list[float]:
-    """L^T T^(m-1) R at each of the ascending ``ms``, read off one pass of the
-    running vector with power-of-two rescaling; 0.0 once the vector vanishes."""
+def _scaled_product(
+    op: tuple[np.ndarray, np.ndarray, np.ndarray], ms: Sequence[int]
+) -> list[float]:
+    """L^T T^(m-1) R for ``op = (T, L, R)`` at each of the ascending ``ms``,
+    read off one pass of the running vector with power-of-two rescaling;
+    0.0 once the vector vanishes."""
+    t, left, right = op
     out: list[float] = []
-    v = op.L.copy()
+    v = left.copy()
     log_scale = 0.0
     steps = 1
     for m in ms:
         while steps < m:
-            v = v @ op.T
+            v = v @ t
             peak = float(np.max(np.abs(v)))
             if peak == 0.0:
                 return out + [0.0] * (len(ms) - len(out))
             log_scale += rescale_pow2(v, peak)
             steps += 1
-        out.append(unscale(float(v @ op.R), log_scale))
+        out.append(unscale(float(v @ right), log_scale))
     return out
 
 
@@ -189,7 +165,7 @@ def global_haar_moment(q: float, k: int) -> float:
     n = 2 * k
     top = pauli_sum_weights(n, q)
     bottom = traceless_seed_weights(n, q)
-    return float(top @ weingarten_matrix(n, q).entries @ bottom)
+    return float(top @ weingarten_matrix(n, q) @ bottom)
 
 
 @dataclass(frozen=True)

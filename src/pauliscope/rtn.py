@@ -51,7 +51,7 @@ def _wire_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, f_top, g_op): coordinates of permutation states in an orthonormal
     basis of their span (C[:, s] are the coordinates of |s>>), plus the top
     and operator-seed boundary functionals expressed in that basis."""
-    g = gram_matrix(n, 2.0).entries
+    g = gram_matrix(n, 2.0)
     evals, evecs = np.linalg.eigh(g)
     keep = evals > 1e-12 * evals[-1]
     coords = (evecs[:, keep] * np.sqrt(evals[keep])).T  # (rank, n!)
@@ -220,7 +220,7 @@ class BrickworkContraction:
         self.op_site = n_sites // 2 if op_site is None else op_site
         self.lightcone = lightcone
         n = 2 * k
-        w_noisy = noisy_weingarten(n, 4.0, gamma).entries
+        w_noisy = noisy_weingarten(n, 4.0, gamma)
         coords, self.f_top, self.g_op = _wire_basis(n)
         rank = coords.shape[0]
         if engine == "auto":

@@ -125,21 +125,20 @@ class SpectrumHistogram:
     zero_mass: float
 
 
-def spectrum_histogram(
-    coeffs: PauliCoefficients,
-    n_bins: int = 60,
-    u_min: float = 1e-6,
-    u_max: float = 1e3,
-) -> SpectrumHistogram:
-    """Histogram of the rescaled Pauli spectrum of one operator."""
-    if not (u_min > 0 and u_max > u_min and n_bins >= 1):
-        raise ValueError("need u_max > u_min > 0 and n_bins >= 1")
+#: the one histogram grid: HIST_BINS log-spaced bins of u from HIST_U_MIN to HIST_U_MAX
+HIST_BINS = 60
+HIST_U_MIN = 1e-6
+HIST_U_MAX = 1e3
+
+
+def spectrum_histogram(coeffs: PauliCoefficients) -> SpectrumHistogram:
+    """Histogram of the rescaled Pauli spectrum of one operator on the fixed grid."""
     pi = pi_distribution(coeffs)
     d2 = float(4.0**coeffs.n_sites)
     u = d2 * pi
-    edges = np.geomspace(u_min, u_max, n_bins + 1)
-    below = int(np.count_nonzero(u < u_min))
-    counts, _ = np.histogram(np.clip(u, u_min, np.nextafter(u_max, 0.0)), bins=edges)
+    edges = np.geomspace(HIST_U_MIN, HIST_U_MAX, HIST_BINS + 1)
+    below = int(np.count_nonzero(u < HIST_U_MIN))
+    counts, _ = np.histogram(np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0)), bins=edges)
     counts = counts.astype(float)
     counts[0] -= below  # clipped-from-below entries landed in bin 0
     density = counts / d2 / np.diff(edges)

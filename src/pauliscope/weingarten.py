@@ -1,11 +1,14 @@
-"""Symmetric-group combinatorics and (noisy) Weingarten matrices.
+"""Symmetric-group tables and (noisy) Weingarten matrices as plain arrays.
 
 Haar averages of n copies of U and U* reduce to sums over permutation
 operators: E[(U x U*)^n] = sum_{p,s} Wg_{p,s}(q) |p>><<s| where Wg(q) is
-the (pseudo)inverse of the Gram matrix G_{p,s}(q) = q^#(p^-1 s) of
-permutation-state overlaps (# counts cycles).  A Haar gate followed by a
-depolarizing channel of rate gamma on its full q-dimensional support has
-the same form with modified coefficients
+the pseudo-inverse of the Gram matrix G_{p,s}(q) = q^#(p^-1 s) of
+permutation-state overlaps (# counts cycles).  For q >= n the Gram matrix
+is invertible and Wg is its inverse; for q < n the permutation operators are
+linearly dependent, G is singular, and its pseudo-inverse *is* the
+Weingarten matrix: the sum above is still the exact Haar average.  A Haar
+gate followed by a depolarizing channel of rate gamma on its full
+q-dimensional support has the same form with modified coefficients
 
     Wg~_{p,s}(q, gamma) = sum_{i=0}^{nF(p,s)} C(nF, i) (gamma/q)^i
                           (1-gamma)^(n-i) Wg^(n-i)_{p~(i), s~(i)}(q),
@@ -13,78 +16,50 @@ the same form with modified coefficients
 where nF(p,s) counts common fixed points and p~(i) removes i of them
 (which ones is irrelevant: Wg depends only on the cycle type of p^-1 s).
 
-All matrices are dense over a fixed enumeration of S_n (lexicographic by
-image, identity first) and memoized per (n, q[, gamma]).
+Every matrix is a dense n! x n! numpy array over one enumeration of S_n,
+``itertools.permutations`` order (lexicographic by image, identity first).
+The arrays are memoized per (n, q[, gamma]) and shared between callers, so
+they are read-only.  The degree is capped at MAX_DEGREE, checked in
+``_tables`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-MAX_DEGREE = 8  # 8! = 40320 hard cap on the enumeration
+#: largest degree n: the pair tables are 720 x 720 at n = 6, i.e. k <= 3
+MAX_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Element of S_n with its cycle type (lengths, descending) cached."""
-
-    image: tuple[int, ...]
-    cycle_type: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
-            raise ValueError(f"{self.image} is not a bijection on 0..{n - 1}")
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-                length += 1
+def _cycle_type(image: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of a permutation, descending."""
+    seen = [False] * len(image)
+    lengths = []
+    for start in range(len(image)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = image[j]
+            length += 1
+        if length:
             lengths.append(length)
-        object.__setattr__(self, "cycle_type", tuple(sorted(lengths, reverse=True)))
-
-    @property
-    def cycles(self) -> int:
-        return len(self.cycle_type)
-
-    @property
-    def even_cycles_only(self) -> bool:
-        return bool(self.cycle_type) and all(c % 2 == 0 for c in self.cycle_type)
-
-
-@lru_cache(maxsize=None)
-def enumerate_group(n: int) -> tuple[Permutation, ...]:
-    """All n! permutations, lexicographic by image; index 0 is the identity."""
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree n={n} outside [1, {MAX_DEGREE}]")
-    return tuple(Permutation(img) for img in itertools.permutations(range(n)))
-
-
-# ---------------------------------------------------------------------------
-# vectorized per-degree tables
+    return tuple(sorted(lengths, reverse=True))
 
 
 class _GroupTables:
     """Integer tables for S_n: relative-element index, cycle counts, types."""
 
     def __init__(self, n: int):
-        perms = enumerate_group(n)
+        perms = list(itertools.permutations(range(n)))
+        cycle_types = [_cycle_type(p) for p in perms]
         size = len(perms)
-        self.images = np.array([p.image for p in perms], dtype=np.int64)
-        self.cycles = np.array([p.cycles for p in perms], dtype=np.int64)
-        self.even = np.array([p.even_cycles_only for p in perms], dtype=bool)
-        self.fixed_mask = self.images == np.arange(n)[None, :]
+        self.images = np.array(perms, dtype=np.int64)
+        self.cycles = np.array([len(t) for t in cycle_types], dtype=np.int64)
+        self.even = np.array([all(c % 2 == 0 for c in t) for t in cycle_types], dtype=bool)
         inv_images = np.empty_like(self.images)
         rows = np.arange(size)[:, None]
         inv_images[rows, self.images] = np.arange(n)[None, :]
@@ -99,19 +74,14 @@ class _GroupTables:
             pos = np.searchsorted(codes[order], comp @ weights)
             rel[a] = order[pos]
         self.rel = rel
-        types = sorted({p.cycle_type for p in perms})
-        self.type_index = {t: i for i, t in enumerate(types)}
-        self.types = types
-        self.type_of = np.array(
-            [self.type_index[p.cycle_type] for p in perms], dtype=np.int32
-        )
-        # common fixed points for every pair
-        self.n_common_fixed = (
-            self.fixed_mask.astype(np.int16) @ self.fixed_mask.astype(np.int16).T
-        ).astype(np.int32)
+        self.types = sorted(set(cycle_types))
+        type_index = {t: i for i, t in enumerate(self.types)}
+        self.type_of = np.array([type_index[t] for t in cycle_types], dtype=np.int32)
         # noisy Weingarten entries depend only on (cycle type of p^-1 s, nF(p, s)):
         # pair_class[p, s] indexes that pair's (type id, nF) in pair_classes
-        pair_code = self.type_of[rel].astype(np.int64) * (n + 1) + self.n_common_fixed
+        fixed = (self.images == np.arange(n)[None, :]).astype(np.int16)
+        n_common_fixed = (fixed @ fixed.T).astype(np.int32)
+        pair_code = self.type_of[rel].astype(np.int64) * (n + 1) + n_common_fixed
         codes, inverse = np.unique(pair_code, return_inverse=True)
         self.pair_classes = [divmod(int(c), n + 1) for c in codes]
         self.pair_class = inverse.reshape(rel.shape).astype(np.int32)
@@ -119,46 +89,42 @@ class _GroupTables:
 
 @lru_cache(maxsize=None)
 def _tables(n: int) -> _GroupTables:
-    if n > 6:
-        # 720^2 pair tables are the supported analytic range (k <= 3)
-        raise ValueError(f"group matrices supported for n <= 6, got n={n}")
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree n={n} outside [1, {MAX_DEGREE}]")
     return _GroupTables(n)
 
 
-@dataclass
-class GroupMatrix:
-    """Dense n! x n! matrix over the fixed enumeration of S_n."""
-
-    entries: np.ndarray
-    pseudo_inverse: bool = False
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
-def gram_matrix(n: int, q: float) -> GroupMatrix:
+def gram_matrix(n: int, q: float) -> np.ndarray:
     """Overlap matrix G_{p,s}(q) = q^#(p^-1 s); diagonal q^n."""
     if q < 2:
         raise ValueError("q must be >= 2")
     tb = _tables(n)
-    return GroupMatrix(float(q) ** tb.cycles[tb.rel])
+    return _read_only(float(q) ** tb.cycles[tb.rel])
 
 
 @lru_cache(maxsize=None)
-def weingarten_matrix(n: int, q: float) -> GroupMatrix:
-    """(Pseudo)inverse of the Gram matrix.
+def weingarten_matrix(n: int, q: float) -> np.ndarray:
+    """Weingarten matrix: the pseudo-inverse of the Gram matrix.
 
     For q >= n the Gram matrix is invertible: solved in double precision
     (scaled by q^-n for conditioning) with one step of iterative refinement.
-    For q < n an SVD pseudoinverse with cutoff 1e-12 * sigma_max is used and
-    the result is flagged ``pseudo_inverse``.
+    For q < n it is singular and an SVD pseudo-inverse with cutoff
+    1e-12 * sigma_max is the Weingarten matrix (module docstring).
     """
-    g = gram_matrix(n, q).entries
+    g = gram_matrix(n, q)
     scale = float(q) ** n
     gs = g / scale
     if q >= n:
         x = np.linalg.solve(gs, np.eye(len(g)))
         x += np.linalg.solve(gs, np.eye(len(g)) - gs @ x)
-        return GroupMatrix(x / scale)
-    return GroupMatrix(np.linalg.pinv(gs, rcond=1e-12) / scale, pseudo_inverse=True)
+        return _read_only(x / scale)
+    return _read_only(np.linalg.pinv(gs, rcond=1e-12) / scale)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +133,7 @@ def _weingarten_by_type(n: int, q: float) -> dict[tuple[int, ...], float]:
     if n == 0:
         return {(): 1.0}
     tb = _tables(n)
-    wg = weingarten_matrix(n, q).entries
+    wg = weingarten_matrix(n, q)
     out = {}
     for idx, t in enumerate(tb.type_of):
         out.setdefault(tb.types[t], float(wg[0, idx]))
@@ -175,12 +141,13 @@ def _weingarten_by_type(n: int, q: float) -> dict[tuple[int, ...], float]:
 
 
 @lru_cache(maxsize=None)
-def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
+def noisy_weingarten(n: int, q: float, gamma: float) -> np.ndarray:
     """Weingarten coefficients of a Haar gate followed by depolarizing noise.
 
     Implements the common-fixed-point expansion quoted in the module
     docstring; gamma = 0 returns the plain Weingarten matrix (identical
-    object).  Defined for q >= n.
+    object).  Valid for every q >= 2: for q < n the expansion's Weingarten
+    matrices are the pseudo-inverses of the module docstring.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
@@ -204,7 +171,7 @@ def noisy_weingarten(n: int, q: float, gamma: float) -> GroupMatrix:
                 * wg_t[tuple(sorted(reduced, reverse=True))]
             )
         values[u_pos] = total
-    return GroupMatrix(values[tb.pair_class])
+    return _read_only(values[tb.pair_class])
 
 
 # ---------------------------------------------------------------------------
@@ -223,4 +190,3 @@ def traceless_seed_weights(n: int, d: float) -> np.ndarray:
     d^#(sigma) on even-cycle-only permutations, else 0."""
     tb = _tables(n)
     return np.where(tb.even, d ** tb.cycles.astype(float), 0.0)
-

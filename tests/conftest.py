@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pauliscope.weingarten import enumerate_group
+from pauliscope.weingarten import _tables
 
 # every run draws the same examples, so tier-1 reruns are identical
 settings.register_profile("deterministic", derandomize=True)
@@ -61,10 +61,10 @@ def permutation_vectors(n: int, q: int) -> np.ndarray:
     interleaved (row, col) index pairs per replica, matching
     kron(M, M, ..., M) ordering of per-replica superoperators.
     """
-    perms = enumerate_group(n)
-    out = np.zeros((len(perms), q ** (2 * n)))
-    for s_idx, perm in enumerate(perms):
-        inv = np.argsort(perm.image)
+    images = _tables(n).images
+    out = np.zeros((len(images), q ** (2 * n)))
+    for s_idx, image in enumerate(images):
+        inv = np.argsort(image)
         v = np.zeros((q,) * (2 * n))
         for idx in itertools.product(range(q), repeat=n):
             pos = [0] * (2 * n)

@@ -82,10 +82,17 @@ RMPU_SIM = {
           "sweep": {"n": [4, 6]}}, "initial_site cannot be combined with sweep.n"),
         # every engine, the rtn contraction included, stops at circuit.depth
         ({**BASE, "engine": "rtn", "sweep": {"t": [2, 9], "k": [2]}}, r"sweep.t \[9\]"),
+        # each engine's replica orders, checked before any engine starts
+        ({**BASE, "sweep": {"t": [2], "k": [0, 2]}}, r"sweep.k \[0\]"),
+        ({**BASE, "engine": "rtn", "sweep": {"t": [2], "k": [2, 3]}}, r"sweep.k \[3\]"),
+        ({**RMPU_SIM, "engine": "rmpu_exact", "sweep": {"n": [4], "k": [4]}},
+         r"sweep.k \[4\] outside \[1, 3\]"),
+        ({**RMPU_SIM, "engine": "rmpu_asymptotic", "sweep": {"n": [4], "k": [1, 2]}},
+         r"sweep.k \[1\]"),
     ],
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
          "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep",
-         "rtn_t_above_depth"],
+         "rtn_t_above_depth", "simulator_k", "rtn_k", "rmpu_exact_k", "rmpu_asymptotic_k"],
 )
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(ValueError, match=message):

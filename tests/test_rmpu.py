@@ -6,32 +6,44 @@ import pytest
 from pauliscope.circuits import CircuitSpec, run_circuit
 from pauliscope.rmpu import (
     RmpuParams,
-    boundary_vectors,
     global_haar_moment,
-    lambda_matrices,
     rmpu_moment_asymptotic,
     rmpu_moment_exact,
     scaling_predictions,
     transfer_matrix,
 )
 from pauliscope.spectrum import haar_moment, moment_nu
-from pauliscope.weingarten import _tables, enumerate_group
+
+from conftest import decode_pauli, pauli_matrix
+from pauliscope.weingarten import (
+    _tables,
+    gram_matrix,
+    noisy_weingarten,
+    pauli_sum_weights,
+)
 
 
 def pairing_index():
-    return next(i for i, p in enumerate(enumerate_group(4)) if p.image == (1, 0, 3, 2))
+    return _tables(4).images.tolist().index([1, 0, 3, 2])
 
 
 def test_lambda_matrix_values():
-    lam1, lam2 = lambda_matrices(4, 2)
+    tb = _tables(4)
+    lam1, lam2 = 2.0**tb.cycles, pauli_sum_weights(4, 2.0)
     assert lam1[0] == 16.0 and lam2[0] == 4.0  # identity: d^4 and d^(4-2)
     assert lam2[pairing_index()] == 4.0  # pairing: d^(2+2-2)
-    tb = _tables(4)
     assert np.allclose(lam2, lam1 * 2.0 ** (2 * tb.even.astype(int)) / 4.0)
+    # T = Lam1 Wg~(d chi, gamma) Lam2 G(chi) and R = Lam1 Wg~ Lam2^(r+1) 1
+    params = RmpuParams(n_sites=4, r=2, k=2, gamma=0.1)
+    t, _, right = transfer_matrix(params)
+    wg = noisy_weingarten(4, 8.0, 0.1)
+    assert np.allclose(t, np.diag(lam1) @ wg @ np.diag(lam2) @ gram_matrix(4, 4.0),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(right, lam1 * (wg @ lam2**3), rtol=1e-12, atol=0)
 
 
 def test_left_boundary_structure():
-    left, _ = boundary_vectors(RmpuParams(n_sites=2, r=1, k=2))
+    _, left, _ = transfer_matrix(RmpuParams(n_sites=2, r=1, k=2))
     # 9 even-cycle permutations of S4: 3 pairings at chi^2, 6 four-cycles at chi
     assert np.count_nonzero(left) == 9
     assert sorted(left[left > 0]) == [2, 2, 2, 2, 2, 2, 4, 4, 4]
@@ -52,7 +64,7 @@ def test_transfer_diagonal_dominance():
     prev_err = None
     for r in (2, 3, 4, 5, 6):
         params = RmpuParams(n_sites=r + 2, r=r, k=2)
-        t = transfer_matrix(params).T
+        t = transfer_matrix(params)[0]
         a = 2.0 ** (2 * tb.cycles + 2 * tb.even.astype(int) - 2 - 4)
         rel = np.abs(np.diag(t) - a) / a
         err = float(np.max(rel))
@@ -84,6 +96,53 @@ def test_exact_matches_monte_carlo_noisy():
     assert abs(mean - exact) < 3 * se
 
 
+def haar_batch(dim: int, size: int, rng) -> np.ndarray:
+    """``size`` Haar unitaries: QR of Ginibre matrices with R's diagonal made positive."""
+    z = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def dense_staircase_nu(n_sites, k, gamma, n_samples, rng, chunk=10_000):
+    """Mean and standard error of nu_k over r = 1 staircases, by dense matrices.
+
+    Z on site 0 is conjugated by a Haar gate on sites (s, s+1) for s = 0..N-2,
+    each gate followed by O <- (1-gamma) O + gamma Tr_S[O] x 1_S/4 on its
+    support S; a_P = Tr[P O]/D is read off every Pauli word.
+    """
+    dim = 2**n_sites
+    paulis = np.array([pauli_matrix(decode_pauli(i, n_sites)) for i in range(dim * dim)])
+    trace_with = paulis.transpose(0, 2, 1).reshape(dim * dim, dim * dim).T
+    vals = []
+    for start in range(0, n_samples, chunk):
+        b = min(chunk, n_samples - start)
+        op = np.broadcast_to(pauli_matrix("Z" + "I" * (n_sites - 1)), (b, dim, dim))
+        for s in range(n_sites - 1):
+            # matrix index bits: site s+1, s sit between 2^(N-s-2) higher and 2^s lower
+            hi, lo = 2 ** (n_sites - s - 2), 2**s
+            u = haar_batch(4, b, rng)
+            t = op.reshape(b, hi, 4, lo, hi, 4, lo)
+            t = np.einsum("bjk,bxjyzlw,blm->bxkyzmw", u.conj(), t, u, optimize=True)
+            traced = np.einsum("bxjyzjw->bxyzw", t)
+            t = (1 - gamma) * t + gamma * np.einsum("bxyzw,jl->bxjyzlw", traced, np.eye(4) / 4)
+            op = t.reshape(b, dim, dim)
+        a2 = np.square((op.reshape(b, dim * dim) @ trace_with).real / dim)
+        vals.append(dim ** (2 * k - 2) * np.sum(a2**k, axis=1))
+    vals = np.concatenate(vals)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(n_samples)
+
+
+@pytest.mark.parametrize("gamma, n_samples", [(0.0, 120_000), (0.1, 170_000)])
+def test_exact_matches_dense_haar_average_for_q_below_2k(gamma, n_samples):
+    # r = 1, k = 3: the gate dimension q = 4 is below n = 2k = 6, where the
+    # Weingarten matrices are pseudo-inverses of singular Gram matrices
+    exact = rmpu_moment_exact([RmpuParams(n_sites=3, r=1, k=3, gamma=gamma)])[0]
+    mean, se = dense_staircase_nu(3, 3, gamma, n_samples, np.random.default_rng(8))
+    assert se <= 0.005 * exact
+    assert abs(mean - exact) < 3 * se
+
+
 def test_k1_transfer_pipeline():
     # noiseless nu_1 = 1 deterministically
     assert rmpu_moment_exact([RmpuParams(n_sites=5, r=2, k=1)])[0] == 1.0
@@ -109,9 +168,9 @@ def test_grouped_points_match_single_points():
     assert values == [rmpu_moment_exact([p])[0] for p in points]
     assert values[3] == values[7]  # the repeated N
     assert len({values[i] for i in (0, 2, 3, 5)}) == 4  # distinct N, distinct values
-    op = transfer_matrix(first[0])  # unscaled reference at these small m
+    t, left, right = transfer_matrix(first[0])  # unscaled reference at these small m
     for p in first:
-        ref = float(op.L @ np.linalg.matrix_power(op.T, p.m - 1) @ op.R)
+        ref = float(left @ np.linalg.matrix_power(t, p.m - 1) @ right)
         assert values[points.index(p)] == pytest.approx(ref, rel=1e-12)
     # gamma = 1 keeps only the identity-identity coefficient, where L vanishes:
     # the vector dies on the first step, so that m and every later one read 0.0

@@ -125,13 +125,23 @@ def test_histogram_overflow_mass_in_last_bin():
 
 
 def test_histogram_moment_reconstruction(rng):
-    # int u^k Pi(u) du = mu_k, up to binning error
-    coeffs = pauli_transform(random_hermitian(4, rng))
-    hist = spectrum_histogram(coeffs, n_bins=4000, u_min=1e-8, u_max=1e4)
-    edges = hist.bin_edges
-    recon = np.sum(hist.density * edges[:-1] * edges[1:] * np.diff(edges))
-    exact = moment_mu(coeffs, 2)
-    assert abs(recon - exact) < 2e-3 * exact
+    for _ in range(5):
+        coeffs = pauli_transform(random_hermitian(4, rng))
+        hist = spectrum_histogram(coeffs)
+        edges, widths = hist.bin_edges, np.diff(hist.bin_edges)
+        assert len(widths) == 60 and edges[0] == 1e-6 and edges[-1] == pytest.approx(1e3)
+        # density * width is each bin's share of the 4^4 strings, the last bin
+        # also holding every u at or above the grid's top edge
+        a2 = np.square(coeffs.values)
+        u = 4.0**4 * a2 / np.sum(a2)
+        counts = np.array([np.count_nonzero((lo <= u) & (u < hi))
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+        counts[-1] += np.count_nonzero(u >= edges[-1])
+        assert np.max(np.abs(hist.density * widths - counts / 4.0**4)) < 1e-12
+        # int u^2 Pi(u) du = mu_2, up to the 60-bin grid's binning error
+        recon = np.sum(hist.density * edges[:-1] * edges[1:] * widths)
+        exact = moment_mu(coeffs, 2)
+        assert abs(recon - exact) < 0.05 * exact
 
 
 def test_stable_sum_matches_fsum(rng):

@@ -1,9 +1,11 @@
-"""Every public name in the package is reached by the program itself.
+"""Every public name and every stored field in the package is read by the program.
 
 A top-level function, class or constant of ``src/pauliscope`` stays only if
 a subcommand, a script or ``selftest`` can reach it: some other statement in
 ``src/`` or ``scripts/`` must use it.  Reference code that only tests compare
-against lives in ``tests/conftest.py``.
+against lives in ``tests/conftest.py``.  Likewise a dataclass field or
+``self.<attr>`` stays only if some statement in ``src/``, ``scripts/`` or
+``perfbench/`` reads an attribute of that name.
 """
 
 import ast
@@ -65,3 +67,48 @@ def test_public_names_are_reached():
     )
     extra = sorted(unreached - RESERVED)
     assert not extra, f"only tests reach {extra}; move them to tests/"
+
+
+def _stored_fields(tree):
+    """(class, attribute) for each dataclass field and ``self.<attr>`` store."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield cls.name, stmt.target.id
+        for sub in ast.walk(cls):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                yield cls.name, sub.attr
+
+
+def _read_attributes(tree) -> set[str]:
+    """Attribute names a module reads: loads, ``x.a += ...`` and ``getattr(x, "a")``."""
+    read = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Attribute):
+            read.add(sub.target.attr)
+        elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+              and sub.func.id == "getattr" and len(sub.args) > 1
+              and isinstance(sub.args[1], ast.Constant)):
+            read.add(sub.args[1].value)
+    return read
+
+
+def test_stored_fields_are_read():
+    """A dataclass field or ``self.<attr>`` of the package is state some statement
+    in ``src/``, ``scripts/`` or ``perfbench/`` reads back; otherwise delete it."""
+    stored = set()
+    read = set()
+    for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            if folder == PACKAGE:
+                stored.update((path.stem, cls, attr) for cls, attr in _stored_fields(tree))
+            read |= _read_attributes(tree)
+    unread = sorted(".".join(field) for field in stored if field[2] not in read)
+    assert not unread, f"stored but never read: {unread}"
