@@ -18,7 +18,8 @@ Noise placements:
 * ``per_gate_support``    -- one joint depolarizing channel of rate gamma on
   the full support of each gate, immediately after it (the staircase/RMPU
   convention; fidelity (1-gamma)^{#gates}).
-* ``none``                -- noiseless.
+
+``gamma = 0`` is the noiseless circuit under either placement.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .opsim import (
 from .pauli import PauliCoefficients
 
 GEOMETRIES = ("chain", "grid", "rmpu")
-NOISE_PLACEMENTS = ("per_qubit_per_layer", "per_gate_support", "none")
+NOISE_PLACEMENTS = ("per_qubit_per_layer", "per_gate_support")
 
 
 @dataclass
@@ -159,7 +160,7 @@ def circuit_fidelity(spec: CircuitSpec, depth: Optional[int] = None) -> float:
     per_qubit_per_layer: (1-gamma)^(N*t); per_gate_support: (1-gamma)^{#gates}.
     """
     t = spec.n_layers if depth is None else depth
-    if spec.gamma == 0.0 or spec.noise_placement == "none":
+    if spec.gamma == 0.0:
         return 1.0
     if spec.noise_placement == "per_qubit_per_layer":
         return (1.0 - spec.gamma) ** (spec.n_sites * t)
@@ -190,9 +191,8 @@ def iter_circuit(
     """
     rng = realization_rng(spec.master_seed, realization)
     op = init_local_pauli(spec.n_sites, spec.initial_site, spec.initial_axis)
-    noisy = spec.gamma > 0.0 and spec.noise_placement != "none"
-    per_site_noise = noisy and spec.noise_placement == "per_qubit_per_layer"
-    per_gate_noise = noisy and spec.noise_placement == "per_gate_support"
+    per_site_noise = spec.gamma > 0.0 and spec.noise_placement == "per_qubit_per_layer"
+    per_gate_noise = spec.gamma > 0.0 and spec.noise_placement == "per_gate_support"
     cone = {spec.initial_site}
     for t in range(spec.n_layers):
         for support in layer_supports(spec, t):

@@ -87,17 +87,15 @@ def _finish(cfg: ExperimentConfig, command: str, t0: float, writers: dict) -> No
     write_sidecar(out / f"{stem}.meta.json", cfg.resolved(), time.time() - t0)
 
 
-def cmd_moments(args) -> int:
-    cfg = _load_config(args)
+def cmd_moments(cfg: ExperimentConfig, command: str) -> int:
     t0 = time.time()
     rows = run_ensemble(cfg)
     writer = partial(write_moments_csv, estimates=rows, engine=cfg.engine)
-    _finish(cfg, args.command, t0, {COMMANDS[args.command][1]: writer})
+    _finish(cfg, command, t0, {COMMANDS[command][1]: writer})
     return 0
 
 
-def cmd_spectrum_hist(args) -> int:
-    cfg = _load_config(args)
+def cmd_spectrum_hist(cfg: ExperimentConfig, command: str) -> int:
     t0 = time.time()
     ensembles = []
     for spec in cfg.points():
@@ -106,12 +104,11 @@ def cmd_spectrum_hist(args) -> int:
             simulate_histogram(spec, depths, cfg.n_realizations, threads=cfg.threads)
         )
     writer = partial(write_histogram_csv, ensembles=ensembles, seed=cfg.circuit.master_seed)
-    _finish(cfg, args.command, t0, {COMMANDS[args.command][1]: writer})
+    _finish(cfg, command, t0, {COMMANDS[command][1]: writer})
     return 0
 
 
-def cmd_truncate_mse(args) -> int:
-    cfg = _load_config(args)
+def cmd_truncate_mse(cfg: ExperimentConfig, command: str) -> int:
     t0 = time.time()
     writers = {}
     for spec in cfg.points():
@@ -119,7 +116,7 @@ def cmd_truncate_mse(args) -> int:
         writers[f"mse_gamma{spec.gamma:g}.csv"] = partial(
             write_mse_csv, points=points, spec=spec, seed=spec.master_seed
         )
-    _finish(cfg, args.command, t0, writers)
+    _finish(cfg, command, t0, writers)
     return 0
 
 
@@ -269,7 +266,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_selftest)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    if args.command not in COMMANDS:
+        return args.fn(args)
+    try:
+        cfg = _load_config(args)
+    except ValueError as exc:  # a bad config (or bad JSON) is a usage error, not a crash
+        ap.exit(2, f"{ap.prog} {args.command}: error: {exc}\n")
+    return args.fn(cfg, args.command)
 
 
 if __name__ == "__main__":

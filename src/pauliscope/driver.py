@@ -2,7 +2,8 @@
 
 Monte-Carlo estimates evolve independent circuit realizations (seeded from
 (master_seed, realization), so results are reproducible bit for bit and
-independent of worker scheduling) and aggregate per-depth moments; the
+independent of worker scheduling) and reduce one per-depth observable of each
+(moments, histogram, truncation error) to mean +- stderr in ``ensemble``; the
 analytic engines (rmpu_exact, rmpu_asymptotic, rtn) emit the corresponding
 deterministic values in the same row format.
 """
@@ -11,21 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .circuits import CircuitSpec, circuit_fidelity, iter_circuit, map_ordered
+from .pauli import PauliCoefficients
 from .rmpu import RmpuParams, rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
-from .spectrum import (
-    MomentEstimate,
-    moment_mu,
-    moment_nu,
-    spectrum_histogram,
-)
-from .truncation import truncation_mse
+from .spectrum import HIST_EDGES, MomentEstimate, moment_mu, moment_nu, spectrum_histogram
 from .weingarten import MAX_DEGREE
 
 ENGINES = ("simulator", "rtn", "rmpu_exact", "rmpu_asymptotic")
@@ -134,25 +131,46 @@ def _variant(spec: CircuitSpec, **overrides) -> CircuitSpec:
     return CircuitSpec.from_dict(d)
 
 
-def _pauli_depths(spec_dict: dict, realization: int, depths: Sequence[int]):
-    """Pauli coefficients of one realization at each of the ascending depths."""
-    spec = CircuitSpec.from_dict(spec_dict)
-    want = set(depths)
-    for t, coeffs in iter_circuit(spec, realization):
-        if t in want:
-            yield coeffs
-        if t >= max(depths):
-            break
-
-
 def _moment_worker(args) -> np.ndarray:
-    spec_dict, realization, depths, ks = args
-    out = np.empty((len(depths), len(ks), 2))
-    for i, coeffs in enumerate(_pauli_depths(spec_dict, realization, depths)):
-        for j, k in enumerate(ks):
-            out[i, j, 0] = moment_mu(coeffs, k)
-            out[i, j, 1] = moment_nu(coeffs, k)
-    return out
+    """One realization's ``observe(coefficients)`` at each of the ascending depths."""
+    spec_dict, realization, depths, observe = args
+    out = []
+    for t, coeffs in iter_circuit(CircuitSpec.from_dict(spec_dict), realization):
+        if t in depths:
+            out.append(observe(coeffs))
+        if t == depths[-1]:
+            break
+    return np.stack(out)
+
+
+def ensemble(
+    spec: CircuitSpec,
+    depths: Sequence[int],
+    observe: Callable[[PauliCoefficients], np.ndarray],
+    n_realizations: int,
+    threads: int = 1,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Mean and standard error over circuit realizations of ``observe`` at each depth.
+
+    ``observe`` maps the evolved coefficients to an array; it must be a
+    module-level function (or a ``functools.partial`` of one) so that spawned
+    workers can unpickle it.  Returns the sorted distinct depths and the mean
+    and stderr, each of shape ``(len(depths), *observe's shape)``.
+    """
+    depths = sorted(set(int(t) for t in depths))
+    if not depths or depths[0] < 1 or depths[-1] > spec.n_layers:
+        raise ValueError(f"depths {depths} must lie in [1, {spec.n_layers}]")
+    if n_realizations < 2:
+        raise ValueError(f"need n_realizations >= 2 for standard errors, got {n_realizations}")
+    jobs = [(spec.to_dict(), r, depths, observe) for r in range(n_realizations)]
+    samples = np.stack(map_ordered(_moment_worker, jobs, threads))
+    stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_realizations)
+    return depths, samples.mean(axis=0), stderr
+
+
+def _moment_pairs(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
+    """(mu_k, nu_k) for each k, shape (len(ks), 2)."""
+    return np.array([(moment_mu(coeffs, k), moment_nu(coeffs, k)) for k in ks])
 
 
 def simulate_moments(
@@ -163,33 +181,18 @@ def simulate_moments(
     threads: int = 1,
 ) -> list[MomentEstimate]:
     """Ensemble mean +- stderr of mu_k, nu_k and nu_k/F^2k at each depth."""
-    depths = sorted(set(int(t) for t in depths))
-    if depths[0] < 1 or depths[-1] > spec.n_layers:
-        raise ValueError(f"depths must lie in [1, {spec.n_layers}]")
-    jobs = [(spec.to_dict(), r, depths, list(ks)) for r in range(n_realizations)]
-    samples = np.stack(map_ordered(_moment_worker, jobs, threads))
+    depths, mean, stderr = ensemble(
+        spec, depths, partial(_moment_pairs, ks=list(ks)), n_realizations, threads
+    )
     out = []
-    root_n = math.sqrt(n_realizations)
     for i, t in enumerate(depths):
         fid = circuit_fidelity(spec, t)
         for j, k in enumerate(ks):
             meta = {"spec": spec.to_dict(), "t": t}
-            for q, col in (("mu", 0), ("nu", 1)):
-                vals = samples[:, i, j, col]
-                out.append(
-                    MomentEstimate(
-                        q, k, float(vals.mean()),
-                        float(vals.std(ddof=1) / root_n), n_realizations, meta,
-                    )
-                )
-            scale = fid ** (2 * k)
-            nu = out[-1]
-            out.append(
-                MomentEstimate(
-                    "nu_over_F2k", k, nu.value / scale, nu.stderr / scale,
-                    n_realizations, meta,
-                )
-            )
+            for q, col, scale in (("mu", 0, 1.0), ("nu", 1, 1.0),
+                                  ("nu_over_F2k", 1, fid ** (2 * k))):
+                out.append(MomentEstimate(q, k, float(mean[i, j, col]) / scale,
+                                          float(stderr[i, j, col]) / scale, n_realizations, meta))
     return out
 
 
@@ -253,6 +256,12 @@ class HistogramEnsemble:
     n_samples: int
 
 
+def _histogram_row(coeffs: PauliCoefficients) -> np.ndarray:
+    """The histogram density on the fixed grid with the zero mass appended."""
+    h = spectrum_histogram(coeffs)
+    return np.append(h.density, h.zero_mass)
+
+
 def simulate_histogram(
     spec: CircuitSpec,
     depths: Sequence[int],
@@ -260,40 +269,20 @@ def simulate_histogram(
     threads: int = 1,
 ) -> list[HistogramEnsemble]:
     """Ensemble-averaged Pauli-spectrum histograms at the requested depths."""
-    depths = sorted(set(int(t) for t in depths))
-    jobs = [(spec.to_dict(), r, depths) for r in range(n_realizations)]
-    rows = map_ordered(_histogram_worker, jobs, threads)
-    out = []
-    for i, t in enumerate(depths):
-        dens = np.stack([r[0][i] for r in rows])
-        zmass = np.array([r[1][i] for r in rows])
-        edges = rows[0][2]
-        out.append(
-            HistogramEnsemble(
-                n_sites=spec.n_sites,
-                depth=t,
-                gamma=spec.gamma,
-                bin_edges=edges,
-                density_mean=dens.mean(axis=0),
-                density_stderr=dens.std(axis=0, ddof=1) / math.sqrt(n_realizations),
-                zero_mass=float(zmass.mean()),
-                n_samples=n_realizations,
-            )
+    depths, mean, stderr = ensemble(spec, depths, _histogram_row, n_realizations, threads)
+    return [
+        HistogramEnsemble(
+            n_sites=spec.n_sites,
+            depth=t,
+            gamma=spec.gamma,
+            bin_edges=HIST_EDGES,
+            density_mean=mean[i, :-1],
+            density_stderr=stderr[i, :-1],
+            zero_mass=float(mean[i, -1]),
+            n_samples=n_realizations,
         )
-    return out
-
-
-def _histogram_worker(args):
-    spec_dict, realization, depths = args
-    densities = []
-    zmasses = []
-    edges = None
-    for coeffs in _pauli_depths(spec_dict, realization, depths):
-        h = spectrum_histogram(coeffs)
-        densities.append(h.density)
-        zmasses.append(h.zero_mass)
-        edges = h.bin_edges
-    return densities, zmasses, edges
+        for i, t in enumerate(depths)
+    ]
 
 
 def simulate_mse(
@@ -306,5 +295,8 @@ def simulate_mse(
 
     ``perfbench/child.py:ENGINE_ENTRIES`` and a ``perfbench/spans.py`` trace
     point look this name up; it goes once they bind ``truncation_mse``.
+    Imported in the body, as ``truncation`` imports ``ensemble`` from here.
     """
+    from .truncation import truncation_mse
+
     return truncation_mse(spec, np_grid, n_realizations, threads)

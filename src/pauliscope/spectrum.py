@@ -129,6 +129,8 @@ class SpectrumHistogram:
 HIST_BINS = 60
 HIST_U_MIN = 1e-6
 HIST_U_MAX = 1e3
+HIST_EDGES = np.geomspace(HIST_U_MIN, HIST_U_MAX, HIST_BINS + 1)
+HIST_EDGES.flags.writeable = False
 
 
 def spectrum_histogram(coeffs: PauliCoefficients) -> SpectrumHistogram:
@@ -136,13 +138,13 @@ def spectrum_histogram(coeffs: PauliCoefficients) -> SpectrumHistogram:
     pi = pi_distribution(coeffs)
     d2 = float(4.0**coeffs.n_sites)
     u = d2 * pi
-    edges = np.geomspace(HIST_U_MIN, HIST_U_MAX, HIST_BINS + 1)
     below = int(np.count_nonzero(u < HIST_U_MIN))
-    counts, _ = np.histogram(np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0)), bins=edges)
+    clipped = np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0))
+    counts, _ = np.histogram(clipped, bins=HIST_EDGES)
     counts = counts.astype(float)
     counts[0] -= below  # clipped-from-below entries landed in bin 0
-    density = counts / d2 / np.diff(edges)
-    return SpectrumHistogram(edges, density, below / d2)
+    density = counts / d2 / np.diff(HIST_EDGES)
+    return SpectrumHistogram(HIST_EDGES, density, below / d2)
 
 
 @dataclass

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuits import CircuitSpec, map_ordered, run_circuit
+from .circuits import CircuitSpec
+from .driver import ensemble
 from .pauli import PauliCoefficients, inverse_pauli_transform, zdiag_mask
 
 
@@ -27,6 +29,15 @@ def _top_order(values: np.ndarray) -> np.ndarray:
     """Indices by descending |a|, ties broken by ascending Pauli index."""
     # stable sort on -|a| keeps ascending-index order within ties
     return np.argsort(-np.abs(values), kind="stable")
+
+
+def _squared_tails(coeffs: PauliCoefficients, mask: np.ndarray, np_grid: list[int]) -> np.ndarray:
+    """Squared zero-state error each cutoff of the grid leaves in one operator."""
+    order = _top_order(coeffs.values)
+    diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
+    # dropped-tail expectation for every cutoff in one suffix sum
+    suffix = np.concatenate([np.cumsum(diag_sorted[::-1])[::-1], [0.0]])
+    return suffix[np_grid] ** 2
 
 
 def simulability_bound(norm: float, m2: float, n_paulis: int, n_sites: int) -> float:
@@ -54,17 +65,6 @@ class MsePoint:
     n_samples: int
 
 
-def _dropped_tails(args) -> np.ndarray:
-    """One realization's zero-state error left by each cutoff of the grid."""
-    spec, realization, mask, np_grid = args
-    coeffs = run_circuit(spec, realization)
-    order = _top_order(coeffs.values)
-    diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
-    # dropped-tail expectation for every cutoff in one suffix sum
-    suffix = np.concatenate([np.cumsum(diag_sorted[::-1])[::-1], [0.0]])
-    return suffix[np_grid]
-
-
 def truncation_mse(
     spec: CircuitSpec,
     np_grid: Optional[Sequence[int]] = None,
@@ -83,16 +83,9 @@ def truncation_mse(
     np_grid = sorted(set(int(v) for v in np_grid))
     if np_grid[0] < 1 or np_grid[-1] > total:
         raise ValueError(f"N_P grid outside [1, {total}]")
-    mask = zdiag_mask(spec.n_sites)
-    jobs = [(spec, real, mask, np_grid) for real in range(n_realizations)]
-    errors = np.stack(map_ordered(_dropped_tails, jobs, threads))
-    mse = np.mean(errors**2, axis=0)
-    stderr = (
-        np.std(errors**2, axis=0, ddof=1) / math.sqrt(n_realizations)
-        if n_realizations > 1
-        else np.zeros_like(mse)
-    )
+    observe = partial(_squared_tails, mask=zdiag_mask(spec.n_sites), np_grid=np_grid)
+    _, mse, stderr = ensemble(spec, [spec.n_layers], observe, n_realizations, threads)
     return [
         MsePoint(n, float(m), float(s), n_realizations)
-        for n, m, s in zip(np_grid, mse, stderr)
+        for n, m, s in zip(np_grid, mse[0], stderr[0])
     ]

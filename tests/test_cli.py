@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from pauliscope import truncation
+from pauliscope import driver
 from pauliscope.circuits import CircuitSpec
 from pauliscope.cli import main
 from pauliscope.csvio import read_csv_rows
@@ -30,6 +31,17 @@ def cfg_path(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(CFG))
     return p
+
+
+def _config_error(argv, capsys) -> str:
+    """The stderr of a run whose config is rejected at load time: exit status
+    2, as for argparse usage errors, and one line, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    return err
 
 
 def test_moments_command(tmp_path, cfg_path):
@@ -59,13 +71,28 @@ def test_flag_overrides(tmp_path, cfg_path):
     assert rows[0]["seed"] == "99" and rows[0]["n_samples"] == "10"
 
 
-def test_flags_are_validated_with_the_config(tmp_path, cfg_path):
+def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
     argv = ["moments", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
-    with pytest.raises(ValueError, match="n_realizations"):
-        main(argv + ["--realizations", "1"])
-    with pytest.raises(ValueError, match="threads"):
-        main(argv + ["--threads", "0"])
+    assert "n_realizations" in _config_error(argv + ["--realizations", "1"], capsys)
+    assert "threads" in _config_error(argv + ["--threads", "0"], capsys)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("rtn", json.dumps({**CFG, "engine": "rtn", "sweep": {"t": [2], "k": [2, 3]}}),
+         r"sweep\.k \[3\] outside \[1, 2\] for engine rtn"),
+        ("moments", '{"circuit": {"n_sites": 4,}}', "Expecting property name"),
+    ],
+    ids=["rtn_k", "bad_json"],
+)
+def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    err = _config_error([command, "--config", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert re.fullmatch(rf"pauliscope {command}: error: .*{message}.*\n", err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_hist_command(tmp_path):
@@ -75,6 +102,18 @@ def test_spectrum_hist_command(tmp_path):
     assert main(["spectrum-hist", "--config", str(p), "--out", str(out)]) == 0
     rows = read_csv_rows(out / "histogram.csv")
     assert len(rows) == 3 * 60  # three depths x 60 bins
+
+
+def test_spectrum_hist_threads_match_serial(tmp_path):
+    # the histogram observable reaches spawned workers and comes back unchanged
+    data = []
+    for threads in (1, 2):
+        p = tmp_path / f"hist{threads}.json"
+        p.write_text(json.dumps({**CFG, "sweep": {"t": [2, 6]}, "threads": threads}))
+        out = tmp_path / f"out{threads}"
+        assert main(["spectrum-hist", "--config", str(p), "--out", str(out)]) == 0
+        data.append((out / "histogram.csv").read_bytes())
+    assert data[0] == data[1]
 
 
 def test_rmpu_commands(tmp_path):
@@ -187,13 +226,13 @@ def test_truncate_mse_command(tmp_path):
 
 def test_truncate_mse_honours_threads(tmp_path, monkeypatch):
     used = []
-    map_ordered = truncation.map_ordered
+    map_ordered = driver.map_ordered
 
     def spy(fn, jobs, threads):
         used.append(threads)
         return map_ordered(fn, jobs, threads)
 
-    monkeypatch.setattr(truncation, "map_ordered", spy)
+    monkeypatch.setattr(driver, "map_ordered", spy)
     data = []
     for threads in (1, 2):
         p = tmp_path / f"mse{threads}.json"
@@ -237,14 +276,14 @@ def test_truncate_mse_default_grid_fits_small_n(tmp_path):
          "rmpu_asymptotic_t", "moments_engine", "rmpu_asymptotic_engine", "hist_k",
          "mse_k", "moments_n_paulis", "rtn_n_paulis"],
 )
-def test_commands_reject_config_they_ignore(tmp_path, command, overrides, message):
+def test_commands_reject_config_they_ignore(tmp_path, capsys, command, overrides, message):
     base = dict(CFG)
     if command.startswith("rmpu"):
         base["circuit"] = {"geometry": "rmpu", "n_sites": 4, "r": 1}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**base, **overrides}))
-    with pytest.raises(ValueError, match=message):
-        main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+    err = _config_error([command, "--config", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert re.search(message, err)
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pauliscope.circuits import CircuitSpec
+from pauliscope.circuits import CircuitSpec, iter_circuit
 from pauliscope.csvio import (
     HISTOGRAM_HEADER,
     MOMENTS_HEADER,
@@ -22,6 +22,7 @@ from pauliscope.driver import (
     simulate_moments,
     simulate_mse,
 )
+from pauliscope.spectrum import moment_mu, moment_nu
 
 BASE = {
     "circuit": {
@@ -89,10 +90,14 @@ RMPU_SIM = {
          r"sweep.k \[4\] outside \[1, 3\]"),
         ({**RMPU_SIM, "engine": "rmpu_asymptotic", "sweep": {"n": [4], "k": [1, 2]}},
          r"sweep.k \[1\]"),
+        # gamma = 0 is the one way to ask for a noiseless circuit
+        ({**BASE, "circuit": {**BASE["circuit"], "noise_placement": "none"}},
+         "unknown noise placement 'none'"),
     ],
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
          "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep",
-         "rtn_t_above_depth", "simulator_k", "rtn_k", "rmpu_exact_k", "rmpu_asymptotic_k"],
+         "rtn_t_above_depth", "simulator_k", "rtn_k", "rmpu_exact_k", "rmpu_asymptotic_k",
+         "noise_placement_none"],
 )
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(ValueError, match=message):
@@ -125,6 +130,41 @@ def test_stderr_shrinks_with_ensemble():
     large = simulate_moments(spec, [4], [2], 800)
     ratio = small[0].stderr / large[0].stderr
     assert 1.5 < ratio < 2.7  # ~2 from quadrupling, statistical slack
+
+
+def test_moments_match_per_column_reductions():
+    # the ensemble sums realizations in order (axis 0); numpy's 1-D mean and
+    # std sum pairwise once n >= 8, so the two agree to rounding, not bit for
+    # bit.  A stderr of a constant (mu_1, or nu_1 at gamma = 0) is itself
+    # rounding noise, so stderrs are compared relative to the mean as well.
+    spec = CircuitSpec(geometry="chain", n_sites=4, depth=6, gamma=0.05, master_seed=5)
+    n, depths, ks = 30, [2, 6], [1, 2, 3]
+    samples = {}  # (t, k, quantity) -> one value per realization
+    for r in range(n):
+        for t, coeffs in iter_circuit(spec, r):
+            if t not in depths:
+                continue
+            for k in ks:
+                samples.setdefault((t, k, "mu"), []).append(moment_mu(coeffs, k))
+                samples.setdefault((t, k, "nu"), []).append(moment_nu(coeffs, k))
+    rows = iter(simulate_moments(spec, depths, ks, n))
+    for t in depths:
+        for k in ks:
+            for quantity in ("mu", "nu"):
+                vals = np.array(samples[t, k, quantity])
+                row = next(rows)
+                assert (row.quantity, row.k, row.meta["t"]) == (quantity, k, t)
+                assert row.value == pytest.approx(vals.mean(), rel=1e-12, abs=0)
+                want = vals.std(ddof=1) / np.sqrt(n)
+                assert row.stderr == pytest.approx(want, rel=1e-12, abs=1e-12 * row.value)
+            assert next(rows).quantity == "nu_over_F2k"
+
+
+@pytest.mark.parametrize("depths", [[2, 9], [0, 4]], ids=["above_depth", "zero"])
+def test_histogram_rejects_depths_outside_the_circuit(depths):
+    spec = CircuitSpec(geometry="chain", n_sites=4, depth=4, master_seed=1)
+    with pytest.raises(ValueError, match=r"must lie in \[1, 4\]"):
+        simulate_histogram(spec, depths, 3)
 
 
 def test_moment_quantities_consistent():

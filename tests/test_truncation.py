@@ -80,6 +80,13 @@ def test_top_truncation_is_optimal(seed):
         assert best <= alt + 1e-12
 
 
+def test_mse_needs_two_realizations():
+    # one realization has no standard error; it is not written as 0
+    spec = CircuitSpec(geometry="chain", n_sites=2, depth=2, gamma=0.1)
+    with pytest.raises(ValueError, match="n_realizations >= 2"):
+        truncation_mse(spec, [1, 4], n_realizations=1)
+
+
 def test_mse_exact_at_full_basis():
     spec = CircuitSpec(geometry="chain", n_sites=3, depth=4, gamma=0.05, master_seed=3)
     points = truncation_mse(spec, [4**3], n_realizations=5)
