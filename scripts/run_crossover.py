@@ -11,6 +11,7 @@ import csv
 import math
 from pathlib import Path
 
+from pauliscope.circuits import CircuitSpec
 from pauliscope.fits import weighted_line_fit
 from pauliscope.rmpu import scaling_predictions
 from pauliscope.rtn import contract_brickwork_series
@@ -34,7 +35,7 @@ def main():
     ap.add_argument("--out", default="results/crossover")
     args = ap.parse_args()
 
-    sp = scaling_predictions(2, 2)
+    sp = scaling_predictions(k=2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     crossings = {}
@@ -43,8 +44,9 @@ def main():
         writer.writerow(["N", "t", "t_over_tstar", "mu2", "truncation_error"])
         for n_sites in args.sizes:
             t_max = int(sp.t_star(n_sites)) + 4
+            spec = CircuitSpec(n_sites=n_sites, depth=t_max, noise_placement="per_gate_support")
             series = contract_brickwork_series(
-                n_sites, range(1, t_max + 1), k=2, chi_mps=args.chi, threshold=1e-9
+                spec, range(1, t_max + 1), k=2, chi_mps=args.chi, threshold=1e-9
             )
             curve = {}
             for t, res in series.items():

@@ -24,7 +24,7 @@ Noise placements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterator, Optional, Sequence
 
@@ -49,7 +49,7 @@ class CircuitSpec:
 
     geometry: str = "chain"
     n_sites: int = 0
-    depth: int = 1
+    depth: int = 1  # layers; an rmpu circuit sets it to N - r
     gamma: float = 0.0
     noise_placement: Optional[str] = None
     initial_site: Optional[int] = None
@@ -62,6 +62,10 @@ class CircuitSpec:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
+        if self.r is not None and self.geometry != "rmpu":
+            raise ValueError(f"r applies to rmpu circuits only, not to {self.geometry}")
+        if (self.lx, self.ly) != (None, None) and self.geometry != "grid":
+            raise ValueError(f"lx and ly apply to grid circuits only, not to {self.geometry}")
         if self.geometry == "grid":
             if not (self.lx and self.ly):
                 raise ValueError("grid geometry needs lx and ly")
@@ -98,20 +102,20 @@ class CircuitSpec:
             return 0
         return self.n_sites // 2
 
-    @property
-    def n_layers(self) -> int:
-        return self.depth
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "CircuitSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown CircuitSpec keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**json_fields(cls, d, "circuit"))
+
+
+def json_fields(cls, d, what: str) -> dict:
+    """``d`` if it is a JSON object whose keys all name fields of dataclass ``cls``."""
+    if not isinstance(d, dict):
+        kind = "null" if d is None else type(d).__name__
+        raise ValueError(f"{what} must be a JSON object, not {kind}")
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return d
 
 
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,8 +130,8 @@ def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def layer_supports(spec: CircuitSpec, layer: int) -> list[tuple[int, ...]]:
     """Ordered gate supports of one layer."""
-    if not 0 <= layer < spec.n_layers:
-        raise ValueError(f"layer {layer} out of range (depth {spec.n_layers})")
+    if not 0 <= layer < spec.depth:
+        raise ValueError(f"layer {layer} out of range (depth {spec.depth})")
     if spec.geometry == "chain":
         start = 0 if layer % 2 == 0 else 1
         return [(i, i + 1) for i in range(start, spec.n_sites - 1, 2)]
@@ -151,7 +155,7 @@ def layer_supports(spec: CircuitSpec, layer: int) -> list[tuple[int, ...]]:
 
 
 def gates_per_layer(spec: CircuitSpec) -> list[int]:
-    return [len(layer_supports(spec, t)) for t in range(spec.n_layers)]
+    return [len(layer_supports(spec, t)) for t in range(spec.depth)]
 
 
 def circuit_fidelity(spec: CircuitSpec, depth: Optional[int] = None) -> float:
@@ -159,7 +163,7 @@ def circuit_fidelity(spec: CircuitSpec, depth: Optional[int] = None) -> float:
 
     per_qubit_per_layer: (1-gamma)^(N*t); per_gate_support: (1-gamma)^{#gates}.
     """
-    t = spec.n_layers if depth is None else depth
+    t = spec.depth if depth is None else depth
     if spec.gamma == 0.0:
         return 1.0
     if spec.noise_placement == "per_qubit_per_layer":
@@ -194,7 +198,7 @@ def iter_circuit(
     per_site_noise = spec.gamma > 0.0 and spec.noise_placement == "per_qubit_per_layer"
     per_gate_noise = spec.gamma > 0.0 and spec.noise_placement == "per_gate_support"
     cone = {spec.initial_site}
-    for t in range(spec.n_layers):
+    for t in range(spec.depth):
         for support in layer_supports(spec, t):
             u = sample_haar_unitary(2 ** len(support), rng)
             if lightcone and cone.isdisjoint(support):

@@ -16,7 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .circuits import CircuitSpec
+from .circuits import CircuitSpec, json_fields
 from .csvio import (
     ensure_dir,
     read_csv_rows,
@@ -26,7 +26,7 @@ from .csvio import (
     write_mse_csv,
     write_sidecar,
 )
-from .driver import ExperimentConfig, run_ensemble, simulate_histogram, simulate_mse
+from .driver import ExperimentConfig, SweepSpec, run_ensemble, simulate_histogram, simulate_mse
 from .fits import fit_kappa, locate_threshold
 
 
@@ -51,11 +51,11 @@ def _load_config(args) -> ExperimentConfig:
     engine than the subcommand's.
     """
     if not args.config:
-        raise SystemExit("--config <path.json> is required for this subcommand")
+        raise ValueError("--config <path.json> is required for this subcommand")
     with open(args.config) as fh:
-        d = json.load(fh)
+        d = json_fields(ExperimentConfig, json.load(fh), "config")
     engine, _, sweeps = COMMANDS[args.command]
-    for key, value in d.get("sweep", {}).items():
+    for key, value in json_fields(SweepSpec, d.get("sweep", {}), "sweep").items():
         if value is not None and key not in sweeps:
             raise ValueError(f"{args.command} does not use sweep.{key}; remove it")
     if d.get("engine") not in (None, engine):
@@ -73,7 +73,8 @@ def _load_config(args) -> ExperimentConfig:
         if value is not None:
             d[key] = value
     if args.seed is not None:
-        d["circuit"] = {**d.get("circuit", {}), "master_seed": args.seed}
+        d["circuit"] = {**json_fields(CircuitSpec, d.get("circuit"), "circuit"),
+                        "master_seed": args.seed}
     return ExperimentConfig.from_dict(d)
 
 
@@ -99,7 +100,7 @@ def cmd_spectrum_hist(cfg: ExperimentConfig, command: str) -> int:
     t0 = time.time()
     ensembles = []
     for spec in cfg.points():
-        depths = cfg.sweep.t if cfg.sweep.t is not None else [spec.n_layers]
+        depths = cfg.sweep.t if cfg.sweep.t is not None else [spec.depth]
         ensembles.extend(
             simulate_histogram(spec, depths, cfg.n_realizations, threads=cfg.threads)
         )
@@ -187,7 +188,7 @@ def cmd_selftest(args) -> int:
     import numpy as np
 
     from .circuits import run_circuit
-    from .rmpu import RmpuParams, global_haar_moment, rmpu_moment_exact
+    from .rmpu import global_haar_moment, rmpu_moment_exact
     from .rtn import contract_brickwork_series
     from .spectrum import moment_nu
     from .weingarten import gram_matrix, weingarten_matrix
@@ -199,16 +200,18 @@ def cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
         failures += 0 if ok else 1
 
+    def chain(n_sites, depth):
+        return CircuitSpec(n_sites=n_sites, depth=depth, noise_placement="per_gate_support")
+
     for n, q in ((2, 4.0), (4, 2.0), (4, 8.0)):
         g = gram_matrix(n, q)
         w = weingarten_matrix(n, q)
         rel = float(np.max(np.abs(g @ w @ g - g)) / np.max(np.abs(g)))
         check(f"gram-inverse n={n} q={q}", rel < 1e-10, f"resid={rel:.1e}")
 
-    p = RmpuParams(n_sites=3, r=1, k=2, gamma=0.05)
-    exact = rmpu_moment_exact([p])[0]
     spec = CircuitSpec(geometry="rmpu", n_sites=3, r=1, gamma=0.05,
                        master_seed=11, initial_site=0)
+    exact = rmpu_moment_exact([(spec, 2)])[0]
     vals = []
     for real in range(400):
         vals.append(moment_nu(run_circuit(spec, real), 2))
@@ -217,14 +220,14 @@ def cmd_selftest(args) -> int:
     check("rmpu transfer vs Monte Carlo", abs(mean - exact) < 3 * se,
           f"{mean:.4f}+-{se:.4f} vs {exact:.4f}")
 
-    r = contract_brickwork_series(2, [1], k=2)[1]
-    ref = rmpu_moment_exact([RmpuParams(n_sites=2, r=1, k=2)])[0]
+    r = contract_brickwork_series(chain(2, 1), [1], k=2)[1]
+    ref = rmpu_moment_exact([(CircuitSpec(geometry="rmpu", n_sites=2, r=1), 2)])[0]
     check("rtn vs transfer (N=2, t=1)", abs(r.value - ref) < 1e-9 * ref)
 
-    r1 = contract_brickwork_series(5, [4], k=1)[4]
+    r1 = contract_brickwork_series(chain(5, 4), [4], k=1)[4]
     check("rtn norm identity (nu1=1)", abs(r1.value - 1.0) < 1e-10)
 
-    deep = contract_brickwork_series(4, [20], k=2)[20]
+    deep = contract_brickwork_series(chain(4, 20), [20], k=2)[20]
     gh = global_haar_moment(16.0, 2)
     check("rtn deep limit vs global Haar", abs(deep.value - gh) < 1e-3,
           f"{deep.value:.6f} vs {gh:.6f}")
@@ -270,7 +273,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     try:
         cfg = _load_config(args)
-    except ValueError as exc:  # a bad config (or bad JSON) is a usage error, not a crash
+    except (ValueError, OSError) as exc:  # a bad or unreadable config is a usage error
         ap.exit(2, f"{ap.prog} {args.command}: error: {exc}\n")
     return args.fn(cfg, args.command)
 

@@ -28,7 +28,7 @@ def _fmt(value) -> str:
 
 
 def write_moments_csv(path, estimates, engine: str) -> None:
-    """One row per MomentEstimate; meta must carry the circuit spec and t.
+    """One row per MomentEstimate; meta must carry the CircuitSpec and t.
 
     For the rtn engine the stderr column holds the truncation-error
     estimate of the deterministic contraction.
@@ -41,18 +41,18 @@ def write_moments_csv(path, estimates, engine: str) -> None:
             w.writerow(
                 [
                     engine,
-                    spec["geometry"],
-                    spec["n_sites"],
-                    _fmt(spec.get("r")),
+                    spec.geometry,
+                    spec.n_sites,
+                    _fmt(spec.r),
                     est.meta["t"],
-                    _fmt(spec["gamma"]),
-                    spec["noise_placement"],
+                    _fmt(spec.gamma),
+                    spec.noise_placement,
                     est.k,
                     est.quantity,
                     _fmt(est.value),
                     _fmt(est.stderr),
                     est.n_samples,
-                    spec["master_seed"],
+                    spec.master_seed,
                 ]
             )
 
@@ -77,7 +77,7 @@ def write_mse_csv(path, points, spec, seed: int) -> None:
         w.writerow(MSE_HEADER)
         for p in points:
             w.writerow(
-                [spec.n_sites, spec.n_layers, _fmt(spec.gamma), p.n_paulis,
+                [spec.n_sites, spec.depth, _fmt(spec.gamma), p.n_paulis,
                  _fmt(p.mse), _fmt(p.stderr), p.n_samples, seed]
             )
 

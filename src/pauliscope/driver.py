@@ -11,16 +11,16 @@ deterministic values in the same row format.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitSpec, circuit_fidelity, iter_circuit, map_ordered
+from .circuits import CircuitSpec, circuit_fidelity, iter_circuit, json_fields, map_ordered
 from .pauli import PauliCoefficients
-from .rmpu import RmpuParams, rmpu_moment_asymptotic, rmpu_moment_exact
+from .rmpu import rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
 from .spectrum import HIST_EDGES, MomentEstimate, moment_mu, moment_nu, spectrum_histogram
 from .weingarten import MAX_DEGREE
@@ -48,11 +48,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**json_fields(cls, d, "sweep"))
 
 
 @dataclass
@@ -85,27 +81,20 @@ class ExperimentConfig:
             raise ValueError("sweep.n is not supported for grid circuits (N = lx * ly)")
         if self.sweep.t is not None:
             for spec in self.points():
-                bad = [t for t in self.sweep.t if not 1 <= t <= spec.n_layers]
+                bad = [t for t in self.sweep.t if not 1 <= t <= spec.depth]
                 if bad:
                     raise ValueError(
-                        f"sweep.t {bad} outside [1, {spec.n_layers}] at N={spec.n_sites}"
+                        f"sweep.t {bad} outside [1, {spec.depth}] at N={spec.n_sites}"
                     )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if (d.get("circuit", {}).get("initial_site") is not None
-                and d.get("sweep", {}).get("n") is not None):
+        d = dict(json_fields(cls, d, "config"))
+        circuit, sweep = d.get("circuit"), d.get("sweep", {})
+        d["circuit"], d["sweep"] = CircuitSpec.from_dict(circuit), SweepSpec.from_dict(sweep)
+        if circuit.get("initial_site") is not None and sweep.get("n") is not None:
             raise ValueError("circuit.initial_site cannot be combined with sweep.n: "
                              "each swept N starts at its default site")
-        if "circuit" in d:
-            d["circuit"] = CircuitSpec.from_dict(d["circuit"])
-        if "sweep" in d:
-            d["sweep"] = SweepSpec.from_dict(d["sweep"])
         return cls(**d)
 
     def resolved(self) -> dict:
@@ -120,22 +109,14 @@ class ExperimentConfig:
         sw = self.sweep
         sizes = [{}] if sw.n is None else [{"n_sites": n, "initial_site": None} for n in sw.n]
         gammas = sw.gamma if sw.gamma is not None else [self.circuit.gamma]
-        return [_variant(self.circuit, gamma=g, **size) for size in sizes for g in gammas]
-
-
-def _variant(spec: CircuitSpec, **overrides) -> CircuitSpec:
-    d = spec.to_dict()
-    d.update(overrides)
-    if d["geometry"] != "rmpu":
-        d["r"] = None
-    return CircuitSpec.from_dict(d)
+        return [replace(self.circuit, gamma=g, **size) for size in sizes for g in gammas]
 
 
 def _moment_worker(args) -> np.ndarray:
     """One realization's ``observe(coefficients)`` at each of the ascending depths."""
-    spec_dict, realization, depths, observe = args
+    spec, realization, depths, observe = args
     out = []
-    for t, coeffs in iter_circuit(CircuitSpec.from_dict(spec_dict), realization):
+    for t, coeffs in iter_circuit(spec, realization):
         if t in depths:
             out.append(observe(coeffs))
         if t == depths[-1]:
@@ -158,11 +139,11 @@ def ensemble(
     and stderr, each of shape ``(len(depths), *observe's shape)``.
     """
     depths = sorted(set(int(t) for t in depths))
-    if not depths or depths[0] < 1 or depths[-1] > spec.n_layers:
-        raise ValueError(f"depths {depths} must lie in [1, {spec.n_layers}]")
+    if not depths or depths[0] < 1 or depths[-1] > spec.depth:
+        raise ValueError(f"depths {depths} must lie in [1, {spec.depth}]")
     if n_realizations < 2:
         raise ValueError(f"need n_realizations >= 2 for standard errors, got {n_realizations}")
-    jobs = [(spec.to_dict(), r, depths, observe) for r in range(n_realizations)]
+    jobs = [(spec, r, depths, observe) for r in range(n_realizations)]
     samples = np.stack(map_ordered(_moment_worker, jobs, threads))
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_realizations)
     return depths, samples.mean(axis=0), stderr
@@ -188,7 +169,7 @@ def simulate_moments(
     for i, t in enumerate(depths):
         fid = circuit_fidelity(spec, t)
         for j, k in enumerate(ks):
-            meta = {"spec": spec.to_dict(), "t": t}
+            meta = {"spec": spec, "t": t}
             for q, col, scale in (("mu", 0, 1.0), ("nu", 1, 1.0),
                                   ("nu_over_F2k", 1, fid ** (2 * k))):
                 out.append(MomentEstimate(q, k, float(mean[i, j, col]) / scale,
@@ -200,33 +181,24 @@ def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
     """Dispatch a full sweep on the configured engine."""
     ks = list(config.sweep.k)
     if config.engine in ("rmpu_exact", "rmpu_asymptotic"):
-        specs = config.points()
-        if any(spec.geometry != "rmpu" for spec in specs):
-            raise ValueError("rmpu engines need an rmpu circuit")
-        rows = [(spec, RmpuParams(n_sites=spec.n_sites, r=spec.r, k=k, gamma=spec.gamma))
-                for spec in specs for k in ks]
-        params = [p for _, p in rows]
+        points = [(spec, k) for spec in config.points() for k in ks]
         # one call over every point, so each (r, k, gamma) builds one T for all N
-        values = (rmpu_moment_exact(params) if config.engine == "rmpu_exact"
-                  else [rmpu_moment_asymptotic(p) for p in params])
-        return [MomentEstimate("mu" if spec.gamma == 0.0 else "nu", p.k, value, 0.0, 0,
-                               {"spec": spec.to_dict(), "t": spec.n_layers})
-                for (spec, p), value in zip(rows, values)]
+        values = (rmpu_moment_exact(points) if config.engine == "rmpu_exact"
+                  else [rmpu_moment_asymptotic(spec, k) for spec, k in points])
+        return [MomentEstimate("mu" if spec.gamma == 0.0 else "nu", k, value, 0.0, 0,
+                               {"spec": spec, "t": spec.depth})
+                for (spec, k), value in zip(points, values)]
     out: list[MomentEstimate] = []
     for spec in config.points():
-        depths = config.sweep.t if config.sweep.t is not None else [spec.n_layers]
+        depths = config.sweep.t if config.sweep.t is not None else [spec.depth]
         q = "mu" if spec.gamma == 0.0 else "nu"
         if config.engine == "simulator":
             out.extend(simulate_moments(spec, depths, ks, config.n_realizations, config.threads))
         elif config.engine == "rtn":
-            if spec.geometry != "chain":
-                raise ValueError("the rtn engine contracts 1D chains")
-            sp = _variant(spec, noise_placement="per_gate_support")
+            sp = replace(spec, noise_placement="per_gate_support")
             for k in ks:
                 series = contract_brickwork_series(
-                    sp.n_sites, depths, k=k, gamma=sp.gamma,
-                    chi_mps=config.chi_mps, threshold=config.svd_threshold,
-                    op_site=sp.initial_site,
+                    sp, depths, k, chi_mps=config.chi_mps, threshold=config.svd_threshold
                 )
                 for t, res in series.items():
                     if not (math.isfinite(res.value) and res.value >= 0.0):
@@ -235,8 +207,7 @@ def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
                             f"non-physical value {res.value!r} (truncation error "
                             f"{res.truncation_error:.3g}); raise chi_mps"
                         )
-                    meta = {"spec": sp.to_dict(), "t": t,
-                            "truncation_error": res.truncation_error,
+                    meta = {"spec": sp, "t": t, "truncation_error": res.truncation_error,
                             "max_bond": res.max_bond}
                     # stderr column carries the truncation-error estimate
                     out.append(MomentEstimate(q, k, res.value,

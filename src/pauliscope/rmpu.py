@@ -1,6 +1,6 @@
 """Exact transfer-matrix moments of staircase (RMPU) circuits + asymptotics.
 
-A staircase of m = N - r overlapping Haar blocks on r+1 qudits (gate
+A staircase of m = N - r overlapping Haar blocks on r+1 qubits (d = 2, gate
 dimension q = d*chi, chi = d^r) admits an exact ensemble average of the
 Pauli-spectrum moments as a product over S_2k:
 
@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .circuits import CircuitSpec
 from .spectrum import haar_moment
 from .weingarten import (
     _tables,
@@ -39,51 +40,24 @@ from .weingarten import (
 )
 
 
-@dataclass(frozen=True)
-class RmpuParams:
-    """Staircase-ensemble parameters (qudit dimension d a power of two)."""
-
-    n_sites: int
-    r: int
-    k: int
-    d: int = 2
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not 1 <= self.r <= self.n_sites - 1:
-            raise ValueError(f"need 1 <= r <= N-1, got r={self.r}, N={self.n_sites}")
-        if self.d < 2 or self.d & (self.d - 1):
-            raise ValueError(f"local dimension d={self.d} must be a power of two >= 2")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma={self.gamma} outside [0, 1]")
-
-    @property
-    def chi(self) -> int:
-        return self.d**self.r
-
-    @property
-    def m(self) -> int:
-        """Number of staircase gates."""
-        return self.n_sites - self.r
-
-    @property
-    def gate_dim(self) -> int:
-        return self.d ** (self.r + 1)
+def _check_staircase(spec: CircuitSpec) -> None:
+    if spec.geometry != "rmpu" or spec.noise_placement != "per_gate_support":
+        raise ValueError("rmpu engines need an rmpu circuit with per_gate_support noise, "
+                         f"not {spec.geometry} with {spec.noise_placement}")
 
 
-def transfer_matrix(params: RmpuParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, L, R) over S_2k: T = Lam1 Wg~(d*chi, gamma) Lam2 G(chi) and the
-    boundary vectors of the module docstring."""
-    n = 2 * params.k
-    lam1 = float(params.d) ** _tables(n).cycles
-    lam2 = pauli_sum_weights(n, float(params.d))
-    wg = noisy_weingarten(n, float(params.gate_dim), params.gamma)
-    g = gram_matrix(n, float(params.chi))
+def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, L, R) over S_2k for blocks on r+1 qubits: T = Lam1 Wg~(2 chi, gamma)
+    Lam2 G(chi) with chi = 2^r, and the boundary vectors of the module docstring."""
+    n = 2 * k
+    chi = 2.0**r
+    lam1 = 2.0 ** _tables(n).cycles
+    lam2 = pauli_sum_weights(n, 2.0)
+    wg = noisy_weingarten(n, 2.0 * chi, gamma)
+    g = gram_matrix(n, chi)
     t = (lam1[:, None] * wg) @ (lam2[:, None] * g)
-    left = traceless_seed_weights(n, float(params.chi))
-    right = lam1 * (wg @ lam2 ** (params.r + 1))
+    left = traceless_seed_weights(n, chi)
+    right = lam1 * (wg @ lam2 ** (r + 1))
     return t, left, right
 
 
@@ -125,37 +99,42 @@ def _scaled_product(
     return out
 
 
-def rmpu_moment_exact(points: Sequence[RmpuParams]) -> list[float]:
-    """Exact ensemble-averaged moments of the staircase ensemble, in input order.
+def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
+    """Exact ensemble-averaged moments of the staircase ensemble at each
+    (circuit, k), in input order.
 
     Each value is mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
     unnormalized nu_k average for gamma > 0.  T, L and R depend only on
-    (r, k, d, gamma), so every N of one such group is read off one transfer
+    (r, k, gamma), so every N of one such group is read off one transfer
     matrix and one sweep of the running vector.
     """
     groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault((p.r, p.k, p.d, p.gamma), []).append(i)
+    for i, (spec, k) in enumerate(points):
+        _check_staircase(spec)
+        if k < 1:
+            raise ValueError(f"k={k} must be >= 1")
+        groups.setdefault((spec.r, k, spec.gamma), []).append(i)
     out = [0.0] * len(points)
-    for idx in groups.values():
-        idx.sort(key=lambda i: points[i].m)
+    for key, idx in groups.items():
+        idx.sort(key=lambda i: points[i][0].depth)
         # T is a temporary: the previous group's T is freed before the next is built
-        values = _scaled_product(transfer_matrix(points[idx[0]]), [points[i].m for i in idx])
+        values = _scaled_product(transfer_matrix(*key), [points[i][0].depth for i in idx])
         for i, value in zip(idx, values):
             out[i] = value
     return out
 
 
-def rmpu_moment_asymptotic(params: RmpuParams) -> float:
+def rmpu_moment_asymptotic(spec: CircuitSpec, k: int) -> float:
     """Closed-form scaling limit (module docstring); requires k >= 2."""
-    if params.k < 2:
+    _check_staircase(spec)
+    if k < 2:
         raise ValueError("asymptotic formula defined for k >= 2")
-    d, k, gamma = float(params.d), params.k, params.gamma
+    d, gamma = 2.0, spec.gamma
     if gamma >= 1.0:
         return 0.0
-    fid = (1.0 - gamma) ** params.m
+    fid = (1.0 - gamma) ** spec.depth
     c_k = (d**2 - 1.0) / (d ** (2 * k) * (1.0 - gamma) ** (-2 * k) - d**2)
-    x = d ** (params.n_sites * (1.0 - 1.0 / k) - params.r)
+    x = d ** (spec.n_sites * (1.0 - 1.0 / k) - spec.r)
     return fid ** (2 * k) * haar_moment(k) * (1.0 + c_k * (x / fid) ** (2 * k))
 
 
@@ -170,22 +149,19 @@ def global_haar_moment(q: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class ScalingPredictions:
-    """Closed-form brickwork scaling constants derived from tau."""
+    """Closed-form brickwork scaling constants derived from tau (qubits, d = 2)."""
 
-    d: int
     k: int
     tau: float
     gamma_c_times_n: float
 
     def t_star(self, n_sites: int) -> float:
         """Scrambling depth t_k* = N tau (1 - 1/k) log d."""
-        return n_sites * self.tau * (1.0 - 1.0 / self.k) * math.log(self.d)
+        return n_sites * self.tau * (1.0 - 1.0 / self.k) * math.log(2)
 
 
-def scaling_predictions(d: int = 2, k: int = 2) -> ScalingPredictions:
-    """tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d));
-    derived thresholds follow from it."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    tau = 1.0 / math.log((d * d + 1.0) / (2.0 * d))
-    return ScalingPredictions(d=d, k=k, tau=tau, gamma_c_times_n=1.0 / tau)
+def scaling_predictions(k: int = 2) -> ScalingPredictions:
+    """tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d)) with
+    d = 2; derived thresholds follow from it."""
+    tau = 1.0 / math.log(5.0 / 4.0)
+    return ScalingPredictions(k=k, tau=tau, gamma_c_times_n=1.0 / tau)

@@ -192,7 +192,8 @@ _EXACT_ENTRY_CAP = 9_000_000
 
 
 class BrickworkContraction:
-    """Bottom-to-top sweep over a 1D brickwork replica lattice.
+    """Bottom-to-top sweep over the replica lattice of ``spec``, a brickwork
+    chain with per_gate_support noise.
 
     ``engine='exact'`` contracts the full wire-coordinate state (possible up
     to r^N ~ 9e6 entries, e.g. N <= 6 for k = 2); ``'mps'`` uses the
@@ -201,26 +202,25 @@ class BrickworkContraction:
 
     def __init__(
         self,
-        n_sites: int,
+        spec: CircuitSpec,
         k: int = 2,
-        gamma: float = 0.0,
         chi_mps: int = 256,
         threshold: float = 1e-12,
-        op_site: Optional[int] = None,
         lightcone: bool = True,
         engine: str = "auto",
     ):
+        if spec.geometry != "chain" or spec.noise_placement != "per_gate_support":
+            raise ValueError("the rtn engine contracts 1D chains with per_gate_support noise, "
+                             f"not {spec.geometry} with {spec.noise_placement}")
         if k not in (1, 2):
             raise ValueError("replica contraction supports k in {1, 2}")
-        self.n_sites = n_sites
+        self.spec = spec
         self.k = k
-        self.gamma = gamma
         self.chi_mps = chi_mps
         self.threshold = threshold
-        self.op_site = n_sites // 2 if op_site is None else op_site
         self.lightcone = lightcone
-        n = 2 * k
-        w_noisy = noisy_weingarten(n, 4.0, gamma)
+        n_sites, n = spec.n_sites, 2 * k
+        w_noisy = noisy_weingarten(n, 4.0, spec.gamma)
         coords, self.f_top, self.g_op = _wire_basis(n)
         rank = coords.shape[0]
         if engine == "auto":
@@ -229,7 +229,7 @@ class BrickworkContraction:
             raise ValueError(f"unknown engine {engine!r}")
         self.engine = engine
         site_vectors = [coords[:, 0].copy() for _ in range(n_sites)]
-        site_vectors[self.op_site] = self.g_op.copy()
+        site_vectors[spec.initial_site] = self.g_op.copy()
         if engine == "exact":
             if rank**n_sites > _EXACT_ENTRY_CAP:
                 raise ValueError(
@@ -242,21 +242,17 @@ class BrickworkContraction:
         y = np.einsum("sa,pa,ad->spad", coords, coords, w_noisy)
         y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
         self._kernel = y.reshape(rank * rank, rank * rank)
-        self.cone = {self.op_site}
+        self.cone = {spec.initial_site}
         self.op_touched = False
         self.depth_done = 0
 
     def advance(self, n_layers: int = 1):
-        spec = CircuitSpec(
-            geometry="chain", n_sites=self.n_sites, depth=self.depth_done + n_layers
-        )
         for _ in range(n_layers):
-            t = self.depth_done
-            for (i, j) in layer_supports(spec, t):
+            for (i, j) in layer_supports(self.spec, self.depth_done):
                 if self.lightcone and self.cone.isdisjoint((i, j)):
                     continue
                 self.cone.update((i, j))
-                if self.op_site in (i, j):
+                if self.spec.initial_site in (i, j):
                     self.op_touched = True
                 if self.engine == "exact":
                     self.mps.apply_kernel(i, self._kernel)
@@ -265,12 +261,12 @@ class BrickworkContraction:
             self.depth_done += 1
 
     def value(self) -> float:
-        vectors = [self.f_top] * self.n_sites
+        vectors = [self.f_top] * self.spec.n_sites
         if not self.op_touched:
             # the raw seed is outside the permutation-state span; its direct
             # top contraction is q^(2k-2) = 4^(k-1) exactly, not f.g_op
             target = 4.0 ** (self.k - 1)
-            vectors[self.op_site] = self.g_op * (target / float(self.g_op @ self.g_op))
+            vectors[self.spec.initial_site] = self.g_op * (target / float(self.g_op @ self.g_op))
         return self.mps.contract_with(vectors)
 
     def result(self) -> RtnResult:
@@ -284,21 +280,19 @@ class BrickworkContraction:
 
 
 def contract_brickwork_series(
-    n_sites: int,
+    spec: CircuitSpec,
     depths: Iterable[int],
     k: int = 2,
-    gamma: float = 0.0,
     chi_mps: int = 256,
     threshold: float = 1e-12,
-    op_site: Optional[int] = None,
 ) -> dict[int, RtnResult]:
     """Ensemble-averaged nu_k of a noisy brickwork chain (per-gate-support
-    noise convention) at each of several depths, from one bottom-to-top
-    sweep, contracted up to the reported MPS truncation error."""
+    noise) at each of several depths in [0, spec.depth], from one
+    bottom-to-top sweep, contracted up to the reported MPS truncation error."""
     depths = sorted(set(int(t) for t in depths))
-    if depths and depths[0] < 0:
-        raise ValueError("depths must be non-negative")
-    eng = BrickworkContraction(n_sites, k, gamma, chi_mps, threshold, op_site)
+    if depths and not 0 <= depths[0] <= depths[-1] <= spec.depth:
+        raise ValueError(f"depths {depths} must lie in [0, {spec.depth}]")
+    eng = BrickworkContraction(spec, k, chi_mps, threshold)
     out = {}
     for t in depths:
         eng.advance(t - eng.depth_done)

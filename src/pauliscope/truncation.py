@@ -84,7 +84,7 @@ def truncation_mse(
     if np_grid[0] < 1 or np_grid[-1] > total:
         raise ValueError(f"N_P grid outside [1, {total}]")
     observe = partial(_squared_tails, mask=zdiag_mask(spec.n_sites), np_grid=np_grid)
-    _, mse, stderr = ensemble(spec, [spec.n_layers], observe, n_realizations, threads)
+    _, mse, stderr = ensemble(spec, [spec.depth], observe, n_realizations, threads)
     return [
         MsePoint(n, float(m), float(s), n_realizations)
         for n, m, s in zip(np_grid, mse[0], stderr[0])

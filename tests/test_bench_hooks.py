@@ -2,8 +2,9 @@
 
 ``perfbench`` wraps functions where their callers look them up and marks
 the first engine call through names bound in ``pauliscope.cli``.  A lost
-name only reads as a zero metric there, so it is checked here.  Nothing is
-wrapped or installed.
+name only reads as a zero metric there, so it is checked here, as are the
+attributes its counters read off real results.  Nothing is wrapped or
+installed.
 """
 
 import argparse
@@ -16,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from pauliscope import cli
+from pauliscope.circuits import CircuitSpec, run_circuit
 from pauliscope.driver import ExperimentConfig
+from pauliscope.rtn import BrickworkContraction, contract_brickwork_series
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +65,19 @@ def test_workload_configs_pass_validation(size, tmp_path):
         args = argparse.Namespace(command=workload.command, config=str(path), engine=None,
                                   realizations=None, threads=None, out=None, seed=None)
         assert cli._load_config(args) == ExperimentConfig.from_dict(workload.config)
+
+
+def test_span_counters_read_real_results():
+    spans = _load("spans")
+    # 7 sites: past the exact engine's size, so the series runs the boundary MPS
+    spec = CircuitSpec(n_sites=7, depth=3, gamma=0.01, noise_placement="per_gate_support")
+    series = contract_brickwork_series(spec, [1, 3], k=2, chi_mps=4)
+    counts = spans._rtn_series_counts((), {}, series)
+    assert counts == {"trunc_err_est": series[3].truncation_error,
+                      "flagged_rows": sum(r.flagged for r in series.values())}
+    assert counts["trunc_err_est"] > 0.0  # chi_mps = 4 truncates
+    eng = BrickworkContraction(spec, 2, chi_mps=4)
+    eng.advance(3)
+    assert spans._mps_bond_counts((eng.mps,), {}, None) == {"max_bond": 4}
+    op = run_circuit(spec, 0)
+    assert spans._state_bytes(op) == 8 * 4**7

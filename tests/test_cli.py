@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pauliscope.circuits import CircuitSpec
 from pauliscope.cli import main
 from pauliscope.csvio import read_csv_rows
 from pauliscope.driver import ExperimentConfig, run_ensemble, simulate_moments
-from pauliscope.rmpu import RmpuParams, rmpu_moment_exact
+from pauliscope.rmpu import rmpu_moment_exact
 from pauliscope.rtn import contract_brickwork_series
 
 CFG = {
@@ -31,6 +32,10 @@ def cfg_path(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(CFG))
     return p
+
+
+#: a config path that is never written
+UNWRITTEN = "<unwritten>"
 
 
 def _config_error(argv, capsys) -> str:
@@ -79,18 +84,34 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, text, message",
+    "command, text, flags, message",
     [
-        ("rtn", json.dumps({**CFG, "engine": "rtn", "sweep": {"t": [2], "k": [2, 3]}}),
+        ("rtn", json.dumps({**CFG, "engine": "rtn", "sweep": {"t": [2], "k": [2, 3]}}), [],
          r"sweep\.k \[3\] outside \[1, 2\] for engine rtn"),
-        ("moments", '{"circuit": {"n_sites": 4,}}', "Expecting property name"),
+        ("moments", '{"circuit": {"n_sites": 4,}}', [], "Expecting property name"),
+        ("moments", None, [], r"--config <path\.json> is required"),
+        ("moments", UNWRITTEN, [], "No such file or directory"),
+        ("moments", json.dumps({**CFG, "sweep": None}), [],
+         "sweep must be a JSON object, not null"),
+        ("moments", json.dumps({**CFG, "circuit": None}), [],
+         "circuit must be a JSON object, not null"),
+        # --seed is applied to the circuit before the config is built
+        ("moments", json.dumps({**CFG, "circuit": None}), ["--seed", "3"],
+         "circuit must be a JSON object, not null"),
+        ("moments", json.dumps([CFG]), [], "config must be a JSON object, not list"),
     ],
-    ids=["rtn_k", "bad_json"],
+    ids=["rtn_k", "bad_json", "no_config", "missing_path", "sweep_null", "circuit_null",
+         "circuit_null_seed", "top_level_array"],
 )
-def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, message):
-    p = tmp_path / "cfg.json"
-    p.write_text(text)
-    err = _config_error([command, "--config", str(p), "--out", str(tmp_path / "out")], capsys)
+def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, flags,
+                                                 message):
+    argv = [command, "--out", str(tmp_path / "out"), *flags]
+    if text is not None:  # None: no --config flag at all
+        p = tmp_path / "cfg.json"
+        if text != UNWRITTEN:
+            p.write_text(text)
+        argv += ["--config", str(p)]
+    err = _config_error(argv, capsys)
     assert re.fullmatch(rf"pauliscope {command}: error: .*{message}.*\n", err)
     assert not (tmp_path / "out").exists()
 
@@ -148,7 +169,8 @@ def test_rmpu_exact_sweep_matches_single_points(tmp_path):
     want = [(n, g, k) for n in range(6, 13) for g in (0.0, 0.03) for k in (1, 2, 3)]
     assert [(int(r["N"]), float(r["gamma"]), int(r["k"])) for r in rows] == want
     for row, (n, g, k) in zip(rows, want):
-        single = rmpu_moment_exact([RmpuParams(n_sites=n, r=2, k=k, gamma=g)])[0]
+        spec = CircuitSpec(geometry="rmpu", n_sites=n, r=2, gamma=g)
+        single = rmpu_moment_exact([(spec, k)])[0]
         assert float(row["value"]) == single
 
 
@@ -185,12 +207,13 @@ def test_configured_initial_site_reaches_the_rows(tmp_path, command, engine):
     assert sidecar["initial_site"] == 0
     rows = run_ensemble(ExperimentConfig.from_dict({**cfg, "engine": engine}))
     placement = {"noise_placement": "per_gate_support"} if engine == "rtn" else {}
-    assert all(r.meta["spec"] == {**sidecar, **placement} for r in rows)
+    assert all(asdict(r.meta["spec"]) == {**sidecar, **placement} for r in rows)
     spec = CircuitSpec(**cfg["circuit"])
     if engine == "simulator":
         expected = [e.value for e in simulate_moments(spec, [2, 4], [2], 20)]
     else:
-        series = contract_brickwork_series(5, [2, 4], k=2, gamma=0.05, op_site=0)
+        series = contract_brickwork_series(
+            replace(spec, noise_placement="per_gate_support"), [2, 4], k=2)
         expected = [series[t].value for t in (2, 4)]
     values = [float(r["value"]) for r in read_csv_rows(out / f"{stem}.csv")]
     assert values == expected == [r.value for r in rows]

@@ -93,11 +93,18 @@ RMPU_SIM = {
         # gamma = 0 is the one way to ask for a noiseless circuit
         ({**BASE, "circuit": {**BASE["circuit"], "noise_placement": "none"}},
          "unknown noise placement 'none'"),
+        # fields of another geometry would reach the sidecar but not the circuit
+        ({**BASE, "circuit": {**BASE["circuit"], "r": 3}}, "r applies to rmpu circuits only"),
+        ({**BASE, "circuit": {**BASE["circuit"], "lx": 2}}, "lx and ly apply to grid circuits only"),
+        ({**RMPU_SIM, "circuit": {**RMPU_SIM["circuit"], "ly": 2}},
+         "lx and ly apply to grid circuits only, not to rmpu"),
+        ({**BASE, "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 6, "r": 1}},
+         "r applies to rmpu circuits only, not to grid"),
     ],
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
          "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep",
          "rtn_t_above_depth", "simulator_k", "rtn_k", "rmpu_exact_k", "rmpu_asymptotic_k",
-         "noise_placement_none"],
+         "noise_placement_none", "chain_r", "chain_lx", "rmpu_ly", "grid_r"],
 )
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(ValueError, match=message):

@@ -69,7 +69,7 @@ def dense_circuit(spec, realization):
     n = spec.n_sites
     rng = realization_rng(spec.master_seed, realization)
     mat = embedded_unitary(PAULI_MATRICES[spec.initial_axis], (spec.initial_site,), n)
-    for t in range(spec.n_layers):
+    for t in range(spec.depth):
         for support in layer_supports(spec, t):
             full = embedded_unitary(sample_haar_unitary(2 ** len(support), rng), support, n)
             mat = full @ mat @ full.conj().T
