@@ -24,9 +24,10 @@ Noise placements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, is_dataclass
 from multiprocessing import get_context
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -108,14 +109,42 @@ class CircuitSpec:
 
 
 def json_fields(cls, d, what: str) -> dict:
-    """``d`` if it is a JSON object whose keys all name fields of dataclass ``cls``."""
+    """``d`` if it is a JSON object whose keys all name fields of dataclass ``cls``
+    and whose values have the fields' annotated types."""
     if not isinstance(d, dict):
         kind = "null" if d is None else type(d).__name__
         raise ValueError(f"{what} must be a JSON object, not {kind}")
     unknown = set(d) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        if not _is_json_of(value, hints[key]):
+            raise ValueError(
+                f"{what}.{key} must be {_json_type(hints[key])}, not {json.dumps(value)}"
+            )
     return d
+
+
+def _is_json_of(value, hint) -> bool:
+    """Whether a decoded JSON value has type ``hint``; an integer is also a float."""
+    if get_origin(hint) is Union:  # Optional[X] is Union[X, None]
+        return any(_is_json_of(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return type(value) is list and all(_is_json_of(v, get_args(hint)[0]) for v in value)
+    if is_dataclass(hint):
+        return type(value) is dict
+    return type(value) is hint or (hint is float and type(value) is int)
+
+
+def _json_type(hint) -> str:
+    if get_origin(hint) is Union:
+        return " or ".join(_json_type(h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return f"a list of {_json_type(get_args(hint)[0])}"
+    if is_dataclass(hint):
+        return "a JSON object"
+    return "null" if hint is type(None) else hint.__name__
 
 
 def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,7 @@ from pathlib import Path
 from . import __version__
 from .circuits import CircuitSpec, json_fields
 from .csvio import (
+    MOMENTS_HEADER,
     ensure_dir,
     read_csv_rows,
     write_histogram_csv,
@@ -28,6 +29,7 @@ from .csvio import (
 )
 from .driver import ExperimentConfig, SweepSpec, run_ensemble, simulate_histogram, simulate_mse
 from .fits import fit_kappa, locate_threshold
+from .rmpu import scaling_predictions
 
 
 _MOMENT_SWEEPS = ("t", "gamma", "n", "k")
@@ -53,18 +55,20 @@ def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ValueError("--config <path.json> is required for this subcommand")
     with open(args.config) as fh:
-        d = json_fields(ExperimentConfig, json.load(fh), "config")
+        d = json.load(fh)
     engine, _, sweeps = COMMANDS[args.command]
+    if isinstance(d, dict) and d.get("engine") is None:
+        d["engine"] = engine  # left out: the subcommand's engine
+    d = json_fields(ExperimentConfig, d, "config")
     for key, value in json_fields(SweepSpec, d.get("sweep", {}), "sweep").items():
         if value is not None and key not in sweeps:
             raise ValueError(f"{args.command} does not use sweep.{key}; remove it")
-    if d.get("engine") not in (None, engine):
+    if d["engine"] != engine:
         raise ValueError(
             f"{args.command} runs the {engine} engine, not {d['engine']!r}; "
             "set engine to match or leave it out"
         )
     overrides = (
-        ("engine", engine),
         ("n_realizations", args.realizations),
         ("threads", args.threads),
         ("out_dir", args.out),
@@ -122,17 +126,19 @@ def cmd_truncate_mse(cfg: ExperimentConfig, command: str) -> int:
 
 
 def cmd_fit_kappa(args) -> int:
+    """kappa per gamma from the k=2 nu/F^4 rows of one system's moments CSV."""
     rows = [
-        row for row in read_csv_rows(args.input)
-        if row["quantity"] == "mu" and int(row["k"]) == 2
+        row for row in read_csv_rows(args.input, MOMENTS_HEADER)
+        if row["quantity"] == "nu_over_F2k" and int(row["k"]) == 2
     ]
     if not rows:
-        raise SystemExit("no (quantity=mu, k=2) rows in the input CSV")
+        raise ValueError(f"no quantity=nu_over_F2k, k=2 rows in {args.input}; "
+                         "only the moments subcommand writes them")
     # gamma*N and the fit assume one system: every series shares N, engine, geometry
     for key in ("N", "engine", "geometry"):
         values = sorted({row[key] for row in rows})
         if len(values) > 1:
-            raise SystemExit(
+            raise ValueError(
                 f"fit-kappa needs one {key} per input CSV, found {key} = {', '.join(values)}"
             )
     series = defaultdict(list)
@@ -144,8 +150,7 @@ def cmd_fit_kappa(args) -> int:
     n_sites = int(rows[0]["N"])
     out_rows = []
     for gamma in sorted(series):
-        pts = sorted(series[gamma])
-        t, v, s = zip(*pts)
+        t, v, s = zip(*sorted(series[gamma]))
         fit = fit_kappa(t, v, s, window=window)
         out_rows.append(
             {
@@ -166,7 +171,8 @@ def cmd_fit_kappa(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    rows = read_csv_rows(args.input)
+    """The gamma*N where kappa changes sign, next to the large-N prediction."""
+    rows = read_csv_rows(args.input, ("gammaN", "kappa", "kappa_stderr"))
     xs = [float(r["gammaN"]) for r in rows]
     ks = [float(r["kappa"]) for r in rows]
     ss = [float(r["kappa_stderr"]) for r in rows]
@@ -176,6 +182,7 @@ def cmd_threshold(args) -> int:
         "stderr": res.stderr,
         "n_sign_changes": res.n_sign_changes,
         "bracket": list(res.bracket),
+        "gammaN_prediction": scaling_predictions().gamma_c_times_n,
     }
     print(json.dumps(payload, indent=2))
     if args.out:
@@ -269,11 +276,13 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_selftest)
 
     args = ap.parse_args(argv)
-    if args.command not in COMMANDS:
+    if args.command == "selftest":
         return args.fn(args)
     try:
+        if args.command not in COMMANDS:  # fit-kappa and threshold read only --input
+            return args.fn(args)
         cfg = _load_config(args)
-    except (ValueError, OSError) as exc:  # a bad or unreadable config is a usage error
+    except (ValueError, OSError) as exc:  # bad or unreadable input is a usage error
         ap.exit(2, f"{ap.prog} {args.command}: error: {exc}\n")
     return args.fn(cfg, args.command)
 

@@ -100,9 +100,14 @@ def write_sidecar(path, resolved_config: dict, wall_seconds: float) -> None:
         fh.write("\n")
 
 
-def read_csv_rows(path) -> list[dict]:
+def read_csv_rows(path, columns=()) -> list[dict]:
+    """The rows of a CSV whose header names every one of ``columns``."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks columns: {', '.join(missing)}")
+        return list(reader)
 
 
 def ensure_dir(path) -> Path:

@@ -13,7 +13,7 @@ from .spectrum import haar_moment
 
 @dataclass
 class FitResult:
-    """Exponential decay rate of |mu2 - Haar| ~ exp(-kappa t)."""
+    """Exponential decay rate of |nu2/F^4 - 3| ~ exp(-kappa t)."""
 
     kappa: float
     kappa_stderr: float
@@ -29,7 +29,7 @@ def fit_kappa(
     window: Optional[tuple[float, float]] = None,
 ) -> FitResult:
     """Weighted linear least squares of log|value - 3| against depth, where
-    3 is the fully scrambled mu_2.
+    the values are nu_2/F^4 and 3 is its fully scrambled value.
 
     Points whose deviation is within 3 standard errors of zero carry no
     usable sign and are excluded; at least 3 significant points are

@@ -163,5 +163,5 @@ class ScalingPredictions:
 def scaling_predictions(k: int = 2) -> ScalingPredictions:
     """tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d)) with
     d = 2; derived thresholds follow from it."""
-    tau = 1.0 / math.log(5.0 / 4.0)
-    return ScalingPredictions(k=k, tau=tau, gamma_c_times_n=1.0 / tau)
+    rate = math.log(5.0 / 4.0)
+    return ScalingPredictions(k=k, tau=1.0 / rate, gamma_c_times_n=rate)

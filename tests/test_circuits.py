@@ -51,6 +51,16 @@ def test_spec_validation():
         CircuitSpec.from_dict({"geometry": "chain", "n_sites": 4, "depht": 3})
 
 
+def test_from_dict_checks_value_types():
+    # an Optional field admits null, and a float field a JSON integer
+    spec = CircuitSpec.from_dict({"n_sites": 4, "gamma": 0, "initial_site": None})
+    assert (spec.gamma, spec.initial_site) == (0, 2)
+    with pytest.raises(ValueError, match="circuit.n_sites must be int, not true"):
+        CircuitSpec.from_dict({"n_sites": True})
+    with pytest.raises(ValueError, match="circuit.r must be int or null, not 1.0"):
+        CircuitSpec.from_dict({"geometry": "rmpu", "n_sites": 4, "r": 1.0})
+
+
 def test_noise_placement_defaults():
     assert CircuitSpec(geometry="chain", n_sites=4).noise_placement == "per_qubit_per_layer"
     assert CircuitSpec(geometry="rmpu", n_sites=4, r=1).noise_placement == "per_gate_support"

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import asdict, replace
 
@@ -8,7 +9,7 @@ import pytest
 from pauliscope import driver
 from pauliscope.circuits import CircuitSpec
 from pauliscope.cli import main
-from pauliscope.csvio import read_csv_rows
+from pauliscope.csvio import MOMENTS_HEADER, read_csv_rows
 from pauliscope.driver import ExperimentConfig, run_ensemble, simulate_moments
 from pauliscope.rmpu import rmpu_moment_exact
 from pauliscope.rtn import contract_brickwork_series
@@ -39,8 +40,8 @@ UNWRITTEN = "<unwritten>"
 
 
 def _config_error(argv, capsys) -> str:
-    """The stderr of a run whose config is rejected at load time: exit status
-    2, as for argparse usage errors, and one line, not a traceback."""
+    """The stderr of a run whose config or input is rejected before any work:
+    exit status 2, as for argparse usage errors, and one line, not a traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -99,9 +100,23 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
         ("moments", json.dumps({**CFG, "circuit": None}), ["--seed", "3"],
          "circuit must be a JSON object, not null"),
         ("moments", json.dumps([CFG]), [], "config must be a JSON object, not list"),
+        # values are checked against the dataclass annotations
+        ("moments", json.dumps({**CFG, "circuit": {**CFG["circuit"], "n_sites": "4"}}), [],
+         'circuit.n_sites must be int, not "4"'),
+        ("moments", json.dumps({**CFG, "threads": None}), [],
+         "config.threads must be int, not null"),
+        ("moments", json.dumps({**CFG, "n_realizations": None}), [],
+         "config.n_realizations must be int, not null"),
+        ("moments", json.dumps({**CFG, "n_realizations": 2.5}), [],
+         r"config.n_realizations must be int, not 2\.5"),
+        ("moments", json.dumps({**CFG, "sweep": {"t": 2}}), [],
+         "sweep.t must be a list of int or null, not 2"),
+        ("moments", json.dumps({**CFG, "sweep": {"k": None}}), [],
+         "sweep.k must be a list of int, not null"),
     ],
     ids=["rtn_k", "bad_json", "no_config", "missing_path", "sweep_null", "circuit_null",
-         "circuit_null_seed", "top_level_array"],
+         "circuit_null_seed", "top_level_array", "n_sites_str", "threads_null",
+         "realizations_null", "realizations_float", "sweep_t_int", "sweep_k_null"],
 )
 def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, flags,
                                                  message):
@@ -310,17 +325,26 @@ def test_commands_reject_config_they_ignore(tmp_path, capsys, command, overrides
     assert not (tmp_path / "out").exists()
 
 
+_MOMENTS_LINE = ("simulator,chain,{n},,{t},{gamma},per_qubit_per_layer,2,{quantity},{value!r},"
+                 "0.0001,100,1")
+
+
+def _moments_csv(path, series, quantity="nu_over_F2k"):
+    """A moments CSV with one k=2 row per (N, gamma, t, value) of ``series``."""
+    lines = [",".join(MOMENTS_HEADER)] + [
+        _MOMENTS_LINE.format(n=n, t=t, gamma=gamma, quantity=quantity, value=value)
+        for n, gamma, t, value in series
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_fit_kappa_and_threshold_pipeline(tmp_path):
     # synthetic moments CSV: two gammas, one decaying and one growing
-    lines = ["engine,geometry,N,r,t,gamma,noise_placement,k,quantity,value,stderr,n_samples,seed"]
-    for gamma, kappa in ((0.01, 0.4), (0.05, -0.2)):
-        for t in range(4, 13):
-            value = float(3.0 + 2.0 * np.exp(-kappa * t))
-            lines.append(
-                f"simulator,chain,7,,{t},{gamma},per_qubit_per_layer,2,mu,{value!r},0.0001,100,1"
-            )
-    moments = tmp_path / "moments.csv"
-    moments.write_text("\n".join(lines) + "\n")
+    moments = _moments_csv(tmp_path / "moments.csv", [
+        (7, gamma, t, float(3.0 + 2.0 * np.exp(-kappa * t)))
+        for gamma, kappa in ((0.01, 0.4), (0.05, -0.2)) for t in range(4, 13)
+    ])
     kappa_csv = tmp_path / "kappa.csv"
     assert main(["fit-kappa", "--input", str(moments), "--out", str(kappa_csv)]) == 0
     data = kappa_csv.read_bytes()
@@ -337,19 +361,85 @@ def test_fit_kappa_and_threshold_pipeline(tmp_path):
     assert payload["n_sign_changes"] == 1
 
 
-def test_fit_kappa_rejects_mixed_sizes(tmp_path):
-    lines = ["engine,geometry,N,r,t,gamma,noise_placement,k,quantity,value,stderr,n_samples,seed"]
-    for n_sites in (6, 8):
-        for t in range(4, 9):
-            lines.append(
-                f"simulator,chain,{n_sites},,{t},0.01,per_qubit_per_layer,2,mu,"
-                f"{3.0 + np.exp(-0.3 * t)!r},0.0001,100,1"
-            )
-    moments = tmp_path / "moments.csv"
-    moments.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SystemExit, match="N = 6, 8"):
-        main(["fit-kappa", "--input", str(moments), "--out", str(tmp_path / "k.csv")])
+def test_moments_fit_kappa_threshold_find_the_transition(tmp_path):
+    """The paper's transition through the CLI: a seeded chain (N=4, depth 8,
+    t = 4..8, gamma*N in {0.1, 0.5}, 20 realizations, seed 20250809; about
+    0.2 s) decays at the weak noise and grows at the strong one.  The kappas
+    are those of the noise scan this pipeline replaced, bit for bit."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({
+        "circuit": {"geometry": "chain", "n_sites": 4, "depth": 8, "master_seed": 20250809},
+        "sweep": {"t": [4, 5, 6, 7, 8], "gamma": [0.025, 0.125], "k": [2]},
+        "n_realizations": 20,
+    }))
+    assert main(["moments", "--config", str(p), "--out", str(tmp_path)]) == 0
+    kappa_csv, out_json = tmp_path / "kappa.csv", tmp_path / "threshold.json"
+    assert main(["fit-kappa", "--input", str(tmp_path / "moments.csv"),
+                 "--out", str(kappa_csv)]) == 0
+    assert main(["threshold", "--input", str(kappa_csv), "--out", str(out_json)]) == 0
+    data = kappa_csv.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    rows = read_csv_rows(kappa_csv)
+    assert [(r["gammaN"], r["kappa"]) for r in rows] == [
+        ("0.1", "0.06594168674749189"), ("0.5", "-0.7730298705145441"),
+    ]
+    payload = json.loads(out_json.read_text())
+    assert payload["n_sign_changes"] == 1 and payload["bracket"] == [0.1, 0.5]
+    assert abs(payload["gammaN_critical"] - 0.1314) < 1e-4
+    assert payload["gammaN_prediction"] == math.log(5 / 4)
+
+
+def test_fit_kappa_rejects_mixed_sizes(tmp_path, capsys):
+    moments = _moments_csv(tmp_path / "moments.csv", [
+        (n_sites, 0.01, t, 3.0 + np.exp(-0.3 * t)) for n_sites in (6, 8) for t in range(4, 9)
+    ])
+    err = _config_error(
+        ["fit-kappa", "--input", str(moments), "--out", str(tmp_path / "k.csv")], capsys
+    )
+    assert "N = 6, 8" in err
     assert not (tmp_path / "k.csv").exists()
+
+
+def _mu_rows_csv(tmp_path):
+    # the mu and nu rows rtn and rmpu-* write carry no transition to fit
+    return _moments_csv(tmp_path / "rtn.csv", [
+        (6, 0.01, t, 3.0 + np.exp(-0.3 * t)) for t in range(4, 9)
+    ], quantity="mu")
+
+
+def _histogram_csv(tmp_path):
+    p = tmp_path / "hist.json"
+    p.write_text(json.dumps({**CFG, "sweep": {"t": [2]}}))
+    assert main(["spectrum-hist", "--config", str(p), "--out", str(tmp_path)]) == 0
+    return tmp_path / "histogram.csv"
+
+
+def _kappa_csv_without_crossing(tmp_path):
+    p = tmp_path / "kappa.csv"
+    p.write_text("gamma,gammaN,kappa,kappa_stderr\n0.01,0.1,0.3,0.01\n0.05,0.5,0.1,0.01\n")
+    return p
+
+
+@pytest.mark.parametrize(
+    "command, make_input, message",
+    [
+        ("fit-kappa", _mu_rows_csv, "no quantity=nu_over_F2k, k=2 rows"),
+        ("fit-kappa", _histogram_csv, "lacks columns: engine, geometry, r"),
+        ("fit-kappa", lambda tmp_path: tmp_path / "missing.csv", "No such file or directory"),
+        ("threshold", _kappa_csv_without_crossing, "does not bracket a sign change"),
+        ("threshold", _mu_rows_csv, "lacks columns: gammaN, kappa, kappa_stderr"),
+    ],
+    ids=["fit_mu_rows", "fit_histogram", "fit_missing_path", "threshold_no_crossing",
+         "threshold_moments"],
+)
+def test_fit_and_threshold_input_errors_are_one_line_usage_errors(tmp_path, capsys, command,
+                                                                   make_input, message):
+    path = make_input(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    err = _config_error([command, "--input", str(path), "--out", str(out)], capsys)
+    assert re.fullmatch(rf"pauliscope {command}: error: .*{message}.*\n", err)
+    assert not out.exists()
 
 
 def test_selftest_passes():

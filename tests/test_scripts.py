@@ -1,14 +1,11 @@
 """The figure scripts run end to end at a tiny size."""
 
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from pauliscope.cli import main
 from pauliscope.csvio import HISTOGRAM_HEADER, MSE_HEADER, read_csv_rows
-from pauliscope.rmpu import scaling_predictions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,24 +50,3 @@ def test_run_truncation_mse_writes_curves(tmp_path):
         # the default grid: powers of two up to 4^3
         assert [int(r["N_P"]) for r in rows] == [2**j for j in range(7)]
     assert stdout.count("log-log MSE slope") == 2
-
-
-def test_run_threshold_scan_finds_the_sign_change(tmp_path):
-    stdout = _run("run_threshold_scan.py", "--n-sites", 4, "--realizations", 20,
-                  "--gamma-n", 0.1, 0.5, "--out", tmp_path)
-    kappa_csv = tmp_path / "kappa.csv"
-    data = kappa_csv.read_bytes()
-    # the line ending of fit-kappa's CSV
-    assert b"\r" not in data and data.endswith(b"\n")
-    lines = data.decode().splitlines()
-    assert lines[0] == "gammaN,kappa,kappa_stderr,r_squared,n_points"
-    assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.5"]
-    assert "(1 sign change(s);" in stdout
-    prediction = scaling_predictions().gamma_c_times_n
-    assert f"prediction log((d^2+1)/(2d)) = {prediction:.4f})" in stdout
-    # the threshold subcommand reads it and finds the crossing the script printed
-    out_json = tmp_path / "threshold.json"
-    assert main(["threshold", "--input", str(kappa_csv), "--out", str(out_json)]) == 0
-    payload = json.loads(out_json.read_text())
-    assert payload["n_sign_changes"] == 1
-    assert f"gammaN_c = {payload['gammaN_critical']:.4f} +-" in stdout
