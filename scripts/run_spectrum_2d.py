@@ -32,22 +32,20 @@ def main():
             geometry="grid", lx=args.lx, ly=args.ly, depth=args.depth,
             gamma=gn / n_sites, master_seed=args.seed,
         )
-        (hist,) = simulate_histogram(spec, [args.depth], args.realizations)
-        write_histogram_csv(out / f"histogram_gn{gn:g}.csv", [hist], args.seed)
-        centers = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
-        widths = np.diff(hist.bin_edges)
-        opt = np.array(
-            [opt_bin_mass(a, b) for a, b in zip(hist.bin_edges[:-1], hist.bin_edges[1:])]
-        ) / widths
-        sel = (centers >= 3) & (centers <= 100) & (hist.density_mean > 0)
+        rows = simulate_histogram(spec, [args.depth], args.realizations)
+        write_histogram_csv(out / f"histogram_gn{gn:g}.csv", rows)
+        lo, hi, density, stderr = (
+            np.array([row[col] for row in rows])
+            for col in ("bin_lo", "bin_hi", "density", "density_stderr")
+        )
+        centers = np.sqrt(lo * hi)
+        opt = np.array([opt_bin_mass(a, b) for a, b in zip(lo, hi)]) / (hi - lo)
+        sel = (centers >= 3) & (centers <= 100) & (density > 0)
         fit = weighted_line_fit(
-            np.log(centers[sel]), np.log(hist.density_mean[sel]),
-            hist.density_stderr[sel] / hist.density_mean[sel],
+            np.log(centers[sel]), np.log(density[sel]), stderr[sel] / density[sel]
         )
         mid = (centers >= 0.1) & (centers <= 10)
-        pulls = np.abs(hist.density_mean[mid] - opt[mid]) / np.maximum(
-            hist.density_stderr[mid], 1e-30
-        )
+        pulls = np.abs(density[mid] - opt[mid]) / np.maximum(stderr[mid], 1e-30)
         print(
             f"gammaN={gn}: tail slope {fit.slope:.2f} +- {fit.slope_stderr:.2f}, "
             f"max OPT pull in [0.1,10]: {np.max(pulls):.1f} sigma"

@@ -29,13 +29,13 @@ def main():
                 geometry="chain", n_sites=n, depth=2 * n, gamma=gn / n,
                 master_seed=args.seed,
             )
-            points = simulate_mse(spec, None, args.realizations)
-            write_mse_csv(out / f"mse_N{n}_gn{gn:g}.csv", points, spec, args.seed)
-            pos = [p for p in points if p.mse > 0]
+            rows = simulate_mse(spec, None, args.realizations)
+            write_mse_csv(out / f"mse_N{n}_gn{gn:g}.csv", rows)
+            pos = [row for row in rows if row["mse"] > 0]
             fit = weighted_line_fit(
-                np.log([p.n_paulis for p in pos]),
-                np.log([p.mse for p in pos]),
-                [p.stderr / p.mse for p in pos],
+                np.log([row["N_P"] for row in pos]),
+                np.log([row["mse"] for row in pos]),
+                [row["stderr"] / row["mse"] for row in pos],
             )
             print(f"N={n} gammaN={gn}: log-log MSE slope {fit.slope:.3f} +- {fit.slope_stderr:.3f}")
 

@@ -109,8 +109,9 @@ class CircuitSpec:
 
 
 def json_fields(cls, d, what: str) -> dict:
-    """``d`` if it is a JSON object whose keys all name fields of dataclass ``cls``
-    and whose values have the fields' annotated types."""
+    """The fields of dataclass ``cls`` that JSON object ``d`` sets, each checked
+    against its annotated type; a JSON integer is stored as a float where a
+    float is wanted."""
     if not isinstance(d, dict):
         kind = "null" if d is None else type(d).__name__
         raise ValueError(f"{what} must be a JSON object, not {kind}")
@@ -118,23 +119,38 @@ def json_fields(cls, d, what: str) -> dict:
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     hints = get_type_hints(cls)
+    out = {}
     for key, value in d.items():
-        if not _is_json_of(value, hints[key]):
+        out[key] = _as_json_of(value, hints[key])
+        if out[key] is _WRONG_TYPE:
             raise ValueError(
                 f"{what}.{key} must be {_json_type(hints[key])}, not {json.dumps(value)}"
             )
-    return d
+    return out
 
 
-def _is_json_of(value, hint) -> bool:
-    """Whether a decoded JSON value has type ``hint``; an integer is also a float."""
+_WRONG_TYPE = object()
+
+
+def _as_json_of(value, hint):
+    """A decoded JSON value as a field of type ``hint`` stores it (an integer
+    becomes a float), or ``_WRONG_TYPE``."""
     if get_origin(hint) is Union:  # Optional[X] is Union[X, None]
-        return any(_is_json_of(value, h) for h in get_args(hint))
+        for h in get_args(hint):
+            stored = _as_json_of(value, h)
+            if stored is not _WRONG_TYPE:
+                return stored
+        return _WRONG_TYPE
     if get_origin(hint) is list:
-        return type(value) is list and all(_is_json_of(v, get_args(hint)[0]) for v in value)
-    if is_dataclass(hint):
-        return type(value) is dict
-    return type(value) is hint or (hint is float and type(value) is int)
+        if type(value) is not list:
+            return _WRONG_TYPE
+        items = [_as_json_of(v, get_args(hint)[0]) for v in value]
+        return _WRONG_TYPE if any(v is _WRONG_TYPE for v in items) else items
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is hint or (is_dataclass(hint) and type(value) is dict):
+        return value
+    return _WRONG_TYPE
 
 
 def _json_type(hint) -> str:

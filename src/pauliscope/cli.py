@@ -12,7 +12,6 @@ import json
 import sys
 import time
 from collections import defaultdict
-from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -82,46 +81,35 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(d)
 
 
-def _finish(cfg: ExperimentConfig, command: str, t0: float, writers: dict) -> None:
-    """Write each CSV (file name -> writer taking the path), then the sidecar."""
+def cmd_run(cfg: ExperimentConfig, command: str) -> int:
+    """Run the subcommand's engine, then write its CSVs and the sidecar."""
+    t0 = time.time()
+    name = COMMANDS[command][1]
+    # engines and writers are looked up as module globals at call time:
+    # perfbench replaces run_ensemble and simulate_mse here to mark (or stop
+    # at) the first engine call, and wraps the writers
+    if command == "spectrum-hist":
+        write = write_histogram_csv
+        tables = {name: [
+            row for spec in cfg.points()
+            for row in simulate_histogram(spec, cfg.sweep.t or [spec.depth],
+                                          cfg.n_realizations, cfg.threads)
+        ]}
+    elif command == "truncate-mse":
+        write = write_mse_csv
+        tables = {
+            f"mse_gamma{spec.gamma:g}.csv":
+                simulate_mse(spec, cfg.sweep.n_paulis, cfg.n_realizations, cfg.threads)
+            for spec in cfg.points()
+        }
+    else:
+        write = write_moments_csv
+        tables = {name: run_ensemble(cfg)}
     out = ensure_dir(cfg.out_dir)
-    for name, writer in writers.items():
-        writer(out / name)
-        print(f"wrote {out / name}")
-    stem = Path(COMMANDS[command][1]).stem
-    write_sidecar(out / f"{stem}.meta.json", cfg.resolved(), time.time() - t0)
-
-
-def cmd_moments(cfg: ExperimentConfig, command: str) -> int:
-    t0 = time.time()
-    rows = run_ensemble(cfg)
-    writer = partial(write_moments_csv, estimates=rows, engine=cfg.engine)
-    _finish(cfg, command, t0, {COMMANDS[command][1]: writer})
-    return 0
-
-
-def cmd_spectrum_hist(cfg: ExperimentConfig, command: str) -> int:
-    t0 = time.time()
-    ensembles = []
-    for spec in cfg.points():
-        depths = cfg.sweep.t if cfg.sweep.t is not None else [spec.depth]
-        ensembles.extend(
-            simulate_histogram(spec, depths, cfg.n_realizations, threads=cfg.threads)
-        )
-    writer = partial(write_histogram_csv, ensembles=ensembles, seed=cfg.circuit.master_seed)
-    _finish(cfg, command, t0, {COMMANDS[command][1]: writer})
-    return 0
-
-
-def cmd_truncate_mse(cfg: ExperimentConfig, command: str) -> int:
-    t0 = time.time()
-    writers = {}
-    for spec in cfg.points():
-        points = simulate_mse(spec, cfg.sweep.n_paulis, cfg.n_realizations, cfg.threads)
-        writers[f"mse_gamma{spec.gamma:g}.csv"] = partial(
-            write_mse_csv, points=points, spec=spec, seed=spec.master_seed
-        )
-    _finish(cfg, command, t0, writers)
+    for file_name, rows in tables.items():
+        write(out / file_name, rows)
+        print(f"wrote {out / file_name}")
+    write_sidecar(out / f"{Path(name).stem}.meta.json", cfg.resolved(), time.time() - t0)
     return 0
 
 
@@ -251,7 +239,6 @@ def main(argv=None) -> int:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    handlers = {"spectrum-hist": cmd_spectrum_hist, "truncate-mse": cmd_truncate_mse}
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
@@ -259,7 +246,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output directory")
         p.add_argument("--realizations", type=int, help="override ensemble size")
         p.add_argument("--threads", type=int, help="worker processes")
-        p.set_defaults(fn=handlers.get(name, cmd_moments))
+        p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("fit-kappa")
     p.add_argument("--input", required=True, help="moments CSV")

@@ -1,4 +1,8 @@
-"""CSV schemas and run sidecars (the plotting contract of the experiments)."""
+"""CSV schemas and run sidecars (the plotting contract of the experiments).
+
+Every result reaches its CSV as a list of rows, dicts keyed by the header's
+columns.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +21,9 @@ HISTOGRAM_HEADER = [
     "zero_mass", "n_samples", "seed",
 ]
 MSE_HEADER = ["N", "t", "gamma", "N_P", "mse", "stderr", "n_samples", "seed"]
+KAPPA_HEADER = [
+    "gamma", "gammaN", "kappa", "kappa_stderr", "t_min", "t_max", "r_squared", "n_points",
+]
 
 
 def _fmt(value) -> str:
@@ -27,68 +34,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_moments_csv(path, estimates, engine: str) -> None:
-    """One row per MomentEstimate; meta must carry the CircuitSpec and t.
-
-    For the rtn engine the stderr column holds the truncation-error
-    estimate of the deterministic contraction.
-    """
+def _write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """``header``, then each row's cells in header order, every line ending in \\n."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(MOMENTS_HEADER)
-        for est in estimates:
-            spec = est.meta["spec"]
-            w.writerow(
-                [
-                    engine,
-                    spec.geometry,
-                    spec.n_sites,
-                    _fmt(spec.r),
-                    est.meta["t"],
-                    _fmt(spec.gamma),
-                    spec.noise_placement,
-                    est.k,
-                    est.quantity,
-                    _fmt(est.value),
-                    _fmt(est.stderr),
-                    est.n_samples,
-                    spec.master_seed,
-                ]
-            )
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_fmt(row[col]) for col in header] for row in rows)
 
 
-def write_histogram_csv(path, ensembles, seed: int) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HISTOGRAM_HEADER)
-        for h in ensembles:
-            bins = zip(h.bin_edges[:-1], h.bin_edges[1:], h.density_mean, h.density_stderr)
-            for lo, hi, dens, dens_err in bins:
-                w.writerow(
-                    [h.n_sites, h.depth, _fmt(h.gamma), _fmt(float(lo)),
-                     _fmt(float(hi)), _fmt(float(dens)), _fmt(float(dens_err)),
-                     _fmt(h.zero_mass), h.n_samples, seed]
-                )
+def write_moments_csv(path, rows: list[dict]) -> None:
+    """For the rtn engine the stderr column holds the truncation-error estimate."""
+    _write_csv(path, MOMENTS_HEADER, rows)
 
 
-def write_mse_csv(path, points, spec, seed: int) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(MSE_HEADER)
-        for p in points:
-            w.writerow(
-                [spec.n_sites, spec.depth, _fmt(spec.gamma), p.n_paulis,
-                 _fmt(p.mse), _fmt(p.stderr), p.n_samples, seed]
-            )
+def write_histogram_csv(path, rows: list[dict]) -> None:
+    _write_csv(path, HISTOGRAM_HEADER, rows)
+
+
+def write_mse_csv(path, rows: list[dict]) -> None:
+    _write_csv(path, MSE_HEADER, rows)
 
 
 def write_kappa_csv(path, rows: list[dict]) -> None:
-    """One row per fitted series, columns in the order of the first row's keys."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(rows[0].keys())
-        for row in rows:
-            w.writerow([_fmt(v) for v in row.values()])
+    """One row per fitted series."""
+    _write_csv(path, KAPPA_HEADER, rows)
 
 
 def write_sidecar(path, resolved_config: dict, wall_seconds: float) -> None:

@@ -5,7 +5,8 @@ Monte-Carlo estimates evolve independent circuit realizations (seeded from
 independent of worker scheduling) and reduce one per-depth observable of each
 (moments, histogram, truncation error) to mean +- stderr in ``ensemble``; the
 analytic engines (rmpu_exact, rmpu_asymptotic, rtn) emit the corresponding
-deterministic values in the same row format.
+deterministic values in the same row format.  Every result is a list of CSV
+rows: dicts keyed by the columns of ``csvio``'s headers.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 
 from . import __version__
 from .circuits import CircuitSpec, circuit_fidelity, iter_circuit, json_fields, map_ordered
+from .opsim import MAX_SITES
 from .pauli import PauliCoefficients
 from .rmpu import rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
-from .spectrum import HIST_EDGES, MomentEstimate, moment_mu, moment_nu, spectrum_histogram
+from .spectrum import HIST_EDGES, moment_mu, moment_nu, spectrum_histogram
 from .weingarten import MAX_DEGREE
 
 ENGINES = ("simulator", "rtn", "rmpu_exact", "rmpu_asymptotic")
@@ -79,17 +81,23 @@ class ExperimentConfig:
             raise ValueError(f"svd_threshold={self.svd_threshold} outside [0, 1)")
         if self.sweep.n is not None and self.circuit.geometry == "grid":
             raise ValueError("sweep.n is not supported for grid circuits (N = lx * ly)")
-        if self.sweep.t is not None:
-            for spec in self.points():
-                bad = [t for t in self.sweep.t if not 1 <= t <= spec.depth]
-                if bad:
-                    raise ValueError(
-                        f"sweep.t {bad} outside [1, {spec.depth}] at N={spec.n_sites}"
-                    )
+        empty = [key for key, values in vars(self.sweep).items() if values == []]
+        if empty:
+            raise ValueError(f"sweep.{empty[0]} is empty; give it values or leave it out")
+        for spec in self.points():  # building each swept circuit checks it
+            n = spec.n_sites
+            if self.engine == "simulator" and n > MAX_SITES:
+                raise ValueError(f"N={n} exceeds the simulator's {MAX_SITES} sites")
+            bad = [t for t in self.sweep.t or () if not 1 <= t <= spec.depth]
+            if bad:
+                raise ValueError(f"sweep.t {bad} outside [1, {spec.depth}] at N={n}")
+            bad = [v for v in self.sweep.n_paulis or () if not 1 <= v <= 4**n]
+            if bad:
+                raise ValueError(f"sweep.n_paulis {bad} outside [1, {4**n}] at N={n}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(json_fields(cls, d, "config"))
+        d = json_fields(cls, d, "config")
         circuit, sweep = d.get("circuit"), d.get("sweep", {})
         d["circuit"], d["sweep"] = CircuitSpec.from_dict(circuit), SweepSpec.from_dict(sweep)
         if circuit.get("initial_site") is not None and sweep.get("n") is not None:
@@ -154,13 +162,31 @@ def _moment_pairs(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
     return np.array([(moment_mu(coeffs, k), moment_nu(coeffs, k)) for k in ks])
 
 
+def moment_row(engine: str, spec: CircuitSpec, t: int, k: int, quantity: str,
+               value: float, stderr: float, n_samples: int) -> dict:
+    """The moments CSV row of ``quantity`` (mu, nu or nu_over_F2k) of order k
+    at depth t of the circuit ``spec``; deterministic engines have n_samples 0."""
+    if quantity not in ("mu", "nu", "nu_over_F2k"):
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not stderr >= 0:  # also rejects NaN
+        raise ValueError(f"stderr must be >= 0, got {stderr}")
+    return {
+        "engine": engine, "geometry": spec.geometry, "N": spec.n_sites, "r": spec.r,
+        "t": t, "gamma": spec.gamma, "noise_placement": spec.noise_placement, "k": k,
+        "quantity": quantity, "value": value, "stderr": stderr, "n_samples": n_samples,
+        "seed": spec.master_seed,
+    }
+
+
 def simulate_moments(
     spec: CircuitSpec,
     depths: Sequence[int],
     ks: Sequence[int],
     n_realizations: int,
     threads: int = 1,
-) -> list[MomentEstimate]:
+) -> list[dict]:
     """Ensemble mean +- stderr of mu_k, nu_k and nu_k/F^2k at each depth."""
     depths, mean, stderr = ensemble(
         spec, depths, partial(_moment_pairs, ks=list(ks)), n_realizations, threads
@@ -169,26 +195,26 @@ def simulate_moments(
     for i, t in enumerate(depths):
         fid = circuit_fidelity(spec, t)
         for j, k in enumerate(ks):
-            meta = {"spec": spec, "t": t}
             for q, col, scale in (("mu", 0, 1.0), ("nu", 1, 1.0),
                                   ("nu_over_F2k", 1, fid ** (2 * k))):
-                out.append(MomentEstimate(q, k, float(mean[i, j, col]) / scale,
-                                          float(stderr[i, j, col]) / scale, n_realizations, meta))
+                out.append(moment_row("simulator", spec, t, k, q,
+                                      float(mean[i, j, col]) / scale,
+                                      float(stderr[i, j, col]) / scale, n_realizations))
     return out
 
 
-def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
-    """Dispatch a full sweep on the configured engine."""
+def run_ensemble(config: ExperimentConfig) -> list[dict]:
+    """The moments rows of a full sweep on the configured engine."""
     ks = list(config.sweep.k)
     if config.engine in ("rmpu_exact", "rmpu_asymptotic"):
         points = [(spec, k) for spec in config.points() for k in ks]
         # one call over every point, so each (r, k, gamma) builds one T for all N
         values = (rmpu_moment_exact(points) if config.engine == "rmpu_exact"
                   else [rmpu_moment_asymptotic(spec, k) for spec, k in points])
-        return [MomentEstimate("mu" if spec.gamma == 0.0 else "nu", k, value, 0.0, 0,
-                               {"spec": spec, "t": spec.depth})
+        return [moment_row(config.engine, spec, spec.depth, k,
+                           "mu" if spec.gamma == 0.0 else "nu", value, 0.0, 0)
                 for (spec, k), value in zip(points, values)]
-    out: list[MomentEstimate] = []
+    out = []
     for spec in config.points():
         depths = config.sweep.t if config.sweep.t is not None else [spec.depth]
         q = "mu" if spec.gamma == 0.0 else "nu"
@@ -207,30 +233,10 @@ def run_ensemble(config: ExperimentConfig) -> list[MomentEstimate]:
                             f"non-physical value {res.value!r} (truncation error "
                             f"{res.truncation_error:.3g}); raise chi_mps"
                         )
-                    meta = {"spec": sp, "t": t, "truncation_error": res.truncation_error,
-                            "max_bond": res.max_bond}
-                    # stderr column carries the truncation-error estimate
-                    out.append(MomentEstimate(q, k, res.value,
-                                              res.truncation_error, 0, meta))
+                    # the stderr column carries the truncation-error estimate
+                    out.append(moment_row("rtn", sp, t, k, q, res.value,
+                                          res.truncation_error, 0))
     return out
-
-
-@dataclass
-class HistogramEnsemble:
-    n_sites: int
-    depth: int
-    gamma: float
-    bin_edges: np.ndarray
-    density_mean: np.ndarray
-    density_stderr: np.ndarray
-    zero_mass: float
-    n_samples: int
-
-
-def _histogram_row(coeffs: PauliCoefficients) -> np.ndarray:
-    """The histogram density on the fixed grid with the zero mass appended."""
-    h = spectrum_histogram(coeffs)
-    return np.append(h.density, h.zero_mass)
 
 
 def simulate_histogram(
@@ -238,21 +244,17 @@ def simulate_histogram(
     depths: Sequence[int],
     n_realizations: int,
     threads: int = 1,
-) -> list[HistogramEnsemble]:
-    """Ensemble-averaged Pauli-spectrum histograms at the requested depths."""
-    depths, mean, stderr = ensemble(spec, depths, _histogram_row, n_realizations, threads)
+) -> list[dict]:
+    """The histogram rows: per depth and bin of the fixed grid, the
+    ensemble-mean Pauli-spectrum density and its stderr."""
+    depths, mean, stderr = ensemble(spec, depths, spectrum_histogram, n_realizations, threads)
+    bins = list(zip(HIST_EDGES[:-1].tolist(), HIST_EDGES[1:].tolist()))
     return [
-        HistogramEnsemble(
-            n_sites=spec.n_sites,
-            depth=t,
-            gamma=spec.gamma,
-            bin_edges=HIST_EDGES,
-            density_mean=mean[i, :-1],
-            density_stderr=stderr[i, :-1],
-            zero_mass=float(mean[i, -1]),
-            n_samples=n_realizations,
-        )
+        {"N": spec.n_sites, "t": t, "gamma": spec.gamma, "bin_lo": lo, "bin_hi": hi,
+         "density": density, "density_stderr": err, "zero_mass": float(mean[i, -1]),
+         "n_samples": n_realizations, "seed": spec.master_seed}
         for i, t in enumerate(depths)
+        for (lo, hi), density, err in zip(bins, mean[i, :-1].tolist(), stderr[i, :-1].tolist())
     ]
 
 
@@ -261,7 +263,7 @@ def simulate_mse(
     np_grid: Optional[Sequence[int]],
     n_realizations: int,
     threads: int = 1,
-):
+) -> list[dict]:
     """``truncation_mse`` under the name the benchmark harness binds.
 
     ``perfbench/child.py:ENGINE_ENTRIES`` and a ``perfbench/spans.py`` trace

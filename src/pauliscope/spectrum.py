@@ -11,7 +11,6 @@ exp(-u/2)/sqrt(2 pi u) with moments (2k-1)!!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,20 +110,6 @@ def opt_bin_mass(u_lo: float, u_hi: float) -> float:
     return math.erf(math.sqrt(u_hi / 2.0)) - math.erf(math.sqrt(u_lo / 2.0))
 
 
-@dataclass
-class SpectrumHistogram:
-    """Ensemble-ready histogram of u = D^2 pi(P) with log-spaced bins.
-
-    Every string carries mass D^-2; mass below the first edge accumulates in
-    ``zero_mass`` and mass at or above the last edge is folded into the last
-    bin, so zero_mass + sum(density * width) = 1.
-    """
-
-    bin_edges: np.ndarray
-    density: np.ndarray
-    zero_mass: float
-
-
 #: the one histogram grid: HIST_BINS log-spaced bins of u from HIST_U_MIN to HIST_U_MAX
 HIST_BINS = 60
 HIST_U_MIN = 1e-6
@@ -133,8 +118,13 @@ HIST_EDGES = np.geomspace(HIST_U_MIN, HIST_U_MAX, HIST_BINS + 1)
 HIST_EDGES.flags.writeable = False
 
 
-def spectrum_histogram(coeffs: PauliCoefficients) -> SpectrumHistogram:
-    """Histogram of the rescaled Pauli spectrum of one operator on the fixed grid."""
+def spectrum_histogram(coeffs: PauliCoefficients) -> np.ndarray:
+    """Density of u = D^2 pi(P) of one operator on the fixed grid, zero mass appended.
+
+    Every string carries mass D^-2; mass below the first edge is the zero
+    mass and mass at or above the last edge is folded into the last bin, so
+    zero_mass + sum(density * width) = 1.
+    """
     pi = pi_distribution(coeffs)
     d2 = float(4.0**coeffs.n_sites)
     u = d2 * pi
@@ -144,24 +134,4 @@ def spectrum_histogram(coeffs: PauliCoefficients) -> SpectrumHistogram:
     counts = counts.astype(float)
     counts[0] -= below  # clipped-from-below entries landed in bin 0
     density = counts / d2 / np.diff(HIST_EDGES)
-    return SpectrumHistogram(HIST_EDGES, density, below / d2)
-
-
-@dataclass
-class MomentEstimate:
-    """Ensemble-averaged moment with provenance."""
-
-    quantity: str  # mu | nu | nu_over_F2k
-    k: int
-    value: float
-    stderr: float
-    n_samples: int
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.quantity not in ("mu", "nu", "nu_over_F2k"):
-            raise ValueError(f"unknown quantity {self.quantity!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not self.stderr >= 0:  # also rejects NaN
-            raise ValueError(f"stderr must be >= 0, got {self.stderr}")
+    return np.append(density, below / d2)

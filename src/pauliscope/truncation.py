@@ -14,7 +14,6 @@ The average-case figure of merit used here is the mean squared error of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
 
@@ -57,21 +56,14 @@ def residual_spectral_norm(coeffs: PauliCoefficients, n_keep: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 
 
-@dataclass
-class MsePoint:
-    n_paulis: int
-    mse: float
-    stderr: float
-    n_samples: int
-
-
 def truncation_mse(
     spec: CircuitSpec,
     np_grid: Optional[Sequence[int]] = None,
     n_realizations: int = 100,
     threads: int = 1,
-) -> list[MsePoint]:
-    """Mean squared error of the zero-state expectation after truncation.
+) -> list[dict]:
+    """The truncation MSE rows: mean squared error of the zero-state
+    expectation after truncation, one row per N_P.
 
     Per realization the error is the sum of dropped diagonal-string
     coefficients; the ensemble average is taken over circuit realizations
@@ -86,6 +78,7 @@ def truncation_mse(
     observe = partial(_squared_tails, mask=zdiag_mask(spec.n_sites), np_grid=np_grid)
     _, mse, stderr = ensemble(spec, [spec.depth], observe, n_realizations, threads)
     return [
-        MsePoint(n, float(m), float(s), n_realizations)
-        for n, m, s in zip(np_grid, mse[0], stderr[0])
+        {"N": spec.n_sites, "t": spec.depth, "gamma": spec.gamma, "N_P": n, "mse": m,
+         "stderr": s, "n_samples": n_realizations, "seed": spec.master_seed}
+        for n, m, s in zip(np_grid, mse[0].tolist(), stderr[0].tolist())
     ]

@@ -57,6 +57,34 @@ def test_cli_binds_engine_entries():
         assert callable(cli.__dict__.get(name)), name
 
 
+class _EngineReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "workload, entry",
+    [("mc_chain", "run_ensemble"), ("rtn_chain", "run_ensemble"),
+     ("rmpu_scan", "run_ensemble"), ("trunc_chain", "simulate_mse")],
+)
+def test_cli_enters_engines_through_its_bindings(workload, entry, tmp_path, monkeypatch):
+    # the set-up probe replaces these cli attributes and stops at the first
+    # call; a handler that held its own reference would run the whole engine
+    def stub(name):
+        def raise_reached(*args, **kwargs):
+            raise _EngineReached(name)
+        return raise_reached
+
+    for name in _load("child").ENGINE_ENTRIES:
+        monkeypatch.setattr(cli, name, stub(name))
+    w = _load("workloads").WORKLOADS["smoke"][workload]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(w.config))
+    with pytest.raises(_EngineReached) as exc:
+        cli.main([w.command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.args == (entry,)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("size", ["full", "smoke"])
 def test_workload_configs_pass_validation(size, tmp_path):
     for workload in _load("workloads").WORKLOADS[size].values():

@@ -1,8 +1,11 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from pauliscope.circuits import (
     CircuitSpec,
+    _as_json_of,
     circuit_fidelity,
     iter_circuit,
     layer_supports,
@@ -10,6 +13,7 @@ from pauliscope.circuits import (
     run_circuit,
     sample_haar_unitary,
 )
+from pauliscope.driver import SweepSpec
 from pauliscope.spectrum import moment_nu
 
 
@@ -55,6 +59,10 @@ def test_from_dict_checks_value_types():
     # an Optional field admits null, and a float field a JSON integer
     spec = CircuitSpec.from_dict({"n_sites": 4, "gamma": 0, "initial_site": None})
     assert (spec.gamma, spec.initial_site) == (0, 2)
+    # such an integer is stored as a float, also inside an Optional or a list
+    assert type(spec.gamma) is float
+    assert type(_as_json_of(0, Optional[float])) is float
+    assert [type(g) for g in SweepSpec.from_dict({"gamma": [0, 0.05]}).gamma] == [float, float]
     with pytest.raises(ValueError, match="circuit.n_sites must be int, not true"):
         CircuitSpec.from_dict({"n_sites": True})
     with pytest.raises(ValueError, match="circuit.r must be int or null, not 1.0"):

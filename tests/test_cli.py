@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,13 +50,33 @@ def _config_error(argv, capsys) -> str:
     return err
 
 
+def _csv_bytes(path) -> bytes:
+    """A written CSV, whose lines all end in a bare \\n."""
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    return data
+
+
 def test_moments_command(tmp_path, cfg_path):
     out = tmp_path / "run"
     assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _csv_bytes(out / "moments.csv")
     rows = read_csv_rows(out / "moments.csv")
     assert len(rows) == 9
     meta = json.loads((out / "moments.meta.json").read_text())
     assert meta["n_realizations"] == 20 and "wall_seconds" in meta
+    # a JSON integer for a float field is stored, and so written, as a float
+    for key, value, gammas, stored in (
+        ("circuit", {**CFG["circuit"], "gamma": 0}, ["0.0"], "0.0"),
+        ("sweep", {"t": [2], "gamma": [0, 0.05], "k": [2]}, ["0.0", "0.05"], "[0.0, 0.05]"),
+    ):
+        cfg_path.write_text(json.dumps({**CFG, key: value}))
+        out = tmp_path / key
+        assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = read_csv_rows(out / "moments.csv")
+        assert sorted({r["gamma"] for r in rows}) == gammas
+        meta = json.loads((out / "moments.meta.json").read_text())
+        assert json.dumps(meta[key]["gamma"]) == stored
 
 
 def test_null_entries_count_as_left_out(tmp_path):
@@ -113,10 +133,35 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
          "sweep.t must be a list of int or null, not 2"),
         ("moments", json.dumps({**CFG, "sweep": {"k": None}}), [],
          "sweep.k must be a list of int, not null"),
+        # every swept point is built, and so checked, before any work starts
+        ("moments", json.dumps({**CFG, "sweep": {"n": [1]}}), [],
+         "need at least 2 sites"),
+        ("moments", json.dumps({**CFG, "sweep": {"gamma": [2.0]}}), [],
+         r"gamma=2\.0 outside \[0, 1\]"),
+        ("moments", json.dumps({**CFG, "sweep": {"t": [2], "n": [14]}}), [],
+         "N=14 exceeds the simulator's 13 sites"),
+        ("rmpu-exact", json.dumps({"circuit": {"geometry": "rmpu", "n_sites": 6, "r": 4},
+                                   "sweep": {"n": [6, 4]}}), [],
+         "rmpu needs 1 <= r <= N-1, got r=4"),
+        ("truncate-mse", json.dumps({**CFG, "circuit": {**CFG["circuit"], "n_sites": 3},
+                                     "sweep": {"n_paulis": [1, 1000]}}), [],
+         r"sweep\.n_paulis \[1000\] outside \[1, 64\] at N=3"),
+        ("moments", json.dumps({**CFG, "sweep": {"t": []}}), [], r"sweep\.t is empty"),
+        ("truncate-mse", json.dumps({**CFG, "sweep": {"n_paulis": []}}), [],
+         r"sweep\.n_paulis is empty"),
+        ("moments", json.dumps({**CFG, "sweep": {"t": [2], "k": []}}), [],
+         r"sweep\.k is empty"),
+        ("moments", json.dumps({**CFG, "sweep": {"t": [2], "gamma": []}}), [],
+         r"sweep\.gamma is empty"),
+        ("moments", json.dumps({**CFG, "sweep": {"t": [2], "n": []}}), [],
+         r"sweep\.n is empty"),
     ],
     ids=["rtn_k", "bad_json", "no_config", "missing_path", "sweep_null", "circuit_null",
          "circuit_null_seed", "top_level_array", "n_sites_str", "threads_null",
-         "realizations_null", "realizations_float", "sweep_t_int", "sweep_k_null"],
+         "realizations_null", "realizations_float", "sweep_t_int", "sweep_k_null",
+         "sweep_n_one", "sweep_gamma_two", "sweep_n_above_simulator", "rmpu_sweep_n_at_r",
+         "n_paulis_above_4n", "sweep_t_empty", "n_paulis_empty", "sweep_k_empty",
+         "sweep_gamma_empty", "sweep_n_empty"],
 )
 def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, flags,
                                                  message):
@@ -136,6 +181,7 @@ def test_spectrum_hist_command(tmp_path):
     p.write_text(json.dumps({**CFG, "sweep": {"t": [2, 4, 6]}}))
     out = tmp_path / "hist"
     assert main(["spectrum-hist", "--config", str(p), "--out", str(out)]) == 0
+    _csv_bytes(out / "histogram.csv")
     rows = read_csv_rows(out / "histogram.csv")
     assert len(rows) == 3 * 60  # three depths x 60 bins
 
@@ -148,7 +194,7 @@ def test_spectrum_hist_threads_match_serial(tmp_path):
         p.write_text(json.dumps({**CFG, "sweep": {"t": [2, 6]}, "threads": threads}))
         out = tmp_path / f"out{threads}"
         assert main(["spectrum-hist", "--config", str(p), "--out", str(out)]) == 0
-        data.append((out / "histogram.csv").read_bytes())
+        data.append(_csv_bytes(out / "histogram.csv"))
     assert data[0] == data[1]
 
 
@@ -166,6 +212,8 @@ def test_rmpu_commands(tmp_path):
     assert main(["rmpu-asymptotic", "--config", str(p), "--out", str(out)]) == 0
     exact = read_csv_rows(out / "moments_rmpu_exact.csv")
     asym = read_csv_rows(out / "moments_rmpu_asymptotic.csv")
+    _csv_bytes(out / "moments_rmpu_exact.csv")
+    _csv_bytes(out / "moments_rmpu_asymptotic.csv")
     assert len(exact) == 2 and len(asym) == 2
     assert exact[0]["engine"] == "rmpu_exact"
 
@@ -200,6 +248,7 @@ def test_rtn_command(tmp_path):
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["rtn", "--config", str(p), "--out", str(out)]) == 0
+    _csv_bytes(out / "moments_rtn.csv")
     rows = read_csv_rows(out / "moments_rtn.csv")
     assert len(rows) == 2 and rows[0]["engine"] == "rtn"
 
@@ -221,17 +270,20 @@ def test_configured_initial_site_reaches_the_rows(tmp_path, command, engine):
     sidecar = json.loads((out / f"{stem}.meta.json").read_text())["circuit"]
     assert sidecar["initial_site"] == 0
     rows = run_ensemble(ExperimentConfig.from_dict({**cfg, "engine": engine}))
-    placement = {"noise_placement": "per_gate_support"} if engine == "rtn" else {}
-    assert all(asdict(r.meta["spec"]) == {**sidecar, **placement} for r in rows)
+    columns = {"geometry": sidecar["geometry"], "N": sidecar["n_sites"], "r": sidecar["r"],
+               "gamma": sidecar["gamma"], "seed": sidecar["master_seed"],
+               "noise_placement": "per_gate_support" if engine == "rtn"
+               else sidecar["noise_placement"]}
+    assert all({key: r[key] for key in columns} == columns for r in rows)
     spec = CircuitSpec(**cfg["circuit"])
     if engine == "simulator":
-        expected = [e.value for e in simulate_moments(spec, [2, 4], [2], 20)]
+        expected = [e["value"] for e in simulate_moments(spec, [2, 4], [2], 20)]
     else:
         series = contract_brickwork_series(
             replace(spec, noise_placement="per_gate_support"), [2, 4], k=2)
         expected = [series[t].value for t in (2, 4)]
     values = [float(r["value"]) for r in read_csv_rows(out / f"{stem}.csv")]
-    assert values == expected == [r.value for r in rows]
+    assert values == expected == [r["value"] for r in rows]
 
 
 def test_rtn_command_rejects_non_physical_values(tmp_path):
@@ -258,6 +310,7 @@ def test_truncate_mse_command(tmp_path):
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
+    _csv_bytes(out / "mse_gamma0.1.csv")
     rows = read_csv_rows(out / "mse_gamma0.1.csv")
     assert [r["N_P"] for r in rows] == ["1", "4", "16"]
 
@@ -277,7 +330,7 @@ def test_truncate_mse_honours_threads(tmp_path, monkeypatch):
         p.write_text(json.dumps({**CFG, "sweep": {"n_paulis": [1, 4, 16]}, "threads": threads}))
         out = tmp_path / f"out{threads}"
         assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
-        data.append((out / "mse_gamma0.05.csv").read_bytes())
+        data.append(_csv_bytes(out / "mse_gamma0.05.csv"))
     assert used == [1, 2]
     assert data[0] == data[1]
 

@@ -22,7 +22,8 @@ from pauliscope.driver import (
     simulate_moments,
     simulate_mse,
 )
-from pauliscope.spectrum import moment_mu, moment_nu
+from pauliscope.rtn import contract_brickwork_series
+from pauliscope.spectrum import HIST_EDGES, moment_mu, moment_nu
 
 BASE = {
     "circuit": {
@@ -121,21 +122,21 @@ def test_run_ensemble_reproducible():
     rows2 = run_ensemble(ExperimentConfig.from_dict(BASE))
     assert len(rows1) == 9  # 3 depths x (mu, nu, nu_over_F2k)
     for a, b in zip(rows1, rows2):
-        assert a.value == b.value and a.stderr == b.stderr
+        assert a["value"] == b["value"] and a["stderr"] == b["stderr"]
 
 
 def test_threaded_matches_serial():
     serial = run_ensemble(ExperimentConfig.from_dict(BASE))
     threaded = run_ensemble(ExperimentConfig.from_dict({**BASE, "threads": 2}))
     for a, b in zip(serial, threaded):
-        assert a.value == b.value and a.stderr == b.stderr
+        assert a["value"] == b["value"] and a["stderr"] == b["stderr"]
 
 
 def test_stderr_shrinks_with_ensemble():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=4, gamma=0.1, master_seed=17)
     small = simulate_moments(spec, [4], [2], 200)
     large = simulate_moments(spec, [4], [2], 800)
-    ratio = small[0].stderr / large[0].stderr
+    ratio = small[0]["stderr"] / large[0]["stderr"]
     assert 1.5 < ratio < 2.7  # ~2 from quadrupling, statistical slack
 
 
@@ -160,11 +161,12 @@ def test_moments_match_per_column_reductions():
             for quantity in ("mu", "nu"):
                 vals = np.array(samples[t, k, quantity])
                 row = next(rows)
-                assert (row.quantity, row.k, row.meta["t"]) == (quantity, k, t)
-                assert row.value == pytest.approx(vals.mean(), rel=1e-12, abs=0)
+                assert (row["quantity"], row["k"], row["t"]) == (quantity, k, t)
+                assert row["value"] == pytest.approx(vals.mean(), rel=1e-12, abs=0)
                 want = vals.std(ddof=1) / np.sqrt(n)
-                assert row.stderr == pytest.approx(want, rel=1e-12, abs=1e-12 * row.value)
-            assert next(rows).quantity == "nu_over_F2k"
+                assert row["stderr"] == pytest.approx(want, rel=1e-12,
+                                                      abs=1e-12 * row["value"])
+            assert next(rows)["quantity"] == "nu_over_F2k"
 
 
 @pytest.mark.parametrize("depths", [[2, 9], [0, 4]], ids=["above_depth", "zero"])
@@ -177,17 +179,17 @@ def test_histogram_rejects_depths_outside_the_circuit(depths):
 def test_moment_quantities_consistent():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=4, gamma=0.1, master_seed=3)
     rows = simulate_moments(spec, [4], [2], 30)
-    by_q = {r.quantity: r for r in rows}
+    by_q = {r["quantity"]: r for r in rows}
     fid = (1 - 0.1) ** (4 * 4)
-    assert by_q["nu_over_F2k"].value == pytest.approx(by_q["nu"].value / fid**4)
-    assert by_q["mu"].value > 0 and by_q["nu"].n_samples == 30
+    assert by_q["nu_over_F2k"]["value"] == pytest.approx(by_q["nu"]["value"] / fid**4)
+    assert by_q["mu"]["value"] > 0 and by_q["nu"]["n_samples"] == 30
 
 
 def test_csv_schemas(tmp_path):
     cfg = ExperimentConfig.from_dict(BASE)
     rows = run_ensemble(cfg)
     mpath = tmp_path / "moments.csv"
-    write_moments_csv(mpath, rows, cfg.engine)
+    write_moments_csv(mpath, rows)
     records = read_csv_rows(mpath)
     assert list(records[0].keys()) == MOMENTS_HEADER
     assert {r["quantity"] for r in records} == {"mu", "nu", "nu_over_F2k"}
@@ -196,17 +198,17 @@ def test_csv_schemas(tmp_path):
     spec = cfg.circuit
     hists = simulate_histogram(spec, [4], 10)
     hpath = tmp_path / "hist.csv"
-    write_histogram_csv(hpath, hists, spec.master_seed)
+    write_histogram_csv(hpath, hists)
     hrec = read_csv_rows(hpath)
     assert list(hrec[0].keys()) == HISTOGRAM_HEADER
     assert len(hrec) == 60
     stderr = [float(r["density_stderr"]) for r in hrec]
     assert min(stderr) >= 0.0 and max(stderr) > 0.0
-    assert stderr == hists[0].density_stderr.tolist()
+    assert stderr == [h["density_stderr"] for h in hists]
 
     points = simulate_mse(spec, [1, 4], 5)
     spath = tmp_path / "mse.csv"
-    write_mse_csv(spath, points, spec, spec.master_seed)
+    write_mse_csv(spath, points)
     srec = read_csv_rows(spath)
     assert list(srec[0].keys()) == MSE_HEADER
 
@@ -218,9 +220,10 @@ def test_csv_schemas(tmp_path):
 
 def test_histogram_ensemble_normalization():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=6, gamma=0.02, master_seed=2)
-    (hist,) = simulate_histogram(spec, [6], 12)
-    widths = np.diff(hist.bin_edges)
-    total = hist.zero_mass + float(np.sum(hist.density_mean * widths))
+    rows = simulate_histogram(spec, [6], 12)
+    widths = np.diff(HIST_EDGES)
+    density = np.array([r["density"] for r in rows])
+    total = rows[0]["zero_mass"] + float(np.sum(density * widths))
     assert abs(total - 1.0) < 1e-8
 
 
@@ -235,8 +238,14 @@ def test_rtn_engine_rows():
     )
     rows = run_ensemble(cfg)
     assert len(rows) == 4
-    assert {r.quantity for r in rows} == {"mu", "nu"}
-    assert all("truncation_error" in r.meta for r in rows)
+    assert {r["quantity"] for r in rows} == {"mu", "nu"}
+    # the stderr column carries the contraction's truncation-error estimate
+    for gamma in (0.0, 0.02):
+        spec = CircuitSpec(n_sites=4, depth=6, gamma=gamma, master_seed=5,
+                           noise_placement="per_gate_support")
+        series = contract_brickwork_series(spec, [2, 4], k=2)
+        got = [(r["t"], r["stderr"]) for r in rows if r["gamma"] == gamma]
+        assert got == [(t, series[t].truncation_error) for t in (2, 4)]
 
 
 def test_rmpu_engine_rows():
@@ -256,4 +265,4 @@ def test_rmpu_engine_rows():
     asym = run_ensemble(cfg)
     assert len(asym) == 8
     for a, b in zip(rows, asym):
-        assert abs(a.value - b.value) < 0.5 * max(a.value, b.value)
+        assert abs(a["value"] - b["value"]) < 0.5 * max(a["value"], b["value"])

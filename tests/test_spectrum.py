@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pauliscope.circuits import CircuitSpec
+from pauliscope.csvio import MOMENTS_HEADER
+from pauliscope.driver import moment_row
 from pauliscope.opsim import init_local_pauli
 from pauliscope.pauli import pauli_transform
 from pauliscope.spectrum import (
-    MomentEstimate,
+    HIST_EDGES,
     haar_moment,
     moment_mu,
     moment_nu,
@@ -109,26 +112,28 @@ def test_opt_density_normalization_and_moments():
 def test_histogram_local_operator():
     coeffs = init_local_pauli(2, 0, "Z")
     hist = spectrum_histogram(coeffs)
-    assert abs(hist.zero_mass - 15 / 16) < 1e-15
-    assert abs(hist.zero_mass + np.sum(hist.density * np.diff(hist.bin_edges)) - 1) < 1e-8
-    nz = np.nonzero(hist.density)[0]
+    density, zero_mass = hist[:-1], hist[-1]
+    assert abs(zero_mass - 15 / 16) < 1e-15
+    assert abs(zero_mass + np.sum(density * np.diff(HIST_EDGES)) - 1) < 1e-8
+    nz = np.nonzero(density)[0]
     assert len(nz) == 1
-    lo, hi = hist.bin_edges[nz[0]], hist.bin_edges[nz[0] + 1]
+    lo, hi = HIST_EDGES[nz[0]], HIST_EDGES[nz[0] + 1]
     assert lo <= 16.0 < hi
 
 
 def test_histogram_overflow_mass_in_last_bin():
     coeffs = init_local_pauli(8, 3, "Z")  # u = 65536 > 1e3
     hist = spectrum_histogram(coeffs)
-    assert hist.density[-1] > 0
-    assert abs(hist.zero_mass + np.sum(hist.density * np.diff(hist.bin_edges)) - 1) < 1e-8
+    density, zero_mass = hist[:-1], hist[-1]
+    assert density[-1] > 0
+    assert abs(zero_mass + np.sum(density * np.diff(HIST_EDGES)) - 1) < 1e-8
 
 
 def test_histogram_moment_reconstruction(rng):
     for _ in range(5):
         coeffs = pauli_transform(random_hermitian(4, rng))
-        hist = spectrum_histogram(coeffs)
-        edges, widths = hist.bin_edges, np.diff(hist.bin_edges)
+        density = spectrum_histogram(coeffs)[:-1]
+        edges, widths = HIST_EDGES, np.diff(HIST_EDGES)
         assert len(widths) == 60 and edges[0] == 1e-6 and edges[-1] == pytest.approx(1e3)
         # density * width is each bin's share of the 4^4 strings, the last bin
         # also holding every u at or above the grid's top edge
@@ -137,9 +142,9 @@ def test_histogram_moment_reconstruction(rng):
         counts = np.array([np.count_nonzero((lo <= u) & (u < hi))
                            for lo, hi in zip(edges[:-1], edges[1:])])
         counts[-1] += np.count_nonzero(u >= edges[-1])
-        assert np.max(np.abs(hist.density * widths - counts / 4.0**4)) < 1e-12
+        assert np.max(np.abs(density * widths - counts / 4.0**4)) < 1e-12
         # int u^2 Pi(u) du = mu_2, up to the 60-bin grid's binning error
-        recon = np.sum(hist.density * edges[:-1] * edges[1:] * widths)
+        recon = np.sum(density * edges[:-1] * edges[1:] * widths)
         exact = moment_mu(coeffs, 2)
         assert abs(recon - exact) < 0.05 * exact
 
@@ -150,9 +155,15 @@ def test_stable_sum_matches_fsum(rng):
 
 
 def test_moment_estimate_validation():
+    # a moments CSV row has a known quantity, k >= 1 and a stderr >= 0
+    spec = CircuitSpec(n_sites=4)
+    with pytest.raises(ValueError, match="unknown quantity 'bogus'"):
+        moment_row("simulator", spec, 1, 2, "bogus", 1.0, 0.0, 1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        moment_row("simulator", spec, 1, 0, "mu", 1.0, 0.0, 1)
     with pytest.raises(ValueError):
-        MomentEstimate("bogus", 2, 1.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        MomentEstimate("mu", 2, 1.0, -0.1, 1)
+        moment_row("simulator", spec, 1, 2, "mu", 1.0, -0.1, 1)
     with pytest.raises(ValueError, match="nan"):
-        MomentEstimate("mu", 2, 1.0, float("nan"), 1)
+        moment_row("simulator", spec, 1, 2, "mu", 1.0, float("nan"), 1)
+    row = moment_row("simulator", spec, 1, 2, "mu", 1.0, 0.0, 1)
+    assert list(row) == MOMENTS_HEADER

@@ -90,14 +90,14 @@ def test_mse_needs_two_realizations():
 def test_mse_exact_at_full_basis():
     spec = CircuitSpec(geometry="chain", n_sites=3, depth=4, gamma=0.05, master_seed=3)
     points = truncation_mse(spec, [4**3], n_realizations=5)
-    assert points[0].mse == 0.0
+    assert points[0]["mse"] == 0.0
 
 
 def test_mse_nonincreasing_in_np():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=8, gamma=0.25, master_seed=9)
     points = truncation_mse(spec, [1, 4, 16, 64, 256], n_realizations=60)
     for a, b in zip(points, points[1:]):
-        assert b.mse <= a.mse + 3 * (a.stderr + b.stderr)
+        assert b["mse"] <= a["mse"] + 3 * (a["stderr"] + b["stderr"])
 
 
 def test_mse_matches_direct_truncation():
@@ -113,7 +113,7 @@ def test_mse_matches_direct_truncation():
             err = sum(values[i] for i in sorted(dropped))
             direct[j] += err**2 / 3
     for p, want in zip(points, direct):
-        assert abs(p.mse - want) < 1e-12
+        assert abs(p["mse"] - want) < 1e-12
 
 
 def test_ensemble_jensen_direction():
