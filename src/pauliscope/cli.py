@@ -48,8 +48,8 @@ COMMANDS = {
 def _load_config(args) -> ExperimentConfig:
     """The JSON config with the flags applied, validated once as a whole.
 
-    Rejected if it has a sweep the subcommand does not read or names another
-    engine than the subcommand's.
+    Rejected if it has a sweep the subcommand does not read, names another
+    engine than the subcommand's, or writes two gammas to one file.
     """
     if not args.config:
         raise ValueError("--config <path.json> is required for this subcommand")
@@ -78,7 +78,17 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         d["circuit"] = {**json_fields(CircuitSpec, d.get("circuit"), "circuit"),
                         "master_seed": args.seed}
-    return ExperimentConfig.from_dict(d)
+    cfg = ExperimentConfig.from_dict(d)
+    if args.command == "truncate-mse":
+        names = [_mse_name(spec.gamma) for spec in cfg.points()]
+        clash = [name for name in names if names.count(name) > 1]
+        if clash:
+            raise ValueError(f"sweep.gamma {cfg.sweep.gamma} would write two values to {clash[0]}")
+    return cfg
+
+
+def _mse_name(gamma: float) -> str:
+    return f"mse_gamma{gamma:g}.csv"  # the truncate-mse output file of one gamma
 
 
 def cmd_run(cfg: ExperimentConfig, command: str) -> int:
@@ -98,7 +108,7 @@ def cmd_run(cfg: ExperimentConfig, command: str) -> int:
     elif command == "truncate-mse":
         write = write_mse_csv
         tables = {
-            f"mse_gamma{spec.gamma:g}.csv":
+            _mse_name(spec.gamma):
                 simulate_mse(spec, cfg.sweep.n_paulis, cfg.n_realizations, cfg.threads)
             for spec in cfg.points()
         }

@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitSpec, circuit_fidelity, iter_circuit, json_fields, map_ordered
+from .circuits import (GEOMETRIES, CircuitSpec, circuit_fidelity, iter_circuit, json_fields,
+                       map_ordered)
 from .opsim import MAX_SITES
 from .pauli import PauliCoefficients
 from .rmpu import rmpu_moment_asymptotic, rmpu_moment_exact
@@ -27,14 +28,13 @@ from .rtn import contract_brickwork_series
 from .spectrum import HIST_EDGES, moment_mu, moment_nu, spectrum_histogram
 from .weingarten import MAX_DEGREE
 
-ENGINES = ("simulator", "rtn", "rmpu_exact", "rmpu_asymptotic")
-
-#: the replica orders k each engine evaluates, as a closed range
-_K_RANGES = {
-    "simulator": (1, math.inf),
-    "rtn": (1, 2),
-    "rmpu_exact": (1, MAX_DEGREE // 2),
-    "rmpu_asymptotic": (2, math.inf),
+#: engine -> (geometries it evaluates, noise placement it needs (None: either),
+#: closed range of replica orders k), checked at load time and nowhere else
+ENGINES = {
+    "simulator": (GEOMETRIES, None, (1, math.inf)),
+    "rtn": (("chain",), "per_gate_support", (1, 2)),
+    "rmpu_exact": (("rmpu",), "per_gate_support", (1, MAX_DEGREE // 2)),
+    "rmpu_asymptotic": (("rmpu",), "per_gate_support", (2, math.inf)),
 }
 
 
@@ -62,23 +62,24 @@ class ExperimentConfig:
     threads: int = 1
     out_dir: str = "results"
     chi_mps: int = 256
-    svd_threshold: float = 1e-12
 
     def __post_init__(self):
         if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r} (choose from {ENGINES})")
+            raise ValueError(f"unknown engine {self.engine!r} (choose from {tuple(ENGINES)})")
+        geometries, placement, (k_lo, k_hi) = ENGINES[self.engine]
+        c = self.circuit
+        if c.geometry not in geometries or placement not in (None, c.noise_placement):
+            raise ValueError(f"the {self.engine} engine evaluates {'/'.join(geometries)} circuits "
+                             f"with {placement} noise, not {c.geometry} with {c.noise_placement}")
         if self.n_realizations < 2 and self.engine == "simulator":
             raise ValueError("need n_realizations >= 2 for standard errors")
         if self.threads < 1:
             raise ValueError(f"threads={self.threads} must be >= 1")
-        k_lo, k_hi = _K_RANGES[self.engine]
         bad_k = [k for k in self.sweep.k if not k_lo <= k <= k_hi]
         if bad_k:
             raise ValueError(f"sweep.k {bad_k} outside [{k_lo}, {k_hi}] for engine {self.engine}")
         if self.chi_mps < 1:
             raise ValueError(f"chi_mps={self.chi_mps} must be >= 1")
-        if not 0.0 <= self.svd_threshold < 1.0:
-            raise ValueError(f"svd_threshold={self.svd_threshold} outside [0, 1)")
         if self.sweep.n is not None and self.circuit.geometry == "grid":
             raise ValueError("sweep.n is not supported for grid circuits (N = lx * ly)")
         empty = [key for key, values in vars(self.sweep).items() if values == []]
@@ -99,6 +100,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = json_fields(cls, d, "config")
         circuit, sweep = d.get("circuit"), d.get("sweep", {})
+        _, placement, _ = ENGINES.get(d.get("engine", "simulator"), ((), None, ()))
+        if placement and isinstance(circuit, dict) and circuit.get("noise_placement") is None:
+            circuit = {**circuit, "noise_placement": placement}
         d["circuit"], d["sweep"] = CircuitSpec.from_dict(circuit), SweepSpec.from_dict(sweep)
         if circuit.get("initial_site") is not None and sweep.get("n") is not None:
             raise ValueError("circuit.initial_site cannot be combined with sweep.n: "
@@ -221,20 +225,17 @@ def run_ensemble(config: ExperimentConfig) -> list[dict]:
         if config.engine == "simulator":
             out.extend(simulate_moments(spec, depths, ks, config.n_realizations, config.threads))
         elif config.engine == "rtn":
-            sp = replace(spec, noise_placement="per_gate_support")
             for k in ks:
-                series = contract_brickwork_series(
-                    sp, depths, k, chi_mps=config.chi_mps, threshold=config.svd_threshold
-                )
+                series = contract_brickwork_series(spec, depths, k, chi_mps=config.chi_mps)
                 for t, res in series.items():
                     if not (math.isfinite(res.value) and res.value >= 0.0):
                         raise FloatingPointError(
-                            f"rtn contraction at N={sp.n_sites}, t={t}, k={k} gave the "
+                            f"rtn contraction at N={spec.n_sites}, t={t}, k={k} gave the "
                             f"non-physical value {res.value!r} (truncation error "
                             f"{res.truncation_error:.3g}); raise chi_mps"
                         )
                     # the stderr column carries the truncation-error estimate
-                    out.append(moment_row("rtn", sp, t, k, q, res.value,
+                    out.append(moment_row("rtn", spec, t, k, q, res.value,
                                           res.truncation_error, 0))
     return out
 

@@ -40,12 +40,6 @@ from .weingarten import (
 )
 
 
-def _check_staircase(spec: CircuitSpec) -> None:
-    if spec.geometry != "rmpu" or spec.noise_placement != "per_gate_support":
-        raise ValueError("rmpu engines need an rmpu circuit with per_gate_support noise, "
-                         f"not {spec.geometry} with {spec.noise_placement}")
-
-
 def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, L, R) over S_2k for blocks on r+1 qubits: T = Lam1 Wg~(2 chi, gamma)
     Lam2 G(chi) with chi = 2^r, and the boundary vectors of the module docstring."""
@@ -101,7 +95,8 @@ def _scaled_product(
 
 def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
     """Exact ensemble-averaged moments of the staircase ensemble at each
-    (circuit, k), in input order.
+    (circuit, k), in input order: rmpu circuits with per_gate_support noise,
+    1 <= k <= weingarten.MAX_DEGREE // 2.
 
     Each value is mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
     unnormalized nu_k average for gamma > 0.  T, L and R depend only on
@@ -110,9 +105,6 @@ def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
     """
     groups: dict[tuple, list[int]] = {}
     for i, (spec, k) in enumerate(points):
-        _check_staircase(spec)
-        if k < 1:
-            raise ValueError(f"k={k} must be >= 1")
         groups.setdefault((spec.r, k, spec.gamma), []).append(i)
     out = [0.0] * len(points)
     for key, idx in groups.items():
@@ -125,10 +117,8 @@ def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
 
 
 def rmpu_moment_asymptotic(spec: CircuitSpec, k: int) -> float:
-    """Closed-form scaling limit (module docstring); requires k >= 2."""
-    _check_staircase(spec)
-    if k < 2:
-        raise ValueError("asymptotic formula defined for k >= 2")
+    """Closed-form scaling limit (module docstring) of an rmpu circuit with
+    per_gate_support noise; defined for k >= 2."""
     d, gamma = 2.0, spec.gamma
     if gamma >= 1.0:
         return 0.0

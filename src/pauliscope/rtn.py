@@ -193,7 +193,7 @@ _EXACT_ENTRY_CAP = 9_000_000
 
 class BrickworkContraction:
     """Bottom-to-top sweep over the replica lattice of ``spec``, a brickwork
-    chain with per_gate_support noise.
+    chain with per_gate_support noise, at k in {1, 2}.
 
     ``engine='exact'`` contracts the full wire-coordinate state (possible up
     to r^N ~ 9e6 entries, e.g. N <= 6 for k = 2); ``'mps'`` uses the
@@ -209,11 +209,6 @@ class BrickworkContraction:
         lightcone: bool = True,
         engine: str = "auto",
     ):
-        if spec.geometry != "chain" or spec.noise_placement != "per_gate_support":
-            raise ValueError("the rtn engine contracts 1D chains with per_gate_support noise, "
-                             f"not {spec.geometry} with {spec.noise_placement}")
-        if k not in (1, 2):
-            raise ValueError("replica contraction supports k in {1, 2}")
         self.spec = spec
         self.k = k
         self.chi_mps = chi_mps
@@ -286,9 +281,9 @@ def contract_brickwork_series(
     chi_mps: int = 256,
     threshold: float = 1e-12,
 ) -> dict[int, RtnResult]:
-    """Ensemble-averaged nu_k of a noisy brickwork chain (per-gate-support
-    noise) at each of several depths in [0, spec.depth], from one
-    bottom-to-top sweep, contracted up to the reported MPS truncation error."""
+    """Ensemble-averaged nu_k (k = 1, 2) of a brickwork chain with
+    per-gate-support noise at each of several depths in [0, spec.depth], from
+    one bottom-to-top sweep, contracted up to the reported MPS truncation error."""
     depths = sorted(set(int(t) for t in depths))
     if depths and not 0 <= depths[0] <= depths[-1] <= spec.depth:
         raise ValueError(f"depths {depths} must lie in [0, {spec.depth}]")

@@ -1,14 +1,13 @@
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pauliscope import driver
 from pauliscope.circuits import CircuitSpec
-from pauliscope.cli import main
+from pauliscope.cli import COMMANDS, main
 from pauliscope.csvio import MOMENTS_HEADER, read_csv_rows
 from pauliscope.driver import ExperimentConfig, run_ensemble, simulate_moments
 from pauliscope.rmpu import rmpu_moment_exact
@@ -155,13 +154,35 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
          r"sweep\.gamma is empty"),
         ("moments", json.dumps({**CFG, "sweep": {"t": [2], "n": []}}), [],
          r"sweep\.n is empty"),
+        # each engine's circuits are checked at load time, not once it has started
+        ("rtn", json.dumps({**CFG, "engine": "rtn", "sweep": {"t": [2]},
+                            "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 4}}), [],
+         "the rtn engine evaluates chain circuits with per_gate_support noise, "
+         "not grid with per_gate_support"),
+        ("rtn", json.dumps({"circuit": {"geometry": "rmpu", "n_sites": 4, "r": 1}}), [],
+         "not rmpu with per_gate_support"),
+        ("rtn", json.dumps({**CFG, "engine": "rtn", "sweep": {"t": [2]},
+                            "circuit": {**CFG["circuit"],
+                                        "noise_placement": "per_qubit_per_layer"}}), [],
+         "not chain with per_qubit_per_layer"),
+        ("rmpu-exact", json.dumps({"circuit": CFG["circuit"]}), [],
+         "the rmpu_exact engine evaluates rmpu circuits with per_gate_support noise, "
+         "not chain with per_gate_support"),
+        ("rmpu-asymptotic", json.dumps({"circuit": {"geometry": "grid", "lx": 2, "ly": 2}}), [],
+         "the rmpu_asymptotic engine evaluates rmpu circuits with per_gate_support noise, "
+         "not grid with per_gate_support"),
+        # both gammas format as 0.01: their rows would overwrite each other
+        ("truncate-mse", json.dumps({**CFG, "sweep": {"gamma": [0.01, 0.0100000001]}}), [],
+         r"sweep\.gamma \[0\.01, 0\.0100000001\] would write two values to "
+         r"mse_gamma0\.01\.csv"),
     ],
     ids=["rtn_k", "bad_json", "no_config", "missing_path", "sweep_null", "circuit_null",
          "circuit_null_seed", "top_level_array", "n_sites_str", "threads_null",
          "realizations_null", "realizations_float", "sweep_t_int", "sweep_k_null",
          "sweep_n_one", "sweep_gamma_two", "sweep_n_above_simulator", "rmpu_sweep_n_at_r",
          "n_paulis_above_4n", "sweep_t_empty", "n_paulis_empty", "sweep_k_empty",
-         "sweep_gamma_empty", "sweep_n_empty"],
+         "sweep_gamma_empty", "sweep_n_empty", "rtn_grid", "rtn_rmpu", "rtn_layer_noise",
+         "rmpu_exact_chain", "rmpu_asymptotic_grid", "mse_gamma_shared_file"],
 )
 def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, flags,
                                                  message):
@@ -251,6 +272,14 @@ def test_rtn_command(tmp_path):
     _csv_bytes(out / "moments_rtn.csv")
     rows = read_csv_rows(out / "moments_rtn.csv")
     assert len(rows) == 2 and rows[0]["engine"] == "rtn"
+    # an unset placement is the one the rtn engine needs, in the rows and the sidecar
+    sidecar = json.loads((out / "moments_rtn.meta.json").read_text())["circuit"]
+    assert {r["noise_placement"] for r in rows} == {sidecar["noise_placement"]}
+    assert sidecar["noise_placement"] == "per_gate_support"
+
+
+def test_every_engine_has_a_subcommand():
+    assert set(driver.ENGINES) == {engine for engine, _, _ in COMMANDS.values()}
 
 
 @pytest.mark.parametrize("command, engine", [("moments", "simulator"), ("rtn", "rtn")])
@@ -272,15 +301,13 @@ def test_configured_initial_site_reaches_the_rows(tmp_path, command, engine):
     rows = run_ensemble(ExperimentConfig.from_dict({**cfg, "engine": engine}))
     columns = {"geometry": sidecar["geometry"], "N": sidecar["n_sites"], "r": sidecar["r"],
                "gamma": sidecar["gamma"], "seed": sidecar["master_seed"],
-               "noise_placement": "per_gate_support" if engine == "rtn"
-               else sidecar["noise_placement"]}
+               "noise_placement": sidecar["noise_placement"]}
     assert all({key: r[key] for key in columns} == columns for r in rows)
-    spec = CircuitSpec(**cfg["circuit"])
+    spec = CircuitSpec(**sidecar)
     if engine == "simulator":
         expected = [e["value"] for e in simulate_moments(spec, [2, 4], [2], 20)]
     else:
-        series = contract_brickwork_series(
-            replace(spec, noise_placement="per_gate_support"), [2, 4], k=2)
+        series = contract_brickwork_series(spec, [2, 4], k=2)
         expected = [series[t].value for t in (2, 4)]
     values = [float(r["value"]) for r in read_csv_rows(out / f"{stem}.csv")]
     assert values == expected == [r["value"] for r in rows]

@@ -71,8 +71,9 @@ RMPU_SIM = {
     [
         ({**BASE, "threads": 0}, "threads"),
         ({**BASE, "chi_mps": 0}, "chi_mps"),
-        ({**BASE, "svd_threshold": -1e-3}, "svd_threshold"),
-        ({**BASE, "svd_threshold": 1.0}, "svd_threshold"),
+        # the SVD cut-off is the contraction's own default, not a config field
+        ({**BASE, "svd_threshold": -1e-3}, r"unknown config keys: \['svd_threshold'\]"),
+        ({**BASE, "svd_threshold": 1.0}, r"unknown config keys: \['svd_threshold'\]"),
         ({**BASE, "sweep": {"t": [2, 7], "k": [2]}}, r"sweep.t \[7\]"),
         ({**BASE, "sweep": {"t": [0, 2], "k": [2]}}, r"sweep.t \[0\]"),
         # rmpu depth is N - r: t=4 fits N=6 but not N=4
@@ -101,11 +102,32 @@ RMPU_SIM = {
          "lx and ly apply to grid circuits only, not to rmpu"),
         ({**BASE, "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 6, "r": 1}},
          "r applies to rmpu circuits only, not to grid"),
+        # each engine's circuits: an unset placement is the one the engine needs
+        ({**BASE, "engine": "rmpu_exact"},
+         "the rmpu_exact engine evaluates rmpu circuits with per_gate_support noise, "
+         "not chain with per_gate_support"),
+        ({**BASE, "engine": "rmpu_asymptotic",
+          "circuit": {**BASE["circuit"], "noise_placement": "per_gate_support"}},
+         "the rmpu_asymptotic engine evaluates rmpu circuits"),
+        ({**RMPU_SIM, "engine": "rmpu_exact", "sweep": {"n": [4]},
+          "circuit": {**RMPU_SIM["circuit"], "noise_placement": "per_qubit_per_layer"}},
+         "rmpu circuits with per_gate_support noise, not rmpu with per_qubit_per_layer"),
+        ({**BASE, "engine": "rtn", "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 4},
+          "sweep": {"t": [2]}},
+         "the rtn engine evaluates chain circuits with per_gate_support noise, "
+         "not grid with per_gate_support"),
+        ({**RMPU_SIM, "engine": "rtn", "sweep": {"t": [2]}},
+         "chain circuits with per_gate_support noise, not rmpu with per_gate_support"),
+        ({**BASE, "engine": "rtn",
+          "circuit": {**BASE["circuit"], "noise_placement": "per_qubit_per_layer"}},
+         "chain circuits with per_gate_support noise, not chain with per_qubit_per_layer"),
     ],
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
          "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep",
          "rtn_t_above_depth", "simulator_k", "rtn_k", "rmpu_exact_k", "rmpu_asymptotic_k",
-         "noise_placement_none", "chain_r", "chain_lx", "rmpu_ly", "grid_r"],
+         "noise_placement_none", "chain_r", "chain_lx", "rmpu_ly", "grid_r",
+         "rmpu_exact_chain", "rmpu_asymptotic_chain_gate_noise", "rmpu_layer_noise",
+         "rtn_grid", "rtn_rmpu", "rtn_layer_noise"],
 )
 def test_config_rejects_bad_values(config, message):
     with pytest.raises(ValueError, match=message):

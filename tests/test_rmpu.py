@@ -186,8 +186,6 @@ def test_asymptotic_examples():
     fid = 0.9**4
     want = fid**4 * 3.0 * (1.0 + c2_gamma / fid**4)
     assert abs(rmpu_moment_asymptotic(staircase(8, 4, 0.1), 2) - want) < 1e-12
-    with pytest.raises(ValueError):
-        rmpu_moment_asymptotic(staircase(4, 1), 1)
 
 
 def test_noiseless_reduction_is_bit_identical():
@@ -235,15 +233,3 @@ def test_params_validation():
         staircase(4, 4)
     with pytest.raises(ValueError):
         rmpu_moment_exact([(staircase(4, 1), 0)])
-
-
-@pytest.mark.parametrize("spec", [
-    CircuitSpec(geometry="chain", n_sites=4, depth=3),
-    CircuitSpec(geometry="chain", n_sites=4, depth=3, noise_placement="per_gate_support"),
-    CircuitSpec(geometry="rmpu", n_sites=4, r=1, noise_placement="per_qubit_per_layer"),
-], ids=["chain", "chain_gate_noise", "rmpu_layer_noise"])
-def test_engines_reject_other_circuits(spec):
-    with pytest.raises(ValueError, match="rmpu engines need an rmpu circuit"):
-        rmpu_moment_exact([(staircase(4, 1), 2), (spec, 2)])
-    with pytest.raises(ValueError, match="rmpu engines need an rmpu circuit"):
-        rmpu_moment_asymptotic(spec, 2)

@@ -59,11 +59,6 @@ def test_plaquette_uniform_weights():
         assert np.max(np.abs(got - pairs @ j[s].T)) < 1e-12 * np.max(np.abs(got))
 
 
-def test_plaquette_rejects_large_k():
-    with pytest.raises(ValueError):
-        BrickworkContraction(chain(4), k=3)
-
-
 def test_pauli_sum_and_seed_weights():
     top, bottom = pauli_sum_weights(4, 2.0), traceless_seed_weights(4, 2.0)
     assert top[perm_index((1, 0, 3, 2))] == 4.0  # pairing: 2^(2+2-2)
@@ -142,13 +137,8 @@ def test_series_matches_individual_runs():
 
 
 @pytest.mark.parametrize("spec, depths, message", [
-    (CircuitSpec(geometry="grid", lx=2, ly=2, depth=4, noise_placement="per_gate_support"),
-     [2], "1D chains"),
-    (CircuitSpec(geometry="rmpu", n_sites=4, r=1), [2], "1D chains"),
-    (CircuitSpec(n_sites=4, depth=4, noise_placement="per_qubit_per_layer"), [2],
-     "per_gate_support noise"),
     (chain(4, 4), [2, 5], r"\[0, 4\]"),
-], ids=["grid", "rmpu", "layer_noise", "depth_above_spec"])
+], ids=["depth_above_spec"])
 def test_series_rejects_other_circuits(spec, depths, message):
     with pytest.raises(ValueError, match=message):
         contract_brickwork_series(spec, depths, k=2)
