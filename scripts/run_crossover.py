@@ -45,9 +45,7 @@ def main():
         for n_sites in args.sizes:
             t_max = int(sp.t_star(n_sites)) + 4
             spec = CircuitSpec(n_sites=n_sites, depth=t_max, noise_placement="per_gate_support")
-            series = contract_brickwork_series(
-                spec, range(1, t_max + 1), k=2, chi_mps=args.chi, threshold=1e-9
-            )
+            series = contract_brickwork_series(spec, range(1, t_max + 1), k=2, chi_mps=args.chi)
             curve = {}
             for t, res in series.items():
                 curve[t] = res.value

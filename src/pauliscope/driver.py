@@ -89,6 +89,10 @@ class ExperimentConfig:
             n = spec.n_sites
             if self.engine == "simulator" and n > MAX_SITES:
                 raise ValueError(f"N={n} exceeds the simulator's {MAX_SITES} sites")
+            if self.engine.startswith("rmpu") and spec.initial_site > spec.r:
+                # the analytic boundary vector holds inside the first staircase block only
+                raise ValueError(f"the {self.engine} engine needs initial_site in [0, r={spec.r}], "
+                                 f"not {spec.initial_site}")
             bad = [t for t in self.sweep.t or () if not 1 <= t <= spec.depth]
             if bad:
                 raise ValueError(f"sweep.t {bad} outside [1, {spec.depth}] at N={n}")

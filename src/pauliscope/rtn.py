@@ -14,13 +14,21 @@ at its first gate, and every wire ends on the Pauli-sum weight
 q^(#(s) + 2*1_E(s) - 2).
 
 The 2D network is contracted bottom to top, either as one dense state or
-as a boundary MPS; both apply a gate as the same (rank^2, rank^2) kernel.
-Wire states are kept in an orthonormal basis of the span of the
+as a boundary MPS; both apply a gate as the same (rank^2, rank^2) kernel
+K = A (Wg~ A^T), A[(s, p), a] = C[s, a] C[p, a], kept as its two factors:
+K has rank at most (2k)!, so two thin products cost a quarter of one dense
+one.  Wire states are kept in an orthonormal basis of the span of the
 single-site permutation states (rank 14 for 2k = 4, well below (2k)!): the
 Gram matrix G(q) is rank deficient there, and label-basis bonds would
 otherwise waste bond dimension on null directions that cannot influence
-any contraction.  In this basis the SVD truncation error is an honest
-estimate of the error of the reported value.
+any contraction.
+
+The boundary MPS splits a two-site tensor through the eigendecomposition
+of its smaller Gram matrix, not a full SVD.  That resolves squared singular
+values to eps = 2.2e-16 of the largest, so singular values below about
+1e-8 s_0 are dropped; the weight dropped, by that floor or by the bond cap,
+is measured as the residual of the split, and the accumulated truncation
+error stays an honest estimate of the error of the reported value.
 
 Only the unnormalized average is polynomial in the gates, so with noise
 the contraction returns the nu_k average (equal to mu_k at gamma = 0
@@ -79,6 +87,40 @@ class RtnResult:
     max_bond: int
 
 
+def _split(mat: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(left, right, s_0, discarded): ``mat`` ~ left @ right with ``left`` an
+    isometry of at most ``chi_max`` columns, the largest singular value s_0,
+    and the discarded weight |mat - left @ right|_F^2 / |mat|_F^2.
+
+    The top eigenvectors of the smaller Gram matrix span the kept singular
+    directions.  Its eigenvalues resolve only to about eps * w_0, so a
+    direction is kept if its weight, measured on ``mat`` itself, exceeds
+    that floor: a roundoff eigenvalue just above it has a measured weight
+    near eps^2 * w_0.  A tall ``mat`` is re-orthonormalized by QR, so
+    ``left`` is an isometry to working precision however small the kept
+    values are.
+    """
+    total = float(np.vdot(mat, mat))
+    if not 0.0 < total < math.inf:
+        raise FloatingPointError(f"the contraction is not finite or vanished (|theta|^2 {total})")
+    wide = mat.shape[0] <= mat.shape[1]
+    w, v = np.linalg.eigh(mat @ mat.T if wide else mat.T @ mat)
+    floor = np.finfo(float).eps * w[-1]
+    m = max(1, min(chi_max, int(np.count_nonzero(w > floor))))
+    v = v[:, ::-1][:, :m]  # the top m eigenvectors, largest first
+    if wide:
+        right = v.T @ mat
+        keep = np.einsum("ij,ij->i", right, right) > floor
+        left, right = v[:, keep], right[keep]
+    else:
+        mv = mat @ v
+        keep = np.einsum("ij,ij->j", mv, mv) > floor
+        left, r = np.linalg.qr(mv[:, keep])
+        right = r @ v[:, keep].T
+    resid = mat - left @ right
+    return left, right, math.sqrt(w[-1]), float(np.vdot(resid, resid)) / total
+
+
 class _BoundaryMps:
     """Wire-coordinate boundary MPS with a tracked orthogonality center."""
 
@@ -114,37 +156,20 @@ class _BoundaryMps:
             self._shift_left(self.center)
             self.center -= 1
 
-    def apply_two_site(self, i: int, kernel: np.ndarray, chi_max: int, threshold: float):
-        """Apply the gate kernel at wires (i, i+1) and split by SVD with
-        relative-threshold truncation."""
+    def apply_two_site(self, i: int, kernel: tuple[np.ndarray, np.ndarray], chi_max: int):
+        """Apply the gate kernel at wires (i, i+1) and split the result by
+        ``_split`` into at most ``chi_max`` bonds; singular values below about
+        1e-8 s_0 are dropped too, and all dropped weight is counted."""
         self.move_center(i)
         theta = np.tensordot(self.tensors[i], self.tensors[i + 1], axes=(2, 0))
         dl, p, _, dr = theta.shape
-        theta = np.matmul(kernel, theta.reshape(dl, p * p, dr))
-        mat = theta.reshape(dl * p, p * dr)
-        try:
-            u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        except np.linalg.LinAlgError:
-            # rare gesdd failure: fall back to the eigensolver route
-            w, v = np.linalg.eigh(mat.T @ mat)
-            w = np.maximum(w[::-1], 0.0)
-            v = v[:, ::-1]
-            s = np.sqrt(w)
-            nz = s > 0
-            u = np.zeros((mat.shape[0], len(s)))
-            u[:, nz] = mat @ v[:, nz] / s[nz]
-            vt = v.T
-        total = float(np.sum(s**2))
-        if total == 0.0:
-            raise FloatingPointError("contraction vanished (all singular values 0)")
-        m = min(chi_max, int(np.count_nonzero(s > threshold * s[0])), len(s))
-        m = max(m, 1)
-        discarded = float(np.sum(s[m:] ** 2))
-        self.trunc_error += math.sqrt(discarded / total)
-        b_new = (s[:m, None] * vt[:m]).reshape(m, p, dr)
-        self.log_scale += rescale_pow2(b_new, float(s[0]))
-        self.tensors[i] = u[:, :m].reshape(dl, p, m)
-        self.tensors[i + 1] = b_new
+        theta = kernel[0] @ (kernel[1] @ theta.reshape(dl, p * p, dr))
+        left, right, s0, discarded = _split(theta.reshape(dl * p, p * dr), chi_max)
+        m = left.shape[1]
+        self.trunc_error += math.sqrt(discarded)
+        self.log_scale += rescale_pow2(right, s0)
+        self.tensors[i] = left.reshape(dl, p, m)
+        self.tensors[i + 1] = right.reshape(m, p, dr)
         self.center = i + 1
         self.max_bond = max(self.max_bond, m)
 
@@ -169,14 +194,15 @@ class _ExactState:
         self.trunc_error = 0.0
         self.max_bond = self.r ** (self.n_sites // 2)
 
-    def apply_kernel(self, i: int, kernel: np.ndarray):
+    def apply_kernel(self, i: int, kernel: tuple[np.ndarray, np.ndarray]):
         r = self.r
         a = r**i
         b = r ** (self.n_sites - 2 - i)
-        out = np.matmul(kernel, self.state.reshape(a, r * r, b))
-        peak = float(np.max(np.abs(out)))
-        if peak == 0.0:
-            raise FloatingPointError("contraction vanished")
+        out = kernel[0] @ (kernel[1] @ self.state.reshape(a, r * r, b))
+        # a NaN anywhere makes both numpy's max and min NaN
+        peak = max(float(out.max()), -float(out.min()))
+        if not 0.0 < peak < math.inf:
+            raise FloatingPointError(f"the contraction is not finite or vanished (peak {peak})")
         self.log_scale += rescale_pow2(out, peak)
         self.state = out.reshape((r,) * self.n_sites)
 
@@ -205,14 +231,12 @@ class BrickworkContraction:
         spec: CircuitSpec,
         k: int = 2,
         chi_mps: int = 256,
-        threshold: float = 1e-12,
         lightcone: bool = True,
         engine: str = "auto",
     ):
         self.spec = spec
         self.k = k
         self.chi_mps = chi_mps
-        self.threshold = threshold
         self.lightcone = lightcone
         n_sites, n = spec.n_sites, 2 * k
         w_noisy = noisy_weingarten(n, 4.0, spec.gamma)
@@ -233,10 +257,9 @@ class BrickworkContraction:
             self.mps = _ExactState(site_vectors)
         else:
             self.mps = _BoundaryMps(site_vectors)
-        # kernel[(s' p'), (s p)] of one gate in wire coordinates
-        y = np.einsum("sa,pa,ad->spad", coords, coords, w_noisy)
-        y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
-        self._kernel = y.reshape(rank * rank, rank * rank)
+        # the factors (A, Wg~ A^T) of one gate's kernel in wire coordinates
+        a = np.einsum("sa,pa->spa", coords, coords).reshape(rank * rank, -1)
+        self._kernel = (a, w_noisy @ a.T)
         self.cone = {spec.initial_site}
         self.op_touched = False
         self.depth_done = 0
@@ -252,7 +275,7 @@ class BrickworkContraction:
                 if self.engine == "exact":
                     self.mps.apply_kernel(i, self._kernel)
                 else:
-                    self.mps.apply_two_site(i, self._kernel, self.chi_mps, self.threshold)
+                    self.mps.apply_two_site(i, self._kernel, self.chi_mps)
             self.depth_done += 1
 
     def value(self) -> float:
@@ -279,7 +302,6 @@ def contract_brickwork_series(
     depths: Iterable[int],
     k: int = 2,
     chi_mps: int = 256,
-    threshold: float = 1e-12,
 ) -> dict[int, RtnResult]:
     """Ensemble-averaged nu_k (k = 1, 2) of a brickwork chain with
     per-gate-support noise at each of several depths in [0, spec.depth], from
@@ -287,7 +309,7 @@ def contract_brickwork_series(
     depths = sorted(set(int(t) for t in depths))
     if depths and not 0 <= depths[0] <= depths[-1] <= spec.depth:
         raise ValueError(f"depths {depths} must lie in [0, {spec.depth}]")
-    eng = BrickworkContraction(spec, k, chi_mps, threshold)
+    eng = BrickworkContraction(spec, k, chi_mps)
     out = {}
     for t in depths:
         eng.advance(t - eng.depth_done)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pauliscope.weingarten import _tables
+from pauliscope.rtn import _wire_basis
+from pauliscope.weingarten import _tables, noisy_weingarten
 
 # every run draws the same examples, so tier-1 reruns are identical
 settings.register_profile("deterministic", derandomize=True)
@@ -74,6 +75,16 @@ def permutation_vectors(n: int, q: int) -> np.ndarray:
             v[tuple(pos)] = 1.0
         out[s_idx] = v.reshape(-1)
     return out
+
+
+def dense_gate_kernel(k: int, gamma: float) -> np.ndarray:
+    """One gate's (rank^2, rank^2) replica kernel in wire coordinates, summed
+    densely: K[(s p), (u v)] = sum_{a,d} C[s,a] C[p,a] Wg~_{a,d} C[u,d] C[v,d]."""
+    coords = _wire_basis(2 * k)[0]
+    rank = coords.shape[0]
+    y = np.einsum("sa,pa,ad->spad", coords, coords, noisy_weingarten(2 * k, 4.0, gamma))
+    y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
+    return y.reshape(rank * rank, rank * rank)
 
 
 def truncate_top(values, n_keep: int) -> list[int]:

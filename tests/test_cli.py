@@ -171,6 +171,14 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
         ("rmpu-asymptotic", json.dumps({"circuit": {"geometry": "grid", "lx": 2, "ly": 2}}), [],
          "the rmpu_asymptotic engine evaluates rmpu circuits with per_gate_support noise, "
          "not grid with per_gate_support"),
+        # the rmpu engines start the operator inside the first staircase block
+        ("rmpu-exact", json.dumps({"circuit": {"geometry": "rmpu", "n_sites": 4, "r": 1,
+                                               "initial_site": 3}}), [],
+         r"the rmpu_exact engine needs initial_site in \[0, r=1\], not 3"),
+        ("rmpu-asymptotic", json.dumps({"circuit": {"geometry": "rmpu", "n_sites": 6, "r": 2,
+                                                    "initial_site": 3},
+                                        "sweep": {"gamma": [0.0, 0.01]}}), [],
+         r"the rmpu_asymptotic engine needs initial_site in \[0, r=2\], not 3"),
         # both gammas format as 0.01: their rows would overwrite each other
         ("truncate-mse", json.dumps({**CFG, "sweep": {"gamma": [0.01, 0.0100000001]}}), [],
          r"sweep\.gamma \[0\.01, 0\.0100000001\] would write two values to "
@@ -182,7 +190,8 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
          "sweep_n_one", "sweep_gamma_two", "sweep_n_above_simulator", "rmpu_sweep_n_at_r",
          "n_paulis_above_4n", "sweep_t_empty", "n_paulis_empty", "sweep_k_empty",
          "sweep_gamma_empty", "sweep_n_empty", "rtn_grid", "rtn_rmpu", "rtn_layer_noise",
-         "rmpu_exact_chain", "rmpu_asymptotic_grid", "mse_gamma_shared_file"],
+         "rmpu_exact_chain", "rmpu_asymptotic_grid", "rmpu_exact_site",
+         "rmpu_asymptotic_site", "mse_gamma_shared_file"],
 )
 def test_config_errors_are_one_line_usage_errors(tmp_path, capsys, command, text, flags,
                                                  message):
@@ -314,7 +323,8 @@ def test_configured_initial_site_reaches_the_rows(tmp_path, command, engine):
 
 
 def test_rtn_command_rejects_non_physical_values(tmp_path):
-    # chi_mps = 8 truncates so hard that the contraction at t = 6 goes negative
+    # chi_mps = 8 truncates so hard that the contraction at t = 6 goes negative; the
+    # value itself is not pinned, as the cut falls inside a degenerate multiplet
     cfg = {
         "circuit": {"geometry": "chain", "n_sites": 7, "depth": 6, "gamma": 0.0,
                      "master_seed": 1},
@@ -325,7 +335,7 @@ def test_rtn_command_rejects_non_physical_values(tmp_path):
     p = tmp_path / "rtn.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    with pytest.raises(FloatingPointError, match=r"N=7, t=6, k=2 .* non-physical value -8\.9"):
+    with pytest.raises(FloatingPointError, match=r"N=7, t=6, k=2 .* non-physical value -\d"):
         main(["rtn", "--config", str(p), "--out", str(out)])
     assert not out.exists()
 

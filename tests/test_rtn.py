@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from conftest import dense_gate_kernel
 
+from pauliscope import rtn
 from pauliscope.circuits import CircuitSpec
 from pauliscope.rmpu import global_haar_moment, rmpu_moment_exact
 from pauliscope.rtn import BrickworkContraction, _wire_basis, contract_brickwork_series
@@ -30,13 +32,28 @@ def plaquette_j(k, gamma):
     return np.einsum("rd,ds,dp->spr", w, g, g)
 
 
+def gate_kernel(k, gamma):
+    """The engine's gate kernel, composed from its two factors."""
+    left, right = BrickworkContraction(chain(2, gamma=gamma), k)._kernel
+    return left @ right
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_factored_kernel_matches_dense_kernel(k, gamma):
+    dense = dense_gate_kernel(k, gamma)
+    left, right = BrickworkContraction(chain(2, gamma=gamma), k)._kernel
+    assert left.shape[1] == right.shape[0] == len(_tables(2 * k).images)
+    assert np.max(np.abs(left @ right - dense)) < 1e-14 * np.max(np.abs(dense))
+
+
 def test_plaquette_lightcone_identity():
     # J[e, e, r] = delta_{e,r}: the gate kernel fixes the state e x e
     for k in (1, 2):
         c_e = _wire_basis(2 * k)[0][:, 0]
         ee = np.kron(c_e, c_e)
         for gamma in (0.0, 0.1, 0.7):
-            kernel = BrickworkContraction(chain(2, gamma=gamma), k)._kernel
+            kernel = gate_kernel(k, gamma)
             assert np.max(np.abs(kernel @ ee - ee)) < 1e-12 * np.max(np.abs(ee))
 
 
@@ -53,7 +70,7 @@ def test_plaquette_uniform_weights():
     # the gate kernel maps |s>> x |p>> to sum_r J[s, p, r] |r>> x |r>>
     coords = _wire_basis(4)[0]
     pairs = np.einsum("as,bs->abs", coords, coords).reshape(-1, 24)
-    kernel = BrickworkContraction(chain(2, gamma=0.1), 2)._kernel
+    kernel = gate_kernel(2, 0.1)
     for s in range(24):
         got = kernel @ np.einsum("a,bp->abp", coords[:, s], coords).reshape(-1, 24)
         assert np.max(np.abs(got - pairs @ j[s].T)) < 1e-12 * np.max(np.abs(got))
@@ -96,8 +113,7 @@ def test_lightcone_pinning_is_exact():
 def test_exact_and_mps_engines_agree(k, gamma):
     results = {}
     for engine in ("exact", "mps"):
-        eng = BrickworkContraction(chain(5, 4, gamma), k, chi_mps=512, threshold=1e-13,
-                                   engine=engine)
+        eng = BrickworkContraction(chain(5, 4, gamma), k, chi_mps=512, engine=engine)
         eng.advance(4)
         results[engine] = eng.result()
     exact, mps = results["exact"], results["mps"]
@@ -105,10 +121,57 @@ def test_exact_and_mps_engines_agree(k, gamma):
     assert abs(exact.value - mps.value) < 1e-8 * exact.value
 
 
+# max_bond of the same contractions with a full SVD kept above 1e-12 s_0
+SVD_SPLIT_BONDS = {(5, 4, 1): 4, (5, 4, 2): 196, (6, 12, 1): 4, (6, 12, 2): 336,
+                   (4, 32, 1): 2, (4, 32, 2): 196}
+
+
+@pytest.mark.parametrize("n_sites, depth, k", sorted(SVD_SPLIT_BONDS))
+def test_untruncated_mps_is_not_flagged(n_sites, depth, k):
+    eng = BrickworkContraction(chain(n_sites, depth), k, chi_mps=512, engine="mps")
+    eng.advance(depth)
+    res = eng.result()
+    assert not res.flagged
+    assert res.max_bond <= SVD_SPLIT_BONDS[n_sites, depth, k]
+
+
+def test_split_matches_svd(monkeypatch):
+    mats = []
+    split = rtn._split
+
+    def spy(mat, chi_max):
+        mats.append(mat.copy())
+        return split(mat, chi_max)
+
+    monkeypatch.setattr(rtn, "_split", spy)
+    BrickworkContraction(chain(8, 6, 0.01), 2, chi_mps=64, engine="mps").advance(6)
+    big = [m for m in mats if min(m.shape) >= 196]
+    assert {m.shape[0] > m.shape[1] for m in big} == {False, True}  # wide/square and tall
+    for mat in big:
+        left, right, s0, discarded = split(mat, 64)
+        m = left.shape[1]
+        s = np.linalg.svd(mat, compute_uv=False)
+        assert abs(s0 - s[0]) < 1e-12 * s[0]
+        assert np.max(np.abs(left.T @ left - np.eye(m))) < 1e-12
+        kept = np.linalg.svd(right, compute_uv=False)
+        assert np.max(np.abs(kept - s[:m])) < 1e-10 * s[0]
+        want = float(np.sum(s[m:] ** 2) / np.sum(s**2))
+        assert abs(discarded - want) < 1e-10 * want + 1e-16
+
+
+@pytest.mark.parametrize("engine", ["exact", "mps"])
+def test_non_finite_state_raises(engine):
+    eng = BrickworkContraction(chain(4, 2), 2, engine=engine)
+    for arr in [eng.mps.state] if engine == "exact" else eng.mps.tensors:
+        arr.fill(np.nan)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        eng.advance(1)
+
+
 def test_truncation_error_monotone_in_chi():
     results = {}
     for chi in (16, 32, 64):
-        eng = BrickworkContraction(chain(6, 6), 2, chi_mps=chi, threshold=1e-13, engine="mps")
+        eng = BrickworkContraction(chain(6, 6), 2, chi_mps=chi, engine="mps")
         eng.advance(6)
         results[chi] = eng.result()
     errs = [results[chi].truncation_error for chi in (16, 32, 64)]
