@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, is_dataclass
+from functools import lru_cache, reduce
 from multiprocessing import get_context
 from typing import Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -237,6 +238,13 @@ def iter_circuit(
     gate conjugation and any per-gate noise act as exact identities.  This
     keeps out-of-cone Pauli coefficients exactly zero instead of accumulating
     rounding noise.
+
+    ``per_qubit_per_layer`` noise on a site that a gate of the layer acts on
+    is folded into that gate: the rows of its transfer matrix are scaled by
+    the Kronecker power of [1, 1-g, 1-g, 1-g].  This is exact, since a
+    layer's supports are disjoint, so the channel on a gate's site commutes
+    with every other gate of the layer.  Only the sites no gate touched in
+    the layer get a separate depolarizing pass.
     """
     rng = realization_rng(spec.master_seed, realization)
     op = init_local_pauli(spec.n_sites, spec.initial_site, spec.initial_axis)
@@ -244,20 +252,31 @@ def iter_circuit(
     per_gate_noise = spec.gamma > 0.0 and spec.noise_placement == "per_gate_support"
     cone = {spec.initial_site}
     for t in range(spec.depth):
+        idle = set(cone if lightcone else range(spec.n_sites))
         for support in layer_supports(spec, t):
             u = sample_haar_unitary(2 ** len(support), rng)
             if lightcone and cone.isdisjoint(support):
                 continue
             cone.update(support)
-            apply_gate(op, GateMatrix(support, u))
+            idle.difference_update(support)
+            rows = _depolarized_rows(spec.gamma, len(support)) if per_site_noise else None
+            apply_gate(op, GateMatrix(support, u), rows)
             if per_gate_noise:
                 apply_depolarizing_support(op, spec.gamma, support)
-        if per_site_noise:
-            # noise on every qubit, idle ones included; on sites where the
-            # operator is still the identity the channel is an exact no-op
-            sites = sorted(cone) if lightcone else range(spec.n_sites)
-            apply_depolarizing(op, spec.gamma, sites)
+        if per_site_noise and idle:
+            # noise on every idle qubit; on sites where the operator is still
+            # the identity the channel is an exact no-op, so only cone sites
+            apply_depolarizing(op, spec.gamma, sorted(idle))
         yield t + 1, op
+
+
+@lru_cache(maxsize=None)
+def _depolarized_rows(gamma: float, width: int) -> np.ndarray:
+    """Row factors of a width-site transfer matrix followed by a depolarizing
+    channel of rate gamma on each of its sites (site 0 = lowest digit)."""
+    rows = reduce(np.kron, [np.array([1.0, 1.0 - gamma, 1.0 - gamma, 1.0 - gamma])] * width)
+    rows.flags.writeable = False
+    return rows
 
 
 def map_ordered(fn, jobs: list, threads: int) -> list:

@@ -8,12 +8,15 @@ depolarizing channel on a site set S, O -> (1-g) O + g Tr_S[O] x 1_S/2^|S|,
 rescales every coefficient that is non-identity somewhere on S by (1-g).
 Sites are addressed little-endian (site 0 = lowest base-4 digit of the
 string index), consistent with :mod:`pauliscope.pauli`.
+
+A gate is one matrix product of R with a (4^lo, 4^w, 4^hi) view of the
+vector; per-site depolarizing right after it can be folded into R's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -81,16 +84,36 @@ def pauli_transfer_matrix(u: np.ndarray) -> np.ndarray:
     return q * pauli_transform(x).values.reshape(q * q, q * q)
 
 
-def apply_gate(coeffs: PauliCoefficients, gate: GateMatrix) -> PauliCoefficients:
-    """Conjugate O <- U O U^dag on the gate support (in place)."""
+def apply_gate(
+    coeffs: PauliCoefficients, gate: GateMatrix, row_scale: Optional[np.ndarray] = None
+) -> PauliCoefficients:
+    """Conjugate O <- U O U^dag on the gate support (in place).
+
+    The support's digit axes are moved next to each other and the vector is
+    read as (4^lo, 4^w, 4^hi), so the gate is one matrix product with R.  For
+    a run of adjacent, ascending sites the move is the identity and the
+    reshape a view; other supports pay one copy in the reshape.  The block
+    ends at the axis of the support's lowest site, so where that is site 0
+    the last axis has length 1 and one 2-D product x @ R^T replaces 4^lo
+    tiny ones.
+
+    ``row_scale`` (length 4^w), if given, multiplies the rows of R: a channel
+    that rescales the support's Pauli strings right after the gate, at no
+    pass of its own over the vector.
+    """
     support = _check_support(coeffs, gate.support)
     n, w = coeffs.n_sites, len(support)
-    r = pauli_transfer_matrix(gate.matrix).reshape((4,) * (2 * w))
-    # tensor axis n-1-s holds the digit of site s; R's input axis w+i holds
-    # the digit of support[w-1-i]
-    axes = [n - 1 - s for s in reversed(support)]
-    t = np.tensordot(r, coeffs.values.reshape((4,) * n), axes=(range(w, 2 * w), axes))
-    coeffs.values = np.moveaxis(t, range(w), axes).reshape(-1)
+    r = pauli_transfer_matrix(gate.matrix)
+    if row_scale is not None:
+        r *= row_scale[:, None]
+    # tensor axis n-1-s holds the digit of site s; R's row digits run from
+    # support[w-1] (high) down to support[0] (low)
+    src = [n - 1 - s for s in reversed(support)]
+    lo = n - w - min(support)
+    dst = list(range(lo, lo + w))
+    x = np.moveaxis(coeffs.values.reshape((4,) * n), src, dst).reshape(4**lo, 4**w, -1)
+    out = x[:, :, 0] @ r.T if x.shape[2] == 1 else r @ x
+    coeffs.values = np.moveaxis(out.reshape((4,) * n), dst, src).reshape(-1)
     return coeffs
 
 

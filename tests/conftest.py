@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from pauliscope.circuits import layer_supports, realization_rng, sample_haar_unitary
 from pauliscope.rtn import _wire_basis
 from pauliscope.weingarten import _tables, noisy_weingarten
 
@@ -85,6 +86,66 @@ def dense_gate_kernel(k: int, gamma: float) -> np.ndarray:
     y = np.einsum("sa,pa,ad->spad", coords, coords, noisy_weingarten(2 * k, 4.0, gamma))
     y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
     return y.reshape(rank * rank, rank * rank)
+
+
+def embedded_unitary(u, support, n):
+    """Reference full-space embedding with support[m] as bit m."""
+    w = len(support)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**n):
+        gi = sum(((i >> support[m]) & 1) << m for m in range(w))
+        base = i
+        for m in range(w):
+            base &= ~(1 << support[m])
+        for gj in range(2**w):
+            j = base
+            for m in range(w):
+                j |= ((gj >> m) & 1) << support[m]
+            full[i, j] = u[gi, gj]
+    return full
+
+
+def site_twirl(site: int, n: int) -> np.ndarray:
+    """The D^2 x D^2 superoperator O -> Tr_s[O] x 1_s/2 on the row-major
+    vec(O): the mean of P_s O P_s over the four Paulis P, where vec(A O A^dag)
+    = kron(A, conj(A)) vec(O).  It is real."""
+    paulis = [embedded_unitary(p, (site,), n) for p in PAULI_MATRICES.values()]
+    return sum(np.kron(p, p.conj()) for p in paulis).real / 4
+
+
+def dense_circuit_layers(spec, realization):
+    """Reference run of a circuit on the dense D x D operator, yielding (t, O)
+    after every layer.
+
+    Gates are drawn in the simulator's order and every one is applied by
+    conjugation with its embedded unitary (no lightcone).  A depolarizing
+    channel on a site set S is the superoperator (1-g) 1 + g prod_{s in S} T_s
+    on vec(O), T_s the twirl of site s; per-qubit noise acts on every site
+    after each layer, idle ones included.
+    """
+    n = spec.n_sites
+    rng = realization_rng(spec.master_seed, realization)
+    twirls = {}
+
+    def depolarize(mat, sites):
+        vec = traced = mat.reshape(-1)
+        for s in sites:
+            if s not in twirls:
+                twirls[s] = site_twirl(s, n)
+            traced = twirls[s] @ traced
+        return ((1.0 - spec.gamma) * vec + spec.gamma * traced).reshape(mat.shape)
+
+    mat = embedded_unitary(PAULI_MATRICES[spec.initial_axis], (spec.initial_site,), n)
+    for t in range(spec.depth):
+        for support in layer_supports(spec, t):
+            full = embedded_unitary(sample_haar_unitary(2 ** len(support), rng), support, n)
+            mat = full @ mat @ full.conj().T
+            if spec.noise_placement == "per_gate_support":
+                mat = depolarize(mat, support)
+        if spec.noise_placement == "per_qubit_per_layer":
+            for s in range(n):
+                mat = depolarize(mat, (s,))
+        yield t + 1, mat
 
 
 def truncate_top(values, n_keep: int) -> list[int]:

@@ -78,6 +78,16 @@ def test_moments_command(tmp_path, cfg_path):
         assert json.dumps(meta[key]["gamma"]) == stored
 
 
+def test_seeded_moments_rerun_is_byte_identical(tmp_path, cfg_path):
+    """A seeded moments run (noisy chain, folded per-site noise) writes the
+    same moments.csv, byte for byte, when it is run again."""
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 0
+    first, second = (_csv_bytes(out / "moments.csv") for out in outs)
+    assert first == second
+
+
 def test_null_entries_count_as_left_out(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({**CFG, "engine": None, "sweep": {"t": [2], "n_paulis": None}}))
@@ -455,7 +465,12 @@ def test_moments_fit_kappa_threshold_find_the_transition(tmp_path):
     """The paper's transition through the CLI: a seeded chain (N=4, depth 8,
     t = 4..8, gamma*N in {0.1, 0.5}, 20 realizations, seed 20250809; about
     0.2 s) decays at the weak noise and grows at the strong one.  The kappas
-    are those of the noise scan this pipeline replaced, bit for bit."""
+    are those of the noise scan this pipeline replaced.  They are compared to
+    1e-12 relative, not bit for bit: the simulator's gate product and its
+    folded per-site noise sum in another order than the tensordot and the
+    separate noise pass that recorded them (measured change 5.5e-15);
+    reruns of one build stay byte-identical
+    (``test_seeded_moments_rerun_is_byte_identical``)."""
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({
         "circuit": {"geometry": "chain", "n_sites": 4, "depth": 8, "master_seed": 20250809},
@@ -470,9 +485,9 @@ def test_moments_fit_kappa_threshold_find_the_transition(tmp_path):
     data = kappa_csv.read_bytes()
     assert b"\r" not in data and data.endswith(b"\n")
     rows = read_csv_rows(kappa_csv)
-    assert [(r["gammaN"], r["kappa"]) for r in rows] == [
-        ("0.1", "0.06594168674749189"), ("0.5", "-0.7730298705145441"),
-    ]
+    assert [r["gammaN"] for r in rows] == ["0.1", "0.5"]
+    for row, want in zip(rows, (0.06594168674749189, -0.7730298705145441)):
+        assert abs(float(row["kappa"]) - want) <= 1e-12 * abs(want)
     payload = json.loads(out_json.read_text())
     assert payload["n_sign_changes"] == 1 and payload["bracket"] == [0.1, 0.5]
     assert abs(payload["gammaN_critical"] - 0.1314) < 1e-4

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from pauliscope.circuits import (
     CircuitSpec,
+    iter_circuit,
     layer_supports,
-    realization_rng,
     run_circuit,
     sample_haar_unitary,
 )
@@ -26,27 +26,10 @@ from pauliscope.pauli import (
 )
 from pauliscope.spectrum import moment_mu, moment_nu, pi_distribution
 
-from conftest import PAULI_MATRICES, random_hermitian
+from conftest import PAULI_MATRICES, dense_circuit_layers, embedded_unitary, random_hermitian
 
 #: agreement of the coefficient evolution with the dense oracle
 ORACLE_TOL = 1e-12
-
-
-def embedded_unitary(u, support, n):
-    """Reference full-space embedding with support[m] as bit m."""
-    w = len(support)
-    full = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(2**n):
-        gi = sum(((i >> support[m]) & 1) << m for m in range(w))
-        base = i
-        for m in range(w):
-            base &= ~(1 << support[m])
-        for gj in range(2**w):
-            j = base
-            for m in range(w):
-                j |= ((gj >> m) & 1) << support[m]
-            full[i, j] = u[gi, gj]
-    return full
 
 
 def dense_depolarize(mat, gamma, support, n):
@@ -58,27 +41,6 @@ def dense_depolarize(mat, gamma, support, n):
         reduced = np.einsum("xiyzik->xyzk", traced.reshape(a, 2, b, a, 2, b))
         traced = np.einsum("xyzk,ij->xiyzjk", reduced, np.eye(2) / 2).reshape(mat.shape)
     return (1.0 - gamma) * mat + gamma * traced
-
-
-def dense_circuit(spec, realization):
-    """Reference run of a circuit on the dense D x D operator.
-
-    Gates are drawn in the simulator's order and every one is applied (no
-    lightcone); noise acts on every site, idle ones included.
-    """
-    n = spec.n_sites
-    rng = realization_rng(spec.master_seed, realization)
-    mat = embedded_unitary(PAULI_MATRICES[spec.initial_axis], (spec.initial_site,), n)
-    for t in range(spec.depth):
-        for support in layer_supports(spec, t):
-            full = embedded_unitary(sample_haar_unitary(2 ** len(support), rng), support, n)
-            mat = full @ mat @ full.conj().T
-            if spec.noise_placement == "per_gate_support":
-                mat = dense_depolarize(mat, spec.gamma, support, n)
-        if spec.noise_placement == "per_qubit_per_layer":
-            for s in range(n):
-                mat = dense_depolarize(mat, spec.gamma, (s,), n)
-    return mat
 
 
 def test_init_local_pauli():
@@ -126,9 +88,20 @@ def test_hadamard_conjugation():
     assert np.allclose(coeffs.values, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("support", [(0,), (2,), (0, 1), (1, 2), (0, 2), (2, 0), (2, 0, 1)])
-def test_gate_matches_embedded_conjugation(support, rng):
-    n = 3
+#: (N, support): single sites, pairs and a scrambled triple at N=3; every
+#: adjacent pair of an N=6 chain, so the gate block is also the first and the
+#: last axis; 3-, 4- and 5-site runs; a non-adjacent reversed pair
+GATE_CASES = (
+    [(3, s) for s in [(0,), (2,), (0, 1), (1, 2), (0, 2), (2, 0), (2, 0, 1)]]
+    + [(6, (s, s + 1)) for s in range(5)]
+    + [(6, (1, 2, 3)), (6, (2, 3, 4, 5)), (6, (0, 1, 2, 3, 4)), (6, (4, 1))]
+)
+
+
+@pytest.mark.parametrize(
+    "n, support", GATE_CASES, ids=[f"support{i}" for i in range(len(GATE_CASES))]
+)
+def test_gate_matches_embedded_conjugation(n, support, rng):
     u = sample_haar_unitary(2 ** len(support), rng)
     h = random_hermitian(n, rng)
     coeffs = pauli_transform(h)
@@ -275,9 +248,43 @@ def test_circuit_matches_dense_oracle_and_invariants(kind, placement, data):
         master_seed=data.draw(st.integers(0, 2**31)),
     )
     coeffs = run_circuit(spec, 0)
-    want = pauli_transform(dense_circuit(spec, 0)).values
+    *_, (_, mat) = dense_circuit_layers(spec, 0)
+    want = pauli_transform(mat).values
     assert np.max(np.abs(coeffs.values - want)) < ORACLE_TOL
     assert abs(float(np.sum(pi_distribution(coeffs))) - 1.0) < 1e-12
     for k in (2, 3):
         assert moment_mu(coeffs, k) >= 1.0
     assert 0.0 <= moment_nu(coeffs, 1) <= 1.0 + 1e-12
+
+
+#: small circuits of every geometry; the chain's odd layers leave sites 0 and
+#: N-1 idle, the grid's H-odd and V-odd layers are empty, the staircase
+#: leaves site 3, then site 0, idle
+ORACLE_CIRCUITS = {
+    "chain": dict(geometry="chain", n_sites=4, depth=5),
+    "grid": dict(geometry="grid", lx=2, ly=2, depth=6),
+    "rmpu": dict(geometry="rmpu", n_sites=4, r=2),
+}
+
+
+@pytest.mark.parametrize("lightcone", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+@pytest.mark.parametrize("placement", ["per_qubit_per_layer", "per_gate_support"])
+@pytest.mark.parametrize("kind", sorted(ORACLE_CIRCUITS))
+def test_every_layer_matches_dense_noisy_oracle(kind, placement, gamma, lightcone):
+    spec = CircuitSpec(**ORACLE_CIRCUITS[kind], gamma=gamma, noise_placement=placement,
+                       master_seed=11)
+    n = spec.n_sites
+    idle = [set(range(n)).difference(*layer_supports(spec, t)) for t in range(spec.depth)]
+    assert any(idle)
+    if kind == "chain":
+        assert all(idle[t] == {0, n - 1} for t in range(1, spec.depth, 2))
+    depths = []
+    # the simulator yields its live state, so compare in step
+    for (t, coeffs), (t_dense, mat) in zip(iter_circuit(spec, 0, lightcone=lightcone),
+                                           dense_circuit_layers(spec, 0)):
+        assert t == t_dense
+        want = pauli_transform(mat).values
+        assert np.max(np.abs(coeffs.values - want)) < ORACLE_TOL, t
+        depths.append(t)
+    assert depths == list(range(1, spec.depth + 1))
