@@ -20,6 +20,11 @@ Noise placements:
   convention; fidelity (1-gamma)^{#gates}).
 
 ``gamma = 0`` is the noiseless circuit under either placement.
+
+A realization (:func:`iter_circuit`) draws all its gates from its own stream
+as one stack, in (layer, gate) order, and checks them for unitarity at once;
+each layer then builds the transfer matrices of the gates it applies in one
+Pauli transform.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .opsim import (
     apply_depolarizing_support,
     apply_gate,
     init_local_pauli,
+    pauli_transfer_matrix,
 )
 from .pauli import PauliCoefficients
 
@@ -164,14 +170,22 @@ def _json_type(hint) -> str:
     return "null" if hint is type(None) else hint.__name__
 
 
-def sample_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via a Ginibre sample + QR with phase correction."""
+def sample_haar_unitary(
+    dim: int, rng: np.random.Generator, count: Optional[int] = None
+) -> np.ndarray:
+    """Haar-random unitary via a Ginibre sample + QR with phase correction.
+
+    With ``count``, a (count, dim, dim) stack from one draw, one stacked QR
+    and one phase fix; the stream is read in the same order, so it equals
+    ``count`` single draws in turn, bit for bit.
+    """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    g = rng.standard_normal((2, dim, dim) if count is None else (count, 2, dim, dim))
+    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def layer_supports(spec: CircuitSpec, layer: int) -> list[tuple[int, ...]]:
@@ -229,15 +243,19 @@ def iter_circuit(
     """Evolve the initial local Pauli layer by layer, yielding (t, coefficients).
 
     The yielded state is the live object; copy it if it must outlive the
-    iteration.  Gates are drawn in (layer, gate) order from the realization
-    stream, so identical (spec, realization) reproduce identical circuits.
+    iteration.  All gates of the realization are drawn first, in (layer,
+    gate) order, as one stack from the realization stream, and checked for
+    unitarity at once; identical (spec, realization) reproduce identical
+    circuits.  Each layer then builds the transfer matrices of the gates it
+    applies in one transform and applies them one by one.
 
     With ``lightcone=True`` gates whose support lies outside the causal cone
-    of the initial site are sampled (keeping the stream layout fixed) but not
-    applied: on the cone's complement the operator is the identity, so the
-    gate conjugation and any per-gate noise act as exact identities.  This
-    keeps out-of-cone Pauli coefficients exactly zero instead of accumulating
-    rounding noise.
+    of the initial site are drawn but not applied: on the cone's complement
+    the operator is the identity, so the gate conjugation and any per-gate
+    noise act as exact identities.  This keeps out-of-cone Pauli
+    coefficients exactly zero instead of accumulating rounding noise.  The
+    cone does not depend on the draws, and since a layer's supports are
+    disjoint, a gate of the layer is applied iff it meets the cone before it.
 
     ``per_qubit_per_layer`` noise on a site that a gate of the layer acts on
     is folded into that gate: the rows of its transfer matrix are scaled by
@@ -246,23 +264,33 @@ def iter_circuit(
     with every other gate of the layer.  Only the sites no gate touched in
     the layer get a separate depolarizing pass.
     """
+    layers = [layer_supports(spec, t) for t in range(spec.depth)]
+    supports = [support for layer in layers for support in layer]
+    width = len(supports[0])
     rng = realization_rng(spec.master_seed, realization)
+    gates = GateMatrix(supports, sample_haar_unitary(2**width, rng, len(supports)))
     op = init_local_pauli(spec.n_sites, spec.initial_site, spec.initial_axis)
     per_site_noise = spec.gamma > 0.0 and spec.noise_placement == "per_qubit_per_layer"
     per_gate_noise = spec.gamma > 0.0 and spec.noise_placement == "per_gate_support"
     cone = {spec.initial_site}
-    for t in range(spec.depth):
+    first = 0
+    for t, layer in enumerate(layers):
         idle = set(cone if lightcone else range(spec.n_sites))
-        for support in layer_supports(spec, t):
-            u = sample_haar_unitary(2 ** len(support), rng)
-            if lightcone and cone.isdisjoint(support):
-                continue
-            cone.update(support)
-            idle.difference_update(support)
-            rows = _depolarized_rows(spec.gamma, len(support)) if per_site_noise else None
-            apply_gate(op, GateMatrix(support, u), rows)
-            if per_gate_noise:
-                apply_depolarizing_support(op, spec.gamma, support)
+        applied = [first + i for i, support in enumerate(layer)
+                   if not (lightcone and cone.isdisjoint(support))]
+        first += len(layer)
+        if applied:
+            rs = pauli_transfer_matrix(gates.matrices[applied])
+            if per_site_noise:
+                rs *= _depolarized_rows(spec.gamma, width)[:, None]
+            for i, r in zip(applied, rs):
+                support = gates.supports[i]
+                cone.update(support)
+                idle.difference_update(support)
+                apply_gate(op, support, r)
+                if per_gate_noise:
+                    apply_depolarizing_support(op, spec.gamma, support)
+            del rs, r  # free the stack (8 MB at w=5) before the next layer builds one
         if per_site_noise and idle:
             # noise on every idle qubit; on sites where the operator is still
             # the identity the channel is an exact no-op, so only cone sites

@@ -9,14 +9,17 @@ rescales every coefficient that is non-identity somewhere on S by (1-g).
 Sites are addressed little-endian (site 0 = lowest base-4 digit of the
 string index), consistent with :mod:`pauliscope.pauli`.
 
-A gate is one matrix product of R with a (4^lo, 4^w, 4^hi) view of the
-vector; per-site depolarizing right after it can be folded into R's rows.
+The transfer matrices of a stack of gates are built in one transform
+(:func:`pauli_transfer_matrix`), and their unitarity is checked in one
+product (:class:`GateMatrix`).  A gate is then one matrix product of its R
+with a (4^lo, 4^w, 4^hi) view of the vector; per-site depolarizing right
+after it can be folded into R's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -29,25 +32,33 @@ MAX_SITES = 13
 
 @dataclass
 class GateMatrix:
-    """Unitary acting on an ordered list of sites (support[0] = low bit)."""
+    """A stack of unitaries of one width: ``matrices[i]`` acts on the ordered
+    sites ``supports[i]`` (support[0] = low bit)."""
 
-    support: tuple[int, ...]
-    matrix: np.ndarray
+    supports: tuple[tuple[int, ...], ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
-        self.support = tuple(int(s) for s in self.support)
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        q = 2 ** len(self.support)
-        if self.matrix.shape != (q, q):
-            raise ValueError(
-                f"gate on {len(self.support)} sites needs a {q}x{q} matrix, "
-                f"got {self.matrix.shape}"
-            )
-        if len(set(self.support)) != len(self.support):
-            raise ValueError(f"repeated sites in support {self.support}")
-        dev = np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(q)))
-        if dev > 1e-12:
-            raise ValueError(f"gate is not unitary (||U U+ - 1|| = {dev:.2e})")
+        self.supports = tuple(tuple(int(s) for s in support) for support in self.supports)
+        self.matrices = np.asarray(self.matrices, dtype=complex)
+        widths = {len(support) for support in self.supports}
+        if len(widths) != 1:
+            raise ValueError(f"a gate stack needs one width, got widths {sorted(widths)}")
+        w = widths.pop()
+        shape = (len(self.supports), 2**w, 2**w)
+        if self.matrices.shape != shape:
+            raise ValueError(f"{shape[0]} gates on {w} sites need a {shape} stack, "
+                             f"got {self.matrices.shape}")
+        for support in self.supports:
+            if len(set(support)) != len(support):
+                raise ValueError(f"repeated sites in support {support}")
+        u = self.matrices
+        dev = np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(2**w)), axis=(1, 2))
+        over = dev > 1e-12
+        if over.any():
+            i = int(np.argmax(over))
+            raise ValueError(f"gate {i} on sites {self.supports[i]} is not unitary "
+                             f"(||U U+ - 1|| = {dev[i]:.2e})")
 
 
 def init_local_pauli(n_sites: int, site: int, axis: str) -> PauliCoefficients:
@@ -72,22 +83,27 @@ def _check_support(coeffs: PauliCoefficients, sites: Iterable[int]) -> tuple[int
 
 
 def pauli_transfer_matrix(u: np.ndarray) -> np.ndarray:
-    """Real orthogonal R_ab = Tr[P_a U P_b U^dag] / q of a q x q unitary.
+    """Real orthogonal R_ab = Tr[P_a U P_b U^dag] / q of a q x q unitary, or
+    the (..., q^2, q^2) stack of a (..., q, q) stack of them.
 
     The realigned product x[(j, l), (i, k)] = U[j, k] conj(U[i, l]) is an
     operator on twice the gate's sites whose Pauli coefficient at the string
     (P_a on the high half, P_b on the low half) is Tr[P_a U P_b U^dag] / q^2,
-    so the existing transform builds R, imaginary-residue check included.
+    so one call of the existing transform builds every R of the stack,
+    imaginary-residue check included.
     """
-    q = u.shape[0]
-    x = np.einsum("jk,il->jlik", u, u.conj()).reshape(q * q, q * q)
-    return q * pauli_transform(x).values.reshape(q * q, q * q)
+    u = np.asarray(u)
+    q = u.shape[-1]
+    shape = u.shape[:-2] + (q * q, q * q)
+    x = np.einsum("...jk,...il->...jlik", u, u.conj()).reshape(shape)
+    return q * pauli_transform(x).values.reshape(shape)
 
 
 def apply_gate(
-    coeffs: PauliCoefficients, gate: GateMatrix, row_scale: Optional[np.ndarray] = None
+    coeffs: PauliCoefficients, support: Iterable[int], r: np.ndarray
 ) -> PauliCoefficients:
-    """Conjugate O <- U O U^dag on the gate support (in place).
+    """Conjugate O <- U O U^dag on ``support`` (in place), given the gate's
+    transfer matrix ``r`` (:func:`pauli_transfer_matrix`).
 
     The support's digit axes are moved next to each other and the vector is
     read as (4^lo, 4^w, 4^hi), so the gate is one matrix product with R.  For
@@ -97,23 +113,26 @@ def apply_gate(
     the last axis has length 1 and one 2-D product x @ R^T replaces 4^lo
     tiny ones.
 
-    ``row_scale`` (length 4^w), if given, multiplies the rows of R: a channel
-    that rescales the support's Pauli strings right after the gate, at no
-    pass of its own over the vector.
+    R's rows may come scaled: a channel that rescales the support's Pauli
+    strings right after the gate then costs no pass of its own over the
+    vector.
     """
-    support = _check_support(coeffs, gate.support)
+    support = _check_support(coeffs, support)
     n, w = coeffs.n_sites, len(support)
-    r = pauli_transfer_matrix(gate.matrix)
-    if row_scale is not None:
-        r *= row_scale[:, None]
+    if r.shape != (4**w, 4**w):
+        raise ValueError(f"gate on {w} sites needs a {4**w}x{4**w} transfer matrix, "
+                         f"got {r.shape}")
     # tensor axis n-1-s holds the digit of site s; R's row digits run from
     # support[w-1] (high) down to support[0] (low)
     src = [n - 1 - s for s in reversed(support)]
     lo = n - w - min(support)
     dst = list(range(lo, lo + w))
-    x = np.moveaxis(coeffs.values.reshape((4,) * n), src, dst).reshape(4**lo, 4**w, -1)
+    moved = src != dst
+    x = coeffs.values.reshape((4,) * n)
+    x = (np.moveaxis(x, src, dst) if moved else x).reshape(4**lo, 4**w, -1)
     out = x[:, :, 0] @ r.T if x.shape[2] == 1 else r @ x
-    coeffs.values = np.moveaxis(out.reshape((4,) * n), dst, src).reshape(-1)
+    out = out.reshape((4,) * n)
+    coeffs.values = (np.moveaxis(out, dst, src) if moved else out).reshape(-1)
     return coeffs
 
 

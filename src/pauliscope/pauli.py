@@ -40,7 +40,8 @@ def zdiag_mask(n_sites: int) -> np.ndarray:
 
 @dataclass
 class PauliCoefficients:
-    """Dense real coefficient vector a_P over all 4^N Pauli strings."""
+    """Dense real coefficient vector a_P over all 4^N Pauli strings, or a
+    stack of them along leading axes (the transform of a stack of operators)."""
 
     n_sites: int
     values: np.ndarray
@@ -48,7 +49,7 @@ class PauliCoefficients:
     def __post_init__(self):
         # contiguous, so that reshapes are views the simulator updates in place
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.shape != (4**self.n_sites,):
+        if self.values.shape[-1:] != (4**self.n_sites,):
             raise ValueError(
                 f"expected {4 ** self.n_sites} coefficients, got {self.values.shape}"
             )
@@ -56,19 +57,22 @@ class PauliCoefficients:
 
 def _as_matrix(op) -> tuple[np.ndarray, int]:
     mat = np.asarray(op)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
-    n = int(round(np.log2(mat.shape[0])))
-    if 2**n != mat.shape[0]:
-        raise ValueError(f"dimension {mat.shape[0]} is not a power of two")
+    n = int(round(np.log2(mat.shape[-1])))
+    if 2**n != mat.shape[-1]:
+        raise ValueError(f"dimension {mat.shape[-1]} is not a power of two")
     return np.ascontiguousarray(mat, dtype=complex), n
 
 
 def _interleave(mat: np.ndarray, n: int) -> np.ndarray:
-    """(D, D) -> N legs of dimension 4, leg t holding (row, col) of site N-1-t."""
-    t = mat.reshape((2,) * (2 * n))
-    perm = [ax for s in range(n) for ax in (s, n + s)]
-    return t.transpose(perm).reshape((4,) * n)
+    """(..., D, D) -> N legs of dimension 4, leg t holding (row, col) of site
+    N-1-t, then one axis over the flattened stack (length 1 for one matrix),
+    which :func:`_rotate_legs` brings to the front."""
+    count = int(np.prod(mat.shape[:-2]))
+    t = mat.reshape((count,) + (2,) * (2 * n))
+    perm = [1 + ax for s in range(n) for ax in (s, n + s)] + [0]
+    return t.transpose(perm).reshape((4,) * n + (count,))
 
 
 def _deinterleave(t: np.ndarray, n: int) -> np.ndarray:
@@ -81,26 +85,44 @@ def _deinterleave(t: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(inv).reshape(d, d)
 
 
-def pauli_transform(op) -> PauliCoefficients:
-    """Rotate an operator matrix into the Pauli basis.
+def _rotate_legs(t: np.ndarray, n: int, site: np.ndarray) -> np.ndarray:
+    """Apply the 4x4 ``site`` matrix to each of the N leading legs of ``t``.
 
-    Returns a_P = Tr[O P]/D for every string P, computed by N sequential
-    site-local 4x4 rotations on the reshaped 2N-leg tensor (cost O(N 4^N)).
-    The result of a Hermitian input is real; a residual imaginary part
-    above 1e-10 (relative to the largest coefficient) raises.
+    Each step is one product that contracts the first axis and puts its new
+    axis last, so after N steps the legs, in their order, follow the axes
+    that came after them.  A row of either site matrix has two non-zero
+    entries of modulus 1 or 1/2, so every output is a signed sum of two
+    inputs, rounded once, whatever the shape of the product.
+    """
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ site.T
+    return t
+
+
+def pauli_transform(op) -> PauliCoefficients:
+    """Rotate an operator matrix, or a stack (..., D, D) of them, into the
+    Pauli basis.
+
+    Returns a_P = Tr[O P]/D for every string P, computed by N site-local 4x4
+    rotations on the reshaped 2N-leg tensor (cost O(N 4^N) per operator); a
+    stack gives coefficient vectors of shape (..., 4^N), each bit for bit
+    the transform of its operator alone.  The result of a Hermitian input
+    is real; a residual imaginary part above 1e-10 (relative to the
+    operator's largest coefficient) raises.
     """
     mat, n = _as_matrix(op)
+    batch = mat.shape[:-2]
     d = 2**n
-    t = _interleave(mat, n)
-    for leg in range(n):
-        a, b = 4**leg, 4 ** (n - 1 - leg)
-        t = np.matmul(_SITE_FORWARD, t.reshape(a, 4, b))
-    t = t.reshape(-1) / d
-    scale = max(1.0, float(np.max(np.abs(t.real))))
-    resid = float(np.max(np.abs(t.imag)))
-    if resid > 1e-10 * scale:
+    t = _rotate_legs(_interleave(mat, n), n, _SITE_FORWARD).reshape(batch + (4**n,)) / d
+    scale = np.maximum(1.0, np.max(np.abs(t.real), axis=-1))
+    resid = np.max(np.abs(t.imag), axis=-1)
+    over = resid > 1e-10 * scale
+    if over.any():
+        first = np.unravel_index(np.argmax(over), over.shape)
+        which = f" of operator {', '.join(map(str, first))}" if batch else ""
         raise ValueError(
-            f"imaginary residue {resid:.3e} exceeds tolerance (non-Hermitian input?)"
+            f"imaginary residue {resid[first]:.3e}{which} exceeds tolerance "
+            "(non-Hermitian input?)"
         )
     return PauliCoefficients(n, np.ascontiguousarray(t.real))
 
@@ -108,9 +130,5 @@ def pauli_transform(op) -> PauliCoefficients:
 def inverse_pauli_transform(coeffs: PauliCoefficients) -> np.ndarray:
     """Rebuild the dense matrix sum_P a_P P from a coefficient vector."""
     n = coeffs.n_sites
-    d = 2**n
-    t = coeffs.values.astype(complex)
-    for leg in range(n):
-        a, b = 4**leg, 4 ** (n - 1 - leg)
-        t = np.matmul(_SITE_INVERSE, t.reshape(a, 4, b))
-    return _deinterleave(t * d, n)
+    t = _rotate_legs(coeffs.values.astype(complex), n, _SITE_INVERSE)
+    return _deinterleave(t * 2**n, n)

@@ -362,6 +362,20 @@ def test_truncate_mse_command(tmp_path):
     assert [r["N_P"] for r in rows] == ["1", "4", "16"]
 
 
+def test_seeded_truncate_mse_rerun_is_byte_identical(tmp_path):
+    """A seeded truncate-mse run (noisy chain, gates drawn per realization and
+    transformed per layer) writes the same CSV, byte for byte, when it is run
+    again."""
+    p = tmp_path / "mse.json"
+    p.write_text(json.dumps({**CFG, "circuit": {**CFG["circuit"], "n_sites": 5},
+                             "sweep": {"n_paulis": [1, 4, 16, 64]}}))
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main(["truncate-mse", "--config", str(p), "--out", str(out)]) == 0
+    first, second = (_csv_bytes(out / "mse_gamma0.05.csv") for out in outs)
+    assert first == second
+
+
 def test_truncate_mse_honours_threads(tmp_path, monkeypatch):
     used = []
     map_ordered = driver.map_ordered

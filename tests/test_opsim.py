@@ -67,24 +67,45 @@ def test_init_guards():
 
 def test_gate_matrix_validation(rng):
     with pytest.raises(ValueError, match="unitary"):
-        GateMatrix((0, 1), np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        GateMatrix((0, 0), np.eye(4))
-    with pytest.raises(ValueError):
-        GateMatrix((0, 1), np.eye(2))
+        GateMatrix([(0, 1)], np.ones((1, 4, 4)))
+    with pytest.raises(ValueError, match="repeated"):
+        GateMatrix([(0, 0)], np.eye(4)[None])
+    with pytest.raises(ValueError, match=r"\(1, 4, 4\) stack"):
+        GateMatrix([(0, 1)], np.eye(2)[None])
+    with pytest.raises(ValueError, match=r"\(2, 4, 4\) stack"):
+        GateMatrix([(0, 1), (2, 3)], np.eye(4)[None])
+    with pytest.raises(ValueError, match="one width"):
+        GateMatrix([(0, 1), (2,)], np.eye(4)[None])
+
+
+def test_gate_stack_names_its_non_unitary_gate(rng):
+    supports = [(0, 1), (2, 3), (1, 2), (3, 4), (0, 4)]
+    u = sample_haar_unitary(4, rng, len(supports))
+    assert GateMatrix(supports, u).matrices.shape == (5, 4, 4)
+    u[3, 1, 2] += 1e-9
+    with pytest.raises(ValueError, match=r"gate 3 on sites \(3, 4\) is not unitary"):
+        GateMatrix(supports, u)
 
 
 def test_identity_gate_is_noop(rng):
     coeffs = pauli_transform(random_hermitian(3, rng))
     before = coeffs.values.copy()
-    apply_gate(coeffs, GateMatrix((1, 2), np.eye(4)))
+    apply_gate(coeffs, (1, 2), pauli_transfer_matrix(np.eye(4)))
     assert np.allclose(coeffs.values, before, atol=1e-14)
+
+
+def test_apply_gate_checks_sites_and_transfer_matrix_shape(rng):
+    coeffs = pauli_transform(random_hermitian(3, rng))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_gate(coeffs, (2, 3), np.eye(16))
+    with pytest.raises(ValueError, match="16x16 transfer matrix"):
+        apply_gate(coeffs, (1, 2), np.eye(4))
 
 
 def test_hadamard_conjugation():
     had = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     coeffs = init_local_pauli(1, 0, "Z")
-    apply_gate(coeffs, GateMatrix((0,), had))
+    apply_gate(coeffs, (0,), pauli_transfer_matrix(had))
     assert np.allclose(coeffs.values, [0.0, 1.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -105,7 +126,7 @@ def test_gate_matches_embedded_conjugation(n, support, rng):
     u = sample_haar_unitary(2 ** len(support), rng)
     h = random_hermitian(n, rng)
     coeffs = pauli_transform(h)
-    apply_gate(coeffs, GateMatrix(support, u))
+    apply_gate(coeffs, support, pauli_transfer_matrix(u))
     full = embedded_unitary(u, support, n)
     want = pauli_transform(full @ h @ full.conj().T).values
     assert np.max(np.abs(coeffs.values - want)) < 1e-11
@@ -115,7 +136,7 @@ def test_gate_preserves_norm_and_trace(rng):
     coeffs = pauli_transform(random_hermitian(4, rng))
     before = moment_nu(coeffs, 1)
     trace_before = coeffs.values[0]
-    apply_gate(coeffs, GateMatrix((1, 2), sample_haar_unitary(4, rng)))
+    apply_gate(coeffs, (1, 2), pauli_transfer_matrix(sample_haar_unitary(4, rng)))
     assert abs(moment_nu(coeffs, 1) - before) < 1e-10 * before
     assert abs(coeffs.values[0] - trace_before) < 1e-10
 
@@ -130,6 +151,15 @@ def test_transfer_matrix_is_real_orthogonal_and_unital(seed, w):
     assert np.max(np.abs(r[0, 1:])) < 1e-12 and np.max(np.abs(r[1:, 0])) < 1e-12
 
 
+@pytest.mark.parametrize("w, count", [(1, 3), (2, 5), (3, 2), (5, 2)])
+def test_stacked_transfer_matrices_equal_single_builds_bit_for_bit(w, count, rng):
+    u = sample_haar_unitary(2**w, rng, count).reshape(count, 1, 2**w, 2**w)
+    stack = pauli_transfer_matrix(u)
+    assert stack.shape == (count, 1, 4**w, 4**w)
+    for i in range(count):
+        assert stack[i, 0].tobytes() == pauli_transfer_matrix(u[i, 0]).tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31), support=st.permutations(range(4)), w=st.integers(1, 3))
 def test_gate_then_inverse_round_trip(seed, support, w):
@@ -139,8 +169,8 @@ def test_gate_then_inverse_round_trip(seed, support, w):
     h = random_hermitian(4, rng)
     coeffs = pauli_transform(h / np.sqrt(moment_nu(pauli_transform(h), 1)))
     before = coeffs.values.copy()
-    apply_gate(coeffs, GateMatrix(support, u))
-    apply_gate(coeffs, GateMatrix(support, u.conj().T))
+    apply_gate(coeffs, support, pauli_transfer_matrix(u))
+    apply_gate(coeffs, support, pauli_transfer_matrix(u.conj().T))
     assert np.max(np.abs(coeffs.values - before)) < 1e-12
 
 

@@ -105,6 +105,26 @@ def test_transform_flags_non_hermitian():
         pauli_transform(mat)
 
 
+@pytest.mark.parametrize("n, batch", [(1, (3,)), (3, (4,)), (2, (2, 3))])
+def test_stacked_transform_equals_single_transforms_bit_for_bit(n, batch, rng):
+    stack = np.stack([random_hermitian(n, rng) for _ in range(int(np.prod(batch)))])
+    stack[0] = np.round(4 * stack[0]) / 4  # exact zeros and cancellations
+    coeffs = pauli_transform(stack.reshape(batch + stack.shape[1:]))
+    assert coeffs.values.shape == batch + (4**n,)
+    for i, mat in enumerate(stack):
+        got = coeffs.values.reshape(-1, 4**n)[i]
+        assert got.tobytes() == pauli_transform(mat).values.tobytes()
+
+
+def test_stacked_transform_names_its_non_hermitian_operator(rng):
+    stack = np.stack([random_hermitian(2, rng) for _ in range(4)])
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="imaginary residue .* of operator 2 exceeds"):
+        pauli_transform(stack)
+    with pytest.raises(ValueError, match="of operator 1, 0 exceeds"):
+        pauli_transform(stack.reshape(2, 2, 4, 4))
+
+
 def test_coefficients_shape_validation():
     with pytest.raises(ValueError):
         PauliCoefficients(2, np.zeros(5))
