@@ -219,7 +219,7 @@ def cmd_selftest(args) -> int:
     exact = rmpu_moment_exact([(spec, 2)])[0]
     vals = []
     for real in range(400):
-        vals.append(moment_nu(run_circuit(spec, real), 2))
+        vals.append(moment_nu(run_circuit(spec, real), [2])[0])
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     check("rmpu transfer vs Monte Carlo", abs(mean - exact) < 3 * se,

@@ -25,7 +25,7 @@ from .opsim import MAX_SITES
 from .pauli import PauliCoefficients
 from .rmpu import rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
-from .spectrum import HIST_EDGES, moment_mu, moment_nu, spectrum_histogram
+from .spectrum import HIST_EDGES, moment_nu, spectrum_histogram
 from .weingarten import MAX_DEGREE
 
 #: engine -> (geometries it evaluates, noise placement it needs (None: either),
@@ -36,6 +36,10 @@ ENGINES = {
     "rmpu_exact": (("rmpu",), "per_gate_support", (1, MAX_DEGREE // 2)),
     "rmpu_asymptotic": (("rmpu",), "per_gate_support", (2, math.inf)),
 }
+
+#: absolute slack of ``moment_row``'s invariants mu_k >= 1 and nu_1 <= 1; the largest
+#: deviation measured on a correct value is |mu_1 - 1| = 6.2e-12 (rtn, chain N=20, gamma=0)
+INVARIANT_SLACK = 1e-9
 
 
 @dataclass
@@ -166,18 +170,29 @@ def ensemble(
 
 
 def _moment_pairs(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
-    """(mu_k, nu_k) for each k, shape (len(ks), 2)."""
-    return np.array([(moment_mu(coeffs, k), moment_nu(coeffs, k)) for k in ks])
+    """(mu_k, nu_k) for each k, shape (len(ks), 2), from one spectrum reduction;
+    a zero operator gives mu = NaN, which ``moment_row`` rejects."""
+    nu1, *nu = moment_nu(coeffs, [1, *ks]).tolist()
+    return np.array([(v / nu1**k if nu1 > 0.0 else math.nan, v) for k, v in zip(ks, nu)])
 
 
 def moment_row(engine: str, spec: CircuitSpec, t: int, k: int, quantity: str,
                value: float, stderr: float, n_samples: int) -> dict:
     """The moments CSV row of ``quantity`` (mu, nu or nu_over_F2k) of order k
-    at depth t of the circuit ``spec``; deterministic engines have n_samples 0."""
+    at depth t of the circuit ``spec``; deterministic engines have n_samples 0.
+    A value that is not finite and >= 0, a mu_k < 1 or a nu_1 > 1 (each beyond
+    ``INVARIANT_SLACK``) raises FloatingPointError, whatever the engine."""
     if quantity not in ("mu", "nu", "nu_over_F2k"):
         raise ValueError(f"unknown quantity {quantity!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (math.isfinite(value) and value >= 0.0
+            and (quantity != "mu" or value >= 1.0 - INVARIANT_SLACK)
+            and (quantity != "nu" or k != 1 or value <= 1.0 + INVARIANT_SLACK)):
+        raise FloatingPointError(
+            f"{engine} {quantity} at N={spec.n_sites}, t={t}, k={k} gave the non-physical "
+            f"value {value!r} (stderr column {stderr:.3g})"
+        )
     if not stderr >= 0:  # also rejects NaN
         raise ValueError(f"stderr must be >= 0, got {stderr}")
     return {
@@ -231,16 +246,9 @@ def run_ensemble(config: ExperimentConfig) -> list[dict]:
         elif config.engine == "rtn":
             for k in ks:
                 series = contract_brickwork_series(spec, depths, k, chi_mps=config.chi_mps)
-                for t, res in series.items():
-                    if not (math.isfinite(res.value) and res.value >= 0.0):
-                        raise FloatingPointError(
-                            f"rtn contraction at N={spec.n_sites}, t={t}, k={k} gave the "
-                            f"non-physical value {res.value!r} (truncation error "
-                            f"{res.truncation_error:.3g}); raise chi_mps"
-                        )
-                    # the stderr column carries the truncation-error estimate
-                    out.append(moment_row("rtn", spec, t, k, q, res.value,
-                                          res.truncation_error, 0))
+                # the stderr column carries the truncation-error estimate
+                out.extend(moment_row("rtn", spec, t, k, q, res.value, res.truncation_error, 0)
+                           for t, res in series.items())
     return out
 
 

@@ -11,66 +11,51 @@ exp(-u/2)/sqrt(2 pi u) with moments (2k-1)!!.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .pauli import PauliCoefficients
 
-_CHUNK = 1 << 16
-
-
-def stable_sum(x: np.ndarray) -> float:
-    """Deterministic compensated reduction (pairwise within fixed chunks,
-    Kahan across chunks); sums spanning many orders of magnitude keep
-    ~1e-15 relative accuracy independent of array length."""
-    x = np.asarray(x).ravel()
-    total = 0.0
-    comp = 0.0
-    for start in range(0, x.size, _CHUNK):
-        y = float(np.sum(x[start : start + _CHUNK])) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _sum_pi_power(coeffs: PauliCoefficients, k: int) -> tuple[float, float]:
-    """(sum a^2, sum a^(2k)) with stable reductions."""
-    a2 = np.square(coeffs.values)
-    s2 = stable_sum(a2)
-    s2k = s2 if k == 1 else stable_sum(a2**k)
-    return s2, s2k
-
 
 def pi_distribution(coeffs: PauliCoefficients) -> np.ndarray:
     """Probability over Pauli strings, pi(P) = a_P^2 / sum a^2."""
     a2 = np.square(coeffs.values)
-    s2 = stable_sum(a2)
+    s2 = float(np.sum(a2))
     if s2 <= 0.0:
         raise ValueError("zero operator has no Pauli distribution")
     return a2 / s2
 
 
-def moment_mu(coeffs: PauliCoefficients, k: int) -> float:
-    """Normalized spectrum moment mu_k = D^(2k-2) sum_P pi(P)^k (mu_1 = 1)."""
-    if k < 1:
-        raise ValueError("moment index k must be >= 1")
-    s2, s2k = _sum_pi_power(coeffs, k)
-    if s2 <= 0.0:
+def moment_nu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
+    """Unnormalized moments nu_k = D^(2k-2) sum_P a_P^(2k) (nu_1 = |O|_2^2) for
+    each order k in ks, all from one squared coefficient vector.
+
+    a^(2k) comes from in-place products of one running power, squared in place
+    when no k exceeds 2 and multiplied by a kept copy of a^2 otherwise.  numpy's
+    pairwise sum of these terms >= 0 is accurate to O(eps log 4^N) and calls no
+    BLAS, so the sums do not depend on the thread count.
+    """
+    if not ks or min(ks) < 1:
+        raise ValueError(f"moment orders {list(ks)} must be >= 1")
+    power = np.square(coeffs.values)
+    a2 = power.copy() if max(ks) > 2 else power
+    d, nu = 2.0**coeffs.n_sites, {}
+    for k in range(1, max(ks) + 1):
+        if k >= 2:
+            np.multiply(power, a2, out=power)
+        if k in ks:
+            nu[k] = d ** (2 * k - 2) * float(np.sum(power))
+    return np.array([nu[k] for k in ks])
+
+
+def moment_mu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
+    """Normalized moments mu_k = D^(2k-2) sum_P pi(P)^k = nu_k / nu_1^k for
+    each k in ks (mu_1 = 1)."""
+    nu1, *nu = moment_nu(coeffs, [1, *ks]).tolist()
+    if nu1 <= 0.0:
         raise ValueError("zero operator has no Pauli distribution")
-    if k == 1:
-        return 1.0
-    d = 2.0**coeffs.n_sites
-    return d ** (2 * k - 2) * s2k / s2**k
-
-
-def moment_nu(coeffs: PauliCoefficients, k: int) -> float:
-    """Unnormalized moment nu_k = D^(2k-2) sum_P a_P^(2k); nu_1 = |O|_2^2."""
-    if k < 1:
-        raise ValueError("moment index k must be >= 1")
-    _, s2k = _sum_pi_power(coeffs, k)
-    d = 2.0**coeffs.n_sites
-    return d ** (2 * k - 2) * s2k
+    return np.array([v / nu1**k for k, v in zip(ks, nu)])
 
 
 def ose(coeffs: PauliCoefficients, k: int) -> float:
@@ -78,7 +63,7 @@ def ose(coeffs: PauliCoefficients, k: int) -> float:
 
     k = 0 counts the support (coefficients that are exactly zero, e.g.
     outside a causal cone, are excluded); k >= 2 evaluates
-    log(sum pi^k)/(1-k) through stable log-domain sums.
+    log(sum pi^k)/(1-k) = log(mu_k / D^(2k-2))/(1-k).
     """
     if k == 1:
         raise ValueError("Renyi index k=1 is excluded (use a limit instead)")
@@ -89,10 +74,8 @@ def ose(coeffs: PauliCoefficients, k: int) -> float:
         if support == 0:
             raise ValueError("zero operator")
         return math.log(support)
-    s2, s2k = _sum_pi_power(coeffs, k)
-    if s2 <= 0.0 or s2k <= 0.0:
-        raise ValueError("zero operator")
-    return (math.log(s2k) - k * math.log(s2)) / (1 - k)
+    (mu,) = moment_mu(coeffs, [k])
+    return math.log(mu / 4.0 ** (coeffs.n_sites * (k - 1))) / (1 - k)
 
 
 def haar_moment(k: int) -> float:

@@ -114,7 +114,7 @@ def test_determinism():
 
 def test_noiseless_norm_preserved():
     spec = CircuitSpec(geometry="chain", n_sites=5, depth=8, master_seed=1)
-    assert abs(moment_nu(run_circuit(spec, 0), 1) - 1.0) < 1e-8
+    assert abs(moment_nu(run_circuit(spec, 0), [1])[0] - 1.0) < 1e-8
 
 
 def test_lightcone_exact_zero_outside_cone():
@@ -136,7 +136,7 @@ def test_lightcone_on_off_agree():
 
 def test_full_depolarization_kills_traceless_operator():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=2, gamma=1.0, master_seed=5)
-    assert moment_nu(run_circuit(spec, 0), 1) < 1e-20
+    assert moment_nu(run_circuit(spec, 0), [1])[0] < 1e-20
 
 
 def test_fidelity_bookkeeping():

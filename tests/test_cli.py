@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,26 @@ def test_seeded_moments_rerun_is_byte_identical(tmp_path, cfg_path):
         assert main(["moments", "--config", str(cfg_path), "--out", str(out)]) == 0
     first, second = (_csv_bytes(out / "moments.csv") for out in outs)
     assert first == second
+
+
+def test_seeded_moments_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A seeded N=9 noisy-chain moments run at k = 2, 3 (a 4^9 spectrum, past any
+    BLAS threading threshold) writes the same moments.csv, byte for byte, with
+    OpenBLAS at 1 and at 2 threads: no threaded BLAS call splits a reduction."""
+    cfg = {**CFG, "circuit": {**CFG["circuit"], "n_sites": 9, "depth": 4},
+           "sweep": {"t": [2, 4], "k": [2, 3]}, "n_realizations": 2}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "pauliscope.cli", "moments", "--config",
+                        str(path), "--out", str(out)], check=True, env=env)
+        outs.append(_csv_bytes(out / "moments.csv"))
+    assert outs[0] == outs[1]
 
 
 def test_null_entries_count_as_left_out(tmp_path):

@@ -17,11 +17,14 @@ from pauliscope.csvio import (
 from pauliscope.driver import (
     ExperimentConfig,
     SweepSpec,
+    _moment_pairs,
+    ensemble,
     run_ensemble,
     simulate_histogram,
     simulate_moments,
     simulate_mse,
 )
+from pauliscope.rmpu import global_haar_moment
 from pauliscope.rtn import contract_brickwork_series
 from pauliscope.spectrum import HIST_EDGES, moment_mu, moment_nu
 
@@ -174,9 +177,9 @@ def test_moments_match_per_column_reductions():
         for t, coeffs in iter_circuit(spec, r):
             if t not in depths:
                 continue
-            for k in ks:
-                samples.setdefault((t, k, "mu"), []).append(moment_mu(coeffs, k))
-                samples.setdefault((t, k, "nu"), []).append(moment_nu(coeffs, k))
+            for k, mu, nu in zip(ks, moment_mu(coeffs, ks), moment_nu(coeffs, ks)):
+                samples.setdefault((t, k, "mu"), []).append(mu)
+                samples.setdefault((t, k, "nu"), []).append(nu)
     rows = iter(simulate_moments(spec, depths, ks, n))
     for t in depths:
         for k in ks:
@@ -189,6 +192,34 @@ def test_moments_match_per_column_reductions():
                 assert row["stderr"] == pytest.approx(want, rel=1e-12,
                                                       abs=1e-12 * row["value"])
             assert next(rows)["quantity"] == "nu_over_F2k"
+
+
+def test_moment_pairs_match_moment_mu_bit_for_bit():
+    # one reduction per state: mu_k = nu_k / nu_1^k is the same float as moment_mu's
+    for gamma, seed in ((0.0, 3), (0.1, 4)):
+        spec = CircuitSpec(geometry="chain", n_sites=5, depth=6, gamma=gamma, master_seed=seed)
+        for _, coeffs in iter_circuit(spec, 0):
+            ks = [1, 2, 3, 5]
+            pairs = _moment_pairs(coeffs, ks)
+            assert pairs[:, 0].tolist() == moment_mu(coeffs, ks).tolist()
+            assert pairs[:, 1].tolist() == moment_nu(coeffs, ks).tolist()
+
+
+def _log_mu_2_3(coeffs):
+    return np.log(moment_mu(coeffs, [2, 3]))
+
+
+def test_brickwork_hierarchy_higher_k_scrambles_later():
+    # the paper's noiseless hierarchy on the brickwork chain: <ln mu_k> reaches its
+    # global-Haar value later for larger k.  N = 6, gamma = 0, seed 11, 100
+    # realizations (about 1 s); t_k* is the first depth at which <ln mu_k> - ln mu_k(Haar)
+    # is below 0.1, measured at t_2* = 9 and t_3* = 11
+    spec = CircuitSpec(geometry="chain", n_sites=6, depth=24, master_seed=11)
+    depths, mean, _ = ensemble(spec, range(1, 25), _log_mu_2_3, 100)
+    excess = mean - np.log([global_haar_moment(64.0, k) for k in (2, 3)])
+    t2, t3 = (depths[int(np.argmax(excess[:, j] < 0.1))] for j in (0, 1))
+    assert excess[-1].max() < 0.1
+    assert t3 > t2, (t2, t3)
 
 
 @pytest.mark.parametrize("depths", [[2, 9], [0, 4]], ids=["above_depth", "zero"])

@@ -81,7 +81,7 @@ def test_transfer_diagonal_dominance():
 def test_exact_matches_monte_carlo_noiseless():
     spec = CircuitSpec(geometry="rmpu", n_sites=3, r=2, master_seed=31, initial_site=0)
     exact = rmpu_moment_exact([(spec, 2)])[0]
-    vals = [moment_nu(run_circuit(spec, i), 2) for i in range(600)]
+    vals = [moment_nu(run_circuit(spec, i), [2])[0] for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
 
@@ -91,7 +91,7 @@ def test_exact_matches_monte_carlo_noisy():
         geometry="rmpu", n_sites=4, r=2, gamma=0.05, master_seed=77, initial_site=0
     )
     exact = rmpu_moment_exact([(spec, 2)])[0]
-    vals = [moment_nu(run_circuit(spec, i), 2) for i in range(600)]
+    vals = [moment_nu(run_circuit(spec, i), [2])[0] for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
 
@@ -152,7 +152,7 @@ def test_k1_transfer_pipeline():
     )
     exact = rmpu_moment_exact([(spec, 1)])[0]
     assert abs(exact - 0.36130816) < 1e-10
-    vals = [moment_nu(run_circuit(spec, i), 1) for i in range(600)]
+    vals = [moment_nu(run_circuit(spec, i), [1])[0] for i in range(600)]
     mean, se = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - exact) < 3 * se
 
@@ -219,6 +219,20 @@ def test_haar_floor():
         ]
         assert all(v >= haar_moment(k) * (1 - 1e-9) for v in vals)
         assert abs(vals[-1] - haar_moment(k)) < abs(vals[0] - haar_moment(k))
+
+
+@pytest.mark.parametrize("n_sites", [24, 48])
+def test_staircase_hierarchy_steps_at_r_star(n_sites):
+    # the paper's noiseless hierarchy: at gamma = 0, mu_k / mu_k(global Haar) - 1
+    # drops below 1 at block width r* = N (1 - 1/k), later for larger k.  At N = 24 the
+    # excess reads 4.0 -> 0.25 at r = 11 -> 12 (k = 2) and 3.2 -> 0.05 at r = 15 -> 16
+    # (k = 3); only r* - 1 and r* are evaluated (about 1 s for both N)
+    for k in (2, 3):
+        r_star = n_sites * (k - 1) // k
+        before, at = rmpu_moment_exact([(staircase(n_sites, r), k)
+                                        for r in (r_star - 1, r_star)])
+        haar = global_haar_moment(2.0**n_sites, k)
+        assert before / haar - 1 >= 1 > at / haar - 1, (k, before / haar, at / haar)
 
 
 def test_scaling_predictions():

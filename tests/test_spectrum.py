@@ -8,9 +8,9 @@ from scipy.integrate import quad
 
 from pauliscope.circuits import CircuitSpec
 from pauliscope.csvio import MOMENTS_HEADER
-from pauliscope.driver import moment_row
+from pauliscope.driver import INVARIANT_SLACK, moment_row
 from pauliscope.opsim import init_local_pauli
-from pauliscope.pauli import pauli_transform
+from pauliscope.pauli import PauliCoefficients, pauli_transform
 from pauliscope.spectrum import (
     HIST_EDGES,
     haar_moment,
@@ -20,7 +20,6 @@ from pauliscope.spectrum import (
     ose,
     pi_distribution,
     spectrum_histogram,
-    stable_sum,
 )
 
 from conftest import PAULI_MATRICES, random_hermitian
@@ -28,9 +27,7 @@ from conftest import PAULI_MATRICES, random_hermitian
 
 def test_local_pauli_moments_exact():
     coeffs = init_local_pauli(2, 0, "Z")
-    assert moment_mu(coeffs, 1) == 1.0
-    assert moment_mu(coeffs, 2) == 16.0
-    assert moment_mu(coeffs, 3) == 4.0**4
+    assert moment_mu(coeffs, [1, 2, 3]).tolist() == [1.0, 16.0, 4.0**4]
 
 
 def test_two_string_superposition():
@@ -38,7 +35,7 @@ def test_two_string_superposition():
     coeffs = pauli_transform(mat)
     pi = pi_distribution(coeffs)
     assert np.allclose(np.sort(pi[pi > 1e-15]), [0.5, 0.5])
-    assert abs(moment_mu(coeffs, 2) - 2.0) < 1e-12
+    assert abs(moment_mu(coeffs, [2])[0] - 2.0) < 1e-12
     assert abs(ose(coeffs, 2) - math.log(2)) < 1e-12
 
 
@@ -49,10 +46,11 @@ def test_pi_normalization(rng):
 
 def test_unnormalized_moments():
     coeffs = pauli_transform(0.9 * PAULI_MATRICES["X"])
-    assert abs(moment_nu(coeffs, 1) - 0.81) < 1e-14
+    nu1, nu2 = moment_nu(coeffs, [1, 2])
+    assert abs(nu1 - 0.81) < 1e-14
     # nu_k = D^(2k-2) sum a^2k; a single string keeps mu_2 = D^2
-    assert abs(moment_nu(coeffs, 2) - 4 * 0.9**4) < 1e-13
-    assert abs(moment_mu(coeffs, 2) - 4.0) < 1e-12
+    assert abs(nu2 - 4 * 0.9**4) < 1e-13
+    assert abs(moment_mu(coeffs, [2])[0] - 4.0) < 1e-12
 
 
 @settings(max_examples=15, deadline=None)
@@ -60,8 +58,9 @@ def test_unnormalized_moments():
 def test_mu_equals_nu_ratio(seed, k):
     rng = np.random.default_rng(seed)
     coeffs = pauli_transform(random_hermitian(3, rng))
-    mu = moment_mu(coeffs, k)
-    ratio = moment_nu(coeffs, k) / moment_nu(coeffs, 1) ** k
+    (mu,) = moment_mu(coeffs, [k])
+    nu1, nu = moment_nu(coeffs, [1, k])
+    ratio = nu / nu1**k
     assert abs(mu - ratio) < 1e-10 * mu
 
 
@@ -80,13 +79,11 @@ def test_ose_edge_cases():
 
 
 def test_zero_operator_rejected():
-    from pauliscope.pauli import PauliCoefficients
-
     zero = PauliCoefficients(1, np.zeros(4))
     with pytest.raises(ValueError):
         pi_distribution(zero)
     with pytest.raises(ValueError):
-        moment_mu(zero, 2)
+        moment_mu(zero, [2])
 
 
 def test_haar_moment_double_factorial():
@@ -145,13 +142,25 @@ def test_histogram_moment_reconstruction(rng):
         assert np.max(np.abs(density * widths - counts / 4.0**4)) < 1e-12
         # int u^2 Pi(u) du = mu_2, up to the 60-bin grid's binning error
         recon = np.sum(density * edges[:-1] * edges[1:] * widths)
-        exact = moment_mu(coeffs, 2)
+        exact = moment_mu(coeffs, [2])[0]
         assert abs(recon - exact) < 0.05 * exact
 
 
-def test_stable_sum_matches_fsum(rng):
-    x = rng.normal(size=200001) * 10.0 ** rng.integers(-12, 12, size=200001)
-    assert abs(stable_sum(x) - math.fsum(x)) <= 1e-10 * max(1.0, abs(math.fsum(x)))
+def test_one_reduction_matches_fsum_at_every_order(rng):
+    # N = 9 holds 4^9 coefficients, four times numpy's old 2^16-term chunk;
+    # a^2 spans about 30 orders of magnitude
+    n = 9
+    a = rng.normal(size=4**n) * 10.0 ** rng.uniform(-15.0, 0.0, size=4**n)
+    ks = [1, 2, 3, 4, 5]
+    nu = moment_nu(PauliCoefficients(n, a), ks)
+    a2 = a * a
+    for k, value in zip(ks, nu):
+        want = 4.0 ** (n * (k - 1)) * math.fsum(a2**k)
+        assert abs(value - want) <= 1e-13 * want, k
+    # any order and repetition of the requested k
+    assert moment_nu(PauliCoefficients(n, a), [3, 1, 3]).tolist() == [nu[2], nu[0], nu[2]]
+    with pytest.raises(ValueError, match="must be >= 1"):
+        moment_nu(PauliCoefficients(n, a), [0, 2])
 
 
 def test_moment_estimate_validation():
@@ -167,3 +176,25 @@ def test_moment_estimate_validation():
         moment_row("simulator", spec, 1, 2, "mu", 1.0, float("nan"), 1)
     row = moment_row("simulator", spec, 1, 2, "mu", 1.0, 0.0, 1)
     assert list(row) == MOMENTS_HEADER
+
+
+@pytest.mark.parametrize("quantity, k, value", [
+    ("mu", 2, math.nan), ("nu", 2, math.inf), ("nu_over_F2k", 2, -1e-300),
+    ("nu", 3, -2.0), ("mu", 2, 0.34), ("mu", 1, 1.0 - 10 * INVARIANT_SLACK),
+    ("nu", 1, 1.0 + 10 * INVARIANT_SLACK),
+])
+def test_moment_row_rejects_non_physical_values(quantity, k, value):
+    # every engine's rows pass the same invariants: finite, >= 0, mu_k >= 1, nu_1 <= 1
+    spec = CircuitSpec(n_sites=5, gamma=0.1)
+    with pytest.raises(FloatingPointError,
+                       match=rf"N=5, t=3, k={k} .* non-physical value .*stderr column 0.25"):
+        moment_row("rtn", spec, 3, k, quantity, value, 0.25, 0)
+
+
+@pytest.mark.parametrize("quantity, k, value", [
+    ("mu", 1, 1.0 - INVARIANT_SLACK / 2), ("mu", 3, 1e6), ("nu", 1, 1.0 + INVARIANT_SLACK / 2),
+    ("nu", 1, 0.0), ("nu", 2, 40.0), ("nu_over_F2k", 1, 3.0),
+])
+def test_moment_row_keeps_physical_values(quantity, k, value):
+    row = moment_row("simulator", CircuitSpec(n_sites=5), 3, k, quantity, value, 0.25, 2)
+    assert row["value"] == value
