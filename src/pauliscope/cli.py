@@ -49,7 +49,7 @@ def _load_config(args) -> ExperimentConfig:
     """The JSON config with the flags applied, validated once as a whole.
 
     Rejected if it has a sweep the subcommand does not read, names another
-    engine than the subcommand's, or writes two gammas to one file.
+    engine, writes two gammas to one file, or asks for a Pauli spectrum at gamma = 1.
     """
     if not args.config:
         raise ValueError("--config <path.json> is required for this subcommand")
@@ -79,6 +79,8 @@ def _load_config(args) -> ExperimentConfig:
         d["circuit"] = {**json_fields(CircuitSpec, d.get("circuit"), "circuit"),
                         "master_seed": args.seed}
     cfg = ExperimentConfig.from_dict(d)
+    if args.command in ("moments", "spectrum-hist") and 1.0 in [s.gamma for s in cfg.points()]:
+        raise ValueError(f"{args.command} needs gamma < 1: gamma=1 leaves the zero operator")
     if args.command == "truncate-mse":
         names = [_mse_name(spec.gamma) for spec in cfg.points()]
         clash = [name for name in names if names.count(name) > 1]

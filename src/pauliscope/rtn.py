@@ -23,11 +23,11 @@ Gram matrix G(q) is rank deficient there, and label-basis bonds would
 otherwise waste bond dimension on null directions that cannot influence
 any contraction.
 
-The boundary MPS splits a two-site tensor through the eigendecomposition
-of its smaller Gram matrix, not a full SVD.  That resolves squared singular
-values to eps = 2.2e-16 of the largest, so singular values below about
-1e-8 s_0 are dropped; the weight dropped, by that floor or by the bond cap,
-is measured as the residual of the split, and the accumulated truncation
+The boundary MPS splits a two-site tensor by a seeded randomized range
+finder (Halko, Martinsson & Tropp, arXiv:0909.4061), at a cost set by chi,
+not by the tensor.  Singular values below about 1e-8 s_0 are dropped; the
+weight dropped, by that floor, the bond cap or the range finder's miss, is
+measured as the residual of the split, and the accumulated truncation
 error stays an honest estimate of the error of the reported value.
 
 Only the unnormalized average is polynomial in the gates, so with noise
@@ -92,31 +92,28 @@ def _split(mat: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.ndarray, float
     isometry of at most ``chi_max`` columns, the largest singular value s_0,
     and the discarded weight |mat - left @ right|_F^2 / |mat|_F^2.
 
-    The top eigenvectors of the smaller Gram matrix span the kept singular
-    directions.  Its eigenvalues resolve only to about eps * w_0, so a
-    direction is kept if its weight, measured on ``mat`` itself, exceeds
-    that floor: a roundoff eigenvalue just above it has a measured weight
-    near eps^2 * w_0.  A tall ``mat`` is re-orthonormalized by QR, so
-    ``left`` is an isometry to working precision however small the kept
-    values are.
+    Q spans ``mat`` @ Omega after two power iterations, for a Gaussian Omega
+    of chi_max + 24 columns from a fixed local seed (never the global random
+    state), and left = Q v for the top eigenvectors v of B B^T, B = Q^T mat.
+    Eigenvalues resolve only to about eps * w_0, so a direction is kept if
+    its weight, measured on B, exceeds that floor: a roundoff eigenvalue
+    just above it has a measured weight near eps^2 * w_0.
     """
     total = float(np.vdot(mat, mat))
     if not 0.0 < total < math.inf:
         raise FloatingPointError(f"the contraction is not finite or vanished (|theta|^2 {total})")
-    wide = mat.shape[0] <= mat.shape[1]
-    w, v = np.linalg.eigh(mat @ mat.T if wide else mat.T @ mat)
+    omega = np.random.default_rng(0).standard_normal((mat.shape[1], min(chi_max + 24, *mat.shape)))
+    q = np.linalg.qr(mat @ omega)[0]
+    for _ in range(2):
+        q = np.linalg.qr(mat @ np.linalg.qr(mat.T @ q)[0])[0]
+    b = q.T @ mat
+    w, v = np.linalg.eigh(b @ b.T)
     floor = np.finfo(float).eps * w[-1]
     m = max(1, min(chi_max, int(np.count_nonzero(w > floor))))
     v = v[:, ::-1][:, :m]  # the top m eigenvectors, largest first
-    if wide:
-        right = v.T @ mat
-        keep = np.einsum("ij,ij->i", right, right) > floor
-        left, right = v[:, keep], right[keep]
-    else:
-        mv = mat @ v
-        keep = np.einsum("ij,ij->j", mv, mv) > floor
-        left, r = np.linalg.qr(mv[:, keep])
-        right = r @ v[:, keep].T
+    right = v.T @ b
+    keep = np.einsum("ij,ij->i", right, right) > floor
+    left, right = q @ v[:, keep], right[keep]
     resid = mat - left @ right
     return left, right, math.sqrt(w[-1]), float(np.vdot(resid, resid)) / total
 
@@ -190,27 +187,32 @@ class _ExactState:
         for v in site_vectors[1:]:
             state = np.multiply.outer(state, v)
         self.state = state
+        self.scale = 1.0  # the last gate's power-of-two divisor, deferred into the next
         self.log_scale = 0.0
         self.trunc_error = 0.0
         self.max_bond = self.r ** (self.n_sites // 2)
 
     def apply_kernel(self, i: int, kernel: tuple[np.ndarray, np.ndarray]):
         r = self.r
-        a = r**i
         b = r ** (self.n_sites - 2 - i)
-        out = kernel[0] @ (kernel[1] @ self.state.reshape(a, r * r, b))
+        k1 = kernel[1] * (1.0 / self.scale)
+        if b == 1:  # one 2-D product, not a batch of matrix-vector products
+            out = (self.state.reshape(-1, r * r) @ k1.T) @ kernel[0].T
+        else:
+            out = kernel[0] @ (k1 @ self.state.reshape(-1, r * r, b))
         # a NaN anywhere makes both numpy's max and min NaN
         peak = max(float(out.max()), -float(out.min()))
         if not 0.0 < peak < math.inf:
             raise FloatingPointError(f"the contraction is not finite or vanished (peak {peak})")
-        self.log_scale += rescale_pow2(out, peak)
+        self.scale = 2.0 ** math.floor(math.log2(peak))
+        self.log_scale += math.log(self.scale)
         self.state = out.reshape((r,) * self.n_sites)
 
     def contract_with(self, site_vectors: list[np.ndarray]) -> float:
         v = self.state
         for w in reversed(site_vectors):
             v = v @ w
-        return unscale(float(v), self.log_scale)
+        return unscale(float(v) / self.scale, self.log_scale)
 
 
 #: largest dense wire-coordinate state the exact engine will allocate
@@ -234,6 +236,8 @@ class BrickworkContraction:
         lightcone: bool = True,
         engine: str = "auto",
     ):
+        if k not in (1, 2):  # at k = 3 a chi = 256 two-site tensor takes 9 GB
+            raise ValueError(f"the replica contraction evaluates k in {{1, 2}}, not {k}")
         self.spec = spec
         self.k = k
         self.chi_mps = chi_mps

@@ -463,6 +463,36 @@ def test_commands_reject_config_they_ignore(tmp_path, capsys, command, overrides
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where", ["circuit", "sweep"])
+@pytest.mark.parametrize("command", ["moments", "spectrum-hist"])
+def test_simulator_moments_and_histograms_reject_full_depolarization(
+        tmp_path, capsys, command, where):
+    # gamma = 1 leaves the zero operator, which has no moments and no distribution
+    cfg = {**CFG, "circuit": {**CFG["circuit"], "depth": 3}, "n_realizations": 3,
+           "sweep": {"t": [3]}}
+    if where == "circuit":
+        cfg["circuit"]["gamma"] = 1.0
+    else:
+        cfg["sweep"]["gamma"] = [0.5, 1.0]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    err = _config_error([command, "--config", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert f"pauliscope {command}: error: {command} needs gamma < 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_truncate_mse_keeps_full_depolarization(tmp_path):
+    # every truncation of the zero operator is exact: the MSE rows are 0 and valid
+    cfg = {**CFG, "circuit": {**CFG["circuit"], "depth": 3, "gamma": 1.0},
+           "n_realizations": 3, "sweep": {"n_paulis": [1, 4]}}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["truncate-mse", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+    rows = read_csv_rows(tmp_path / "out" / "mse_gamma1.csv")
+    assert [(r["N_P"], r["mse"], r["stderr"]) for r in rows] == [("1", "0.0", "0.0"),
+                                                                 ("4", "0.0", "0.0")]
+
+
 _MOMENTS_LINE = ("simulator,chain,{n},,{t},{gamma},per_qubit_per_layer,2,{quantity},{value!r},"
                  "0.0001,100,1")
 
