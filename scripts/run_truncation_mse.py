@@ -1,43 +1,31 @@
 #!/usr/bin/env python3
-"""Pauli-propagation truncation error vs number of kept strings."""
+"""Pauli-propagation truncation error vs number of kept strings, read from
+the mse CSVs that ``pauliscope truncate-mse`` writes."""
 
 import argparse
-from pathlib import Path
+from collections import defaultdict
 
 import numpy as np
 
-from pauliscope.circuits import CircuitSpec
-from pauliscope.csvio import write_mse_csv
-from pauliscope.driver import simulate_mse
+from pauliscope.csvio import MSE_HEADER, read_csv_rows
 from pauliscope.fits import weighted_line_fit
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", type=int, nargs="+", default=[7, 9])
-    ap.add_argument("--gamma-n", type=float, nargs="+", default=[0.1, 1.0])
-    ap.add_argument("--realizations", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=31415)
-    ap.add_argument("--out", default="results/truncation")
+    ap.add_argument("--input", nargs="+", required=True, help="mse_gamma*.csv file(s)")
     args = ap.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for n in args.sizes:
-        for gn in args.gamma_n:
-            spec = CircuitSpec(
-                geometry="chain", n_sites=n, depth=2 * n, gamma=gn / n,
-                master_seed=args.seed,
-            )
-            rows = simulate_mse(spec, None, args.realizations)
-            write_mse_csv(out / f"mse_N{n}_gn{gn:g}.csv", rows)
-            pos = [row for row in rows if row["mse"] > 0]
-            fit = weighted_line_fit(
-                np.log([row["N_P"] for row in pos]),
-                np.log([row["mse"] for row in pos]),
-                [row["stderr"] / row["mse"] for row in pos],
-            )
-            print(f"N={n} gammaN={gn}: log-log MSE slope {fit.slope:.3f} +- {fit.slope_stderr:.3f}")
+    curves = defaultdict(list)  # (N, gamma) -> [(N_P, mse, stderr)]
+    for path in args.input:
+        for row in read_csv_rows(path, MSE_HEADER):
+            curves[int(row["N"]), float(row["gamma"])].append(
+                (int(row["N_P"]), float(row["mse"]), float(row["stderr"])))
+    for (n, gamma), points in sorted(curves.items()):
+        n_p, mse, stderr = np.array([p for p in points if p[1] > 0]).T
+        fit = weighted_line_fit(np.log(n_p), np.log(mse), stderr / mse)
+        print(f"N={n} gammaN={gamma * n:g}: log-log MSE slope "
+              f"{fit.slope:.3f} +- {fit.slope_stderr:.3f}")
 
 
 if __name__ == "__main__":

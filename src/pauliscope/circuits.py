@@ -237,9 +237,7 @@ def realization_rng(master_seed: int, realization: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(realization)]))
 
 
-def iter_circuit(
-    spec: CircuitSpec, realization: int, lightcone: bool = True
-) -> Iterator[tuple[int, PauliCoefficients]]:
+def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, PauliCoefficients]]:
     """Evolve the initial local Pauli layer by layer, yielding (t, coefficients).
 
     The yielded state is the live object; copy it if it must outlive the
@@ -249,13 +247,13 @@ def iter_circuit(
     circuits.  Each layer then builds the transfer matrices of the gates it
     applies in one transform and applies them one by one.
 
-    With ``lightcone=True`` gates whose support lies outside the causal cone
-    of the initial site are drawn but not applied: on the cone's complement
-    the operator is the identity, so the gate conjugation and any per-gate
-    noise act as exact identities.  This keeps out-of-cone Pauli
-    coefficients exactly zero instead of accumulating rounding noise.  The
-    cone does not depend on the draws, and since a layer's supports are
-    disjoint, a gate of the layer is applied iff it meets the cone before it.
+    Gates whose support lies outside the causal cone of the initial site are
+    drawn but not applied: on the cone's complement the operator is the
+    identity, so the gate conjugation and any per-gate noise act as exact
+    identities.  This keeps out-of-cone Pauli coefficients exactly zero
+    instead of accumulating rounding noise.  The cone does not depend on the
+    draws, and since a layer's supports are disjoint, a gate of the layer is
+    applied iff it meets the cone before it.
 
     ``per_qubit_per_layer`` noise on a site that a gate of the layer acts on
     is folded into that gate: the rows of its transfer matrix are scaled by
@@ -275,9 +273,8 @@ def iter_circuit(
     cone = {spec.initial_site}
     first = 0
     for t, layer in enumerate(layers):
-        idle = set(cone if lightcone else range(spec.n_sites))
-        applied = [first + i for i, support in enumerate(layer)
-                   if not (lightcone and cone.isdisjoint(support))]
+        idle = set(cone)
+        applied = [first + i for i, support in enumerate(layer) if not cone.isdisjoint(support)]
         first += len(layer)
         if applied:
             rs = pauli_transfer_matrix(gates.matrices[applied])

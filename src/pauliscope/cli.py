@@ -49,7 +49,7 @@ def _load_config(args) -> ExperimentConfig:
     """The JSON config with the flags applied, validated once as a whole.
 
     Rejected if it has a sweep the subcommand does not read, names another
-    engine, writes two gammas to one file, or asks for a Pauli spectrum at gamma = 1.
+    engine, writes two gammas to one file, or asks for moments or a spectrum at gamma = 1.
     """
     if not args.config:
         raise ValueError("--config <path.json> is required for this subcommand")
@@ -79,10 +79,11 @@ def _load_config(args) -> ExperimentConfig:
         d["circuit"] = {**json_fields(CircuitSpec, d.get("circuit"), "circuit"),
                         "master_seed": args.seed}
     cfg = ExperimentConfig.from_dict(d)
-    if args.command in ("moments", "spectrum-hist") and 1.0 in [s.gamma for s in cfg.points()]:
+    gammas = [spec.gamma for spec in cfg.points()]
+    if args.command in ("moments", "rtn", "spectrum-hist") and 1.0 in gammas:
         raise ValueError(f"{args.command} needs gamma < 1: gamma=1 leaves the zero operator")
     if args.command == "truncate-mse":
-        names = [_mse_name(spec.gamma) for spec in cfg.points()]
+        names = [_mse_name(gamma) for gamma in gammas]
         clash = [name for name in names if names.count(name) > 1]
         if clash:
             raise ValueError(f"sweep.gamma {cfg.sweep.gamma} would write two values to {clash[0]}")

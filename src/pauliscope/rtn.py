@@ -223,44 +223,26 @@ class BrickworkContraction:
     """Bottom-to-top sweep over the replica lattice of ``spec``, a brickwork
     chain with per_gate_support noise, at k in {1, 2}.
 
-    ``engine='exact'`` contracts the full wire-coordinate state (possible up
-    to r^N ~ 9e6 entries, e.g. N <= 6 for k = 2); ``'mps'`` uses the
-    truncated boundary MPS; ``'auto'`` picks exact whenever it fits.
+    The full wire-coordinate state is contracted exactly whenever it fits
+    (r^N <= ``_EXACT_ENTRY_CAP`` entries, e.g. N <= 6 for k = 2); longer
+    chains use the truncated boundary MPS.  Gates outside the causal cone of
+    the initial site are skipped: their kernel fixes the e x e they act on.
     """
 
-    def __init__(
-        self,
-        spec: CircuitSpec,
-        k: int = 2,
-        chi_mps: int = 256,
-        lightcone: bool = True,
-        engine: str = "auto",
-    ):
+    def __init__(self, spec: CircuitSpec, k: int = 2, chi_mps: int = 256):
         if k not in (1, 2):  # at k = 3 a chi = 256 two-site tensor takes 9 GB
             raise ValueError(f"the replica contraction evaluates k in {{1, 2}}, not {k}")
         self.spec = spec
         self.k = k
         self.chi_mps = chi_mps
-        self.lightcone = lightcone
         n_sites, n = spec.n_sites, 2 * k
         w_noisy = noisy_weingarten(n, 4.0, spec.gamma)
         coords, self.f_top, self.g_op = _wire_basis(n)
         rank = coords.shape[0]
-        if engine == "auto":
-            engine = "exact" if rank**n_sites <= _EXACT_ENTRY_CAP else "mps"
-        if engine not in ("exact", "mps"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self.engine = engine
+        self.engine = "exact" if rank**n_sites <= _EXACT_ENTRY_CAP else "mps"
         site_vectors = [coords[:, 0].copy() for _ in range(n_sites)]
         site_vectors[spec.initial_site] = self.g_op.copy()
-        if engine == "exact":
-            if rank**n_sites > _EXACT_ENTRY_CAP:
-                raise ValueError(
-                    f"exact engine needs {rank}^{n_sites} entries; use engine='mps'"
-                )
-            self.mps = _ExactState(site_vectors)
-        else:
-            self.mps = _BoundaryMps(site_vectors)
+        self.mps = (_ExactState if self.engine == "exact" else _BoundaryMps)(site_vectors)
         # the factors (A, Wg~ A^T) of one gate's kernel in wire coordinates
         a = np.einsum("sa,pa->spa", coords, coords).reshape(rank * rank, -1)
         self._kernel = (a, w_noisy @ a.T)
@@ -271,7 +253,7 @@ class BrickworkContraction:
     def advance(self, n_layers: int = 1):
         for _ in range(n_layers):
             for (i, j) in layer_supports(self.spec, self.depth_done):
-                if self.lightcone and self.cone.isdisjoint((i, j)):
+                if self.cone.isdisjoint((i, j)):
                     continue
                 self.cone.update((i, j))
                 if self.spec.initial_site in (i, j):

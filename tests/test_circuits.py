@@ -125,15 +125,6 @@ def test_lightcone_exact_zero_outside_cone():
     assert np.array_equal(coeffs, want)
 
 
-def test_lightcone_on_off_agree():
-    spec = CircuitSpec(geometry="chain", n_sites=5, depth=4, gamma=0.07, master_seed=11)
-    on = run_circuit(spec, 0).values
-    off = None
-    for _, op in iter_circuit(spec, 0, lightcone=False):
-        off = op.values
-    assert np.max(np.abs(on - off)) < 1e-12
-
-
 def test_full_depolarization_kills_traceless_operator():
     spec = CircuitSpec(geometry="chain", n_sites=4, depth=2, gamma=1.0, master_seed=5)
     assert moment_nu(run_circuit(spec, 0), [1])[0] < 1e-20
@@ -147,30 +138,25 @@ def test_fidelity_bookkeeping():
     assert circuit_fidelity(chain, 1) == pytest.approx(0.9**4)
 
 
-#: (circuit, lightcone) -> sha256 per realization 0, 1, 2; each realization's
+#: circuit -> sha256 per realization 0, 1, 2; each realization's
 #: hash is fed every layer's coefficient bytes in turn
 PINNED_LAYER_HASHES = {
-    ("chain7_per_qubit", True): (
+    "chain7_per_qubit": (
         "2f4d25dadb5c0539067f4e642aa14f2f3f51eec3c4bacc00712232a764c80815",
         "c159ff711ba1f73c84b86ae5c12673f7f985eaa925154e9b3f2ed95b5ae2875d",
         "5b3ab97074f0646b934232474887b1ae85508874596c32806bb28b601c7c6dcd",
     ),
-    ("chain6_per_gate", True): (
+    "chain6_per_gate": (
         "5c6d218d70a07bf8ff1f5dc90151e78731989d4118c5c7965f331a7d4e6b7501",
         "361d643357155c79cc05d589854778e2fea7052a2b86b68afdab6ecd9b26c42a",
         "861bf982e800c3e38ba4bd44669faef8c7f3055663509b662307e9fc47858cad",
     ),
-    ("grid2x3", True): (
+    "grid2x3": (
         "f342244787b56b41ff9cf8892e077c6cb84ec0d9e62fb098a636de10835d0193",
         "f4e0f8bc552701027acb07ba983fba004ab8676edb6b3c59520c1c96d8b87814",
         "3402025f8f62e5ac4e8816006d14d5c3d25f5d415c5d26d36bf798acda0c2750",
     ),
-    ("grid2x3", False): (
-        "95afc4e66876f7d0442e8dbcccad6d18e765689ff8af648978127f89fe3a471c",
-        "c9389026f88ee86a562d7ea8ba8dc7cd6c9a192670080be14719a2d745d608d7",
-        "531823c7ed834c391b8c4729f8304b3febeea6caa362729aab4b7f8644facbcc",
-    ),
-    ("rmpu6_r2", True): (
+    "rmpu6_r2": (
         "f1eb24f05b6c8507a918e987e7846aa95e8e036264d665ccf1e8657b9c61cba9",
         "14936c94ea98f5369a5a52e7e6e6ade33dd7dd5a52873a5df4fcfd0a50ebfa60",
         "d898a2da0b1a17a453c935a0dee23124ccb7b0ac6f09584b627b3ebe03772d5b",
@@ -187,8 +173,8 @@ PINNED_CIRCUITS = {
 }
 
 
-@pytest.mark.parametrize("name, lightcone", list(PINNED_LAYER_HASHES))
-def test_layer_states_are_pinned_bit_for_bit(name, lightcone):
+@pytest.mark.parametrize("name", list(PINNED_LAYER_HASHES))
+def test_layer_states_are_pinned_bit_for_bit(name):
     """Every layer's state, byte for byte, as the simulator wrote it when each
     gate had its own Haar draw, unitarity check and Pauli transform; drawing
     per realization and transforming per layer changes no bit.  Recorded with
@@ -198,7 +184,7 @@ def test_layer_states_are_pinned_bit_for_bit(name, lightcone):
     got = []
     for realization in range(3):
         digest = hashlib.sha256()
-        for _, op in iter_circuit(spec, realization, lightcone=lightcone):
+        for _, op in iter_circuit(spec, realization):
             digest.update(op.values.tobytes())
         got.append(digest.hexdigest())
-    assert tuple(got) == PINNED_LAYER_HASHES[name, lightcone]
+    assert tuple(got) == PINNED_LAYER_HASHES[name]

@@ -464,12 +464,11 @@ def test_commands_reject_config_they_ignore(tmp_path, capsys, command, overrides
 
 
 @pytest.mark.parametrize("where", ["circuit", "sweep"])
-@pytest.mark.parametrize("command", ["moments", "spectrum-hist"])
-def test_simulator_moments_and_histograms_reject_full_depolarization(
-        tmp_path, capsys, command, where):
+@pytest.mark.parametrize("command", ["moments", "spectrum-hist", "rtn"])
+def test_moments_and_histograms_reject_full_depolarization(tmp_path, capsys, command, where):
     # gamma = 1 leaves the zero operator, which has no moments and no distribution
     cfg = {**CFG, "circuit": {**CFG["circuit"], "depth": 3}, "n_realizations": 3,
-           "sweep": {"t": [3]}}
+           "sweep": {"t": [3]}, "engine": None}  # null: the command's own engine
     if where == "circuit":
         cfg["circuit"]["gamma"] = 1.0
     else:

@@ -296,11 +296,10 @@ ORACLE_CIRCUITS = {
 }
 
 
-@pytest.mark.parametrize("lightcone", [True, False])
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 @pytest.mark.parametrize("placement", ["per_qubit_per_layer", "per_gate_support"])
 @pytest.mark.parametrize("kind", sorted(ORACLE_CIRCUITS))
-def test_every_layer_matches_dense_noisy_oracle(kind, placement, gamma, lightcone):
+def test_every_layer_matches_dense_noisy_oracle(kind, placement, gamma):
     spec = CircuitSpec(**ORACLE_CIRCUITS[kind], gamma=gamma, noise_placement=placement,
                        master_seed=11)
     n = spec.n_sites
@@ -310,8 +309,7 @@ def test_every_layer_matches_dense_noisy_oracle(kind, placement, gamma, lightcon
         assert all(idle[t] == {0, n - 1} for t in range(1, spec.depth, 2))
     depths = []
     # the simulator yields its live state, so compare in step
-    for (t, coeffs), (t_dense, mat) in zip(iter_circuit(spec, 0, lightcone=lightcone),
-                                           dense_circuit_layers(spec, 0)):
+    for (t, coeffs), (t_dense, mat) in zip(iter_circuit(spec, 0), dense_circuit_layers(spec, 0)):
         assert t == t_dense
         want = pauli_transform(mat).values
         assert np.max(np.abs(coeffs.values - want)) < ORACLE_TOL, t

@@ -4,6 +4,7 @@ from conftest import dense_gate_kernel
 
 from pauliscope import rtn
 from pauliscope.circuits import CircuitSpec
+from pauliscope.driver import simulate_moments
 from pauliscope.rmpu import global_haar_moment, rmpu_moment_exact
 from pauliscope.rtn import BrickworkContraction, _wire_basis, contract_brickwork_series
 from pauliscope.weingarten import (
@@ -101,24 +102,37 @@ def test_norm_moment_is_one(n_sites, depth):
     assert abs(res.value - 1.0) < 1e-10
 
 
-def test_lightcone_pinning_is_exact():
-    on = contract_brickwork_series(chain(4, 3, 0.03), [3], k=2)[3]
-    off = BrickworkContraction(chain(4, 3, 0.03), 2, lightcone=False)
-    off.advance(3)
-    off = off.result()
-    assert abs(on.value - off.value) < 1e-9 * abs(off.value)
+def mps_only(monkeypatch):
+    """Make every later contraction use the boundary MPS, however small."""
+    monkeypatch.setattr(rtn, "_EXACT_ENTRY_CAP", 0)
 
 
 @pytest.mark.parametrize("k, gamma", [(1, 0.0), (1, 0.02), (2, 0.0), (2, 0.02)])
-def test_exact_and_mps_engines_agree(k, gamma):
+def test_exact_and_mps_engines_agree(k, gamma, monkeypatch):
     results = {}
     for engine in ("exact", "mps"):
-        eng = BrickworkContraction(chain(5, 4, gamma), k, chi_mps=512, engine=engine)
+        if engine == "mps":
+            mps_only(monkeypatch)
+        eng = BrickworkContraction(chain(5, 4, gamma), k, chi_mps=512)
+        assert eng.engine == engine
         eng.advance(4)
         results[engine] = eng.result()
     exact, mps = results["exact"], results["mps"]
     assert exact.truncation_error == 0.0
     assert abs(exact.value - mps.value) < 1e-8 * exact.value
+
+
+def test_matches_simulator_monte_carlo_on_a_noisy_chain():
+    # an independent engine: the Pauli-coefficient simulator's ensemble mean of
+    # nu_2 on the same circuits, with the cone off centre (N=5, initial site 1)
+    spec = chain(5, 4, 0.02, initial_site=1, master_seed=3)
+    depths = [1, 2, 4]
+    series = contract_brickwork_series(spec, depths, k=2)
+    rows = [row for row in simulate_moments(spec, depths, [2], 2000) if row["quantity"] == "nu"]
+    assert [row["t"] for row in rows] == depths
+    for row in rows:
+        z = (row["value"] - series[row["t"]].value) / row["stderr"]
+        assert abs(z) <= 4, (row["t"], z)
 
 
 # max_bond of the same contractions with a full SVD kept above 1e-12 s_0
@@ -127,8 +141,9 @@ SVD_SPLIT_BONDS = {(5, 4, 1): 4, (5, 4, 2): 196, (6, 12, 1): 4, (6, 12, 2): 336,
 
 
 @pytest.mark.parametrize("n_sites, depth, k", sorted(SVD_SPLIT_BONDS))
-def test_untruncated_mps_is_not_flagged(n_sites, depth, k):
-    eng = BrickworkContraction(chain(n_sites, depth), k, chi_mps=512, engine="mps")
+def test_untruncated_mps_is_not_flagged(n_sites, depth, k, monkeypatch):
+    mps_only(monkeypatch)
+    eng = BrickworkContraction(chain(n_sites, depth), k, chi_mps=512)
     eng.advance(depth)
     res = eng.result()
     assert not res.flagged
@@ -145,7 +160,7 @@ def _split_inputs(monkeypatch):
         return split(mat, chi_max)
 
     monkeypatch.setattr(rtn, "_split", spy)
-    BrickworkContraction(chain(8, 6, 0.01), 2, chi_mps=64, engine="mps").advance(6)
+    BrickworkContraction(chain(8, 6, 0.01), 2, chi_mps=64).advance(6)  # 14^8 > the cap
     big = [m for m in mats if min(m.shape) >= 196]
     assert {m.shape[0] > m.shape[1] for m in big} == {False, True}  # wide/square and tall
     return split, big
@@ -203,24 +218,28 @@ def test_contraction_rejects_unsupported_k(k, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["exact", "mps"])
-def test_non_finite_state_raises(engine):
-    eng = BrickworkContraction(chain(4, 2), 2, engine=engine)
+def test_non_finite_state_raises(engine, monkeypatch):
+    if engine == "mps":
+        mps_only(monkeypatch)
+    eng = BrickworkContraction(chain(4, 2), 2)
+    assert eng.engine == engine
     for arr in [eng.mps.state] if engine == "exact" else eng.mps.tensors:
         arr.fill(np.nan)
     with pytest.raises(FloatingPointError, match="not finite"):
         eng.advance(1)
 
 
-def test_truncation_error_monotone_in_chi():
+def test_truncation_error_monotone_in_chi(monkeypatch):
+    exact = contract_brickwork_series(chain(6, 6), [6], k=2)[6].value
+    mps_only(monkeypatch)
     results = {}
     for chi in (16, 32, 64):
-        eng = BrickworkContraction(chain(6, 6), 2, chi_mps=chi, engine="mps")
+        eng = BrickworkContraction(chain(6, 6), 2, chi_mps=chi)
         eng.advance(6)
         results[chi] = eng.result()
     errs = [results[chi].truncation_error for chi in (16, 32, 64)]
     assert errs[0] >= errs[1] >= errs[2]
     # value deviation from the exact engine stays within a few reported errors
-    exact = contract_brickwork_series(chain(6, 6), [6], k=2)[6].value
     for chi in (32, 64):
         res = results[chi]
         assert abs(res.value - exact) <= max(5 * res.truncation_error * exact, 1e-9)

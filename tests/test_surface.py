@@ -112,3 +112,23 @@ def test_stored_fields_are_read():
             read |= _read_attributes(tree)
     unread = sorted(".".join(field) for field in stored if field[2] not in read)
     assert not unread, f"stored but never read: {unread}"
+
+
+#: the modules that build circuits or run an engine; a figure script reads the
+#: CSVs of the subcommands instead, so each engine keeps one path to a figure
+ENGINE_MODULES = {"driver", "rtn", "circuits", "truncation", "opsim"}
+
+
+def test_scripts_only_read_cli_output():
+    found = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):  # from a.b import c reaches a.b.c
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name} imports {name}" for name in names
+                      if name.split(".")[:2] in [["pauliscope", m] for m in ENGINE_MODULES]]
+    assert not found, found
