@@ -18,15 +18,6 @@ import numpy as np
 from .pauli import PauliCoefficients
 
 
-def pi_distribution(coeffs: PauliCoefficients) -> np.ndarray:
-    """Probability over Pauli strings, pi(P) = a_P^2 / sum a^2."""
-    a2 = np.square(coeffs.values)
-    s2 = float(np.sum(a2))
-    if s2 <= 0.0:
-        raise ValueError("zero operator has no Pauli distribution")
-    return a2 / s2
-
-
 def moment_nu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
     """Unnormalized moments nu_k = D^(2k-2) sum_P a_P^(2k) (nu_1 = |O|_2^2) for
     each order k in ks, all from one squared coefficient vector.
@@ -108,9 +99,13 @@ def spectrum_histogram(coeffs: PauliCoefficients) -> np.ndarray:
     mass and mass at or above the last edge is folded into the last bin, so
     zero_mass + sum(density * width) = 1.
     """
-    pi = pi_distribution(coeffs)
+    u = np.square(coeffs.values)
+    s2 = float(np.sum(u))
+    if s2 <= 0.0:
+        raise ValueError("zero operator has no Pauli distribution")
     d2 = float(4.0**coeffs.n_sites)
-    u = d2 * pi
+    u /= s2
+    u *= d2  # u = D^2 pi(P)
     below = int(np.count_nonzero(u < HIST_U_MIN))
     clipped = np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0))
     counts, _ = np.histogram(clipped, bins=HIST_EDGES)

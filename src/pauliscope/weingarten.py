@@ -18,9 +18,9 @@ where nF(p,s) counts common fixed points and p~(i) removes i of them
 
 Every matrix is a dense n! x n! numpy array over one enumeration of S_n,
 ``itertools.permutations`` order (lexicographic by image, identity first).
-The arrays are memoized per (n, q[, gamma]) and shared between callers, so
-they are read-only.  The degree is capped at MAX_DEGREE, checked in
-``_tables`` alone.
+Gram and Weingarten matrices are memoized per (n, q) and shared between
+callers; the noisy matrix is built per call.  All are read-only.  The
+degree is capped at MAX_DEGREE, checked in ``_tables`` alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _cycle_type(image: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _GroupTables:
-    """Integer tables for S_n: relative-element index, cycle counts, types."""
+    """Integer tables for S_n: relative index, cycle counts, types, pair codes."""
 
     def __init__(self, n: int):
         perms = list(itertools.permutations(range(n)))
@@ -77,14 +77,12 @@ class _GroupTables:
         self.types = sorted(set(cycle_types))
         type_index = {t: i for i, t in enumerate(self.types)}
         self.type_of = np.array([type_index[t] for t in cycle_types], dtype=np.int32)
-        # noisy Weingarten entries depend only on (cycle type of p^-1 s, nF(p, s)):
-        # pair_class[p, s] indexes that pair's (type id, nF) in pair_classes
+        # reps[t]: the first permutation of type t
+        self.reps = np.unique(self.type_of, return_index=True)[1]
+        # noisy Weingarten entries depend only on (cycle type of p^-1 s, nF(p, s)),
+        # with nF the number of common fixed points: pair_code = type id * (n+1) + nF
         fixed = (self.images == np.arange(n)[None, :]).astype(np.int16)
-        n_common_fixed = (fixed @ fixed.T).astype(np.int32)
-        pair_code = self.type_of[rel].astype(np.int64) * (n + 1) + n_common_fixed
-        codes, inverse = np.unique(pair_code, return_inverse=True)
-        self.pair_classes = [divmod(int(c), n + 1) for c in codes]
-        self.pair_class = inverse.reshape(rel.shape).astype(np.int32)
+        self.pair_code = self.type_of[rel] * (n + 1) + fixed @ fixed.T
 
 
 @lru_cache(maxsize=None)
@@ -127,51 +125,34 @@ def weingarten_matrix(n: int, q: float) -> np.ndarray:
     return _read_only(np.linalg.pinv(gs, rcond=1e-12) / scale)
 
 
-@lru_cache(maxsize=None)
-def _weingarten_by_type(n: int, q: float) -> dict[tuple[int, ...], float]:
-    """Cycle type -> Weingarten entry Wg_{e, sigma}(q) for sigma of that type."""
-    if n == 0:
-        return {(): 1.0}
-    tb = _tables(n)
-    wg = weingarten_matrix(n, q)
-    out = {}
-    for idx, t in enumerate(tb.type_of):
-        out.setdefault(tb.types[t], float(wg[0, idx]))
-    return out
-
-
-@lru_cache(maxsize=None)
 def noisy_weingarten(n: int, q: float, gamma: float) -> np.ndarray:
     """Weingarten coefficients of a Haar gate followed by depolarizing noise.
 
     Implements the common-fixed-point expansion quoted in the module
-    docstring; gamma = 0 returns the plain Weingarten matrix (identical
-    object).  Valid for every q >= 2: for q < n the expansion's Weingarten
-    matrices are the pseudo-inverses of the module docstring.
+    docstring, one value per pair code; gamma = 0 returns the plain
+    Weingarten matrix (identical object).  Valid for every q >= 2: for q < n
+    the expansion's Weingarten matrices are the pseudo-inverses of the module
+    docstring.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
     if gamma == 0.0:
         return weingarten_matrix(n, q)
     tb = _tables(n)
-    values = np.empty(len(tb.pair_classes), dtype=float)
-    for u_pos, (t_id, nf) in enumerate(tb.pair_classes):
-        ctype = list(tb.types[t_id])
-        total = 0.0
-        for i in range(nf + 1):
-            reduced = list(ctype)
-            for _ in range(i):
-                reduced.remove(1)
-            m = n - i
-            wg_t = _weingarten_by_type(m, q)
-            total += (
-                math.comb(nf, i)
-                * (gamma / q) ** i
-                * (1.0 - gamma) ** (n - i)
-                * wg_t[tuple(sorted(reduced, reverse=True))]
-            )
-        values[u_pos] = total
-    return _read_only(values[tb.pair_class])
+    # Wg^(m)(q) by cycle type, m <= n (types of different m differ); S_0: Wg = 1
+    wg_of = {(): 1.0}
+    for m in range(1, n + 1):
+        wg_of.update(zip(_tables(m).types, weingarten_matrix(m, q)[0, _tables(m).reps].tolist()))
+    values = np.full(len(tb.types) * (n + 1), np.nan)
+    for t_id, ctype in enumerate(tb.types):
+        for nf in range(ctype.count(1) + 1):
+            total = 0.0
+            for i in range(nf + 1):
+                # a type lists its 1-cycles last: removing i fixed points drops them
+                total += (math.comb(nf, i) * (gamma / q) ** i * (1.0 - gamma) ** (n - i)
+                          * wg_of[ctype[:len(ctype) - i]])
+            values[t_id * (n + 1) + nf] = total
+    return _read_only(values[tb.pair_code])
 
 
 # ---------------------------------------------------------------------------

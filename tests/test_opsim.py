@@ -24,7 +24,7 @@ from pauliscope.pauli import (
     inverse_pauli_transform,
     pauli_transform,
 )
-from pauliscope.spectrum import moment_mu, moment_nu, pi_distribution
+from pauliscope.spectrum import HIST_EDGES, moment_mu, moment_nu, spectrum_histogram
 
 from conftest import PAULI_MATRICES, dense_circuit_layers, embedded_unitary, random_hermitian
 
@@ -281,7 +281,8 @@ def test_circuit_matches_dense_oracle_and_invariants(kind, placement, data):
     *_, (_, mat) = dense_circuit_layers(spec, 0)
     want = pauli_transform(mat).values
     assert np.max(np.abs(coeffs.values - want)) < ORACLE_TOL
-    assert abs(float(np.sum(pi_distribution(coeffs))) - 1.0) < 1e-12
+    hist = spectrum_histogram(coeffs)
+    assert abs(hist[-1] + float(np.sum(hist[:-1] * np.diff(HIST_EDGES))) - 1.0) < 1e-12
     assert np.all(moment_mu(coeffs, [2, 3]) >= 1.0)
     assert 0.0 <= moment_nu(coeffs, [1])[0] <= 1.0 + 1e-12
 

@@ -1,4 +1,10 @@
+import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +253,27 @@ def test_params_validation():
         staircase(4, 4)
     with pytest.raises(ValueError):
         rmpu_moment_exact([(staircase(4, 1), 0)])
+
+
+def test_full_staircase_scan_is_bit_identical_to_its_reference(tmp_path):
+    """The benchmark's full rmpu_scan (r=4, N=8..64, six gammas, k=1..3) through
+    ``run_ensemble``, every value to the bit.  The references were recorded with
+    OpenBLAS at 1 thread, and at 2 threads the staircase's last digits move, so
+    the CLI runs in a subprocess at 1 thread.  Rows with rtol null are the k=1,
+    gamma>0 rows of a known defect: their value is not the expected answer."""
+    root = Path(__file__).resolve().parents[1]
+    reference = json.loads((root / "perfbench/references/full/rmpu_scan.json").read_text())
+    cfg = tmp_path / "rmpu_scan.json"
+    cfg.write_text(json.dumps(reference["config"]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "pauliscope.cli", "rmpu-exact", "--config", str(cfg),
+                    "--out", str(tmp_path)], check=True, env=env)
+    (entry,) = reference["entries"].values()
+    ((file_name, want),) = entry["files"].items()
+    with open(tmp_path / file_name, newline="") as fh:
+        got = {(r["N"], r["gamma"], r["k"]): r["value"] for r in csv.DictReader(fh)}
+    checked = [(ref["row"]["value"], got[ref["row"]["N"], ref["row"]["gamma"], ref["row"]["k"]])
+               for ref in want if ref["rtol"] is not None]
+    assert len(got) == len(want) and len(checked) == 377
+    assert [w for w, _ in checked] == [g for _, g in checked]

@@ -18,7 +18,6 @@ from pauliscope.spectrum import (
     moment_nu,
     opt_bin_mass,
     ose,
-    pi_distribution,
     spectrum_histogram,
 )
 
@@ -33,15 +32,10 @@ def test_local_pauli_moments_exact():
 def test_two_string_superposition():
     mat = (PAULI_MATRICES["X"] + PAULI_MATRICES["Z"]) / np.sqrt(2)
     coeffs = pauli_transform(mat)
-    pi = pi_distribution(coeffs)
-    assert np.allclose(np.sort(pi[pi > 1e-15]), [0.5, 0.5])
+    a2 = np.square(coeffs.values)
+    assert np.allclose(np.sort(a2[a2 > 1e-15]), [0.5, 0.5])
     assert abs(moment_mu(coeffs, [2])[0] - 2.0) < 1e-12
     assert abs(ose(coeffs, 2) - math.log(2)) < 1e-12
-
-
-def test_pi_normalization(rng):
-    coeffs = pauli_transform(random_hermitian(3, rng))
-    assert abs(np.sum(pi_distribution(coeffs)) - 1.0) < 1e-10
 
 
 def test_unnormalized_moments():
@@ -81,7 +75,7 @@ def test_ose_edge_cases():
 def test_zero_operator_rejected():
     zero = PauliCoefficients(1, np.zeros(4))
     with pytest.raises(ValueError):
-        pi_distribution(zero)
+        spectrum_histogram(zero)
     with pytest.raises(ValueError):
         moment_mu(zero, [2])
 

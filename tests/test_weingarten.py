@@ -37,7 +37,7 @@ def test_cycle_statistics():
     assert not _tables(3).even[swap12]
     tb = _tables(4)  # index 0 is the identity, with its 4 fixed points
     assert tb.cycles[0] == 4 and not tb.even[0]
-    assert tb.pair_classes[tb.pair_class[0, 0]] == (tb.type_of[0], 4)
+    assert divmod(int(tb.pair_code[0, 0]), 4 + 1) == (tb.type_of[0], 4)
     pairing = index_of((1, 0, 3, 2))
     assert tb.cycles[pairing] == 2 and tb.even[pairing]
 
@@ -64,7 +64,7 @@ def test_cycle_type_statistics_agree(image):
     assert tb.even[row] == all(c % 2 == 0 for c in cycle_type)
     assert tb.types[tb.type_of[row]] == cycle_type
     # e^-1 sigma = sigma, and e shares every fixed point of sigma
-    assert tb.pair_classes[tb.pair_class[0, row]] == (tb.type_of[row], n_fixed)
+    assert divmod(int(tb.pair_code[0, row]), len(image) + 1) == (tb.type_of[row], n_fixed)
 
 
 def test_permutation_compose_inverse():
@@ -126,10 +126,11 @@ def test_noisy_weingarten_reductions():
     # memoized: repeat calls, int or float q, return the identical object
     assert gram_matrix(4, 2) is gram_matrix(4, 2.0)
     assert weingarten_matrix(4, 8) is weingarten_matrix(4, 8.0)
-    assert noisy_weingarten(4, 8, 0.1) is noisy_weingarten(4, 8.0, 0.1)
+    # the noisy matrix is built per call, from the same numbers
+    assert np.array_equal(noisy_weingarten(4, 8, 0.1), noisy_weingarten(4, 8.0, 0.1))
     nw = noisy_weingarten(1, 6, 0.37)
     assert abs(nw[0, 0] - 1 / 6) < 1e-15
-    # the cached arrays are shared between callers, so they are read-only
+    # the arrays are read-only: the cached ones are shared between callers
     for shared in (gram_matrix(4, 2), weingarten_matrix(4, 3), nw):
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 0.0
@@ -143,6 +144,12 @@ def test_permutation_vector_overlaps():
         assert np.array_equal(v @ v.T, gram_matrix(n, q))
 
 
+def depolarizing_superoperator(q: int, gamma: float) -> np.ndarray:
+    """One replica's depolarizing channel of rate gamma on its (row, col) pair."""
+    identity = np.eye(q).reshape(-1)
+    return (1 - gamma) * np.eye(q * q) + gamma * np.outer(identity, identity) / q
+
+
 def test_noisy_weingarten_channel_monte_carlo():
     """Formula vs brute-force average of (depol . U x U*)^(x)2 at q=4."""
     q, n, gamma = 4, 2, 0.1
@@ -150,9 +157,7 @@ def test_noisy_weingarten_channel_monte_carlo():
     v = permutation_vectors(n, q)
     nw = noisy_weingarten(n, q, gamma)
     formula = np.einsum("ps,pi,sj->ij", nw, v, v)
-    depol = (1 - gamma) * np.eye(q * q) + gamma * np.outer(
-        np.eye(q).reshape(-1), np.eye(q).reshape(-1)
-    ) / q
+    depol = depolarizing_superoperator(q, gamma)
     n_samples = 6000
     dim = q ** (2 * n)
     acc = np.zeros((dim, dim), dtype=complex)
@@ -170,3 +175,25 @@ def test_noisy_weingarten_channel_monte_carlo():
     n_bad = int(np.count_nonzero(pulls > 3))
     # ~0.3% of entries may sit outside 3 sigma by chance
     assert n_bad <= int(0.01 * dim * dim), n_bad
+
+
+def depolarize_replicas(v: np.ndarray, n: int, q: int, gamma: float) -> np.ndarray:
+    """Each row of v with the depolarizing superoperator of rate gamma applied
+    to every one of its n replicas, through a reshape per replica."""
+    depol = depolarizing_superoperator(q, gamma)
+    rows = len(v)
+    for a in range(n):
+        v = np.einsum("ij,xjy->xiy", depol, v.reshape(rows * (q * q) ** a, q * q, -1))
+    return v.reshape(rows, -1)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (6, 2)])
+def test_noisy_weingarten_exact_channel(n, q):
+    """G Wg~ G = <<p| D^(x)n |s>> Wg G: the depolarized Haar twirl, seen from
+    the permutation states, at every pair code, including q < n."""
+    v = permutation_vectors(n, q)
+    g, wg = gram_matrix(n, q), weingarten_matrix(n, q)
+    for gamma in (0.1, 0.37, 1.0):
+        lhs = g @ noisy_weingarten(n, q, gamma) @ g
+        rhs = (v @ depolarize_replicas(v, n, q, gamma).T) @ wg @ g
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs)), gamma
