@@ -13,15 +13,18 @@ causal cone), the wire holding the initial Pauli contributes q^#(s) 1_E(s)
 at its first gate, and every wire ends on the Pauli-sum weight
 q^(#(s) + 2*1_E(s) - 2).
 
-The 2D network is contracted bottom to top, either as one dense state or
-as a boundary MPS; both apply a gate as the same (rank^2, rank^2) kernel
+The 2D network is contracted bottom to top, either exactly or as a
+boundary MPS; both apply a gate as the same (rank^2, rank^2) kernel
 K = A (Wg~ A^T), A[(s, p), a] = C[s, a] C[p, a], kept as its two factors:
 K has rank at most (2k)!, so two thin products cost a quarter of one dense
-one.  Wire states are kept in an orthonormal basis of the span of the
-single-site permutation states (rank 14 for 2k = 4, well below (2k)!): the
-Gram matrix G(q) is rank deficient there, and label-basis bonds would
-otherwise waste bond dimension on null directions that cannot influence
-any contraction.
+one.  The exact state keeps each gate's output on its (2k)!-dimensional
+leg, with A applied only when a later gate needs those wires, and each
+untouched site as its vector, so at N = 6 its largest tensor has r^4 (2k)!
+entries instead of r^N.  Wire states are kept in an orthonormal basis of the span
+of the single-site permutation states (rank 14 for 2k = 4, well below
+(2k)!): the Gram matrix G(q) is rank deficient there, and label-basis bonds
+would otherwise waste bond dimension on null directions that cannot
+influence any contraction.
 
 The boundary MPS splits a two-site tensor by a seeded randomized range
 finder (Halko, Martinsson & Tropp, arXiv:0909.4061), at a cost set by chi,
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -178,44 +181,65 @@ class _BoundaryMps:
 
 
 class _ExactState:
-    """Dense wire-coordinate state; exact but limited to small r^N."""
+    """Exact wire-coordinate state, held in factor coordinates.
+
+    ``state`` is one dense tensor whose axes are the legs ``(sites, E)`` in
+    site order; the full r^N state is E applied to each leg.  A leg is one
+    wire of dimension r (E is None), a site no gate has reached, of
+    dimension 1 (E is its site vector as an r x 1 column), or a gate's output
+    on two sites, of dimension (2k)! (E = A, the kernel's left factor).  A
+    gate expands only the legs that hold its sites, so at N = 6 the largest
+    tensor has r^4 (2k)! entries, not r^N."""
 
     def __init__(self, site_vectors: list[np.ndarray]):
         self.r = len(site_vectors[0])
         self.n_sites = len(site_vectors)
-        state = site_vectors[0]
-        for v in site_vectors[1:]:
-            state = np.multiply.outer(state, v)
-        self.state = state
+        self.legs = [((s,), v.reshape(-1, 1)) for s, v in enumerate(site_vectors)]
+        self.state = np.ones((1,) * self.n_sites)
         self.scale = 1.0  # the last gate's power-of-two divisor, deferred into the next
         self.log_scale = 0.0
         self.trunc_error = 0.0
         self.max_bond = self.r ** (self.n_sites // 2)
 
+    def _leg(self, site: int) -> int:
+        return next(p for p, (sites, _) in enumerate(self.legs) if site in sites)
+
+    def _apply(self, p: int, width: int, m: np.ndarray, dims: tuple[int, ...]):
+        """Apply m to the ``width`` axes from axis p on; they become axes ``dims``."""
+        shape = self.state.shape
+        post = math.prod(shape[p + width:])
+        x = self.state.reshape(-1, math.prod(shape[p:p + width]), post)
+        # one 2-D product, not a batch of matrix-vector products
+        out = x[:, :, 0] @ m.T if post == 1 else m @ x
+        self.state = out.reshape(shape[:p] + dims + shape[p + width:])
+
     def apply_kernel(self, i: int, kernel: tuple[np.ndarray, np.ndarray]):
-        r = self.r
-        b = r ** (self.n_sites - 2 - i)
-        k1 = kernel[1] * (1.0 / self.scale)
-        if b == 1:  # one 2-D product, not a batch of matrix-vector products
-            out = (self.state.reshape(-1, r * r) @ k1.T) @ kernel[0].T
-        else:
-            out = kernel[0] @ (k1 @ self.state.reshape(-1, r * r, b))
+        # expand the legs of i + 1, then of i, to wires: that keeps i's axis
+        for p in (self._leg(i + 1), self._leg(i)):
+            sites, e = self.legs[p]
+            if e is not None:
+                self._apply(p, 1, e, (self.r,) * len(sites))
+                self.legs[p:p + 1] = [((s,), None) for s in sites]
+        p = self._leg(i)  # wires i and i + 1 are the axes p and p + 1
+        self._apply(p, 2, kernel[1] * (1.0 / self.scale), (len(kernel[1]),))
+        self.legs[p:p + 2] = [((i, i + 1), kernel[0])]
         # a NaN anywhere makes both numpy's max and min NaN
-        peak = max(float(out.max()), -float(out.min()))
+        peak = max(float(self.state.max()), -float(self.state.min()))
         if not 0.0 < peak < math.inf:
             raise FloatingPointError(f"the contraction is not finite or vanished (peak {peak})")
         self.scale = 2.0 ** math.floor(math.log2(peak))
         self.log_scale += math.log(self.scale)
-        self.state = out.reshape((r,) * self.n_sites)
 
     def contract_with(self, site_vectors: list[np.ndarray]) -> float:
         v = self.state
-        for w in reversed(site_vectors):
-            v = v @ w
+        for sites, e in reversed(self.legs):
+            w = reduce(np.kron, [site_vectors[s] for s in sites])
+            v = v @ (w if e is None else e.T @ w)
         return unscale(float(v) / self.scale, self.log_scale)
 
 
-#: largest dense wire-coordinate state the exact engine will allocate
+#: the exact engine is picked when the full r^N wire state has at most this
+#: many entries (N <= 6 at k = 2); its factored state stays far smaller
 _EXACT_ENTRY_CAP = 9_000_000
 
 
@@ -223,10 +247,11 @@ class BrickworkContraction:
     """Bottom-to-top sweep over the replica lattice of ``spec``, a brickwork
     chain with per_gate_support noise, at k in {1, 2}.
 
-    The full wire-coordinate state is contracted exactly whenever it fits
-    (r^N <= ``_EXACT_ENTRY_CAP`` entries, e.g. N <= 6 for k = 2); longer
-    chains use the truncated boundary MPS.  Gates outside the causal cone of
-    the initial site are skipped: their kernel fixes the e x e they act on.
+    The chain is contracted exactly, by the factored ``_ExactState``, when
+    the full wire-coordinate state has r^N <= ``_EXACT_ENTRY_CAP`` entries
+    (N <= 6 for k = 2); longer chains use the truncated boundary MPS.  Gates
+    outside the causal cone of the initial site are skipped: their kernel
+    fixes the e x e they act on.
     """
 
     def __init__(self, spec: CircuitSpec, k: int = 2, chi_mps: int = 256):

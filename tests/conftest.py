@@ -88,6 +88,41 @@ def dense_gate_kernel(k: int, gamma: float) -> np.ndarray:
     return y.reshape(rank * rank, rank * rank)
 
 
+def dense_rtn_series(spec, k: int, depths) -> dict[int, float]:
+    """Reference nu_k of the replica network of a brickwork chain at each depth
+    in ``depths``, from the full r^N wire-coordinate tensor.
+
+    Every gate, inside the lightcone or not, is applied to its two axes as
+    A @ (Wg~ A^T @ state), A[(s p), a] = C[s, a] C[p, a], with no rescaling.
+    Until a gate reaches the seed, the seed wire's top contraction is
+    q^(2k-2) = 4^(k-1), the raw seed's own value.
+    """
+    coords, f_top, g_op = _wire_basis(2 * k)
+    r, n, seed = coords.shape[0], spec.n_sites, spec.initial_site
+    a = np.einsum("sa,pa->spa", coords, coords).reshape(r * r, -1)
+    wa = noisy_weingarten(2 * k, 4.0, spec.gamma) @ a.T
+    state = np.ones(())
+    for s in range(n):
+        state = np.multiply.outer(state, g_op if s == seed else coords[:, 0])
+    touched, out = False, {}
+    for t in range(max(depths) + 1):
+        if t in depths:
+            top = [f_top] * n
+            if not touched:
+                top[seed] = g_op * (4.0 ** (k - 1) / (g_op @ g_op))
+            value = state
+            for w in reversed(top):
+                value = value @ w
+            out[t] = float(value)
+        if t < max(depths):
+            for i, j in layer_supports(spec, t):
+                touched |= seed in (i, j)
+                x = np.moveaxis(state, (i, j), (0, 1))
+                y = a @ (wa @ x.reshape(r * r, -1))
+                state = np.moveaxis(y.reshape(x.shape), (0, 1), (i, j))
+    return out
+
+
 def embedded_unitary(u, support, n):
     """Reference full-space embedding with support[m] as bit m."""
     w = len(support)

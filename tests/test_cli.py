@@ -92,12 +92,9 @@ def test_seeded_moments_rerun_is_byte_identical(tmp_path, cfg_path):
     assert first == second
 
 
-def test_seeded_moments_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """A seeded N=9 noisy-chain moments run at k = 2, 3 (a 4^9 spectrum, past any
-    BLAS threading threshold) writes the same moments.csv, byte for byte, with
-    OpenBLAS at 1 and at 2 threads: no threaded BLAS call splits a reduction."""
-    cfg = {**CFG, "circuit": {**CFG["circuit"], "n_sites": 9, "depth": 4},
-           "sweep": {"t": [2, 4], "k": [2, 3]}, "n_realizations": 2}
+def _csv_at_blas_threads(tmp_path, command, cfg, csv_name) -> list[bytes]:
+    """The CSV a CLI run of ``cfg`` writes with OpenBLAS at 1 and at 2 threads,
+    each run in a fresh interpreter so the thread count takes effect."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -106,10 +103,29 @@ def test_seeded_moments_do_not_depend_on_the_blas_thread_count(tmp_path):
         out = tmp_path / f"blas{threads}"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "pauliscope.cli", "moments", "--config",
+        subprocess.run([sys.executable, "-m", "pauliscope.cli", command, "--config",
                         str(path), "--out", str(out)], check=True, env=env)
-        outs.append(_csv_bytes(out / "moments.csv"))
-    assert outs[0] == outs[1]
+        outs.append(_csv_bytes(out / csv_name))
+    return outs
+
+
+def test_seeded_moments_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A seeded N=9 noisy-chain moments run at k = 2, 3 (a 4^9 spectrum, past any
+    BLAS threading threshold) writes the same moments.csv, byte for byte, with
+    OpenBLAS at 1 and at 2 threads: no threaded BLAS call splits a reduction."""
+    cfg = {**CFG, "circuit": {**CFG["circuit"], "n_sites": 9, "depth": 4},
+           "sweep": {"t": [2, 4], "k": [2, 3]}, "n_realizations": 2}
+    first, second = _csv_at_blas_threads(tmp_path, "moments", cfg, "moments.csv")
+    assert first == second
+
+
+def test_exact_rtn_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The exact replica contraction of a noisy N=6 chain (k = 1, 2) writes the
+    same moments_rtn.csv, byte for byte, with OpenBLAS at 1 and at 2 threads."""
+    cfg = {"circuit": {"geometry": "chain", "n_sites": 6, "depth": 12, "gamma": 0.01},
+           "sweep": {"t": [4, 8, 12], "k": [1, 2]}, "engine": "rtn"}
+    first, second = _csv_at_blas_threads(tmp_path, "rtn", cfg, "moments_rtn.csv")
+    assert first == second
 
 
 def test_null_entries_count_as_left_out(tmp_path):

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import dense_gate_kernel
+from conftest import dense_gate_kernel, dense_rtn_series
 
 from pauliscope import rtn
 from pauliscope.circuits import CircuitSpec
@@ -100,6 +102,48 @@ def test_unevolved_value_is_d_squared_k():
 def test_norm_moment_is_one(n_sites, depth):
     res = contract_brickwork_series(chain(n_sites, depth), [depth], k=1)[depth]
     assert abs(res.value - 1.0) < 1e-10
+
+
+# (N, initial_site, depth, gamma, k): the seed at the centre (None), at site 0
+# and at the last site, which on odd N the first layer leaves untouched, to
+# depth 2N; and one N=6 case
+ORACLE_CASES = [(n, site, 2 * n, gamma, k)
+                for n, site in [(2, None), (2, 0), (3, None), (3, 0), (3, 2), (4, None),
+                                (4, 0), (4, 3), (5, None), (5, 0), (5, 4)]
+                for gamma in (0.0, 0.02) for k in (1, 2)] + [(6, 5, 6, 0.02, 2)]
+
+
+@pytest.mark.parametrize("n_sites, initial_site, depth, gamma, k", ORACLE_CASES)
+def test_factored_state_matches_dense_oracle(n_sites, initial_site, depth, gamma, k):
+    spec = chain(n_sites, depth, gamma, initial_site=initial_site)
+    series = contract_brickwork_series(spec, range(depth + 1), k=k)
+    for t, want in dense_rtn_series(spec, k, range(depth + 1)).items():
+        assert abs(series[t].value - want) <= 1e-12 * abs(want), (t, series[t].value, want)
+
+
+def test_exact_state_stays_factored(monkeypatch):
+    # N=6, k=2: the full wire state has 14^6 = 7,529,536 entries; a gate expands
+    # only the legs of its two sites, so the state never holds more than 14^4 24
+    largest = 14**4 * 24
+    sizes = []
+    apply = rtn._ExactState.apply_kernel
+
+    def spy(self, i, kernel):
+        apply(self, i, kernel)
+        sizes.append(self.state.size)
+
+    monkeypatch.setattr(rtn._ExactState, "apply_kernel", spy)
+    eng = BrickworkContraction(chain(6, 12), 2)
+    assert eng.engine == "exact"
+    tracemalloc.start()
+    try:
+        eng.advance(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and max(sizes) <= largest
+    # nor does a gate build the full tensor on the way (8-byte entries)
+    assert peak <= 2 * 8 * largest
 
 
 def mps_only(monkeypatch):
