@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, is_dataclass
-from functools import lru_cache, reduce
 from multiprocessing import get_context
 from typing import Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -61,7 +60,6 @@ class CircuitSpec:
     gamma: float = 0.0
     noise_placement: Optional[str] = None
     initial_site: Optional[int] = None
-    initial_axis: str = "Z"
     master_seed: int = 0
     r: Optional[int] = None  # rmpu overlap
     lx: Optional[int] = None  # grid dimensions
@@ -98,8 +96,6 @@ class CircuitSpec:
             self.initial_site = self._default_initial_site()
         if not 0 <= self.initial_site < self.n_sites:
             raise ValueError(f"initial_site {self.initial_site} out of range")
-        if self.initial_axis not in ("X", "Y", "Z"):
-            raise ValueError(f"initial_axis must be X/Y/Z, got {self.initial_axis!r}")
 
     def _default_initial_site(self) -> int:
         if self.geometry == "grid":
@@ -255,21 +251,24 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
     draws, and since a layer's supports are disjoint, a gate of the layer is
     applied iff it meets the cone before it.
 
-    ``per_qubit_per_layer`` noise on a site that a gate of the layer acts on
-    is folded into that gate: the rows of its transfer matrix are scaled by
-    the Kronecker power of [1, 1-g, 1-g, 1-g].  This is exact, since a
-    layer's supports are disjoint, so the channel on a gate's site commutes
-    with every other gate of the layer.  Only the sites no gate touched in
-    the layer get a separate depolarizing pass.
+    Noise of either placement is folded into the gates: its channel right
+    after a gate rescales exactly the strings that are non-identity on the
+    support, so gate and channel are the transfer matrix R with its rows
+    scaled by the channel applied to an all-ones vector on the gate's sites.
+    This is exact, since a layer's supports are disjoint, so the channel on
+    a gate's sites commutes with every other gate of the layer.  Only
+    per-qubit noise on the sites no gate touched in the layer gets a pass of
+    its own.
     """
     layers = [layer_supports(spec, t) for t in range(spec.depth)]
     supports = [support for layer in layers for support in layer]
     width = len(supports[0])
     rng = realization_rng(spec.master_seed, realization)
     gates = GateMatrix(supports, sample_haar_unitary(2**width, rng, len(supports)))
-    op = init_local_pauli(spec.n_sites, spec.initial_site, spec.initial_axis)
-    per_site_noise = spec.gamma > 0.0 and spec.noise_placement == "per_qubit_per_layer"
-    per_gate_noise = spec.gamma > 0.0 and spec.noise_placement == "per_gate_support"
+    op = init_local_pauli(spec.n_sites, spec.initial_site, "Z")
+    per_site = spec.noise_placement == "per_qubit_per_layer"
+    channel = apply_depolarizing if per_site else apply_depolarizing_support
+    rows = channel(PauliCoefficients(width, np.ones(4**width)), spec.gamma, range(width)).values
     cone = {spec.initial_site}
     first = 0
     for t, layer in enumerate(layers):
@@ -278,30 +277,18 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
         first += len(layer)
         if applied:
             rs = pauli_transfer_matrix(gates.matrices[applied])
-            if per_site_noise:
-                rs *= _depolarized_rows(spec.gamma, width)[:, None]
+            rs *= rows[:, None]
             for i, r in zip(applied, rs):
                 support = gates.supports[i]
                 cone.update(support)
                 idle.difference_update(support)
                 apply_gate(op, support, r)
-                if per_gate_noise:
-                    apply_depolarizing_support(op, spec.gamma, support)
             del rs, r  # free the stack (8 MB at w=5) before the next layer builds one
-        if per_site_noise and idle:
+        if per_site and idle:
             # noise on every idle qubit; on sites where the operator is still
             # the identity the channel is an exact no-op, so only cone sites
             apply_depolarizing(op, spec.gamma, sorted(idle))
         yield t + 1, op
-
-
-@lru_cache(maxsize=None)
-def _depolarized_rows(gamma: float, width: int) -> np.ndarray:
-    """Row factors of a width-site transfer matrix followed by a depolarizing
-    channel of rate gamma on each of its sites (site 0 = lowest digit)."""
-    rows = reduce(np.kron, [np.array([1.0, 1.0 - gamma, 1.0 - gamma, 1.0 - gamma])] * width)
-    rows.flags.writeable = False
-    return rows
 
 
 def map_ordered(fn, jobs: list, threads: int) -> list:

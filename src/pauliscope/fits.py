@@ -105,9 +105,12 @@ class LineFit:
 def weighted_line_fit(
     x: Sequence[float], y: Sequence[float], stderrs: Optional[Sequence[float]] = None
 ) -> LineFit:
-    """Plain weighted least-squares line, used for log-log slope estimates."""
+    """Plain weighted least-squares line, used for log-log slope estimates;
+    it needs at least two distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if len(np.unique(x)) < 2:
+        raise ValueError(f"a line fit needs at least two distinct x, got {x.tolist()}")
     if stderrs is None:
         w = np.ones_like(x)
     else:

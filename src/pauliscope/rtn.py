@@ -196,7 +196,6 @@ class _ExactState:
         self.n_sites = len(site_vectors)
         self.legs = [((s,), v.reshape(-1, 1)) for s, v in enumerate(site_vectors)]
         self.state = np.ones((1,) * self.n_sites)
-        self.scale = 1.0  # the last gate's power-of-two divisor, deferred into the next
         self.log_scale = 0.0
         self.trunc_error = 0.0
         self.max_bond = self.r ** (self.n_sites // 2)
@@ -221,21 +220,20 @@ class _ExactState:
                 self._apply(p, 1, e, (self.r,) * len(sites))
                 self.legs[p:p + 1] = [((s,), None) for s in sites]
         p = self._leg(i)  # wires i and i + 1 are the axes p and p + 1
-        self._apply(p, 2, kernel[1] * (1.0 / self.scale), (len(kernel[1]),))
+        self._apply(p, 2, kernel[1], (len(kernel[1]),))
         self.legs[p:p + 2] = [((i, i + 1), kernel[0])]
         # a NaN anywhere makes both numpy's max and min NaN
         peak = max(float(self.state.max()), -float(self.state.min()))
         if not 0.0 < peak < math.inf:
             raise FloatingPointError(f"the contraction is not finite or vanished (peak {peak})")
-        self.scale = 2.0 ** math.floor(math.log2(peak))
-        self.log_scale += math.log(self.scale)
+        self.log_scale += rescale_pow2(self.state, peak)
 
     def contract_with(self, site_vectors: list[np.ndarray]) -> float:
         v = self.state
         for sites, e in reversed(self.legs):
             w = reduce(np.kron, [site_vectors[s] for s in sites])
             v = v @ (w if e is None else e.T @ w)
-        return unscale(float(v) / self.scale, self.log_scale)
+        return unscale(float(v), self.log_scale)
 
 
 #: the exact engine is picked when the full r^N wire state has at most this

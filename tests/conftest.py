@@ -12,6 +12,12 @@ import pytest
 from hypothesis import settings
 
 from pauliscope.circuits import layer_supports, realization_rng, sample_haar_unitary
+from pauliscope.opsim import (
+    apply_depolarizing_support,
+    apply_gate,
+    init_local_pauli,
+    pauli_transfer_matrix,
+)
 from pauliscope.rtn import _wire_basis
 from pauliscope.weingarten import _tables, noisy_weingarten
 
@@ -170,7 +176,7 @@ def dense_circuit_layers(spec, realization):
             traced = twirls[s] @ traced
         return ((1.0 - spec.gamma) * vec + spec.gamma * traced).reshape(mat.shape)
 
-    mat = embedded_unitary(PAULI_MATRICES[spec.initial_axis], (spec.initial_site,), n)
+    mat = embedded_unitary(PAULI_MATRICES["Z"], (spec.initial_site,), n)
     for t in range(spec.depth):
         for support in layer_supports(spec, t):
             full = embedded_unitary(sample_haar_unitary(2 ** len(support), rng), support, n)
@@ -181,6 +187,25 @@ def dense_circuit_layers(spec, realization):
             for s in range(n):
                 mat = depolarize(mat, (s,))
         yield t + 1, mat
+
+
+def unfolded_per_gate_layers(spec, realization):
+    """Reference run of a per_gate_support circuit on the Pauli coefficients,
+    yielding (t, coefficients) after every layer.
+
+    Gates are drawn in the simulator's order; every one is applied with its
+    own unscaled transfer matrix (no lightcone), and its joint depolarizing
+    channel follows as a separate ``apply_depolarizing_support`` pass.
+    """
+    supports = [s for t in range(spec.depth) for s in layer_supports(spec, t)]
+    rng = realization_rng(spec.master_seed, realization)
+    gates = iter(sample_haar_unitary(2 ** len(supports[0]), rng, len(supports)))
+    op = init_local_pauli(spec.n_sites, spec.initial_site, "Z")
+    for t in range(spec.depth):
+        for support in layer_supports(spec, t):
+            apply_gate(op, support, pauli_transfer_matrix(next(gates)))
+            apply_depolarizing_support(op, spec.gamma, support)
+        yield t + 1, op
 
 
 def truncate_top(values, n_keep: int) -> list[int]:

@@ -1,4 +1,5 @@
 import hashlib
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -15,7 +16,11 @@ from pauliscope.circuits import (
     sample_haar_unitary,
 )
 from pauliscope.driver import SweepSpec
+from pauliscope.opsim import apply_depolarizing
+from pauliscope.pauli import PauliCoefficients
 from pauliscope.spectrum import moment_nu
+
+from conftest import unfolded_per_gate_layers
 
 
 def test_chain_layer_supports():
@@ -138,8 +143,48 @@ def test_fidelity_bookkeeping():
     assert circuit_fidelity(chain, 1) == pytest.approx(0.9**4)
 
 
+#: per_gate_support circuits whose folded noise is checked against the
+#: unfolded path: a chain, a grid with non-adjacent vertical pairs and a
+#: 5-site staircase
+FOLD_CIRCUITS = {
+    "chain6": dict(geometry="chain", n_sites=6, depth=8, gamma=0.1),
+    "chain8": dict(geometry="chain", n_sites=8, depth=10, gamma=0.03),
+    "grid3x3": dict(geometry="grid", lx=3, ly=3, depth=8, gamma=0.05),
+    "rmpu8_r4": dict(geometry="rmpu", n_sites=8, r=4, gamma=0.05),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_CIRCUITS))
+def test_per_gate_noise_folded_into_rows_matches_unfolded_path(name):
+    """Per-gate noise scaled into each gate's transfer-matrix rows agrees with
+    each gate applied, then its own joint depolarizing pass, to 1e-14 of the
+    layer's largest coefficient at every layer: the two orders of the same
+    products differ by rounding only (at most 1.8e-15 measured)."""
+    spec = CircuitSpec(noise_placement="per_gate_support", master_seed=7,
+                       **FOLD_CIRCUITS[name])
+    for realization in range(2):
+        layers = zip(iter_circuit(spec, realization), unfolded_per_gate_layers(spec, realization))
+        for (t, op), (t_ref, ref) in layers:
+            assert t == t_ref
+            scale = np.max(np.abs(ref.values))
+            assert np.max(np.abs(op.values - ref.values)) <= 1e-14 * scale, (realization, t)
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+@pytest.mark.parametrize("gamma", [0.02, 1 / 7, 0.3, 1.0])
+def test_channel_on_ones_is_the_kronecker_power_bit_for_bit(width, gamma):
+    """The per-qubit row factors that ``iter_circuit`` builds with the channel
+    equal the Kronecker power of [1, 1-g, 1-g, 1-g], bit for bit."""
+    ones = PauliCoefficients(width, np.ones(4**width))
+    rows = apply_depolarizing(ones, gamma, range(width)).values
+    kron = reduce(np.kron, [np.array([1.0, 1.0 - gamma, 1.0 - gamma, 1.0 - gamma])] * width)
+    assert np.array_equal(rows, kron)
+
+
 #: circuit -> sha256 per realization 0, 1, 2; each realization's
-#: hash is fed every layer's coefficient bytes in turn
+#: hash is fed every layer's coefficient bytes in turn.  The per-gate hashes
+#: were re-recorded when per-gate noise was folded into the transfer-matrix
+#: rows; the fold test above states the tolerance of that change
 PINNED_LAYER_HASHES = {
     "chain7_per_qubit": (
         "2f4d25dadb5c0539067f4e642aa14f2f3f51eec3c4bacc00712232a764c80815",
@@ -147,9 +192,9 @@ PINNED_LAYER_HASHES = {
         "5b3ab97074f0646b934232474887b1ae85508874596c32806bb28b601c7c6dcd",
     ),
     "chain6_per_gate": (
-        "5c6d218d70a07bf8ff1f5dc90151e78731989d4118c5c7965f331a7d4e6b7501",
-        "361d643357155c79cc05d589854778e2fea7052a2b86b68afdab6ecd9b26c42a",
-        "861bf982e800c3e38ba4bd44669faef8c7f3055663509b662307e9fc47858cad",
+        "a58bb44b5a5c07471e50933ff5fe2eb766144e3dc6cd68ad8e298c0908072693",
+        "e7a86e4d19e93c61c76e50f6434c48a7d1068cd92a51b87a5964fde228bdfb6d",
+        "19f950ce62c6bbf2a3664751ea58d3639b73a4eb70cbe4bd11486e90625e6bab",
     ),
     "grid2x3": (
         "f342244787b56b41ff9cf8892e077c6cb84ec0d9e62fb098a636de10835d0193",
@@ -157,9 +202,9 @@ PINNED_LAYER_HASHES = {
         "3402025f8f62e5ac4e8816006d14d5c3d25f5d415c5d26d36bf798acda0c2750",
     ),
     "rmpu6_r2": (
-        "f1eb24f05b6c8507a918e987e7846aa95e8e036264d665ccf1e8657b9c61cba9",
-        "14936c94ea98f5369a5a52e7e6e6ade33dd7dd5a52873a5df4fcfd0a50ebfa60",
-        "d898a2da0b1a17a453c935a0dee23124ccb7b0ac6f09584b627b3ebe03772d5b",
+        "5a11b3178544376827dc2ab6314621dd79430d96030fd93175c4b579beb2ff61",
+        "0c4fa93acc11849b778efd2e22cb7dbd5385a6e9f061e4d32c6fb52409f28951",
+        "c606456d44a34426bc2058ecd65b21f33c93d2a5f8e95aeda49b95f114aa1507",
     ),
 }
 
@@ -177,7 +222,8 @@ PINNED_CIRCUITS = {
 def test_layer_states_are_pinned_bit_for_bit(name):
     """Every layer's state, byte for byte, as the simulator wrote it when each
     gate had its own Haar draw, unitarity check and Pauli transform; drawing
-    per realization and transforming per layer changes no bit.  Recorded with
+    per realization and transforming per layer changes no bit (the per-gate
+    states as recorded with their noise folded into the rows).  Recorded with
     numpy 2.4 and OpenBLAS 0.3.31 (x86-64, 1 and 2 threads alike); another
     BLAS may round the gate products differently."""
     spec = CircuitSpec(master_seed=7, **PINNED_CIRCUITS[name])

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +42,8 @@ def cfg_path(tmp_path):
 
 #: a config path that is never written
 UNWRITTEN = "<unwritten>"
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _config_error(argv, capsys) -> str:
@@ -92,16 +96,17 @@ def test_seeded_moments_rerun_is_byte_identical(tmp_path, cfg_path):
     assert first == second
 
 
-def _csv_at_blas_threads(tmp_path, command, cfg, csv_name) -> list[bytes]:
-    """The CSV a CLI run of ``cfg`` writes with OpenBLAS at 1 and at 2 threads,
-    each run in a fresh interpreter so the thread count takes effect."""
+def _csv_at_blas_threads(tmp_path, command, cfg, csv_name, threads=("1", "2")) -> list[bytes]:
+    """The CSV a CLI run of ``cfg`` writes with OpenBLAS at each thread count
+    (1 and 2 by default), each run in a fresh interpreter so the thread count
+    takes effect."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+    for count in threads:
+        out = tmp_path / f"blas{count}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": count, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         subprocess.run([sys.executable, "-m", "pauliscope.cli", command, "--config",
                         str(path), "--out", str(out)], check=True, env=env)
@@ -126,6 +131,37 @@ def test_exact_rtn_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
            "sweep": {"t": [4, 8, 12], "k": [1, 2]}, "engine": "rtn"}
     first, second = _csv_at_blas_threads(tmp_path, "rtn", cfg, "moments_rtn.csv")
     assert first == second
+
+
+#: sha256 of the CSV that the smoke config of each simulator benchmark
+#: workload writes at master seed 101 with OpenBLAS at 1 thread
+PINNED_SMOKE_CSVS = {
+    "mc_chain": "0c41ea16a909e2fcde6ce0b34f68fc91d5769d5b544e0ed3a13b74bcdefd9ae8",
+    "trunc_chain": "87003368a3c28852e91e32ef69fa3ae9b1edd32042840844f89b6f7c9a9a2b51",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SMOKE_CSVS))
+def test_simulator_benchmark_csvs_are_pinned_bit_for_bit(tmp_path, name):
+    """The seeded simulator CSVs, end to end through the CLI, byte for byte as
+    recorded (numpy 2.4, OpenBLAS 0.3.31, x86-64, 1 thread): both workloads
+    run per-qubit noise, so this pins that path across changes.  The configs
+    are read from the benchmark's own workload list."""
+    workload = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]["smoke"][name]
+    cfg = json.loads(json.dumps(workload.config))
+    cfg["circuit"]["master_seed"] = 101
+    csv_name = ("moments.csv" if workload.command == "moments"
+                else f"mse_gamma{cfg['circuit']['gamma']:g}.csv")
+    (data,) = _csv_at_blas_threads(tmp_path, workload.command, cfg, csv_name, threads=("1",))
+    assert hashlib.sha256(data).hexdigest() == PINNED_SMOKE_CSVS[name]
+
+
+def test_initial_axis_is_an_unknown_circuit_key(tmp_path, capsys):
+    """Every run seeds Z; a config that still names an axis is rejected."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({**CFG, "circuit": {**CFG["circuit"], "initial_axis": "Z"}}))
+    argv = ["moments", "--config", str(p), "--out", str(tmp_path / "run")]
+    assert "unknown circuit keys: ['initial_axis']" in _config_error(argv, capsys)
 
 
 def test_null_entries_count_as_left_out(tmp_path):

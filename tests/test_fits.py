@@ -52,3 +52,9 @@ def test_weighted_line_fit():
     fit = weighted_line_fit(x, y)
     assert abs(fit.slope - 2.5) < 1e-12
     assert fit.r_squared > 1 - 1e-12
+
+
+@pytest.mark.parametrize("x, y", [([6.0], [8.8]), ([6.0, 6.0], [8.8, 9.1]), ([], [])])
+def test_weighted_line_fit_needs_two_distinct_x(x, y):
+    with pytest.raises(ValueError, match="two distinct x"):
+        weighted_line_fit(x, y)

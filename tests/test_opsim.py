@@ -274,7 +274,6 @@ def test_circuit_matches_dense_oracle_and_invariants(kind, placement, data):
         gamma=data.draw(st.floats(0.0, 0.3)),
         noise_placement=placement,
         initial_site=data.draw(st.integers(0, n_sites - 1)),
-        initial_axis=data.draw(st.sampled_from("XYZ")),
         master_seed=data.draw(st.integers(0, 2**31)),
     )
     coeffs = run_circuit(spec, 0)
