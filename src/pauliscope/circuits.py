@@ -23,8 +23,9 @@ Noise placements:
 
 A realization (:func:`iter_circuit`) draws all its gates from its own stream
 as one stack, in (layer, gate) order, and checks them for unitarity at once;
-each layer then builds the transfer matrices of the gates it applies in one
-Pauli transform.
+it then builds the transfer matrices of every gate it applies in as few
+Pauli transforms as a fixed size cap allows: one for a chain or a grid, one
+per gate for staircase blocks of four or more sites.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from .pauli import PauliCoefficients
 
 GEOMETRIES = ("chain", "grid", "rmpu")
 NOISE_PLACEMENTS = ("per_qubit_per_layer", "per_gate_support")
+#: realigned-matrix entries (16^w per w-site gate) one transfer-matrix build
+#: may take, with at least one gate per build: a chain or grid builds every
+#: gate of a realization at once, while a staircase of 4 or more sites keeps
+#: one gate per build, whose 5-site transform alone peaks near 50 MB
+_BUILD_ENTRY_CAP = 4**8
 
 
 @dataclass
@@ -240,8 +246,12 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
     iteration.  All gates of the realization are drawn first, in (layer,
     gate) order, as one stack from the realization stream, and checked for
     unitarity at once; identical (spec, realization) reproduce identical
-    circuits.  Each layer then builds the transfer matrices of the gates it
-    applies in one transform and applies them one by one.
+    circuits.  The gates to apply and the idle sites of every layer are
+    planned first, then the transfer matrices of the applied gates are built
+    in applied order, as many per transform as ``_BUILD_ENTRY_CAP`` allows,
+    and applied one by one.  ``pauli_transform`` gives each operator of a
+    stack the same bits whatever the stack size, so the grouping changes no
+    output.
 
     Gates whose support lies outside the causal cone of the initial site are
     drawn but not applied: on the cone's complement the operator is the
@@ -270,24 +280,29 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
     channel = apply_depolarizing if per_site else apply_depolarizing_support
     rows = channel(PauliCoefficients(width, np.ones(4**width)), spec.gamma, range(width)).values
     cone = {spec.initial_site}
+    plan = []  # per layer: the gates it applies and the cone sites they leave idle
     first = 0
-    for t, layer in enumerate(layers):
-        idle = set(cone)
+    for layer in layers:
         applied = [first + i for i, support in enumerate(layer) if not cone.isdisjoint(support)]
         first += len(layer)
-        if applied:
-            rs = pauli_transfer_matrix(gates.matrices[applied])
-            rs *= rows[:, None]
-            for i, r in zip(applied, rs):
-                support = gates.supports[i]
-                cone.update(support)
-                idle.difference_update(support)
-                apply_gate(op, support, r)
-            del rs, r  # free the stack (8 MB at w=5) before the next layer builds one
+        touched = {s for i in applied for s in supports[i]}
+        plan.append((applied, sorted(cone - touched)))
+        cone |= touched
+    order = [i for applied, _ in plan for i in applied]
+    per_build = max(1, _BUILD_ENTRY_CAP // 16**width)
+    done = 0
+    for t, (applied, idle) in enumerate(plan):
+        for i in applied:
+            if done % per_build == 0:
+                rs = None  # free the last stack (8 MB at w=5) before building the next
+                rs = pauli_transfer_matrix(gates.matrices[order[done:done + per_build]])
+                rs *= rows[:, None]
+            apply_gate(op, gates.supports[i], rs[done % per_build])
+            done += 1
         if per_site and idle:
             # noise on every idle qubit; on sites where the operator is still
             # the identity the channel is an exact no-op, so only cone sites
-            apply_depolarizing(op, spec.gamma, sorted(idle))
+            apply_depolarizing(op, spec.gamma, idle)
         yield t + 1, op
 
 

@@ -11,8 +11,10 @@ string index), consistent with :mod:`pauliscope.pauli`.
 
 The transfer matrices of a stack of gates are built in one transform
 (:func:`pauli_transfer_matrix`), and their unitarity is checked in one
-product (:class:`GateMatrix`).  A gate is then one matrix product of its R
-with a (4^lo, 4^w, 4^hi) view of the vector.  Either depolarizing channel
+product (:class:`GateMatrix`); :func:`pauliscope.circuits.iter_circuit`
+builds a realization's applied gates in stacks of bounded size, all at once
+for two-site gates.  A gate is then one matrix product of its R with a
+(4^lo, 4^w, 4^hi) view of the vector.  Either depolarizing channel
 right after a gate, per site or joint on its support, only rescales the
 support's strings, so :func:`pauliscope.circuits.iter_circuit` folds it
 into R's rows: the row factors are the channel applied to an all-ones

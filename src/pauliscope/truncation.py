@@ -24,19 +24,35 @@ from .driver import ensemble
 from .pauli import PauliCoefficients, inverse_pauli_transform, zdiag_mask
 
 
-def _top_order(values: np.ndarray) -> np.ndarray:
-    """Indices by descending |a|, ties broken by ascending Pauli index."""
-    # stable sort on -|a| keeps ascending-index order within ties
-    return np.argsort(-np.abs(values), kind="stable")
+def _top_order(values: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` indices by descending |a|, ties broken by ascending
+    Pauli index.
+
+    A partition finds the n-th largest |a|; only the entries at least that
+    large are sorted, stably and in ascending-index order, so ties keep the
+    order a full stable sort would give them.
+    """
+    mag = np.abs(values)
+    candidates = np.arange(mag.size)
+    if 0 < n < mag.size:
+        cut = np.partition(mag, mag.size - n)[mag.size - n]
+        candidates = np.flatnonzero(mag >= cut)
+    return candidates[np.argsort(-mag[candidates], kind="stable")[:n]]
 
 
 def _squared_tails(coeffs: PauliCoefficients, mask: np.ndarray, np_grid: list[int]) -> np.ndarray:
-    """Squared zero-state error each cutoff of the grid leaves in one operator."""
-    order = _top_order(coeffs.values)
-    diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
-    # dropped-tail expectation for every cutoff in one suffix sum
-    suffix = np.concatenate([np.cumsum(diag_sorted[::-1])[::-1], [0.0]])
-    return suffix[np_grid] ** 2
+    """Squared zero-state error each cutoff of the grid leaves in one operator.
+
+    The top max(grid) order says how many diagonal strings each cutoff keeps;
+    the dropped ones are the rest of the diagonal strings in the same order,
+    summed from the smallest up as one suffix sum.
+    """
+    values = coeffs.values
+    kept = np.concatenate([[0], np.cumsum(mask[_top_order(values, max(np_grid))])])
+    diagonal = values[mask]
+    diagonal = diagonal[_top_order(diagonal, diagonal.size)]
+    suffix = np.concatenate([np.cumsum(diagonal[::-1])[::-1], [0.0]])
+    return suffix[kept[np_grid]] ** 2
 
 
 def simulability_bound(norm: float, m2: float, n_paulis: int, n_sites: int) -> float:
@@ -49,9 +65,8 @@ def simulability_bound(norm: float, m2: float, n_paulis: int, n_sites: int) -> f
 def residual_spectral_norm(coeffs: PauliCoefficients, n_keep: int) -> float:
     """Largest singular value of O - O~ by dense eigensolve (N <= 6 scale);
     realizes the adversarial state of the bound."""
-    order = _top_order(coeffs.values)
     residual = coeffs.values.copy()
-    residual[order[:n_keep]] = 0.0
+    residual[_top_order(residual, n_keep)] = 0.0
     mat = inverse_pauli_transform(PauliCoefficients(coeffs.n_sites, residual))
     return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
 

@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 from functools import reduce
 from typing import Optional
 
 import numpy as np
 import pytest
 
+from pauliscope import circuits
 from pauliscope.circuits import (
     CircuitSpec,
     _as_json_of,
@@ -234,3 +236,46 @@ def test_layer_states_are_pinned_bit_for_bit(name):
             digest.update(op.values.tobytes())
         got.append(digest.hexdigest())
     assert tuple(got) == PINNED_LAYER_HASHES[name]
+
+
+def _spied_realization(monkeypatch, spec):
+    """Run realization 0 of ``spec``; return the number of gates each
+    transfer-matrix build took, the number of gates applied, and the
+    tracemalloc peak in bytes."""
+    builds, applied = [], []
+    build, apply = circuits.pauli_transfer_matrix, circuits.apply_gate
+
+    def spy_build(u):
+        builds.append(len(u))
+        return build(u)
+
+    def spy_apply(op, support, r):
+        applied.append(support)
+        return apply(op, support, r)
+
+    monkeypatch.setattr(circuits, "pauli_transfer_matrix", spy_build)
+    monkeypatch.setattr(circuits, "apply_gate", spy_apply)
+    tracemalloc.start()
+    try:
+        run_circuit(spec, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return builds, len(applied), peak
+
+
+def test_chain_builds_every_applied_gate_in_one_call(monkeypatch):
+    """Two-site gates are small, so one build covers the whole realization."""
+    spec = CircuitSpec(master_seed=7, **PINNED_CIRCUITS["chain7_per_qubit"])
+    builds, applied, _ = _spied_realization(monkeypatch, spec)
+    assert builds == [applied] and applied > 0
+
+
+def test_wide_staircase_builds_one_gate_per_call_in_bounded_memory(monkeypatch):
+    """A 5-site gate's build alone is past the entry cap, so an N=8, r=4
+    staircase builds its four gates one at a time: its peak stays near the
+    51 MB of a single 5-site build (two at once would pass 100 MB)."""
+    spec = CircuitSpec(geometry="rmpu", n_sites=8, r=4, gamma=0.01, master_seed=7)
+    builds, applied, peak = _spied_realization(monkeypatch, spec)
+    assert builds == [1, 1, 1, 1] and applied == 4
+    assert peak < 60e6

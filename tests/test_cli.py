@@ -139,21 +139,38 @@ PINNED_SMOKE_CSVS = {
     "mc_chain": "0c41ea16a909e2fcde6ce0b34f68fc91d5769d5b544e0ed3a13b74bcdefd9ae8",
     "trunc_chain": "87003368a3c28852e91e32ef69fa3ae9b1edd32042840844f89b6f7c9a9a2b51",
 }
+#: the same for the full trunc_chain config (N=7, 40 realizations): its
+#: largest N_P, 4096, is below 4^7, so it keeps a top selection, not the
+#: whole vector, as the smoke config's N=6 does
+PINNED_FULL_TRUNC_CSV = "d20f52f97f3e6c63b9003b8c1f412716d817cdd99141ca2f170bf5124fac1731"
+
+
+def _workload_csv_sha256(tmp_path, size, name) -> str:
+    """sha256 of the CSV a benchmark workload's config writes through the CLI
+    at master seed 101 with OpenBLAS at 1 thread.  The configs are read from
+    the benchmark's own workload list."""
+    workload = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"][size][name]
+    cfg = json.loads(json.dumps(workload.config))
+    cfg["circuit"]["master_seed"] = 101
+    csv_name = ("moments.csv" if workload.command == "moments"
+                else f"mse_gamma{cfg['circuit']['gamma']:g}.csv")
+    (data,) = _csv_at_blas_threads(tmp_path, workload.command, cfg, csv_name, threads=("1",))
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SMOKE_CSVS))
 def test_simulator_benchmark_csvs_are_pinned_bit_for_bit(tmp_path, name):
     """The seeded simulator CSVs, end to end through the CLI, byte for byte as
     recorded (numpy 2.4, OpenBLAS 0.3.31, x86-64, 1 thread): both workloads
-    run per-qubit noise, so this pins that path across changes.  The configs
-    are read from the benchmark's own workload list."""
-    workload = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]["smoke"][name]
-    cfg = json.loads(json.dumps(workload.config))
-    cfg["circuit"]["master_seed"] = 101
-    csv_name = ("moments.csv" if workload.command == "moments"
-                else f"mse_gamma{cfg['circuit']['gamma']:g}.csv")
-    (data,) = _csv_at_blas_threads(tmp_path, workload.command, cfg, csv_name, threads=("1",))
-    assert hashlib.sha256(data).hexdigest() == PINNED_SMOKE_CSVS[name]
+    run per-qubit noise, so this pins that path across changes."""
+    assert _workload_csv_sha256(tmp_path, "smoke", name) == PINNED_SMOKE_CSVS[name]
+
+
+def test_full_trunc_chain_csv_is_pinned_bit_for_bit(tmp_path):
+    """The full-size truncation workload's CSV, byte for byte as recorded when
+    every realization sorted all 4^N coefficients: selecting only the top
+    N_P changes no bit."""
+    assert _workload_csv_sha256(tmp_path, "full", "trunc_chain") == PINNED_FULL_TRUNC_CSV
 
 
 def test_initial_axis_is_an_unknown_circuit_key(tmp_path, capsys):

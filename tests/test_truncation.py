@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from pauliscope.circuits import CircuitSpec, run_circuit
 from pauliscope.opsim import init_local_pauli
-from pauliscope.pauli import pauli_transform, zdiag_mask
+from pauliscope.pauli import PauliCoefficients, pauli_transform, zdiag_mask
 from pauliscope.spectrum import moment_mu, moment_nu, ose
 from pauliscope.truncation import (
+    _squared_tails,
     _top_order,
     residual_spectral_norm,
     simulability_bound,
@@ -21,17 +22,70 @@ from conftest import decode_pauli, random_hermitian, truncate_top, zdiag_indicat
 
 def test_truncate_sorting_example():
     values = np.array([0.0, 0.8, 0.5, 0.3])
-    assert _top_order(values).tolist() == [1, 2, 3, 0]
-    assert _top_order(init_local_pauli(2, 0, "Z").values)[0] == 3
+    assert _top_order(values, values.size).tolist() == [1, 2, 3, 0]
+    assert _top_order(init_local_pauli(2, 0, "Z").values, 1)[0] == 3
 
 
 def test_truncate_tie_break_deterministic():
     values = np.array([0.5, -0.5, 0.5, 0.2])
-    assert _top_order(values).tolist() == [0, 1, 2, 3]
+    assert _top_order(values, values.size).tolist() == [0, 1, 2, 3]
     spec = CircuitSpec(geometry="chain", n_sites=2, depth=1)
     for bad in ([0, 4], [4, 17]):
         with pytest.raises(ValueError, match="outside"):
             truncation_mse(spec, bad, n_realizations=2)
+
+
+def _full_sort_squared_tails(coeffs, mask, np_grid):
+    """The tails as computed before the top-N_P selection: one stable sort of
+    all 4^N coefficients, then one suffix sum with the off-diagonal entries
+    as exact zeros."""
+    order = np.argsort(-np.abs(coeffs.values), kind="stable")
+    diag_sorted = np.where(mask[order], coeffs.values[order], 0.0)
+    suffix = np.concatenate([np.cumsum(diag_sorted[::-1])[::-1], [0.0]])
+    return suffix[np_grid] ** 2
+
+
+def _tie_heavy_values(rng, n):
+    """4^N coefficients drawn from a few magnitudes with both signs, so exact
+    ties (diagonal against off-diagonal, positive against negative) and
+    exact zeros are everywhere; every other vector is continuous with a
+    quarter of its entries copied from others."""
+    size = 4**n
+    if rng.random() < 0.5:
+        levels = np.array([0.0, 0.0, 0.125, 0.25, 0.5, 1.0 / 3.0, 0.7])
+        return rng.choice(levels, size) * rng.choice([-1.0, 1.0], size)
+    values = rng.standard_normal(size)
+    copied = rng.random(size) < 0.25
+    values[copied] = values[rng.integers(0, size, copied.sum())] * rng.choice([-1.0, 1.0])
+    values[rng.random(size) < 0.1] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_selected_tails_equal_the_full_sort_bit_for_bit(n):
+    """The selection's squared tails and top order equal the full stable
+    sort's, bit for bit, on tie- and zero-heavy vectors with negative
+    diagonal values, on grids that are not powers of two, with cutoffs inside
+    runs of tied |a|, and with N_P = 4^N."""
+    rng = np.random.default_rng(1000 + n)
+    mask = zdiag_mask(n)
+    size = 4**n
+    for trial in range(60):
+        values = _tie_heavy_values(rng, n)
+        full = np.argsort(-np.abs(values), kind="stable")
+        mag = np.abs(values[full])
+        tied = np.flatnonzero(mag[1:] == mag[:-1]) + 1  # cutoffs inside a tie run
+        grid = set(rng.integers(1, size + 1, size=rng.integers(1, 6)).tolist())
+        if tied.size:
+            grid.add(int(rng.choice(tied)))
+        if trial % 3 == 0:
+            grid.add(size)
+        grid = sorted(grid)
+        coeffs = PauliCoefficients(n, values)
+        got = _squared_tails(coeffs, mask, grid)
+        assert np.array_equal(got, _full_sort_squared_tails(coeffs, mask, grid))
+        for cut in grid:
+            assert np.array_equal(_top_order(values, cut), full[:cut])
 
 
 def test_expectation_zero_state_examples(rng):
@@ -70,7 +124,7 @@ def test_top_truncation_is_optimal(seed):
     )
     coeffs = run_circuit(spec, 0)
     n_keep = 8
-    kept = _top_order(coeffs.values)[:n_keep]
+    kept = _top_order(coeffs.values, n_keep)
     assert kept.tolist() == truncate_top(coeffs.values, n_keep)
     total = float(np.sum(coeffs.values**2))
     best = total - float(np.sum(coeffs.values[kept] ** 2))
