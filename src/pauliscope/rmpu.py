@@ -13,6 +13,15 @@ replaced by the noisy Weingarten matrix and the product evaluates the
 unnormalized moment average (the gamma = 0 pipeline is unchanged bit for
 bit since the noisy coefficients then reduce to the plain ones).
 
+T commutes with simultaneous conjugation (T[g s g^-1, g t g^-1] = T[s, t])
+and L, R are class functions, so the product runs over the p(2k) = 2, 5, 11
+conjugacy classes of S_2k instead of its (2k)! = 2, 24, 720 permutations:
+
+    L^T T^(m-1) R = sum_C |C| L_C (T_red^(m-1) R)_C,
+    T_red[C, D] = sum_{t in D} T[s_C, t],
+
+s_C a representative of class C and |C| its size (``transfer_matrix``).
+
 The closed-form large-(N, chi) limit at fixed x = d^(N(1-1/k))/chi is
 
     nu_k = F^2k (2k-1)!! [1 + C_k(gamma) (x/F)^2k],   F = (1-gamma)^m,
@@ -32,7 +41,6 @@ from .circuits import CircuitSpec
 from .spectrum import haar_moment
 from .weingarten import (
     _tables,
-    gram_matrix,
     noisy_weingarten,
     pauli_sum_weights,
     traceless_seed_weights,
@@ -40,19 +48,37 @@ from .weingarten import (
 )
 
 
+def _class_sums(rows: np.ndarray, type_of: np.ndarray) -> np.ndarray:
+    """rows[:, tau] summed over each conjugacy class of tau, in class-id order."""
+    order = np.argsort(type_of, kind="stable")
+    sizes = np.bincount(type_of)
+    return np.add.reduceat(rows[:, order], np.cumsum(sizes) - sizes, axis=1)
+
+
 def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, L, R) over S_2k for blocks on r+1 qubits: T = Lam1 Wg~(2 chi, gamma)
-    Lam2 G(chi) with chi = 2^r, and the boundary vectors of the module docstring."""
+    """(M, l, w) over the p(2k) conjugacy classes of S_2k for blocks on r+1
+    qubits (chi = 2^r), with l^T M^j w = L^T T^j R (module docstring).
+
+    With s_C = ``_tables(2k).reps[C]`` and |C| the class size, the running
+    class vector steps with M[C, D] = |C| T_red[C, D] / |D|, l_C = L[s_C] and
+    w_C = |C| R[s_C].  As sum_{t in D} G[p, t] depends only on the class E
+    of p, T_red needs no (2k)! x (2k)! product:
+
+        T_red[C, D] = Lam1[s_C] sum_E (sum_{p in E} Wg~[s_C, p] Lam2[p]) H[E, D],
+        H[E, D] = sum_{t in D} chi^#(s_E^-1 t).
+    """
     n = 2 * k
     chi = 2.0**r
-    lam1 = 2.0 ** _tables(n).cycles
+    tb = _tables(n)
+    sizes = np.bincount(tb.type_of).astype(float)
+    lam1 = 2.0 ** tb.cycles[tb.reps]
     lam2 = pauli_sum_weights(n, 2.0)
-    wg = noisy_weingarten(n, 2.0 * chi, gamma)
-    g = gram_matrix(n, chi)
-    t = (lam1[:, None] * wg) @ (lam2[:, None] * g)
-    left = traceless_seed_weights(n, chi)
-    right = lam1 * (wg @ lam2 ** (r + 1))
-    return t, left, right
+    wg = noisy_weingarten(n, 2.0 * chi, gamma)[tb.reps]
+    h = _class_sums(chi ** tb.cycles[tb.rel[tb.reps]], tb.type_of)
+    t_red = (lam1[:, None] * _class_sums(wg * lam2, tb.type_of)) @ h
+    left = traceless_seed_weights(n, chi)[tb.reps]
+    right = sizes * lam1 * (wg @ lam2 ** (r + 1))
+    return sizes[:, None] * t_red / sizes, left, right
 
 
 def rescale_pow2(arr: np.ndarray, peak: float) -> float:
@@ -73,7 +99,7 @@ def unscale(val: float, log_scale: float) -> float:
 def _scaled_product(
     op: tuple[np.ndarray, np.ndarray, np.ndarray], ms: Sequence[int]
 ) -> list[float]:
-    """L^T T^(m-1) R for ``op = (T, L, R)`` at each of the ascending ``ms``,
+    """l^T M^(m-1) w for ``op = (M, l, w)`` at each of the ascending ``ms``,
     read off one pass of the running vector with power-of-two rescaling;
     0.0 once the vector vanishes."""
     t, left, right = op
@@ -99,9 +125,9 @@ def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
     1 <= k <= weingarten.MAX_DEGREE // 2.
 
     Each value is mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
-    unnormalized nu_k average for gamma > 0.  T, L and R depend only on
-    (r, k, gamma), so every N of one such group is read off one transfer
-    matrix and one sweep of the running vector.
+    unnormalized nu_k average for gamma > 0.  The class-reduced transfer
+    matrix depends only on (r, k, gamma), so every N of one such group is read
+    off one transfer matrix and one sweep of the running class vector.
     """
     groups: dict[tuple, list[int]] = {}
     for i, (spec, k) in enumerate(points):
@@ -109,7 +135,6 @@ def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
     out = [0.0] * len(points)
     for key, idx in groups.items():
         idx.sort(key=lambda i: points[i][0].depth)
-        # T is a temporary: the previous group's T is freed before the next is built
         values = _scaled_product(transfer_matrix(*key), [points[i][0].depth for i in idx])
         for i, value in zip(idx, values):
             out[i] = value

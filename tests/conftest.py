@@ -2,10 +2,12 @@
 
 The oracles are written independently of the package's own fast paths: Pauli
 words are decoded digit by digit and built by Kronecker products, permutation
-states are filled entry by entry, and top-N_P truncation is a Python sort.
+states are filled entry by entry, top-N_P truncation is a Python sort, and
+the staircase transfer matrix is the dense (2k)! x (2k)! product.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from pauliscope.opsim import (
     pauli_transfer_matrix,
 )
 from pauliscope.rtn import _wire_basis
-from pauliscope.weingarten import _tables, noisy_weingarten
+from pauliscope.weingarten import (
+    _tables,
+    gram_matrix,
+    noisy_weingarten,
+    pauli_sum_weights,
+    traceless_seed_weights,
+)
 
 # every run draws the same examples, so tier-1 reruns are identical
 settings.register_profile("deterministic", derandomize=True)
@@ -81,6 +89,32 @@ def permutation_vectors(n: int, q: int) -> np.ndarray:
                 pos[2 * a + 1] = idx[inv[a]]
             v[tuple(pos)] = 1.0
         out[s_idx] = v.reshape(-1)
+    return out
+
+
+def dense_transfer(r: int, k: int, gamma: float):
+    """Dense (T, L, R) over all of S_2k for staircase blocks on r+1 qubits:
+    T = Lam1 Wg~(2 chi, gamma) Lam2 G(chi), L_s = chi^#(s) 1_E(s) and
+    R = Lam1 Wg~ Lam2^(r+1) 1, chi = 2^r (``pauliscope.rmpu`` docstring)."""
+    n, chi = 2 * k, 2.0**r
+    lam1 = 2.0 ** _tables(n).cycles
+    lam2 = pauli_sum_weights(n, 2.0)
+    wg = noisy_weingarten(n, 2.0 * chi, gamma)
+    t = (lam1[:, None] * wg * lam2) @ gram_matrix(n, chi)
+    return t, traceless_seed_weights(n, chi), lam1 * (wg @ lam2 ** (r + 1))
+
+
+def dense_staircase_moments(r: int, k: int, gamma: float, ms) -> dict[int, float]:
+    """L^T T^(m-1) R of ``dense_transfer`` at each m in ``ms``: the running
+    vector is scaled by exact powers of two, the exponent kept apart."""
+    t, v, right = dense_transfer(r, k, gamma)
+    out, exp2 = {}, 0
+    for m in range(1, max(ms) + 1):
+        if m in ms:
+            out[m] = math.ldexp(float(v @ right), exp2)
+        v = v @ t
+        shift = math.frexp(float(np.max(np.abs(v))))[1]
+        v, exp2 = np.ldexp(v, -shift), exp2 + shift
     return out
 
 

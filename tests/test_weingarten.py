@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -77,6 +78,21 @@ def test_permutation_compose_inverse():
         assert rel[ia, ia] == 0
         for ib, pb in enumerate(images):
             assert rel[ia, ib] == index[tuple(int(inv[j]) for j in pb)]
+
+
+@pytest.mark.parametrize("n, rel_sha, pair_code_sha", [
+    (4, "930e83ddc512940104e640daf46ae42247d3d25942e593a2c144478868fb3ba3",
+     "be5f665b02e7cade06b8ee56c5ecb64bc93bee594bbc4fdd63c94b8bf437d505"),
+    (6, "85889148c4b3c10838ce8fbe63b6706186ffc8b78a986dec4d1a227b799c2e66",
+     "645d543a32f3c5bdcdadbad6f5d45b981ee2924ea1ce317f32ded6de7e5ca76c"),
+])
+def test_pair_tables_are_pinned(n, rel_sha, pair_code_sha):
+    # the int32 bytes of the relative-index and pair-code tables, as built by a
+    # per-row sorted search over image codes before the code lookup replaced it
+    tb = _tables(n)
+    assert tb.rel.dtype == tb.pair_code.dtype == np.int32
+    assert hashlib.sha256(tb.rel.tobytes()).hexdigest() == rel_sha
+    assert hashlib.sha256(tb.pair_code.tobytes()).hexdigest() == pair_code_sha
 
 
 def test_gram_examples():
