@@ -199,7 +199,7 @@ def cmd_selftest(args) -> int:
     from .rmpu import global_haar_moment, rmpu_moment_exact
     from .rtn import contract_brickwork_series
     from .spectrum import moment_nu
-    from .weingarten import gram_matrix, weingarten_matrix
+    from .weingarten import _tables, gram_matrix, weingarten_matrix
 
     failures = 0
 
@@ -211,11 +211,15 @@ def cmd_selftest(args) -> int:
     def chain(n_sites, depth):
         return CircuitSpec(n_sites=n_sites, depth=depth, noise_placement="per_gate_support")
 
-    for n, q in ((2, 4.0), (4, 2.0), (4, 8.0)):
-        g = gram_matrix(n, q)
-        w = weingarten_matrix(n, q)
-        rel = float(np.max(np.abs(g @ w @ g - g)) / np.max(np.abs(g)))
-        check(f"gram-inverse n={n} q={q}", rel < 1e-10, f"resid={rel:.1e}")
+    # Wg by class: A A w = A delta_e, and sum_s sgn(s) Wg(s) = 1/prod_{i<n} (q-i), 0 if q < n
+    for n, q in ((4, 8.0), (6, 8.0), (8, 16.0), (6, 4.0)):
+        a, w, tb = gram_matrix(n, q), weingarten_matrix(n, q), _tables(n)
+        resid = float(np.max(np.abs(a @ (a @ w) - a[:, 0])) / np.max(a[:, 0]))
+        signs = np.array([(-1) ** (n - len(t)) for t in tb.types])
+        want = 1.0 / np.prod([q - i for i in range(n)]) if q >= n else 0.0
+        sign_err = abs(float(tb.sizes * signs @ w) - want) / float(tb.sizes @ np.abs(w))
+        check(f"weingarten class solve n={n} q={q}", resid < 1e-10 and sign_err < 1e-12,
+              f"resid={resid:.1e} sign-sum err={sign_err:.1e}")
 
     spec = CircuitSpec(geometry="rmpu", n_sites=3, r=1, gamma=0.05,
                        master_seed=11, initial_site=0)

@@ -9,13 +9,13 @@ Pauli-spectrum moments as a product over S_2k:
 with [Lam1]_ss = d^#(s), [Lam2]_ss = d^(#(s) + 2*1_E(s) - 2),
 L_s = chi^#(s) 1_E(s) and R_s = [Lam1]_ss sum_p Wg_sp [Lam2^(r+1)]_pp.
 With a joint depolarizing channel of rate gamma after every gate, Wg is
-replaced by the noisy Weingarten matrix and the product evaluates the
-unnormalized moment average (the gamma = 0 pipeline is unchanged bit for
-bit since the noisy coefficients then reduce to the plain ones).
+replaced by the noisy Weingarten function Wg~ (equal to Wg bit for bit at
+gamma = 0) and the product evaluates the unnormalized moment average.
 
 T commutes with simultaneous conjugation (T[g s g^-1, g t g^-1] = T[s, t])
-and L, R are class functions, so the product runs over the p(2k) = 2, 5, 11
-conjugacy classes of S_2k instead of its (2k)! = 2, 24, 720 permutations:
+and L, R are class functions, so the product runs over the p(2k) = 2, 5, 11,
+22 conjugacy classes of S_2k (k <= 4) instead of its (2k)! = 2, 24, 720,
+40320 permutations, and only the representatives' rows of Wg~ are formed:
 
     L^T T^(m-1) R = sum_C |C| L_C (T_red^(m-1) R)_C,
     T_red[C, D] = sum_{t in D} T[s_C, t],
@@ -44,7 +44,6 @@ from .weingarten import (
     noisy_weingarten,
     pauli_sum_weights,
     traceless_seed_weights,
-    weingarten_matrix,
 )
 
 
@@ -61,24 +60,24 @@ def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarra
 
     With s_C = ``_tables(2k).reps[C]`` and |C| the class size, the running
     class vector steps with M[C, D] = |C| T_red[C, D] / |D|, l_C = L[s_C] and
-    w_C = |C| R[s_C].  As sum_{t in D} G[p, t] depends only on the class E
-    of p, T_red needs no (2k)! x (2k)! product:
+    w_C = |C| R[s_C].  Lam2 is a class function and sum_{t in D} G[p, t]
+    depends only on the class E of p, so T_red needs only class sums of the
+    representatives' rows:
 
-        T_red[C, D] = Lam1[s_C] sum_E (sum_{p in E} Wg~[s_C, p] Lam2[p]) H[E, D],
-        H[E, D] = sum_{t in D} chi^#(s_E^-1 t).
+        T_red[C, D] = Lam1[s_C] sum_E Wbar[C, E] Lam2[s_E] H[E, D],
+        Wbar[C, E] = sum_{p in E} Wg~[s_C, p],  H[E, D] = sum_{t in D} chi^#(s_E^-1 t).
     """
     n = 2 * k
     chi = 2.0**r
     tb = _tables(n)
-    sizes = np.bincount(tb.type_of).astype(float)
     lam1 = 2.0 ** tb.cycles[tb.reps]
-    lam2 = pauli_sum_weights(n, 2.0)
-    wg = noisy_weingarten(n, 2.0 * chi, gamma)[tb.reps]
-    h = _class_sums(chi ** tb.cycles[tb.rel[tb.reps]], tb.type_of)
-    t_red = (lam1[:, None] * _class_sums(wg * lam2, tb.type_of)) @ h
+    lam2 = pauli_sum_weights(n, 2.0)[tb.reps]
+    wbar = _class_sums(noisy_weingarten(n, 2.0 * chi, gamma), tb.type_of)
+    h = _class_sums(chi ** tb.cycles[tb.reps][tb.rep_class], tb.type_of)
+    t_red = (lam1[:, None] * wbar * lam2) @ h
     left = traceless_seed_weights(n, chi)[tb.reps]
-    right = sizes * lam1 * (wg @ lam2 ** (r + 1))
-    return sizes[:, None] * t_red / sizes, left, right
+    right = tb.sizes * lam1 * (wbar @ lam2 ** (r + 1))
+    return tb.sizes[:, None] * t_red / tb.sizes, left, right
 
 
 def rescale_pow2(arr: np.ndarray, peak: float) -> float:
@@ -157,9 +156,10 @@ def global_haar_moment(q: float, k: int) -> float:
     """Exact mu_k for a single Haar unitary on dimension q (traceless
     involution seed); the deep-circuit limit of any geometry on q = 2^N."""
     n = 2 * k
-    top = pauli_sum_weights(n, q)
-    bottom = traceless_seed_weights(n, q)
-    return float(top @ weingarten_matrix(n, q) @ bottom)
+    tb = _tables(n)
+    top = tb.sizes * pauli_sum_weights(n, q)[tb.reps]
+    bottom = traceless_seed_weights(n, q)[tb.reps]
+    return float(top @ _class_sums(noisy_weingarten(n, q, 0.0), tb.type_of) @ bottom)
 
 
 @dataclass(frozen=True)

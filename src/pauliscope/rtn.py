@@ -50,7 +50,7 @@ import numpy as np
 from .circuits import CircuitSpec, layer_supports
 from .rmpu import rescale_pow2, unscale
 from .weingarten import (
-    gram_matrix,
+    _tables,
     noisy_weingarten,
     pauli_sum_weights,
     traceless_seed_weights,
@@ -62,7 +62,8 @@ def _wire_basis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, f_top, g_op): coordinates of permutation states in an orthonormal
     basis of their span (C[:, s] are the coordinates of |s>>), plus the top
     and operator-seed boundary functionals expressed in that basis."""
-    g = gram_matrix(n, 2.0)
+    tb = _tables(n)
+    g = 2.0 ** tb.cycles[tb.reps][tb.pairs(slice(None))[0]]  # G_{p,s}(2) = 2^#(p^-1 s)
     evals, evecs = np.linalg.eigh(g)
     keep = evals > 1e-12 * evals[-1]
     coords = (evecs[:, keep] * np.sqrt(evals[keep])).T  # (rank, n!)
@@ -259,7 +260,7 @@ class BrickworkContraction:
         self.k = k
         self.chi_mps = chi_mps
         n_sites, n = spec.n_sites, 2 * k
-        w_noisy = noisy_weingarten(n, 4.0, spec.gamma)
+        w_noisy = noisy_weingarten(n, 4.0, spec.gamma, rows=slice(None))
         coords, self.f_top, self.g_op = _wire_basis(n)
         rank = coords.shape[0]
         self.engine = "exact" if rank**n_sites <= _EXACT_ENTRY_CAP else "mps"

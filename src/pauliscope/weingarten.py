@@ -1,90 +1,94 @@
-"""Symmetric-group tables and (noisy) Weingarten matrices as plain arrays.
+"""Symmetric-group tables and (noisy) Weingarten functions in class coordinates.
 
 Haar averages of n copies of U and U* reduce to sums over permutation
-operators: E[(U x U*)^n] = sum_{p,s} Wg_{p,s}(q) |p>><<s| where Wg(q) is
-the pseudo-inverse of the Gram matrix G_{p,s}(q) = q^#(p^-1 s) of
-permutation-state overlaps (# counts cycles).  For q >= n the Gram matrix
-is invertible and Wg is its inverse; for q < n the permutation operators are
-linearly dependent, G is singular, and its pseudo-inverse *is* the
-Weingarten matrix: the sum above is still the exact Haar average.  A Haar
-gate followed by a depolarizing channel of rate gamma on its full
-q-dimensional support has the same form with modified coefficients
+operators: E[(U x U*)^n] = sum_{p,s} Wg(p^-1 s; q) |p>><<s|, Wg the
+pseudo-inverse of the Gram matrix G_{p,s}(q) = q^#(p^-1 s) (# counts
+cycles).  Both depend on p^-1 s only through its cycle type (Collins &
+Sniady, CMP 264 (2006)), so Wg by class solves the p(n) x p(n) system
+
+    A w = delta_e,    A[E, D] = sum_{t: s_E^-1 t in D} q^#(t),
+
+s_E a representative of class E.  For q < n the permutation operators are
+linearly dependent and A is singular; its pseudo-inverse in the class inner
+product (weights |C|) *is* the Weingarten function: the sum above is still
+the exact Haar average.  A Haar gate followed by a depolarizing channel of
+rate gamma on its full q-dimensional support has the same form with
 
     Wg~_{p,s}(q, gamma) = sum_{i=0}^{nF(p,s)} C(nF, i) (gamma/q)^i
-                          (1-gamma)^(n-i) Wg^(n-i)_{p~(i), s~(i)}(q),
+                          (1-gamma)^(n-i) Wg^(n-i)(p~(i)^-1 s~(i); q),
 
 where nF(p,s) counts common fixed points and p~(i) removes i of them
-(which ones is irrelevant: Wg depends only on the cycle type of p^-1 s).
+(which ones is irrelevant: only the cycle type of p^-1 s matters).
 
-Every matrix is a dense n! x n! numpy array over one enumeration of S_n,
-``itertools.permutations`` order (lexicographic by image, identity first).
-Gram and Weingarten matrices are memoized per (n, q) and shared between
-callers; the noisy matrix is built per call.  All are read-only.  The
-degree is capped at MAX_DEGREE, checked in ``_tables`` alone.
+S_n is enumerated in ``itertools.permutations`` order (identity first).  The
+only pair tables are row blocks, ``_GroupTables.pairs``: the class of
+s_a^-1 t and nF(s_a, t) for chosen rows s_a and every t.  ``_tables`` keeps
+those of the p(n) class representatives, so no table has more than p(n) n!
+entries.  Tables are built on first use and memoized; the degree is capped
+at MAX_DEGREE, checked in ``_tables`` alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-#: largest degree n: the pair tables are 720 x 720 at n = 6, i.e. k <= 3
-MAX_DEGREE = 6
-#: rows of the relative-index table built per step; at n = 6 each int64 code
-#: temporary is then 0.7 MB, against 4 MB for all 720 rows at once
-_REL_BLOCK = 120
+#: largest degree n: at n = 8 (k <= 4) the representatives' tables are 22 x 40320
+MAX_DEGREE = 8
 
 
-def _cycle_type(image: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of a permutation, descending."""
-    seen = [False] * len(image)
-    lengths = []
-    for start in range(len(image)):
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = image[j]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+def _partitions(n: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of n into parts <= ``largest``, each as a descending tuple."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - first, first)]
 
 
 class _GroupTables:
-    """Integer tables for S_n: relative index, cycle counts, types, pair codes."""
+    """S_n: images, classes (cycle types, sorted), and the representatives' pair tables."""
 
     def __init__(self, n: int):
-        perms = list(itertools.permutations(range(n)))
-        cycle_types = [_cycle_type(p) for p in perms]
-        size = len(perms)
-        self.images = np.array(perms, dtype=np.int64)
-        self.cycles = np.array([len(t) for t in cycle_types], dtype=np.int64)
-        self.even = np.array([all(c % 2 == 0 for c in t) for t in cycle_types], dtype=bool)
-        inv_images = np.empty_like(self.images)
-        rows = np.arange(size)[:, None]
-        inv_images[rows, self.images] = np.arange(n)[None, :]
-        # lookup[code of an image word] = its index, code = sum_j image[j] n^j
-        lookup = np.zeros(n**n, dtype=np.int32)
-        lookup[self.images @ n ** np.arange(n, dtype=np.int64)] = np.arange(size)
-        # rel[a, b] = index of (sigma_a^-1 sigma_b), _REL_BLOCK rows at a time
-        rel = np.empty((size, size), dtype=np.int32)
-        for lo in range(0, size, _REL_BLOCK):
-            inv = inv_images[lo:lo + _REL_BLOCK]
-            codes = sum(inv[:, self.images[:, j]] * n**j for j in range(n))
-            rel[lo:lo + _REL_BLOCK] = lookup[codes]
-        self.rel = rel
-        self.types = sorted(set(cycle_types))
-        type_index = {t: i for i, t in enumerate(self.types)}
-        self.type_of = np.array([type_index[t] for t in cycle_types], dtype=np.int32)
-        # reps[t]: the first permutation of type t
+        images = np.zeros((1, 0), dtype=np.intp)
+        for m in range(1, n + 1):  # S_m from S_(m-1): first image i, the rest relabelled past it
+            images = np.concatenate([np.hstack([np.full((len(images), 1), i), images + (images >= i)])
+                                     for i in range(m)])
+        self.images = images
+        self.types = sorted(_partitions(n, n))
+        # a cycle type's code: each element adds (n+1)^(l-1), l the length of its cycle
+        codes = np.array([sum(l * (n + 1) ** (l - 1) for l in t) for t in self.types])
+        self._code_order = np.argsort(codes)
+        self._sorted_codes = codes[self._code_order]
+        self._fixed = (images == np.arange(n)).astype(np.int8)
+        self.type_of = self._classes(images)
         self.reps = np.unique(self.type_of, return_index=True)[1]
-        # noisy Weingarten entries depend only on (cycle type of p^-1 s, nF(p, s)),
-        # with nF the number of common fixed points: pair_code = type id * (n+1) + nF
-        fixed = (self.images == np.arange(n)[None, :]).astype(np.int16)
-        self.pair_code = self.type_of[rel] * (n + 1) + fixed @ fixed.T
+        self.sizes = np.bincount(self.type_of)
+        self.cycles = np.array([len(t) for t in self.types])[self.type_of]
+        self.even = np.array([all(c % 2 == 0 for c in t) for t in self.types])[self.type_of]
+        self.rep_class, self.rep_fixed = self.pairs(self.reps)
+
+    def _classes(self, images: np.ndarray) -> np.ndarray:
+        """Class id of each row of ``images``, by following every element's cycle."""
+        m, n = images.shape
+        flat, offsets = images.ravel(), np.arange(0, m * n, n)[:, None]
+        cur, unclosed = images, np.ones(images.shape, dtype=bool)
+        code = np.zeros(m, dtype=np.int64)
+        for length in range(1, n + 1):
+            closed = unclosed & (cur == np.arange(n))
+            code += np.count_nonzero(closed, axis=1) * (n + 1) ** (length - 1)
+            unclosed &= ~closed
+            cur = flat[cur + offsets]
+        return self._code_order[np.searchsorted(self._sorted_codes, code)]
+
+    def pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(cls, nf), int8, for s_a at ``rows`` (indices or a slice) and every t:
+        cls[a, t] is the class of s_a^-1 t (t applied first) and nf[a, t] the
+        number of fixed points s_a and t share.  Built one row at a time."""
+        inverses = np.argsort(self.images[rows], axis=1)
+        cls = np.stack([self._classes(inv[self.images]).astype(np.int8) for inv in inverses])
+        return cls, self._fixed[rows] @ self._fixed.T
 
 
 @lru_cache(maxsize=None)
@@ -101,64 +105,54 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gram_matrix(n: int, q: float) -> np.ndarray:
-    """Overlap matrix G_{p,s}(q) = q^#(p^-1 s); diagonal q^n."""
+    """A[E, D] = sum over t with s_E^-1 t in class D of q^#(t): the Gram
+    matrix G(q) on class functions, p(n) x p(n), exact for integer q."""
     if q < 2:
         raise ValueError("q must be >= 2")
     tb = _tables(n)
-    return _read_only(float(q) ** tb.cycles[tb.rel])
+    return _read_only(np.stack([np.bincount(row, float(q) ** tb.cycles, minlength=len(tb.types))
+                                for row in tb.rep_class]))
 
 
 @lru_cache(maxsize=None)
 def weingarten_matrix(n: int, q: float) -> np.ndarray:
-    """Weingarten matrix: the pseudo-inverse of the Gram matrix.
-
-    For q >= n the Gram matrix is invertible: solved in double precision
-    (scaled by q^-n for conditioning) with one step of iterative refinement.
-    For q < n it is singular and an SVD pseudo-inverse with cutoff
-    1e-12 * sigma_max is the Weingarten matrix (module docstring).
-    """
-    g = gram_matrix(n, q)
+    """Wg(q) by class from A w = delta_e, A scaled by q^-n: for q >= n a solve
+    with one refinement step; for q < n the pseudo-inverse of the
+    sqrt|C|-symmetrized A, eigenvalues below 1e-12 of the largest dropped."""
     scale = float(q) ** n
-    gs = g / scale
+    a = gram_matrix(n, q) / scale
+    delta = np.eye(len(a))[0]  # class 0 is the identity's
     if q >= n:
-        x = np.linalg.solve(gs, np.eye(len(g)))
-        x += np.linalg.solve(gs, np.eye(len(g)) - gs @ x)
-        return _read_only(x / scale)
-    return _read_only(np.linalg.pinv(gs, rcond=1e-12) / scale)
+        w = np.linalg.solve(a, delta)
+        w += np.linalg.solve(a, delta - a @ w)
+    else:
+        root = np.sqrt(_tables(n).sizes)
+        evals, evecs = np.linalg.eigh(root[:, None] * a / root)
+        keep = evals > 1e-12 * evals[-1]
+        w = evecs[:, keep] @ (evecs[0, keep] / evals[keep]) / root
+    return _read_only(w / scale)
 
 
-def noisy_weingarten(n: int, q: float, gamma: float) -> np.ndarray:
-    """Weingarten coefficients of a Haar gate followed by depolarizing noise.
-
-    Implements the common-fixed-point expansion quoted in the module
-    docstring, one value per pair code; gamma = 0 returns the plain
-    Weingarten matrix (identical object).  Valid for every q >= 2: for q < n
-    the expansion's Weingarten matrices are the pseudo-inverses of the module
-    docstring.
-    """
+def noisy_weingarten(n: int, q: float, gamma: float, rows=None) -> np.ndarray:
+    """Wg~_{s_a, t}(q, gamma) of a Haar gate followed by depolarizing noise
+    (module docstring, valid for every q >= 2), for the rows s_a at ``rows``
+    (indices or a slice; by default the class representatives) and every t.
+    The expansion is taken per class and nF, then read off the rows' pair
+    tables; gamma = 0 gives the plain Weingarten function bit for bit."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
-    if gamma == 0.0:
-        return weingarten_matrix(n, q)
     tb = _tables(n)
     # Wg^(m)(q) by cycle type, m <= n (types of different m differ); S_0: Wg = 1
     wg_of = {(): 1.0}
     for m in range(1, n + 1):
-        wg_of.update(zip(_tables(m).types, weingarten_matrix(m, q)[0, _tables(m).reps].tolist()))
-    values = np.full(len(tb.types) * (n + 1), np.nan)
+        wg_of.update(zip(_tables(m).types, weingarten_matrix(m, q).tolist()))
+    values = np.full((len(tb.types), n + 1), np.nan)
     for t_id, ctype in enumerate(tb.types):
-        for nf in range(ctype.count(1) + 1):
-            total = 0.0
-            for i in range(nf + 1):
-                # a type lists its 1-cycles last: removing i fixed points drops them
-                total += (math.comb(nf, i) * (gamma / q) ** i * (1.0 - gamma) ** (n - i)
-                          * wg_of[ctype[:len(ctype) - i]])
-            values[t_id * (n + 1) + nf] = total
-    return _read_only(values[tb.pair_code])
-
-
-# ---------------------------------------------------------------------------
-# replica boundary weights
+        for nf in range(ctype.count(1) + 1):  # a type lists its 1-cycles last
+            values[t_id, nf] = sum(math.comb(nf, i) * (gamma / q) ** i * (1.0 - gamma) ** (n - i)
+                                   * wg_of[ctype[:len(ctype) - i]] for i in range(nf + 1))
+    cls, nf = (tb.rep_class, tb.rep_fixed) if rows is None else tb.pairs(rows)
+    return values[cls, nf]
 
 
 def pauli_sum_weights(n: int, d: float) -> np.ndarray:

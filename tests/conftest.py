@@ -2,12 +2,16 @@
 
 The oracles are written independently of the package's own fast paths: Pauli
 words are decoded digit by digit and built by Kronecker products, permutation
-states are filled entry by entry, top-N_P truncation is a Python sort, and
-the staircase transfer matrix is the dense (2k)! x (2k)! product.
+states are filled entry by entry, top-N_P truncation is a Python sort, the
+replica algebra is the dense n! x n! Gram matrix with its LU solve or SVD
+pseudo-inverse, and the staircase transfer matrix is the dense
+(2k)! x (2k)! product.
 """
 
 import itertools
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +25,6 @@ from pauliscope.opsim import (
     pauli_transfer_matrix,
 )
 from pauliscope.rtn import _wire_basis
-from pauliscope.weingarten import (
-    _tables,
-    gram_matrix,
-    noisy_weingarten,
-    pauli_sum_weights,
-    traceless_seed_weights,
-)
 
 # every run draws the same examples, so tier-1 reruns are identical
 settings.register_profile("deterministic", derandomize=True)
@@ -77,7 +74,7 @@ def permutation_vectors(n: int, q: int) -> np.ndarray:
     interleaved (row, col) index pairs per replica, matching
     kron(M, M, ..., M) ordering of per-replica superoperators.
     """
-    images = _tables(n).images
+    images = dense_group(n).images
     out = np.zeros((len(images), q ** (2 * n)))
     for s_idx, image in enumerate(images):
         inv = np.argsort(image)
@@ -92,16 +89,97 @@ def permutation_vectors(n: int, q: int) -> np.ndarray:
     return out
 
 
+def cycle_type(image) -> tuple[int, ...]:
+    """Cycle lengths of a permutation, descending."""
+    seen = [False] * len(image)
+    lengths = []
+    for start in range(len(image)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = image[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def dense_group(n: int) -> SimpleNamespace:
+    """S_n in ``itertools.permutations`` order with its dense pair tables:
+    rel[a, b] indexes s_a^-1 s_b (s_b applied first), found by a lookup of
+    image codes, and pair_code[a, b] = class of rel * (n+1) + the number of
+    fixed points s_a and s_b share.  Classes are cycle types, sorted."""
+    perms = list(itertools.permutations(range(n)))
+    types = [cycle_type(p) for p in perms]
+    images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    lookup = np.zeros(n**n, dtype=np.int64)
+    lookup[images @ n ** np.arange(n)] = np.arange(len(perms))
+    inverses = np.argsort(images, axis=1)
+    rel = lookup[inverses[:, images] @ n ** np.arange(n)]
+    classes = sorted(set(types))
+    type_of = np.array([classes.index(t) for t in types])
+    fixed = (images == np.arange(n)).astype(np.int64)
+    return SimpleNamespace(
+        images=images, classes=classes, type_of=type_of, rel=rel,
+        reps=np.unique(type_of, return_index=True)[1],
+        cycles=np.array([len(t) for t in types]),
+        even=np.array([all(c % 2 == 0 for c in t) for t in types]),
+        pair_code=type_of[rel] * (n + 1) + fixed @ fixed.T)
+
+
+def dense_gram(n: int, q: float) -> np.ndarray:
+    """G_{p,s}(q) = q^#(p^-1 s) over all of S_n."""
+    group = dense_group(n)
+    return float(q) ** group.cycles[group.rel]
+
+
+@lru_cache(maxsize=None)
+def dense_weingarten(n: int, q: float) -> np.ndarray:
+    """The pseudo-inverse of the dense Gram matrix: for q >= n an LU solve of
+    G / q^n with one refinement step, for q < n an SVD pseudo-inverse with
+    cutoff 1e-12 sigma_max."""
+    scale = float(q) ** n
+    gs = dense_gram(n, q) / scale
+    if q >= n:
+        x = np.linalg.solve(gs, np.eye(len(gs)))
+        x += np.linalg.solve(gs, np.eye(len(gs)) - gs @ x)
+        return x / scale
+    return np.linalg.pinv(gs, rcond=1e-12) / scale
+
+
+def dense_noisy_weingarten(n: int, q: float, gamma: float) -> np.ndarray:
+    """Wg~_{p,s}(q, gamma) over all of S_n: the common-fixed-point expansion
+    of ``pauliscope.weingarten``'s docstring.  Its i = 0 term is the dense
+    pseudo-inverse of S_n itself; each i > 0 term reads Wg^(n-i) off the first
+    row of the dense pseudo-inverse of S_(n-i) and is gathered by pair code."""
+    wg_of = {(): 1.0}
+    for m in range(1, n):
+        group = dense_group(m)
+        wg_of.update(zip(group.classes, dense_weingarten(m, q)[0, group.reps]))
+    group = dense_group(n)
+    values = np.zeros(len(group.classes) * (n + 1))
+    for t_id, ctype in enumerate(group.classes):
+        for nf in range(1, ctype.count(1) + 1):
+            values[t_id * (n + 1) + nf] = sum(
+                math.comb(nf, i) * (gamma / q) ** i * (1.0 - gamma) ** (n - i)
+                * wg_of[ctype[:len(ctype) - i]] for i in range(1, nf + 1))
+    return (1.0 - gamma) ** n * dense_weingarten(n, q) + values[group.pair_code]
+
+
 def dense_transfer(r: int, k: int, gamma: float):
     """Dense (T, L, R) over all of S_2k for staircase blocks on r+1 qubits:
     T = Lam1 Wg~(2 chi, gamma) Lam2 G(chi), L_s = chi^#(s) 1_E(s) and
-    R = Lam1 Wg~ Lam2^(r+1) 1, chi = 2^r (``pauliscope.rmpu`` docstring)."""
+    R = Lam1 Wg~ Lam2^(r+1) 1, chi = 2^r, with [Lam1]_ss = 2^#(s) and
+    [Lam2]_ss = 2^(#(s) + 2*1_E(s) - 2) (``pauliscope.rmpu`` docstring)."""
     n, chi = 2 * k, 2.0**r
-    lam1 = 2.0 ** _tables(n).cycles
-    lam2 = pauli_sum_weights(n, 2.0)
-    wg = noisy_weingarten(n, 2.0 * chi, gamma)
-    t = (lam1[:, None] * wg * lam2) @ gram_matrix(n, chi)
-    return t, traceless_seed_weights(n, chi), lam1 * (wg @ lam2 ** (r + 1))
+    group = dense_group(n)
+    lam1 = 2.0 ** group.cycles
+    lam2 = 2.0 ** (group.cycles + 2 * group.even - 2)
+    wg = dense_noisy_weingarten(n, 2.0 * chi, gamma)
+    t = (lam1[:, None] * wg * lam2) @ dense_gram(n, chi)
+    left = np.where(group.even, chi ** group.cycles, 0.0)
+    return t, left, lam1 * (wg @ lam2 ** (r + 1))
 
 
 def dense_staircase_moments(r: int, k: int, gamma: float, ms) -> dict[int, float]:
@@ -123,7 +201,7 @@ def dense_gate_kernel(k: int, gamma: float) -> np.ndarray:
     densely: K[(s p), (u v)] = sum_{a,d} C[s,a] C[p,a] Wg~_{a,d} C[u,d] C[v,d]."""
     coords = _wire_basis(2 * k)[0]
     rank = coords.shape[0]
-    y = np.einsum("sa,pa,ad->spad", coords, coords, noisy_weingarten(2 * k, 4.0, gamma))
+    y = np.einsum("sa,pa,ad->spad", coords, coords, dense_noisy_weingarten(2 * k, 4.0, gamma))
     y = np.einsum("spad,ud,vd->spuv", y, coords, coords, optimize=True)
     return y.reshape(rank * rank, rank * rank)
 
@@ -140,7 +218,7 @@ def dense_rtn_series(spec, k: int, depths) -> dict[int, float]:
     coords, f_top, g_op = _wire_basis(2 * k)
     r, n, seed = coords.shape[0], spec.n_sites, spec.initial_site
     a = np.einsum("sa,pa->spa", coords, coords).reshape(r * r, -1)
-    wa = noisy_weingarten(2 * k, 4.0, spec.gamma) @ a.T
+    wa = dense_noisy_weingarten(2 * k, 4.0, spec.gamma) @ a.T
     state = np.ones(())
     for s in range(n):
         state = np.multiply.outer(state, g_op if s == seed else coords[:, 0])

@@ -133,6 +133,20 @@ def test_exact_rtn_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert first == second
 
 
+def test_rmpu_exact_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A noisy staircase sweep with k = 3 and k = 4 rows (r = 1 and 4, so q
+    below and above 2k) writes the same CSV, byte for byte, with OpenBLAS at
+    1 and at 2 threads: the class solves and the class sweep make no BLAS
+    call large enough to be split between threads."""
+    for r in (1, 4):
+        cfg = {"circuit": {"geometry": "rmpu", "n_sites": 8, "r": r}, "engine": "rmpu_exact",
+               "sweep": {"gamma": [0.0, 0.024], "k": [3, 4], "n": [8, 32, 64]}}
+        (tmp_path / f"r{r}").mkdir()
+        first, second = _csv_at_blas_threads(tmp_path / f"r{r}", "rmpu-exact", cfg,
+                                             "moments_rmpu_exact.csv")
+        assert first == second and first.count(b"\n") == 13, r
+
+
 #: sha256 of the CSV that the smoke config of each simulator benchmark
 #: workload writes at master seed 101 with OpenBLAS at 1 thread
 PINNED_SMOKE_CSVS = {

@@ -91,8 +91,8 @@ RMPU_SIM = {
         # each engine's replica orders, checked before any engine starts
         ({**BASE, "sweep": {"t": [2], "k": [0, 2]}}, r"sweep.k \[0\]"),
         ({**BASE, "engine": "rtn", "sweep": {"t": [2], "k": [2, 3]}}, r"sweep.k \[3\]"),
-        ({**RMPU_SIM, "engine": "rmpu_exact", "sweep": {"n": [4], "k": [4]}},
-         r"sweep.k \[4\] outside \[1, 3\]"),
+        ({**RMPU_SIM, "engine": "rmpu_exact", "sweep": {"n": [4], "k": [5]}},
+         r"sweep.k \[5\] outside \[1, 4\]"),
         ({**RMPU_SIM, "engine": "rmpu_asymptotic", "sweep": {"n": [4], "k": [1, 2]}},
          r"sweep.k \[1\]"),
         # gamma = 0 is the one way to ask for a noiseless circuit

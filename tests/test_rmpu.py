@@ -19,13 +19,15 @@ from pauliscope.rmpu import (
 )
 from pauliscope.spectrum import haar_moment, moment_nu
 
-from conftest import decode_pauli, dense_staircase_moments, dense_transfer, pauli_matrix
-from pauliscope.weingarten import (
-    _tables,
-    gram_matrix,
-    noisy_weingarten,
-    pauli_sum_weights,
+from conftest import (
+    decode_pauli,
+    dense_gram,
+    dense_noisy_weingarten,
+    dense_staircase_moments,
+    dense_transfer,
+    pauli_matrix,
 )
+from pauliscope.weingarten import _tables, pauli_sum_weights
 
 
 def staircase(n_sites, r, gamma=0.0):
@@ -44,8 +46,8 @@ def test_lambda_matrix_values():
     assert np.allclose(lam2, lam1 * 2.0 ** (2 * tb.even.astype(int)) / 4.0)
     # T = Lam1 Wg~(d chi, gamma) Lam2 G(chi) and R = Lam1 Wg~ Lam2^(r+1) 1
     t, _, right = dense_transfer(2, 2, 0.1)
-    wg = noisy_weingarten(4, 8.0, 0.1)
-    assert np.allclose(t, np.diag(lam1) @ wg @ np.diag(lam2) @ gram_matrix(4, 4.0),
+    wg = dense_noisy_weingarten(4, 8.0, 0.1)
+    assert np.allclose(t, np.diag(lam1) @ wg @ np.diag(lam2) @ dense_gram(4, 4.0),
                        rtol=1e-12, atol=0)
     assert np.allclose(right, lam1 * (wg @ lam2**3), rtol=1e-12, atol=0)
 
@@ -61,6 +63,10 @@ def test_left_boundary_structure():
 def test_single_gate_equals_global_haar():
     val = rmpu_moment_exact([(staircase(2, 1), 2)])[0]
     assert abs(val - global_haar_moment(4.0, 2)) < 1e-12 * val
+    # k = 4 (S_8): one block on r+1 qubits, at q = 2^(r+1) below, at and above 2k
+    for r in (1, 2, 3):
+        val = rmpu_moment_exact([(staircase(r + 1, r), 4)])[0]
+        assert abs(val - global_haar_moment(2.0 ** (r + 1), 4)) < 1e-12 * val, r
 
 
 def test_transfer_diagonal_dominance():
@@ -238,7 +244,7 @@ def test_asymptotic_gap_halves_as_chi_doubles():
 
 def test_haar_floor():
     # noiseless exact moments approach (2k-1)!! from above as chi grows at fixed N
-    for k in (2, 3):
+    for k in (2, 3, 4):
         vals = [
             rmpu_moment_exact([(staircase(8, r), k)])[0] for r in (3, 5, 7)
         ]
@@ -250,9 +256,10 @@ def test_haar_floor():
 def test_staircase_hierarchy_steps_at_r_star(n_sites):
     # the paper's noiseless hierarchy: at gamma = 0, mu_k / mu_k(global Haar) - 1
     # drops below 1 at block width r* = N (1 - 1/k), later for larger k.  At N = 24 the
-    # excess reads 4.0 -> 0.25 at r = 11 -> 12 (k = 2) and 3.2 -> 0.05 at r = 15 -> 16
-    # (k = 3); only r* - 1 and r* are evaluated (about 1 s for both N)
-    for k in (2, 3):
+    # excess reads 4.0 -> 0.25 at r = 11 -> 12 (k = 2), 3.2 -> 0.05 at r = 15 -> 16
+    # (k = 3) and 3.05 -> 0.012 at r = 17 -> 18 (k = 4), and the same at N = 48;
+    # only r* - 1 and r* are evaluated (about 1 s for both N)
+    for k in (2, 3, 4):
         r_star = n_sites * (k - 1) // k
         before, at = rmpu_moment_exact([(staircase(n_sites, r), k)
                                         for r in (r_star - 1, r_star)])
@@ -278,11 +285,12 @@ def test_full_staircase_scan_matches_its_reference_and_the_dense_oracle(tmp_path
     """The benchmark's full rmpu_scan (r=4, N=8..64, six gammas, k=1..3) through
     ``run_ensemble``.  Every value is within 1e-12 relative of the dense
     (2k)! oracle, and of the reference where it has one: rows with rtol null
-    are the k=1, gamma>0 rows the reference file exempts.  The class sweep
-    moves values at rounding level against the dense one the references were
-    recorded with (at most 7.7e-13 relative), so no bit comparison holds.
-    At 2 OpenBLAS threads the dense Weingarten solve moves the k=3 last digits,
-    so the CLI runs in subprocesses at 1 thread, twice, to the same bytes."""
+    are the k=1, gamma>0 rows the reference file exempts.  The class solve
+    and sweep move values at rounding level against the dense ones the
+    references were recorded with (at most 9.95e-13 relative, where the
+    reference itself is 1.04e-12 off a 50-digit value), so no bit comparison
+    holds.  The CLI runs in subprocesses at 1 OpenBLAS thread, twice, to the
+    same bytes; ``test_cli`` compares 1 and 2 threads."""
     root = Path(__file__).resolve().parents[1]
     reference = json.loads((root / "perfbench/references/full/rmpu_scan.json").read_text())
     cfg = tmp_path / "rmpu_scan.json"

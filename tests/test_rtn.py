@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_gate_kernel, dense_rtn_series
+from conftest import dense_gate_kernel, dense_gram, dense_rtn_series
 
 from pauliscope import rtn
 from pauliscope.circuits import CircuitSpec
@@ -11,7 +11,6 @@ from pauliscope.rmpu import global_haar_moment, rmpu_moment_exact
 from pauliscope.rtn import BrickworkContraction, _wire_basis, contract_brickwork_series
 from pauliscope.weingarten import (
     _tables,
-    gram_matrix,
     noisy_weingarten,
     pauli_sum_weights,
     traceless_seed_weights,
@@ -30,8 +29,8 @@ def perm_index(image):
 
 def plaquette_j(k, gamma):
     """J[s, p, r] = sum_d Wg~_{r,d}(4, gamma) G_{d,s}(2) G_{d,p}(2)."""
-    w = noisy_weingarten(2 * k, 4.0, gamma)
-    g = gram_matrix(2 * k, 2.0)
+    w = noisy_weingarten(2 * k, 4.0, gamma, rows=slice(None))
+    g = dense_gram(2 * k, 2.0)
     return np.einsum("rd,ds,dp->spr", w, g, g)
 
 

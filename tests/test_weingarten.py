@@ -1,5 +1,7 @@
-import hashlib
 import itertools
+import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +10,20 @@ from hypothesis import strategies as st
 
 from pauliscope.circuits import sample_haar_unitary
 from pauliscope.weingarten import (
+    _GroupTables,
     _tables,
     gram_matrix,
     noisy_weingarten,
     weingarten_matrix,
 )
 
-from conftest import permutation_vectors
+from conftest import (
+    dense_gram,
+    dense_group,
+    dense_noisy_weingarten,
+    dense_weingarten,
+    permutation_vectors,
+)
 
 
 def index_of(image) -> int:
@@ -23,11 +32,11 @@ def index_of(image) -> int:
 
 def test_enumeration():
     assert _tables(2).images.tolist() == [[0, 1], [1, 0]]
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert _tables(n).images.tolist() == [list(p) for p in itertools.permutations(range(n))]
     tb = _tables(4)
     assert np.count_nonzero(tb.even & (tb.cycles == 2)) == 3  # the pairings
-    for n in (0, 7):
+    for n in (0, 9):
         with pytest.raises(ValueError):
             _tables(n)
 
@@ -38,9 +47,11 @@ def test_cycle_statistics():
     assert not _tables(3).even[swap12]
     tb = _tables(4)  # index 0 is the identity, with its 4 fixed points
     assert tb.cycles[0] == 4 and not tb.even[0]
-    assert divmod(int(tb.pair_code[0, 0]), 4 + 1) == (tb.type_of[0], 4)
+    assert tb.reps[0] == 0 and tb.type_of[0] == 0
+    assert (tb.rep_class[0, 0], tb.rep_fixed[0, 0]) == (0, 4)
     pairing = index_of((1, 0, 3, 2))
     assert tb.cycles[pairing] == 2 and tb.even[pairing]
+    assert [int(tb.sizes[c]) for c in range(5)] == [1, 6, 3, 8, 6]  # 1^4, 2 1^2, 2^2, 3 1, 4
 
 
 def brute_force_cycle_type(image) -> tuple[int, ...]:
@@ -65,99 +76,165 @@ def test_cycle_type_statistics_agree(image):
     assert tb.even[row] == all(c % 2 == 0 for c in cycle_type)
     assert tb.types[tb.type_of[row]] == cycle_type
     # e^-1 sigma = sigma, and e shares every fixed point of sigma
-    assert divmod(int(tb.pair_code[0, row]), len(image) + 1) == (tb.type_of[row], n_fixed)
+    assert (tb.rep_class[0, row], tb.rep_fixed[0, row]) == (tb.type_of[row], n_fixed)
 
 
 def test_permutation_compose_inverse():
-    # rel[a, b] indexes sigma_a^-1 sigma_b (sigma_b applied first)
-    images = [tuple(img) for img in _tables(3).images.tolist()]
+    # pairs(rows)[0][a, b] is the class of sigma_a^-1 sigma_b (sigma_b applied first)
+    tb = _tables(3)
+    images = [tuple(img) for img in tb.images.tolist()]
     index = {img: i for i, img in enumerate(images)}
-    rel = _tables(3).rel
+    cls, nf = tb.pairs(slice(None))
     for ia, pa in enumerate(images):
         inv = np.argsort(pa)
-        assert rel[ia, ia] == 0
+        assert cls[ia, ia] == 0
         for ib, pb in enumerate(images):
-            assert rel[ia, ib] == index[tuple(int(inv[j]) for j in pb)]
+            assert cls[ia, ib] == tb.type_of[index[tuple(int(inv[j]) for j in pb)]]
+            assert nf[ia, ib] == sum(pa[j] == j == pb[j] for j in range(3))
+    assert np.array_equal(tb.pairs(tb.reps)[0], tb.rep_class)
 
 
-@pytest.mark.parametrize("n, rel_sha, pair_code_sha", [
-    (4, "930e83ddc512940104e640daf46ae42247d3d25942e593a2c144478868fb3ba3",
-     "be5f665b02e7cade06b8ee56c5ecb64bc93bee594bbc4fdd63c94b8bf437d505"),
-    (6, "85889148c4b3c10838ce8fbe63b6706186ffc8b78a986dec4d1a227b799c2e66",
-     "645d543a32f3c5bdcdadbad6f5d45b981ee2924ea1ce317f32ded6de7e5ca76c"),
-])
-def test_pair_tables_are_pinned(n, rel_sha, pair_code_sha):
-    # the int32 bytes of the relative-index and pair-code tables, as built by a
-    # per-row sorted search over image codes before the code lookup replaced it
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_representative_pair_tables_match_brute_force(n):
+    """The representatives' class and shared-fixed-point tables against a
+    brute-force cycle type of sigma_C^-1 tau over ``itertools.permutations``."""
     tb = _tables(n)
-    assert tb.rel.dtype == tb.pair_code.dtype == np.int32
-    assert hashlib.sha256(tb.rel.tobytes()).hexdigest() == rel_sha
-    assert hashlib.sha256(tb.pair_code.tobytes()).hexdigest() == pair_code_sha
+    perms = list(itertools.permutations(range(n)))
+    for row, c in enumerate(tb.reps):
+        sigma = perms[c]
+        inv = [sigma.index(j) for j in range(n)]
+        assert tb.types[row] == brute_force_cycle_type(sigma)
+        for t, tau in enumerate(perms):
+            rel = tuple(inv[tau[j]] for j in range(n))
+            assert tb.types[tb.rep_class[row, t]] == brute_force_cycle_type(rel)
+            assert tb.rep_fixed[row, t] == sum(sigma[j] == j == tau[j] for j in range(n))
+
+
+def test_degree_8_tables_are_small_and_quick():
+    """Building S_8's tables (k = 4) takes seconds and tens of MB, and no array
+    they hold has more than p(n) n! entries: no n! x n! table grows back."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        tb = _GroupTables(8)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 3.0 and peak < 50e6, (elapsed, peak)
+    cap = len(tb.types) * math.factorial(8)
+    assert len(tb.types) == 22
+    for name, value in vars(tb).items():  # arrays, and the list of cycle types
+        assert (value.size if isinstance(value, np.ndarray) else len(value)) <= cap, name
 
 
 def test_gram_examples():
     assert np.array_equal(gram_matrix(2, 4), [[16, 4], [4, 16]])
     assert gram_matrix(1, 7)[0, 0] == 7
-    g = gram_matrix(4, 2)
-    assert np.array_equal(g, g.T)
+    # A[E, D] is the dense Gram row of s_E summed over class D, and |E| A[E, D]
+    # is symmetric
+    for n, q in ((4, 2), (5, 3), (6, 8)):
+        tb, group = _tables(n), dense_group(n)
+        a = gram_matrix(n, q)
+        dense_rows = dense_gram(n, q)[tb.reps]
+        assert np.array_equal(a, [[dense_rows[e, group.type_of == d].sum() for d in range(len(a))]
+                                  for e in range(len(a))])
+        assert np.array_equal(tb.sizes[:, None] * a, (tb.sizes[:, None] * a).T)
     with pytest.raises(ValueError):
         gram_matrix(2, 1)
 
 
 def test_weingarten_hand_values():
     w = weingarten_matrix(2, 4)
-    assert abs(w[0, 0] - 1 / 15) < 1e-14
-    assert abs(w[0, 1] + 1 / 60) < 1e-14
-    assert abs(weingarten_matrix(1, 5)[0, 0] - 0.2) < 1e-15
+    assert abs(w[0] - 1 / 15) < 1e-14
+    assert abs(w[1] + 1 / 60) < 1e-14
+    assert abs(weingarten_matrix(1, 5)[0] - 0.2) < 1e-15
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_gram_weingarten_consistency(n, q):
-    g = gram_matrix(n, q)
-    w = weingarten_matrix(n, q)
-    resid = np.max(np.abs(g @ w @ g - g)) / np.max(np.abs(g))
-    assert resid < 1e-10
+    """Wg by class against the dense oracle's pseudo-inverse, at its class
+    representatives' row; and G Wg G = G in class coordinates."""
+    a, w = gram_matrix(n, q), weingarten_matrix(n, q)
+    dense = dense_weingarten(n, q)[0, dense_group(n).reps]
+    assert np.max(np.abs(w - dense)) <= 1e-12 * np.max(np.abs(dense))
+    resid = np.max(np.abs(a @ (a @ w) - a[:, 0])) / np.max(a[:, 0])
+    assert resid < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_weingarten_sum_identities(n):
+    """sum_s Wg(s) = 1 / prod_{i<n} (q + i) for every q, and sum_s sgn(s) Wg(s)
+    = 1 / prod_{i<n} (q - i) for q >= n, 0 for q < n, at q on both sides of n.
+    Each sum is compared at the scale of its own terms, sum_s |Wg(s)| (measured
+    errors up to 7.7e-14 of it, the sign sum at n=8, q=7)."""
+    tb = _tables(n)
+    signs = np.array([(-1) ** (n - len(t)) for t in tb.types])
+    for q in sorted({2, 3, n - 1, n, n + 1, 2 * n, 64} - {1}):
+        w = weingarten_matrix(n, q)
+        magnitude = tb.sizes @ np.abs(w)
+        want = 1.0 / math.prod(q + i for i in range(n))
+        assert abs(tb.sizes @ w - want) <= 1e-12 * magnitude, q
+        want = 1.0 / math.prod(q - i for i in range(n)) if q >= n else 0.0
+        assert abs((tb.sizes * signs) @ w - want) <= 1e-12 * magnitude, q
 
 
 def test_weingarten_class_function():
-    w = weingarten_matrix(3, 5)
-    tb = _tables(3)
-    rel_types = tb.type_of[tb.rel]
+    # the full rows (the pair tables of every row) against the dense oracle
+    group = dense_group(3)
+    full = noisy_weingarten(3, 5, 0.0, rows=slice(None))
+    assert np.max(np.abs(full - dense_weingarten(3, 5))) < 1e-15
+    rel_types = group.type_of[group.rel]
     for t in np.unique(rel_types):
-        assert np.ptp(w[rel_types == t]) < 1e-15
+        assert np.ptp(full[rel_types == t]) == 0.0
 
 
 def test_weingarten_leading_order():
-    i_pairing = index_of((1, 0, 3, 2))
+    tb = _tables(4)
+    pairing_class = tb.type_of[index_of((1, 0, 3, 2))]
     for q in (8.0, 16.0, 32.0):
         w = weingarten_matrix(4, q)
         # M(e) = 1 at order q^(# - 2n) = q^-4; M(pairing) = (-1)^(n/2) = +1
-        assert abs(w[0, 0] - q**-4) < 30 * q**-6
-        assert abs(w[0, i_pairing] - q**-6) < 30 * q**-8
+        assert abs(w[0] - q**-4) < 30 * q**-6
+        assert abs(w[pairing_class] - q**-6) < 30 * q**-8
 
 
 def test_noisy_weingarten_reductions():
-    assert noisy_weingarten(2, 4, 0.0) is weingarten_matrix(2, 4)
+    # gamma = 0 reads the plain Weingarten function off the pair tables, bit for bit
+    tb = _tables(4)
+    assert np.array_equal(noisy_weingarten(4, 8, 0.0), weingarten_matrix(4, 8)[tb.rep_class])
+    assert noisy_weingarten(4, 8, 0.1).shape == (5, 24)
     # memoized: repeat calls, int or float q, return the identical object
     assert gram_matrix(4, 2) is gram_matrix(4, 2.0)
     assert weingarten_matrix(4, 8) is weingarten_matrix(4, 8.0)
-    # the noisy matrix is built per call, from the same numbers
+    # the noisy rows are built per call, from the same numbers
     assert np.array_equal(noisy_weingarten(4, 8, 0.1), noisy_weingarten(4, 8.0, 0.1))
     nw = noisy_weingarten(1, 6, 0.37)
     assert abs(nw[0, 0] - 1 / 6) < 1e-15
-    # the arrays are read-only: the cached ones are shared between callers
-    for shared in (gram_matrix(4, 2), weingarten_matrix(4, 3), nw):
+    # the cached arrays are read-only: they are shared between callers
+    for shared in (gram_matrix(4, 2), weingarten_matrix(4, 3)):
         with pytest.raises(ValueError, match="read-only"):
-            shared[0, 0] = 0.0
+            shared[0] = 0.0
     with pytest.raises(ValueError):
         noisy_weingarten(2, 4, 1.5)
+
+
+@pytest.mark.parametrize("n, q", [(2, 4), (3, 2), (4, 3), (4, 8), (5, 4), (6, 4), (6, 8)])
+def test_noisy_weingarten_matches_dense_oracle(n, q):
+    """The class expansion read off every row's pair tables against the dense
+    oracle's pair-code gather, at q on both sides of n."""
+    for gamma in (0.0, 0.1, 0.37, 1.0):
+        dense = dense_noisy_weingarten(n, q, gamma)
+        got = noisy_weingarten(n, q, gamma, rows=slice(None))
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), gamma
+        assert np.array_equal(noisy_weingarten(n, q, gamma), got[_tables(n).reps])
 
 
 def test_permutation_vector_overlaps():
     for n, q in ((2, 2), (2, 4), (4, 2)):
         v = permutation_vectors(n, q)
-        assert np.array_equal(v @ v.T, gram_matrix(n, q))
+        assert np.array_equal(v @ v.T, dense_gram(n, q))
 
 
 def depolarizing_superoperator(q: int, gamma: float) -> np.ndarray:
@@ -171,7 +248,7 @@ def test_noisy_weingarten_channel_monte_carlo():
     q, n, gamma = 4, 2, 0.1
     rng = np.random.default_rng(321)
     v = permutation_vectors(n, q)
-    nw = noisy_weingarten(n, q, gamma)
+    nw = noisy_weingarten(n, q, gamma, rows=slice(None))
     formula = np.einsum("ps,pi,sj->ij", nw, v, v)
     depol = depolarizing_superoperator(q, gamma)
     n_samples = 6000
@@ -208,8 +285,8 @@ def test_noisy_weingarten_exact_channel(n, q):
     """G Wg~ G = <<p| D^(x)n |s>> Wg G: the depolarized Haar twirl, seen from
     the permutation states, at every pair code, including q < n."""
     v = permutation_vectors(n, q)
-    g, wg = gram_matrix(n, q), weingarten_matrix(n, q)
+    g, wg = dense_gram(n, q), dense_weingarten(n, q)
     for gamma in (0.1, 0.37, 1.0):
-        lhs = g @ noisy_weingarten(n, q, gamma) @ g
+        lhs = g @ noisy_weingarten(n, q, gamma, rows=slice(None)) @ g
         rhs = (v @ depolarize_replicas(v, n, q, gamma).T) @ wg @ g
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs)), gamma
