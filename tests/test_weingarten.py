@@ -91,7 +91,6 @@ def test_permutation_compose_inverse():
         for ib, pb in enumerate(images):
             assert cls[ia, ib] == tb.type_of[index[tuple(int(inv[j]) for j in pb)]]
             assert nf[ia, ib] == sum(pa[j] == j == pb[j] for j in range(3))
-    assert np.array_equal(tb.pairs(tb.reps)[0], tb.rep_class)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
