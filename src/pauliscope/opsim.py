@@ -156,7 +156,12 @@ def apply_depolarizing(
         return coeffs
     n = coeffs.n_sites
     for s in sites:
-        coeffs.values.reshape(4 ** (n - 1 - s), 4, 4**s)[:, 1:, :] *= 1.0 - gamma
+        if s < 3:  # runs of 3 * 4^s are short: scale rows of 4^5 by one factor row
+            width = 4 ** min(n, 5)
+            row = np.where(np.arange(width) // 4**s % 4 == 0, 1.0, 1.0 - gamma)
+            coeffs.values.reshape(-1, width)[...] *= row
+        else:
+            coeffs.values.reshape(4 ** (n - 1 - s), 4, 4**s)[:, 1:, :] *= 1.0 - gamma
     return coeffs
 
 

@@ -28,10 +28,12 @@ influence any contraction.
 
 The boundary MPS splits a two-site tensor by a seeded randomized range
 finder (Halko, Martinsson & Tropp, arXiv:0909.4061), at a cost set by chi,
-not by the tensor.  Singular values below about 1e-8 s_0 are dropped; the
-weight dropped, by that floor, the bond cap or the range finder's miss, is
-measured as the residual of the split, and the accumulated truncation
-error stays an honest estimate of the error of the reported value.
+not by the tensor: each product with theta = A X runs through C and the
+gate's leg tensor X = Wg~ A^T theta_in, (2k)! legs wide.  Singular values
+below about 1e-8 s_0 are dropped; the weight dropped, by that floor, the
+bond cap or the range finder's miss, is measured as the residual of the
+split, and the accumulated truncation error stays an honest estimate of the
+error of the reported value.
 
 Only the unnormalized average is polynomial in the gates, so with noise
 the contraction returns the nu_k average (equal to mu_k at gamma = 0
@@ -91,26 +93,47 @@ class RtnResult:
     max_bond: int
 
 
-def _split(mat: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(left, right, s_0, discarded): ``mat`` ~ left @ right with ``left`` an
-    isometry of at most ``chi_max`` columns, the largest singular value s_0,
-    and the discarded weight |mat - left @ right|_F^2 / |mat|_F^2.
+def _leg_product(c: np.ndarray, x: np.ndarray, y: np.ndarray, transpose: bool = False):
+    """theta @ y, or theta^T @ y, as three thin products through C and X,
+    where theta[(l, s), (p, m)] = sum_b C[s, b] C[p, b] X[b, l, m]."""
+    nf, dl, dr = x.shape
+    r, cols = c.shape[0], y.shape[1]
+    if transpose:  # y rows (l, s)
+        w = np.tensordot(c, y.reshape(dl, r, cols), axes=(0, 1))
+        return (c @ (x.transpose(0, 2, 1) @ w).reshape(nf, -1)).reshape(r * dr, cols)
+    w = (c.T @ y.reshape(r, dr * cols)).reshape(nf, dr, cols)  # y rows (p, m)
+    out = (c @ (x @ w).reshape(nf, -1)).reshape(r, dl, cols)
+    return out.transpose(1, 0, 2).reshape(dl * r, cols)
 
-    Q spans ``mat`` @ Omega after two power iterations, for a Gaussian Omega
+
+def _split(c: np.ndarray, x: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(left, right, s_0, discarded): theta (``_leg_product``) ~ left @ right
+    with ``left`` an isometry of at most ``chi_max`` columns, the largest
+    singular value s_0, and the discarded weight |theta - left @ right|_F^2 /
+    |theta|_F^2; X holds one (dl, dr) matrix per leg.
+
+    Q spans theta @ Omega after two power iterations, for a Gaussian Omega
     of chi_max + 24 columns from a fixed local seed (never the global random
-    state), and left = Q v for the top eigenvectors v of B B^T, B = Q^T mat.
-    Eigenvalues resolve only to about eps * w_0, so a direction is kept if
-    its weight, measured on B, exceeds that floor: a roundoff eigenvalue
-    just above it has a measured weight near eps^2 * w_0.
+    state), and left = Q v for the top eigenvectors v of B B^T, B = Q^T theta.
+    The iterations are skipped when Omega has as many columns as theta's
+    smaller side: Q then spans its range.  Eigenvalues resolve only to about
+    eps * w_0, so a direction is kept if its weight, measured on B, exceeds
+    that floor: a roundoff eigenvalue just above it has a measured weight
+    near eps^2 * w_0.
     """
-    total = float(np.vdot(mat, mat))
+    (nf, dl, dr), r = x.shape, c.shape[0]
+    a = np.einsum("sb,pb->spb", c, c).reshape(r * r, nf)
+    theta = (a @ x.transpose(1, 0, 2)).reshape(dl * r, r * dr)  # for |theta| and the residual
+    total = float(np.vdot(theta, theta))
     if not 0.0 < total < math.inf:
         raise FloatingPointError(f"the contraction is not finite or vanished (|theta|^2 {total})")
-    omega = np.random.default_rng(0).standard_normal((mat.shape[1], min(chi_max + 24, *mat.shape)))
-    q = np.linalg.qr(mat @ omega)[0]
-    for _ in range(2):
-        q = np.linalg.qr(mat @ np.linalg.qr(mat.T @ q)[0])[0]
-    b = q.T @ mat
+    width = min(chi_max + 24, *theta.shape)
+    omega = np.random.default_rng(0).standard_normal((theta.shape[1], width))
+    q = np.linalg.qr(_leg_product(c, x, omega))[0]
+    if width < min(theta.shape):
+        for _ in range(2):
+            q = np.linalg.qr(_leg_product(c, x, np.linalg.qr(_leg_product(c, x, q, True))[0]))[0]
+    b = _leg_product(c, x, q, True).T
     w, v = np.linalg.eigh(b @ b.T)
     floor = np.finfo(float).eps * w[-1]
     m = max(1, min(chi_max, int(np.count_nonzero(w > floor))))
@@ -118,7 +141,7 @@ def _split(mat: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.ndarray, float
     right = v.T @ b
     keep = np.einsum("ij,ij->i", right, right) > floor
     left, right = q @ v[:, keep], right[keep]
-    resid = mat - left @ right
+    resid = theta - left @ right
     return left, right, math.sqrt(w[-1]), float(np.vdot(resid, resid)) / total
 
 
@@ -157,16 +180,17 @@ class _BoundaryMps:
             self._shift_left(self.center)
             self.center -= 1
 
-    def apply_two_site(self, i: int, kernel: tuple[np.ndarray, np.ndarray], chi_max: int):
-        """Apply the gate kernel at wires (i, i+1) and split the result by
+    def apply_two_site(self, i: int, gate: tuple[np.ndarray, np.ndarray], chi_max: int):
+        """Apply the gate (C, Wg~) at wires (i, i+1) and split the result by
         ``_split`` into at most ``chi_max`` bonds; singular values below about
         1e-8 s_0 are dropped too, and all dropped weight is counted."""
         self.move_center(i)
-        theta = np.tensordot(self.tensors[i], self.tensors[i + 1], axes=(2, 0))
-        dl, p, _, dr = theta.shape
-        theta = kernel[0] @ (kernel[1] @ theta.reshape(dl, p * p, dr))
-        left, right, s0, discarded = _split(theta.reshape(dl * p, p * dr), chi_max)
-        m = left.shape[1]
+        c, w_noisy = gate
+        # the leg tensor X[b] = sum_a Wg~[b, a] (C^T T_i)[a] (C^T T_i+1)[a]
+        y = np.tensordot(c, self.tensors[i], (0, 1)) @ np.tensordot(c, self.tensors[i + 1], (0, 1))
+        x = np.tensordot(w_noisy, y, (1, 0))
+        left, right, s0, discarded = _split(c, x, chi_max)
+        (_, dl, dr), p, m = x.shape, c.shape[0], left.shape[1]
         self.trunc_error += math.sqrt(discarded)
         self.log_scale += rescale_pow2(right, s0)
         self.tensors[i] = left.reshape(dl, p, m)
@@ -270,6 +294,7 @@ class BrickworkContraction:
         # the factors (A, Wg~ A^T) of one gate's kernel in wire coordinates
         a = np.einsum("sa,pa->spa", coords, coords).reshape(rank * rank, -1)
         self._kernel = (a, w_noisy @ a.T)
+        self._gate = (coords, w_noisy)  # the boundary MPS applies it on its leg
         self.cone = {spec.initial_site}
         self.op_touched = False
         self.depth_done = 0
@@ -285,7 +310,7 @@ class BrickworkContraction:
                 if self.engine == "exact":
                     self.mps.apply_kernel(i, self._kernel)
                 else:
-                    self.mps.apply_two_site(i, self._kernel, self.chi_mps)
+                    self.mps.apply_two_site(i, self._gate, self.chi_mps)
             self.depth_done += 1
 
     def value(self) -> float:

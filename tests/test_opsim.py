@@ -244,6 +244,18 @@ def test_depolarizing_contracts_norm(rng):
     assert moment_nu(ident, [1])[0] == 1.0
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+def test_depolarizing_matches_strided_slices_bit_for_bit(n, gamma):
+    values = np.random.default_rng(n).standard_normal(4**n)
+    for s in range(n):
+        coeffs = PauliCoefficients(n, values.copy())
+        apply_depolarizing(coeffs, gamma, [s])
+        want = values.copy()
+        want.reshape(4 ** (n - 1 - s), 4, 4**s)[:, 1:, :] *= 1.0 - gamma
+        assert np.array_equal(coeffs.values, want), s
+
+
 SMALL_CIRCUITS = {
     "chain": st.fixed_dictionaries(
         {"geometry": st.just("chain"), "n_sites": st.integers(2, 5),

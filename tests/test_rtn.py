@@ -193,19 +193,28 @@ def test_untruncated_mps_is_not_flagged(n_sites, depth, k, monkeypatch):
     assert res.max_bond <= SVD_SPLIT_BONDS[n_sites, depth, k]
 
 
+def dense_theta(c, x):
+    """theta[(l, s), (p, m)] = sum_b C[s, b] C[p, b] X[b, l, m], formed densely."""
+    nf, dl, dr = x.shape
+    r = c.shape[0]
+    return np.einsum("sb,pb,blm->lspm", c, c, x).reshape(dl * r, r * dr)
+
+
 def _split_inputs(monkeypatch):
-    """The matrices an N=8, chi=64 boundary-MPS sweep splits, wide and tall."""
-    mats = []
+    """The (C, X) an N=8, chi=64 boundary-MPS sweep splits, with their two-site
+    tensors theta, wide and tall."""
+    inputs = []
     split = rtn._split
 
-    def spy(mat, chi_max):
-        mats.append(mat.copy())
-        return split(mat, chi_max)
+    def spy(c, x, chi_max):
+        inputs.append((c, x.copy()))
+        return split(c, x, chi_max)
 
     monkeypatch.setattr(rtn, "_split", spy)
     BrickworkContraction(chain(8, 6, 0.01), 2, chi_mps=64).advance(6)  # 14^8 > the cap
-    big = [m for m in mats if min(m.shape) >= 196]
-    assert {m.shape[0] > m.shape[1] for m in big} == {False, True}  # wide/square and tall
+    big = [(c, x, dense_theta(c, x)) for c, x in inputs]
+    big = [item for item in big if min(item[2].shape) >= 196]
+    assert {m.shape[0] > m.shape[1] for _, _, m in big} == {False, True}  # wide/square and tall
     return split, big
 
 
@@ -213,8 +222,8 @@ def test_split_is_near_optimal(monkeypatch):
     # the range finder keeps nearly, not exactly, the top singular directions;
     # its miss is measured in ``discarded``, which must stay honest
     split, big = _split_inputs(monkeypatch)
-    for mat in big:
-        left, right, s0, discarded = split(mat, 64)
+    for c, x, mat in big:
+        left, right, s0, discarded = split(c, x, 64)
         m = left.shape[1]
         s = np.linalg.svd(mat, compute_uv=False)
         assert abs(s0 - s[0]) < 1e-12 * s[0]
@@ -229,16 +238,56 @@ def test_split_is_near_optimal(monkeypatch):
 
 
 def test_split_is_deterministic():
-    mat = np.random.default_rng(5).standard_normal((300, 200))
+    c = _wire_basis(4)[0]
+    x = np.random.default_rng(5).standard_normal((24, 20, 15))  # theta is 280 x 210
     np.random.seed(1)
-    first = rtn._split(mat, 64)
+    first = rtn._split(c, x, 64)
     np.random.seed(2)
     before = np.random.get_state()
-    second = rtn._split(mat, 64)
+    second = rtn._split(c, x, 64)
     after = np.random.get_state()  # the global state did not advance
     assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dl, dr", [(3, 5), (6, 2), (1, 4), (5, 1), (1, 1)])
+def test_leg_products_match_dense_theta(k, dl, dr):
+    c = _wire_basis(2 * k)[0]
+    rng = np.random.default_rng(10 * dl + dr)
+    x = rng.standard_normal((c.shape[1], dl, dr))
+    theta = dense_theta(c, x)
+    omega = rng.standard_normal((theta.shape[1], 7))
+    q = rng.standard_normal((theta.shape[0], 7))
+    for got, want in [(rtn._leg_product(c, x, omega), theta @ omega),
+                      (rtn._leg_product(c, x, q, True), theta.T @ q),
+                      (rtn._leg_product(c, x, q, True).T, q.T @ theta)]:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_split_spanning_every_column_makes_one_qr(monkeypatch):
+    # theta is 28 x 42 and Omega has min(8 + 24, 28, 42) = 28 columns: the
+    # first QR spans theta's range, and the split is a dense SVD truncation
+    c = _wire_basis(4)[0]
+    x = np.random.default_rng(7).standard_normal((24, 2, 3))
+    qr, calls = np.linalg.qr, []
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    left, right, s0, discarded = rtn._split(c, x, 8)
+    assert len(calls) == 1
+    theta = dense_theta(c, x)
+    u, s, vt = np.linalg.svd(theta)
+    best = (u[:, :8] * s[:8]) @ vt[:8]
+    assert left.shape[1] == 8
+    assert np.max(np.abs(left @ right - best)) <= 1e-12 * s[0]
+    assert abs(s0 - s[0]) <= 1e-12 * s[0]
+    assert abs(discarded - np.sum(s[8:] ** 2) / np.sum(s**2)) <= 1e-12
 
 
 def test_mps_value_moves_less_than_its_chi_gap():
