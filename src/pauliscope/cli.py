@@ -288,7 +288,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
     except (ValueError, OSError) as exc:  # bad or unreadable input is a usage error
         ap.exit(2, f"{ap.prog} {args.command}: error: {exc}\n")
-    return args.fn(cfg, args.command)
+    try:
+        return args.fn(cfg, args.command)
+    except FloatingPointError as exc:  # a non-physical value: cmd_run writes nothing
+        ap.exit(1, f"{ap.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -26,14 +26,13 @@ of the single-site permutation states (rank 14 for 2k = 4, well below
 would otherwise waste bond dimension on null directions that cannot
 influence any contraction.
 
-The boundary MPS splits a two-site tensor by a seeded randomized range
-finder (Halko, Martinsson & Tropp, arXiv:0909.4061), at a cost set by chi,
-not by the tensor: each product with theta = A X runs through C and the
-gate's leg tensor X = Wg~ A^T theta_in, (2k)! legs wide.  Singular values
-below about 1e-8 s_0 are dropped; the weight dropped, by that floor, the
-bond cap or the range finder's miss, is measured as the residual of the
-split, and the accumulated truncation error stays an honest estimate of the
-error of the reported value.
+The boundary MPS splits a two-site tensor theta = A X by a seeded randomized
+range finder (Halko, Martinsson & Tropp, arXiv:0909.4061) without forming it:
+each product runs through C and the gate's leg tensor X = Wg~ A^T theta_in,
+(2k)! legs wide, and |theta|^2 comes from C^T C and X.  Singular values below
+about 1e-8 s_0 are dropped; the weight dropped, by that floor, the bond cap or
+the range finder's miss, is read off the split's own rows, so the accumulated
+truncation error stays an honest estimate of the error of the reported value.
 
 Only the unnormalized average is polynomial in the gates, so with noise
 the contraction returns the nu_k average (equal to mu_k at gamma = 0
@@ -110,39 +109,39 @@ def _split(c: np.ndarray, x: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.n
     """(left, right, s_0, discarded): theta (``_leg_product``) ~ left @ right
     with ``left`` an isometry of at most ``chi_max`` columns, the largest
     singular value s_0, and the discarded weight |theta - left @ right|_F^2 /
-    |theta|_F^2; X holds one (dl, dr) matrix per leg.
+    |theta|_F^2; X holds one (dl, dr) matrix per leg, and theta is never formed.
 
-    Q spans theta @ Omega after two power iterations, for a Gaussian Omega
-    of chi_max + 24 columns from a fixed local seed (never the global random
-    state), and left = Q v for the top eigenvectors v of B B^T, B = Q^T theta.
-    The iterations are skipped when Omega has as many columns as theta's
-    smaller side: Q then spans its range.  Eigenvalues resolve only to about
-    eps * w_0, so a direction is kept if its weight, measured on B, exceeds
-    that floor: a roundoff eigenvalue just above it has a measured weight
-    near eps^2 * w_0.
+    Q spans theta @ Omega, for a Gaussian Omega of chi_max + 24 columns from a
+    fixed local seed (never the global random state), after two power
+    iterations, or none when Omega has as many columns as theta's smaller side
+    and Q spans theta's range.  Of the rows v^T B of B = Q^T theta, one per
+    eigenvector v of B B^T, the top chi_max whose measured weight exceeds
+    eps * w_0 are kept: eigenvalues resolve only to that floor.  The discarded
+    weight is the dropped rows' weight plus the range finder's miss
+    |theta|^2 - |B|^2 (0 when Q spans), where |theta|^2 = sum((C^T C)^2 *
+    X X^T) entrywise.
     """
     (nf, dl, dr), r = x.shape, c.shape[0]
-    a = np.einsum("sb,pb->spb", c, c).reshape(r * r, nf)
-    theta = (a @ x.transpose(1, 0, 2)).reshape(dl * r, r * dr)  # for |theta| and the residual
-    total = float(np.vdot(theta, theta))
+    gram, legs, shape = c.T @ c, x.reshape(nf, -1), (dl * r, r * dr)
+    total = float(np.vdot(gram * gram, legs @ legs.T))
     if not 0.0 < total < math.inf:
         raise FloatingPointError(f"the contraction is not finite or vanished (|theta|^2 {total})")
-    width = min(chi_max + 24, *theta.shape)
-    omega = np.random.default_rng(0).standard_normal((theta.shape[1], width))
+    width = min(chi_max + 24, *shape)
+    omega = np.random.default_rng(0).standard_normal((shape[1], width))
     q = np.linalg.qr(_leg_product(c, x, omega))[0]
-    if width < min(theta.shape):
+    if width < min(shape):
         for _ in range(2):
             q = np.linalg.qr(_leg_product(c, x, np.linalg.qr(_leg_product(c, x, q, True))[0]))[0]
     b = _leg_product(c, x, q, True).T
     w, v = np.linalg.eigh(b @ b.T)
-    floor = np.finfo(float).eps * w[-1]
-    m = max(1, min(chi_max, int(np.count_nonzero(w > floor))))
-    v = v[:, ::-1][:, :m]  # the top m eigenvectors, largest first
-    right = v.T @ b
-    keep = np.einsum("ij,ij->i", right, right) > floor
-    left, right = q @ v[:, keep], right[keep]
-    resid = theta - left @ right
-    return left, right, math.sqrt(w[-1]), float(np.vdot(resid, resid)) / total
+    v = v[:, ::-1]  # largest first
+    rows = v.T @ b
+    weight = np.einsum("ij,ij->i", rows, rows)
+    keep = weight > np.finfo(float).eps * w[-1]
+    keep &= np.cumsum(keep) <= chi_max
+    miss = 0.0 if width == min(shape) else max(0.0, total - float(weight.sum()))
+    discarded = (miss + float(weight[~keep].sum())) / total
+    return q @ v[:, keep], rows[keep], math.sqrt(w[-1]), discarded
 
 
 class _BoundaryMps:
@@ -182,8 +181,7 @@ class _BoundaryMps:
 
     def apply_two_site(self, i: int, gate: tuple[np.ndarray, np.ndarray], chi_max: int):
         """Apply the gate (C, Wg~) at wires (i, i+1) and split the result by
-        ``_split`` into at most ``chi_max`` bonds; singular values below about
-        1e-8 s_0 are dropped too, and all dropped weight is counted."""
+        ``_split`` into at most ``chi_max`` bonds, counting all dropped weight."""
         self.move_center(i)
         c, w_noisy = gate
         # the leg tensor X[b] = sum_a Wg~[b, a] (C^T T_i)[a] (C^T T_i+1)[a]
@@ -278,7 +276,9 @@ class BrickworkContraction:
     """
 
     def __init__(self, spec: CircuitSpec, k: int = 2, chi_mps: int = 256):
-        if k not in (1, 2):  # at k = 3 a chi = 256 two-site tensor takes 9 GB
+        # k = 3 fits (a chi = 64 split takes about 90 MB) but is unchecked, and
+        # truncation already breaks what the noiseless circuit conserves at k = 2
+        if k not in (1, 2):
             raise ValueError(f"the replica contraction evaluates k in {{1, 2}}, not {k}")
         self.spec = spec
         self.k = k
@@ -296,7 +296,6 @@ class BrickworkContraction:
         self._kernel = (a, w_noisy @ a.T)
         self._gate = (coords, w_noisy)  # the boundary MPS applies it on its leg
         self.cone = {spec.initial_site}
-        self.op_touched = False
         self.depth_done = 0
 
     def advance(self, n_layers: int = 1):
@@ -305,8 +304,6 @@ class BrickworkContraction:
                 if self.cone.isdisjoint((i, j)):
                     continue
                 self.cone.update((i, j))
-                if self.spec.initial_site in (i, j):
-                    self.op_touched = True
                 if self.engine == "exact":
                     self.mps.apply_kernel(i, self._kernel)
                 else:
@@ -315,9 +312,9 @@ class BrickworkContraction:
 
     def value(self) -> float:
         vectors = [self.f_top] * self.spec.n_sites
-        if not self.op_touched:
-            # the raw seed is outside the permutation-state span; its direct
-            # top contraction is q^(2k-2) = 4^(k-1) exactly, not f.g_op
+        if len(self.cone) == 1:
+            # no gate has met the raw seed, which is outside the permutation-state
+            # span; its direct top contraction is q^(2k-2) = 4^(k-1), not f.g_op
             target = 4.0 ** (self.k - 1)
             vectors[self.spec.initial_site] = self.g_op * (target / float(self.g_op @ self.g_op))
         return self.mps.contract_with(vectors)

@@ -17,7 +17,7 @@ from pauliscope.cli import COMMANDS, main
 from pauliscope.csvio import MOMENTS_HEADER, read_csv_rows
 from pauliscope.driver import ExperimentConfig, run_ensemble, simulate_moments
 from pauliscope.rmpu import rmpu_moment_exact
-from pauliscope.rtn import contract_brickwork_series
+from pauliscope.rtn import RtnResult, contract_brickwork_series
 
 CFG = {
     "circuit": {
@@ -404,6 +404,26 @@ def test_rtn_command(tmp_path):
     assert sidecar["noise_placement"] == "per_gate_support"
 
 
+def test_non_physical_value_is_a_one_line_run_error(tmp_path, capsys, monkeypatch):
+    # a contraction that comes out negative stops the run before anything is
+    # written: one error line and exit status 1 (2 is for usage errors)
+    def negative(spec, depths, k, chi_mps):
+        return {t: RtnResult(-2.088e-11, 1e-6, False, 16) for t in depths}
+
+    monkeypatch.setattr(driver, "contract_brickwork_series", negative)
+    p = tmp_path / "rtn.json"
+    p.write_text(json.dumps({"circuit": {"n_sites": 4, "depth": 4, "gamma": 0.01},
+                             "sweep": {"t": [2, 4], "k": [1]}, "engine": "rtn"}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["rtn", "--config", str(p), "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("pauliscope rtn: error: rtn nu at N=4, t=2, k=1 gave the non-physical")
+    assert not out.exists()
+
+
 def test_every_engine_has_a_subcommand():
     assert set(driver.ENGINES) == {engine for engine, _, _ in COMMANDS.values()}
 
@@ -439,7 +459,7 @@ def test_configured_initial_site_reaches_the_rows(tmp_path, command, engine):
     assert values == expected == [r["value"] for r in rows]
 
 
-def test_rtn_command_rejects_non_physical_values(tmp_path):
+def test_rtn_command_rejects_non_physical_values(tmp_path, capsys):
     # chi_mps = 8 truncates so hard that the contraction at t = 6 goes negative; the
     # value itself is not pinned, as the cut falls inside a degenerate multiplet
     cfg = {
@@ -452,8 +472,10 @@ def test_rtn_command_rejects_non_physical_values(tmp_path):
     p = tmp_path / "rtn.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    with pytest.raises(FloatingPointError, match=r"N=7, t=6, k=2 .* non-physical value -\d"):
+    with pytest.raises(SystemExit) as exc:
         main(["rtn", "--config", str(p), "--out", str(out)])
+    assert exc.value.code == 1
+    assert re.search(r"N=7, t=6, k=2 .* non-physical value -\d", capsys.readouterr().err)
     assert not out.exists()
 
 

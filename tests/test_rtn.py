@@ -230,7 +230,9 @@ def test_split_is_near_optimal(monkeypatch):
         assert np.max(np.abs(left.T @ left - np.eye(m))) < 1e-12
         resid = mat - left @ right
         measured = float(np.vdot(resid, resid) / np.vdot(mat, mat))
-        assert abs(discarded - measured) <= 1e-12 * measured
+        # read off the split, discarded carries an absolute error of a few eps
+        # where the range finder misses: |theta|^2 - |B|^2 cancels there
+        assert abs(discarded - measured) <= 1e-12 * measured + 32 * np.finfo(float).eps
         kept = np.linalg.svd(right, compute_uv=False)
         assert np.max(np.abs(kept - s[:m])) < 1e-3 * s[0]
         optimal = float(np.sum(s[m:] ** 2) / np.sum(s**2))
@@ -265,6 +267,54 @@ def test_leg_products_match_dense_theta(k, dl, dr):
                       (rtn._leg_product(c, x, q, True).T, q.T @ theta)]:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k, dl, dr", [(1, 3, 5), (1, 1, 1), (2, 6, 2), (2, 1, 4),
+                                       (2, 5, 1), (2, 7, 7), (3, 2, 3), (3, 1, 2)])
+def test_split_takes_theta_norm_from_its_legs(k, dl, dr, monkeypatch):
+    # |theta|^2 = sum((C^T C)^2 * X X^T): the split's one vdot, never on theta
+    c = _wire_basis(2 * k)[0]
+    x = np.random.default_rng(dl + 10 * dr + 100 * k).standard_normal((c.shape[1], dl, dr))
+    theta = dense_theta(c, x)
+    want = float(np.vdot(theta, theta))
+    vdot, seen = np.vdot, []
+
+    def spy(a, b):
+        assert a.shape == b.shape == (c.shape[1],) * 2
+        seen.append(float(vdot(a, b)))
+        return seen[-1]
+
+    monkeypatch.setattr(np, "vdot", spy)
+    rtn._split(c, x, 4)
+    assert len(seen) == 1 and abs(seen[0] - want) <= 1e-13 * want
+
+
+def test_split_dropping_nothing_reports_exactly_zero():
+    # theta is 28 x 42 of rank 28 and Omega spans every column: nothing is missed
+    # and no direction falls below the floor, so no roundoff residual is reported
+    c = _wire_basis(4)[0]
+    x = np.random.default_rng(7).standard_normal((24, 2, 3))
+    left, right, s0, discarded = rtn._split(c, x, 64)
+    assert left.shape[1] == 28
+    assert discarded == 0.0
+    theta = dense_theta(c, x)
+    assert np.linalg.norm(left @ right - theta) <= 1e-13 * np.linalg.norm(theta)
+
+
+def test_k3_split_stays_within_its_memory_bound():
+    # chi=64 at k=3: theta would be (64 * 132)^2 entries (571 MB); the split on
+    # the gate's leg, X of 720 * 64 * 64 entries, peaks near 93 MB
+    c = _wire_basis(6)[0]
+    x = np.random.default_rng(3).standard_normal((c.shape[1], 64, 64))
+    tracemalloc.start()
+    try:
+        left, right, s0, discarded = rtn._split(c, x, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert left.shape == (64 * 132, 64) and right.shape == (64, 132 * 64)
+    assert 0.0 < discarded < 1.0
+    assert peak <= 128e6
 
 
 def test_split_spanning_every_column_makes_one_qr(monkeypatch):
