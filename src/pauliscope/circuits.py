@@ -81,6 +81,9 @@ class CircuitSpec:
         if self.geometry == "grid":
             if not (self.lx and self.ly):
                 raise ValueError("grid geometry needs lx and ly")
+            if self.n_sites not in (0, self.lx * self.ly):
+                raise ValueError(f"a {self.lx}x{self.ly} grid has {self.lx * self.ly} sites, "
+                                 f"not n_sites={self.n_sites}; leave n_sites out")
             self.n_sites = self.lx * self.ly
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
@@ -102,6 +105,8 @@ class CircuitSpec:
             self.initial_site = self._default_initial_site()
         if not 0 <= self.initial_site < self.n_sites:
             raise ValueError(f"initial_site {self.initial_site} out of range")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed={self.master_seed} must be >= 0")
 
     def _default_initial_site(self) -> int:
         if self.geometry == "grid":

@@ -13,26 +13,30 @@ causal cone), the wire holding the initial Pauli contributes q^#(s) 1_E(s)
 at its first gate, and every wire ends on the Pauli-sum weight
 q^(#(s) + 2*1_E(s) - 2).
 
-The 2D network is contracted bottom to top, either exactly or as a
-boundary MPS; both apply a gate as the same (rank^2, rank^2) kernel
-K = A (Wg~ A^T), A[(s, p), a] = C[s, a] C[p, a], kept as its two factors:
-K has rank at most (2k)!, so two thin products cost a quarter of one dense
-one.  The exact state keeps each gate's output on its (2k)!-dimensional
-leg, with A applied only when a later gate needs those wires, and each
-untouched site as its vector, so at N = 6 its largest tensor has r^4 (2k)!
-entries instead of r^N.  Wire states are kept in an orthonormal basis of the span
-of the single-site permutation states (rank 14 for 2k = 4, well below
-(2k)!): the Gram matrix G(q) is rank deficient there, and label-basis bonds
-would otherwise waste bond dimension on null directions that cannot
-influence any contraction.
+The 2D network is contracted bottom to top by one of two wire states, each
+handed the gate (C, Wg~) and building only what it applies.  Wire states are
+kept in an orthonormal basis of the span of the single-site permutation
+states (rank 14 for 2k = 4, well below (2k)!): the Gram matrix G(q) is rank
+deficient there, and label-basis bonds would otherwise waste bond dimension
+on null directions that cannot influence any contraction.
 
-The boundary MPS splits a two-site tensor theta = A X by a seeded randomized
-range finder (Halko, Martinsson & Tropp, arXiv:0909.4061) without forming it:
-each product runs through C and the gate's leg tensor X = Wg~ A^T theta_in,
-(2k)! legs wide, and |theta|^2 comes from C^T C and X.  Singular values below
-about 1e-8 s_0 are dropped; the weight dropped, by that floor, the bond cap or
-the range finder's miss, is read off the split's own rows, so the accumulated
-truncation error stays an honest estimate of the error of the reported value.
+The exact state, used while the full r^N state has at most 9e6 entries
+(N <= 6 at k = 2, N <= 23 at k = 1), holds the gate's (rank^2, rank^2)
+kernel K = A (Wg~ A^T), A[(s, p), a] = C[s, a] C[p, a], as its two factors:
+K has rank at most (2k)!, so two thin products cost a quarter of one dense
+one.  It keeps each gate's output on its (2k)!-dimensional leg, with A
+applied only when a later gate needs those wires, and each untouched site as
+its vector, so at N = 6 its largest tensor has r^4 (2k)! entries, not r^N.
+
+The boundary MPS holds (C, Wg~) and never forms A: it builds the gate's leg
+tensor X = Wg~ A^T theta_in, (2k)! legs wide, from its two site tensors, and
+splits the two-site tensor theta = A X by a seeded randomized range finder
+(Halko, Martinsson & Tropp, arXiv:0909.4061) without forming theta: each
+product runs through C and X, and |theta|^2 comes from C^T C and X.
+Singular values below about 1e-8 s_0 are dropped; the weight dropped, by
+that floor, the bond cap or the range finder's miss, is read off the split's
+own rows, so the accumulated truncation error stays an honest estimate of
+the error of the reported value.
 
 Only the unnormalized average is polynomial in the gates, so with noise
 the contraction returns the nu_k average (equal to mu_k at gamma = 0
@@ -145,9 +149,13 @@ def _split(c: np.ndarray, x: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.n
 
 
 class _BoundaryMps:
-    """Wire-coordinate boundary MPS with a tracked orthogonality center."""
+    """Wire-coordinate boundary MPS with a tracked orthogonality center; each
+    gate (C, Wg~) is applied on its leg and split to at most ``chi_max`` bonds."""
 
-    def __init__(self, site_vectors: list[np.ndarray]):
+    def __init__(self, site_vectors: list[np.ndarray], gate: tuple[np.ndarray, np.ndarray],
+                 chi_max: int):
+        self.gate = gate
+        self.chi_max = chi_max
         self.tensors = [v.reshape(1, -1, 1) for v in site_vectors]
         self.center: Optional[int] = None
         self.log_scale = 0.0
@@ -179,15 +187,15 @@ class _BoundaryMps:
             self._shift_left(self.center)
             self.center -= 1
 
-    def apply_two_site(self, i: int, gate: tuple[np.ndarray, np.ndarray], chi_max: int):
+    def apply_two_site(self, i: int):
         """Apply the gate (C, Wg~) at wires (i, i+1) and split the result by
         ``_split`` into at most ``chi_max`` bonds, counting all dropped weight."""
         self.move_center(i)
-        c, w_noisy = gate
+        c, w_noisy = self.gate
         # the leg tensor X[b] = sum_a Wg~[b, a] (C^T T_i)[a] (C^T T_i+1)[a]
         y = np.tensordot(c, self.tensors[i], (0, 1)) @ np.tensordot(c, self.tensors[i + 1], (0, 1))
         x = np.tensordot(w_noisy, y, (1, 0))
-        left, right, s0, discarded = _split(c, x, chi_max)
+        left, right, s0, discarded = _split(c, x, self.chi_max)
         (_, dl, dr), p, m = x.shape, c.shape[0], left.shape[1]
         self.trunc_error += math.sqrt(discarded)
         self.log_scale += rescale_pow2(right, s0)
@@ -214,7 +222,11 @@ class _ExactState:
     gate expands only the legs that hold its sites, so at N = 6 the largest
     tensor has r^4 (2k)! entries, not r^N."""
 
-    def __init__(self, site_vectors: list[np.ndarray]):
+    def __init__(self, site_vectors: list[np.ndarray], gate: tuple[np.ndarray, np.ndarray]):
+        c, w_noisy = gate
+        # the factors (A, Wg~ A^T) of the gate's kernel in wire coordinates
+        a = np.einsum("sa,pa->spa", c, c).reshape(c.shape[0] ** 2, -1)
+        self.kernel = (a, w_noisy @ a.T)
         self.r = len(site_vectors[0])
         self.n_sites = len(site_vectors)
         self.legs = [((s,), v.reshape(-1, 1)) for s, v in enumerate(site_vectors)]
@@ -235,7 +247,7 @@ class _ExactState:
         out = x[:, :, 0] @ m.T if post == 1 else m @ x
         self.state = out.reshape(shape[:p] + dims + shape[p + width:])
 
-    def apply_kernel(self, i: int, kernel: tuple[np.ndarray, np.ndarray]):
+    def apply_kernel(self, i: int):
         # expand the legs of i + 1, then of i, to wires: that keeps i's axis
         for p in (self._leg(i + 1), self._leg(i)):
             sites, e = self.legs[p]
@@ -243,8 +255,9 @@ class _ExactState:
                 self._apply(p, 1, e, (self.r,) * len(sites))
                 self.legs[p:p + 1] = [((s,), None) for s in sites]
         p = self._leg(i)  # wires i and i + 1 are the axes p and p + 1
-        self._apply(p, 2, kernel[1], (len(kernel[1]),))
-        self.legs[p:p + 2] = [((i, i + 1), kernel[0])]
+        left, right = self.kernel
+        self._apply(p, 2, right, (len(right),))
+        self.legs[p:p + 2] = [((i, i + 1), left)]
         # a NaN anywhere makes both numpy's max and min NaN
         peak = max(float(self.state.max()), -float(self.state.min()))
         if not 0.0 < peak < math.inf:
@@ -260,73 +273,9 @@ class _ExactState:
 
 
 #: the exact engine is picked when the full r^N wire state has at most this
-#: many entries (N <= 6 at k = 2); its factored state stays far smaller
+#: many entries (N <= 6 at k = 2, N <= 23 at k = 1); its factored state stays
+#: far smaller
 _EXACT_ENTRY_CAP = 9_000_000
-
-
-class BrickworkContraction:
-    """Bottom-to-top sweep over the replica lattice of ``spec``, a brickwork
-    chain with per_gate_support noise, at k in {1, 2}.
-
-    The chain is contracted exactly, by the factored ``_ExactState``, when
-    the full wire-coordinate state has r^N <= ``_EXACT_ENTRY_CAP`` entries
-    (N <= 6 for k = 2); longer chains use the truncated boundary MPS.  Gates
-    outside the causal cone of the initial site are skipped: their kernel
-    fixes the e x e they act on.
-    """
-
-    def __init__(self, spec: CircuitSpec, k: int = 2, chi_mps: int = 256):
-        # k = 3 fits (a chi = 64 split takes about 90 MB) but is unchecked, and
-        # truncation already breaks what the noiseless circuit conserves at k = 2
-        if k not in (1, 2):
-            raise ValueError(f"the replica contraction evaluates k in {{1, 2}}, not {k}")
-        self.spec = spec
-        self.k = k
-        self.chi_mps = chi_mps
-        n_sites, n = spec.n_sites, 2 * k
-        w_noisy = noisy_weingarten(n, 4.0, spec.gamma, rows=slice(None))
-        coords, self.f_top, self.g_op = _wire_basis(n)
-        rank = coords.shape[0]
-        self.engine = "exact" if rank**n_sites <= _EXACT_ENTRY_CAP else "mps"
-        site_vectors = [coords[:, 0].copy() for _ in range(n_sites)]
-        site_vectors[spec.initial_site] = self.g_op.copy()
-        self.mps = (_ExactState if self.engine == "exact" else _BoundaryMps)(site_vectors)
-        # the factors (A, Wg~ A^T) of one gate's kernel in wire coordinates
-        a = np.einsum("sa,pa->spa", coords, coords).reshape(rank * rank, -1)
-        self._kernel = (a, w_noisy @ a.T)
-        self._gate = (coords, w_noisy)  # the boundary MPS applies it on its leg
-        self.cone = {spec.initial_site}
-        self.depth_done = 0
-
-    def advance(self, n_layers: int = 1):
-        for _ in range(n_layers):
-            for (i, j) in layer_supports(self.spec, self.depth_done):
-                if self.cone.isdisjoint((i, j)):
-                    continue
-                self.cone.update((i, j))
-                if self.engine == "exact":
-                    self.mps.apply_kernel(i, self._kernel)
-                else:
-                    self.mps.apply_two_site(i, self._gate, self.chi_mps)
-            self.depth_done += 1
-
-    def value(self) -> float:
-        vectors = [self.f_top] * self.spec.n_sites
-        if len(self.cone) == 1:
-            # no gate has met the raw seed, which is outside the permutation-state
-            # span; its direct top contraction is q^(2k-2) = 4^(k-1), not f.g_op
-            target = 4.0 ** (self.k - 1)
-            vectors[self.spec.initial_site] = self.g_op * (target / float(self.g_op @ self.g_op))
-        return self.mps.contract_with(vectors)
-
-    def result(self) -> RtnResult:
-        err = self.mps.trunc_error
-        return RtnResult(
-            value=self.value(),
-            truncation_error=err,
-            flagged=err > FLAG_THRESHOLD,
-            max_bond=self.mps.max_bond,
-        )
 
 
 def contract_brickwork_series(
@@ -337,13 +286,48 @@ def contract_brickwork_series(
 ) -> dict[int, RtnResult]:
     """Ensemble-averaged nu_k (k = 1, 2) of a brickwork chain with
     per-gate-support noise at each of several depths in [0, spec.depth], from
-    one bottom-to-top sweep, contracted up to the reported MPS truncation error."""
+    one bottom-to-top sweep, contracted up to the reported MPS truncation error.
+
+    The exact state runs while r^N <= ``_EXACT_ENTRY_CAP``, the boundary MPS
+    of at most ``chi_mps`` bonds beyond.  Gates outside the causal cone of the
+    initial site are skipped: their kernel fixes the e x e they act on.
+    """
     depths = sorted(set(int(t) for t in depths))
     if depths and not 0 <= depths[0] <= depths[-1] <= spec.depth:
         raise ValueError(f"depths {depths} must lie in [0, {spec.depth}]")
-    eng = BrickworkContraction(spec, k, chi_mps)
-    out = {}
+    # k = 3 fits (a chi = 64 split takes about 90 MB) but is unchecked, and
+    # truncation already breaks what the noiseless circuit conserves at k = 2
+    if k not in (1, 2):
+        raise ValueError(f"the replica contraction evaluates k in {{1, 2}}, not {k}")
+    n_sites, n = spec.n_sites, 2 * k
+    coords, f_top, g_op = _wire_basis(n)
+    gate = (coords, noisy_weingarten(n, 4.0, spec.gamma, rows=slice(None)))
+    site_vectors = [coords[:, 0].copy() for _ in range(n_sites)]
+    site_vectors[spec.initial_site] = g_op.copy()
+    if coords.shape[0] ** n_sites <= _EXACT_ENTRY_CAP:
+        state = _ExactState(site_vectors, gate)
+        step = state.apply_kernel
+    else:
+        state = _BoundaryMps(site_vectors, gate, chi_mps)
+        step = state.apply_two_site
+    top = [f_top] * n_sites
+    # until a gate meets it, the raw seed is outside the permutation-state span;
+    # its direct top contraction is q^(2k-2) = 4^(k-1), not f_top . g_op
+    seed_top = top.copy()
+    seed_top[spec.initial_site] = g_op * (4.0 ** (k - 1) / float(g_op @ g_op))
+    cone, done, out = {spec.initial_site}, 0, {}
     for t in depths:
-        eng.advance(t - eng.depth_done)
-        out[t] = eng.result()
+        for layer in range(done, t):
+            for (i, j) in layer_supports(spec, layer):
+                if not cone.isdisjoint((i, j)):
+                    cone.update((i, j))
+                    step(i)
+        done = t
+        err = state.trunc_error
+        out[t] = RtnResult(
+            value=state.contract_with(seed_top if len(cone) == 1 else top),
+            truncation_error=err,
+            flagged=err > FLAG_THRESHOLD,
+            max_bond=state.max_bond,
+        )
     return out

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from pauliscope import cli
+from pauliscope import cli, rtn
 from pauliscope.circuits import CircuitSpec, run_circuit
 from pauliscope.driver import ExperimentConfig
-from pauliscope.rtn import BrickworkContraction, contract_brickwork_series
+from pauliscope.rtn import contract_brickwork_series
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -95,8 +95,16 @@ def test_workload_configs_pass_validation(size, tmp_path):
         assert cli._load_config(args) == ExperimentConfig.from_dict(workload.config)
 
 
-def test_span_counters_read_real_results():
+def test_span_counters_read_real_results(monkeypatch):
     spans = _load("spans")
+    # the state the wrapped step is called on, as the span's counter sees it
+    states, step = [], rtn._BoundaryMps.apply_two_site
+
+    def spy(self, i):
+        states.append(self)
+        step(self, i)
+
+    monkeypatch.setattr(rtn._BoundaryMps, "apply_two_site", spy)
     # 7 sites: past the exact engine's size, so the series runs the boundary MPS
     spec = CircuitSpec(n_sites=7, depth=3, gamma=0.01, noise_placement="per_gate_support")
     series = contract_brickwork_series(spec, [1, 3], k=2, chi_mps=4)
@@ -104,8 +112,6 @@ def test_span_counters_read_real_results():
     assert counts == {"trunc_err_est": series[3].truncation_error,
                       "flagged_rows": sum(r.flagged for r in series.values())}
     assert counts["trunc_err_est"] > 0.0  # chi_mps = 4 truncates
-    eng = BrickworkContraction(spec, 2, chi_mps=4)
-    eng.advance(3)
-    assert spans._mps_bond_counts((eng.mps,), {}, None) == {"max_bond": 4}
+    assert spans._mps_bond_counts((states[-1],), {}, None) == {"max_bond": 4}
     op = run_circuit(spec, 0)
     assert spans._state_bytes(op) == 8 * 4**7

@@ -166,8 +166,8 @@ def _workload_csv_sha256(tmp_path, size, name) -> str:
     workload = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"][size][name]
     cfg = json.loads(json.dumps(workload.config))
     cfg["circuit"]["master_seed"] = 101
-    csv_name = ("moments.csv" if workload.command == "moments"
-                else f"mse_gamma{cfg['circuit']['gamma']:g}.csv")
+    csv_name = {"moments": "moments.csv", "rtn": "moments_rtn.csv"}.get(
+        workload.command, f"mse_gamma{cfg['circuit']['gamma']:g}.csv")
     (data,) = _csv_at_blas_threads(tmp_path, workload.command, cfg, csv_name, threads=("1",))
     return hashlib.sha256(data).hexdigest()
 
@@ -185,6 +185,23 @@ def test_full_trunc_chain_csv_is_pinned_bit_for_bit(tmp_path):
     every realization sorted all 4^N coefficients: selecting only the top
     N_P changes no bit."""
     assert _workload_csv_sha256(tmp_path, "full", "trunc_chain") == PINNED_FULL_TRUNC_CSV
+
+
+#: sha256 of the moments_rtn.csv that each rtn_chain config writes at master
+#: seed 101 with OpenBLAS at 1 thread: smoke runs N=4 exact and N=7 as a
+#: boundary MPS, full N=6 exact and N=8 as a boundary MPS
+PINNED_RTN_CSVS = {
+    "smoke": "648835b14f6b2d30c9fca01ce37c94d3179fe8338694fdfb97167f77db48a903",
+    "full": "c607f44acfbb04c865487a00567dc5723cd5e0073a15a46cf929d37e62500188",
+}
+
+
+@pytest.mark.parametrize("size", sorted(PINNED_RTN_CSVS))
+def test_rtn_benchmark_csvs_are_pinned_bit_for_bit(tmp_path, size):
+    """Both rtn_chain CSVs, end to end through the CLI, byte for byte as
+    recorded (numpy 2.4, OpenBLAS 0.3.31, x86-64, 1 thread): this pins both
+    wire states, and the engine choice between them, across changes."""
+    assert _workload_csv_sha256(tmp_path, size, "rtn_chain") == PINNED_RTN_CSVS[size]
 
 
 def test_initial_axis_is_an_unknown_circuit_key(tmp_path, capsys):
@@ -217,6 +234,7 @@ def test_flags_are_validated_with_the_config(tmp_path, cfg_path, capsys):
     argv = ["moments", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
     assert "n_realizations" in _config_error(argv + ["--realizations", "1"], capsys)
     assert "threads" in _config_error(argv + ["--threads", "0"], capsys)
+    assert "master_seed=-1 must be >= 0" in _config_error(argv + ["--seed", "-1"], capsys)
     assert not (tmp_path / "run").exists()
 
 

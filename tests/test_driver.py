@@ -105,6 +105,11 @@ RMPU_SIM = {
          "lx and ly apply to grid circuits only, not to rmpu"),
         ({**BASE, "circuit": {"geometry": "grid", "lx": 2, "ly": 2, "depth": 6, "r": 1}},
          "r applies to rmpu circuits only, not to grid"),
+        # a set n_sites that disagrees with lx * ly would be replaced silently
+        ({**BASE, "circuit": {"geometry": "grid", "n_sites": 4, "lx": 3, "ly": 2, "depth": 4}},
+         "a 3x2 grid has 6 sites, not n_sites=4"),
+        # realization seeds derive from a non-negative master seed
+        ({**BASE, "circuit": {**BASE["circuit"], "master_seed": -3}}, r"master_seed=-3 must be >= 0"),
         # each engine's circuits: an unset placement is the one the engine needs
         ({**BASE, "engine": "rmpu_exact"},
          "the rmpu_exact engine evaluates rmpu circuits with per_gate_support noise, "
@@ -128,7 +133,8 @@ RMPU_SIM = {
     ids=["threads", "chi_mps", "svd_threshold_neg", "svd_threshold_one", "t_above_depth",
          "t_zero", "t_per_swept_n", "grid_n_sweep", "one_realization", "site_with_n_sweep",
          "rtn_t_above_depth", "simulator_k", "rtn_k", "rmpu_exact_k", "rmpu_asymptotic_k",
-         "noise_placement_none", "chain_r", "chain_lx", "rmpu_ly", "grid_r",
+         "noise_placement_none", "chain_r", "chain_lx", "rmpu_ly", "grid_r", "grid_n_sites",
+         "negative_seed",
          "rmpu_exact_chain", "rmpu_asymptotic_chain_gate_noise", "rmpu_layer_noise",
          "rtn_grid", "rtn_rmpu", "rtn_layer_noise"],
 )

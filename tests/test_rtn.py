@@ -8,7 +8,7 @@ from pauliscope import rtn
 from pauliscope.circuits import CircuitSpec
 from pauliscope.driver import simulate_moments
 from pauliscope.rmpu import global_haar_moment, rmpu_moment_exact
-from pauliscope.rtn import BrickworkContraction, _wire_basis, contract_brickwork_series
+from pauliscope.rtn import _wire_basis, contract_brickwork_series
 from pauliscope.weingarten import (
     _tables,
     noisy_weingarten,
@@ -34,9 +34,30 @@ def plaquette_j(k, gamma):
     return np.einsum("rd,ds,dp->spr", w, g, g)
 
 
+def series_and_state(spec, depths, k, **kwargs):
+    """``contract_brickwork_series(spec, depths, k, **kwargs)`` and the one wire
+    state it built, caught by wrapping both state classes' ``__init__``."""
+    states = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (rtn._ExactState, rtn._BoundaryMps):
+            def init(self, *args, _init=cls.__init__):
+                _init(self, *args)
+                states.append(self)
+
+            mp.setattr(cls, "__init__", init)
+        series = contract_brickwork_series(spec, depths, k, **kwargs)
+    (state,) = states
+    return series, state
+
+
+def kernel_factors(k, gamma):
+    """The factors (A, Wg~ A^T) of the gate kernel the exact state applies."""
+    return series_and_state(chain(2, gamma=gamma), [0], k)[1].kernel
+
+
 def gate_kernel(k, gamma):
     """The engine's gate kernel, composed from its two factors."""
-    left, right = BrickworkContraction(chain(2, gamma=gamma), k)._kernel
+    left, right = kernel_factors(k, gamma)
     return left @ right
 
 
@@ -44,7 +65,7 @@ def gate_kernel(k, gamma):
 @pytest.mark.parametrize("gamma", [0.0, 0.1])
 def test_factored_kernel_matches_dense_kernel(k, gamma):
     dense = dense_gate_kernel(k, gamma)
-    left, right = BrickworkContraction(chain(2, gamma=gamma), k)._kernel
+    left, right = kernel_factors(k, gamma)
     assert left.shape[1] == right.shape[0] == len(_tables(2 * k).images)
     assert np.max(np.abs(left @ right - dense)) < 1e-14 * np.max(np.abs(dense))
 
@@ -93,8 +114,18 @@ def test_single_gate_matches_transfer_matrix():
 
 
 def test_unevolved_value_is_d_squared_k():
-    eng = BrickworkContraction(chain(4), 2)
-    assert abs(eng.value() - 4.0**4) < 1e-9
+    assert abs(contract_brickwork_series(chain(4), [0], k=2)[0].value - 4.0**4) < 1e-9
+
+
+# r^N against _EXACT_ENTRY_CAP = 9e6 picks the state: rank r = 14 at k = 2
+# (exact to N = 6) and r = 2 at k = 1 (exact to N = 23, since 2^23 <= 9e6 < 2^24)
+@pytest.mark.parametrize("k, n_sites, state_class", [
+    (2, 6, "_ExactState"), (2, 7, "_BoundaryMps"), (1, 23, "_ExactState"), (1, 24, "_BoundaryMps"),
+])
+def test_state_is_chosen_by_the_full_state_size(k, n_sites, state_class):
+    series, state = series_and_state(chain(n_sites), [1], k)
+    assert type(state) is getattr(rtn, state_class)
+    assert series[1].truncation_error == 0.0  # one gate keeps every bond
 
 
 @pytest.mark.parametrize("n_sites,depth", [(2, 1), (4, 3), (5, 4), (6, 9)])
@@ -127,16 +158,15 @@ def test_exact_state_stays_factored(monkeypatch):
     sizes = []
     apply = rtn._ExactState.apply_kernel
 
-    def spy(self, i, kernel):
-        apply(self, i, kernel)
+    def spy(self, i):
+        apply(self, i)
         sizes.append(self.state.size)
 
     monkeypatch.setattr(rtn._ExactState, "apply_kernel", spy)
-    eng = BrickworkContraction(chain(6, 12), 2)
-    assert eng.engine == "exact"
+    contract_brickwork_series(chain(6, 12), [0], 2)  # builds the cached tables
     tracemalloc.start()
     try:
-        eng.advance(12)
+        contract_brickwork_series(chain(6, 12), [12], 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -156,10 +186,9 @@ def test_exact_and_mps_engines_agree(k, gamma, monkeypatch):
     for engine in ("exact", "mps"):
         if engine == "mps":
             mps_only(monkeypatch)
-        eng = BrickworkContraction(chain(5, 4, gamma), k, chi_mps=512)
-        assert eng.engine == engine
-        eng.advance(4)
-        results[engine] = eng.result()
+        series, state = series_and_state(chain(5, 4, gamma), [4], k, chi_mps=512)
+        assert type(state) is (rtn._ExactState if engine == "exact" else rtn._BoundaryMps)
+        results[engine] = series[4]
     exact, mps = results["exact"], results["mps"]
     assert exact.truncation_error == 0.0
     assert abs(exact.value - mps.value) < 1e-8 * exact.value
@@ -186,9 +215,7 @@ SVD_SPLIT_BONDS = {(5, 4, 1): 4, (5, 4, 2): 196, (6, 12, 1): 4, (6, 12, 2): 336,
 @pytest.mark.parametrize("n_sites, depth, k", sorted(SVD_SPLIT_BONDS))
 def test_untruncated_mps_is_not_flagged(n_sites, depth, k, monkeypatch):
     mps_only(monkeypatch)
-    eng = BrickworkContraction(chain(n_sites, depth), k, chi_mps=512)
-    eng.advance(depth)
-    res = eng.result()
+    res = contract_brickwork_series(chain(n_sites, depth), [depth], k, chi_mps=512)[depth]
     assert not res.flagged
     assert res.max_bond <= SVD_SPLIT_BONDS[n_sites, depth, k]
 
@@ -211,7 +238,7 @@ def _split_inputs(monkeypatch):
         return split(c, x, chi_max)
 
     monkeypatch.setattr(rtn, "_split", spy)
-    BrickworkContraction(chain(8, 6, 0.01), 2, chi_mps=64).advance(6)  # 14^8 > the cap
+    contract_brickwork_series(chain(8, 6, 0.01), [6], 2, chi_mps=64)  # 14^8 > the cap
     big = [(c, x, dense_theta(c, x)) for c, x in inputs]
     big = [item for item in big if min(item[2].shape) >= 196]
     assert {m.shape[0] > m.shape[1] for _, _, m in big} == {False, True}  # wide/square and tall
@@ -356,19 +383,24 @@ def test_contraction_rejects_unsupported_k(k, monkeypatch):
     monkeypatch.setattr(rtn, "noisy_weingarten", no_tables)
     monkeypatch.setattr(rtn, "_wire_basis", no_tables)
     with pytest.raises(ValueError, match=r"k in \{1, 2\}, not " + str(k)):
-        BrickworkContraction(chain(8, 2), k, chi_mps=16)
+        contract_brickwork_series(chain(8, 2), [2], k, chi_mps=16)
 
 
 @pytest.mark.parametrize("engine", ["exact", "mps"])
 def test_non_finite_state_raises(engine, monkeypatch):
     if engine == "mps":
         mps_only(monkeypatch)
-    eng = BrickworkContraction(chain(4, 2), 2)
-    assert eng.engine == engine
-    for arr in [eng.mps.state] if engine == "exact" else eng.mps.tensors:
-        arr.fill(np.nan)
+    cls = rtn._ExactState if engine == "exact" else rtn._BoundaryMps
+    init = cls.__init__
+
+    def poisoned_init(self, *args):
+        init(self, *args)
+        for arr in [self.state] if engine == "exact" else self.tensors:
+            arr.fill(np.nan)
+
+    monkeypatch.setattr(cls, "__init__", poisoned_init)
     with pytest.raises(FloatingPointError, match="not finite"):
-        eng.advance(1)
+        contract_brickwork_series(chain(4, 2), [1], 2)
 
 
 def test_truncation_error_monotone_in_chi(monkeypatch):
@@ -376,9 +408,7 @@ def test_truncation_error_monotone_in_chi(monkeypatch):
     mps_only(monkeypatch)
     results = {}
     for chi in (16, 32, 64):
-        eng = BrickworkContraction(chain(6, 6), 2, chi_mps=chi)
-        eng.advance(6)
-        results[chi] = eng.result()
+        results[chi] = contract_brickwork_series(chain(6, 6), [6], 2, chi_mps=chi)[6]
     errs = [results[chi].truncation_error for chi in (16, 32, 64)]
     assert errs[0] >= errs[1] >= errs[2]
     # value deviation from the exact engine stays within a few reported errors
