@@ -12,6 +12,10 @@ import numbers
 import time
 from pathlib import Path
 
+import numpy as np
+
+from . import BLAS_THREAD_ENV
+
 MOMENTS_HEADER = [
     "engine", "geometry", "N", "r", "t", "gamma", "noise_placement",
     "k", "quantity", "value", "stderr", "n_samples", "seed",
@@ -64,6 +68,9 @@ def write_sidecar(path, resolved_config: dict, wall_seconds: float) -> None:
     payload = dict(resolved_config)
     payload["wall_seconds"] = wall_seconds
     payload["written_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    payload["runtime"] = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+                          "blas_thread_env": BLAS_THREAD_ENV}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -32,7 +32,10 @@ The boundary MPS holds (C, Wg~) and never forms A: it builds the gate's leg
 tensor X = Wg~ A^T theta_in, (2k)! legs wide, from its two site tensors, and
 splits the two-site tensor theta = A X by a seeded randomized range finder
 (Halko, Martinsson & Tropp, arXiv:0909.4061) without forming theta: each
-product runs through C and X, and |theta|^2 comes from C^T C and X.
+product runs through C and X, and |theta|^2 comes from C^T C and X.  Its
+Gaussian test matrix is drawn once per shape, and its power iterations carry
+the span from product to product by shifted CholeskyQR, so a split makes one
+Householder QR, for the isometry it keeps.
 Singular values below about 1e-8 s_0 are dropped; the weight dropped, by
 that floor, the bond cap or the range finder's miss, is read off the split's
 own rows, so the accumulated truncation error stays an honest estimate of
@@ -109,16 +112,39 @@ def _leg_product(c: np.ndarray, x: np.ndarray, y: np.ndarray, transpose: bool = 
     return out.transpose(1, 0, 2).reshape(dl * r, cols)
 
 
+@lru_cache(maxsize=None)
+def _omega(rows: int, width: int) -> np.ndarray:
+    """The range finder's read-only Gaussian test matrix of a shape, drawn once
+    from a fixed local seed (never the global random state)."""
+    omega = np.random.default_rng(0).standard_normal((rows, width))
+    omega.flags.writeable = False
+    return omega
+
+
+def _span(y: np.ndarray) -> np.ndarray:
+    """A well-conditioned basis of y's columns by one pass of shifted CholeskyQR
+    (Fukaya, Kannan, Nakatsukasa, Yamamoto & Yanagisawa, SIAM J. Sci. Comput.
+    42, 2020): the shift s = 11 (mn + n(n+1)) eps tr(y^T y) keeps the Cholesky
+    factor R of y^T y + s I from breaking down, even where y is rank deficient."""
+    m, n = y.shape
+    gram = y.T @ y
+    gram[np.diag_indices(n)] += 11 * (m * n + n * (n + 1)) * np.finfo(float).eps * np.trace(gram)
+    return y @ np.linalg.inv(np.linalg.cholesky(gram).T)
+
+
 def _split(c: np.ndarray, x: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.ndarray, float, float]:
     """(left, right, s_0, discarded): theta (``_leg_product``) ~ left @ right
     with ``left`` an isometry of at most ``chi_max`` columns, the largest
     singular value s_0, and the discarded weight |theta - left @ right|_F^2 /
     |theta|_F^2; X holds one (dl, dr) matrix per leg, and theta is never formed.
 
-    Q spans theta @ Omega, for a Gaussian Omega of chi_max + 24 columns from a
-    fixed local seed (never the global random state), after two power
-    iterations, or none when Omega has as many columns as theta's smaller side
-    and Q spans theta's range.  Of the rows v^T B of B = Q^T theta, one per
+    Q is the Householder QR of theta @ Omega, for a Gaussian Omega of chi_max +
+    24 columns from a fixed local seed (``_omega``: drawn once per shape, never
+    from the global random state), after two power iterations, or none when
+    Omega has as many columns as theta's smaller side and Q spans theta's
+    range.  The power iterations only carry a span from one product to the
+    next, so their bases come from shifted CholeskyQR (``_span``), and Q is
+    the split's one QR.  Of the rows v^T B of B = Q^T theta, one per
     eigenvector v of B B^T, the top chi_max whose measured weight exceeds
     eps * w_0 are kept: eigenvalues resolve only to that floor.  The discarded
     weight is the dropped rows' weight plus the range finder's miss
@@ -131,11 +157,11 @@ def _split(c: np.ndarray, x: np.ndarray, chi_max: int) -> tuple[np.ndarray, np.n
     if not 0.0 < total < math.inf:
         raise FloatingPointError(f"the contraction is not finite or vanished (|theta|^2 {total})")
     width = min(chi_max + 24, *shape)
-    omega = np.random.default_rng(0).standard_normal((shape[1], width))
-    q = np.linalg.qr(_leg_product(c, x, omega))[0]
+    y = _leg_product(c, x, _omega(shape[1], width))
     if width < min(shape):
         for _ in range(2):
-            q = np.linalg.qr(_leg_product(c, x, np.linalg.qr(_leg_product(c, x, q, True))[0]))[0]
+            y = _leg_product(c, x, _span(_leg_product(c, x, _span(y), True)))
+    q = np.linalg.qr(y)[0]
     b = _leg_product(c, x, q, True).T
     w, v = np.linalg.eigh(b @ b.T)
     v = v[:, ::-1]  # largest first

@@ -159,17 +159,21 @@ PINNED_SMOKE_CSVS = {
 PINNED_FULL_TRUNC_CSV = "d20f52f97f3e6c63b9003b8c1f412716d817cdd99141ca2f170bf5124fac1731"
 
 
-def _workload_csv_sha256(tmp_path, size, name) -> str:
-    """sha256 of the CSV a benchmark workload's config writes through the CLI
-    at master seed 101 with OpenBLAS at 1 thread.  The configs are read from
-    the benchmark's own workload list."""
+def _workload_csv(tmp_path, size, name) -> bytes:
+    """The CSV a benchmark workload's config writes through the CLI at master
+    seed 101 with OpenBLAS at 1 thread.  The configs are read from the
+    benchmark's own workload list."""
     workload = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"][size][name]
     cfg = json.loads(json.dumps(workload.config))
     cfg["circuit"]["master_seed"] = 101
     csv_name = {"moments": "moments.csv", "rtn": "moments_rtn.csv"}.get(
         workload.command, f"mse_gamma{cfg['circuit']['gamma']:g}.csv")
     (data,) = _csv_at_blas_threads(tmp_path, workload.command, cfg, csv_name, threads=("1",))
-    return hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _workload_csv_sha256(tmp_path, size, name) -> str:
+    return hashlib.sha256(_workload_csv(tmp_path, size, name)).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SMOKE_CSVS))
@@ -191,8 +195,8 @@ def test_full_trunc_chain_csv_is_pinned_bit_for_bit(tmp_path):
 #: seed 101 with OpenBLAS at 1 thread: smoke runs N=4 exact and N=7 as a
 #: boundary MPS, full N=6 exact and N=8 as a boundary MPS
 PINNED_RTN_CSVS = {
-    "smoke": "648835b14f6b2d30c9fca01ce37c94d3179fe8338694fdfb97167f77db48a903",
-    "full": "c607f44acfbb04c865487a00567dc5723cd5e0073a15a46cf929d37e62500188",
+    "smoke": "94034c7a353e9895b828595ff5828dac403dca9ee25194aba527e518ed053151",
+    "full": "fcec162abb55eee66decf9fdb1a4100df1e7b148d1f811c6d0f0af46b0554ebd",
 }
 
 
@@ -202,6 +206,61 @@ def test_rtn_benchmark_csvs_are_pinned_bit_for_bit(tmp_path, size):
     recorded (numpy 2.4, OpenBLAS 0.3.31, x86-64, 1 thread): this pins both
     wire states, and the engine choice between them, across changes."""
     assert _workload_csv_sha256(tmp_path, size, "rtn_chain") == PINNED_RTN_CSVS[size]
+
+
+#: the full rtn_chain CSV's values before the range finder's power iterations
+#: ran by shifted CholeskyQR: the exact N=6 rows, which no change to the
+#: boundary MPS may move, and the N=8 boundary-MPS rows (t = 4, 8, 12, 16)
+RTN_EXACT_ROWS = ["14.886643780147581", "2.1118133636805307", "1.147261249909628",
+                  "0.7717725793691077"]
+RTN_MPS_ROWS = [186.456326279632, 8.435244756447192, 1.3759815964294204, 0.5586024253573579]
+
+
+def test_rtn_benchmark_rows_stay_within_their_stated_tolerance(tmp_path):
+    """The full rtn_chain rows against the values recorded before the range
+    finder's power iterations changed: exact rows byte for byte, boundary-MPS
+    rows within 5e-5 relative, far inside their chi error of about 1e-3."""
+    (tmp_path / "csv").write_bytes(_workload_csv(tmp_path, "full", "rtn_chain"))
+    rows = read_csv_rows(tmp_path / "csv")
+    assert [r["value"] for r in rows if r["N"] == "6"] == RTN_EXACT_ROWS
+    mps = [float(r["value"]) for r in rows if r["N"] == "8"]
+    assert len(mps) == len(RTN_MPS_ROWS)
+    for got, want in zip(mps, RTN_MPS_ROWS):
+        assert abs(got - want) <= 5e-5 * abs(want)
+
+
+#: what a fresh interpreter prints after one CLI run: the thread count the
+#: loaded OpenBLAS reports through ctypes (perfbench's ``blas_threads``)
+_CLI_THEN_BLAS_THREADS = (
+    "import runpy, sys\n"
+    "from pauliscope.cli import main\n"
+    "child = sys.argv.pop(1)\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(runpy.run_path(child)['blas_threads']())\n"
+)
+
+
+@pytest.mark.parametrize("openblas", [None, "2"])
+def test_cli_runs_one_blas_thread_unless_a_variable_is_set(tmp_path, openblas):
+    """With no BLAS thread variable set, a CLI run uses one OpenBLAS thread;
+    a user's variable still wins.  The sidecar records the variables as they
+    stood at import, the numpy version and the BLAS."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    path, out = tmp_path / "cfg.json", tmp_path / "run"
+    path.write_text(json.dumps({"circuit": {"geometry": "rmpu", "n_sites": 8, "r": 2},
+                                "engine": "rmpu_exact", "sweep": {"k": [2], "n": [8]}}))
+    run = subprocess.run(
+        [sys.executable, "-c", _CLI_THEN_BLAS_THREADS, str(ROOT / "perfbench" / "child.py"),
+         "rmpu-exact", "--config", str(path), "--out", str(out)],
+        check=True, env=env, capture_output=True, text=True)
+    assert run.stdout.split()[-1] == (openblas or "1")
+    runtime = json.loads((out / "moments_rmpu_exact.meta.json").read_text())["runtime"]
+    assert runtime["blas_thread_env"] == {**dict.fromkeys(names), "OPENBLAS_NUM_THREADS": openblas}
+    assert runtime["numpy"] == np.__version__ and "openblas" in runtime["blas"]
 
 
 def test_initial_axis_is_an_unknown_circuit_key(tmp_path, capsys):

@@ -367,6 +367,49 @@ def test_split_spanning_every_column_makes_one_qr(monkeypatch):
     assert abs(discarded - np.sum(s[8:] ** 2) / np.sum(s**2)) <= 1e-12
 
 
+def test_power_iterated_split_makes_one_qr(monkeypatch):
+    # theta is 896 x 896 and Omega has 64 + 24 columns: the power iterations
+    # carry the span by shifted CholeskyQR, and only the final basis is a QR
+    c = _wire_basis(4)[0]
+    x = np.random.default_rng(11).standard_normal((24, 64, 64))
+    qr, calls = np.linalg.qr, []
+
+    def counting_qr(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    left, right, s0, discarded = rtn._split(c, x, 64)
+    assert calls == [(896, 88)]
+    assert left.shape[1] == 64 and 0.0 < discarded < 1.0
+
+
+def test_range_finder_draws_omega_once_and_read_only():
+    omega = rtn._omega(300, 40)
+    assert rtn._omega(300, 40) is omega and not omega.flags.writeable
+    assert np.array_equal(omega, np.random.default_rng(0).standard_normal((300, 40)))
+
+
+@pytest.mark.parametrize("rank, exponent", [(1, 0), (2, -10), (5, -14), (40, -12)])
+def test_split_is_honest_on_rank_deficient_ill_conditioned_theta(rank, exponent):
+    # X[b] = U_b V_b^T of rank ``rank``, legs scaled by logspace(0, exponent, 24):
+    # theta Omega is rank deficient or spans 1e10 and more, where an unshifted
+    # CholeskyQR breaks down; the bounds are test_split_is_near_optimal's
+    c = _wire_basis(4)[0]
+    rng = np.random.default_rng(rank)
+    u, v = rng.standard_normal((2, 24, 64, rank))
+    x = (u @ v.transpose(0, 2, 1)) * np.logspace(0, exponent, 24)[:, None, None]
+    mat = dense_theta(c, x)
+    left, right, s0, discarded = rtn._split(c, x, 64)
+    m, eps = left.shape[1], np.finfo(float).eps
+    s = np.linalg.svd(mat, compute_uv=False)
+    assert np.max(np.abs(left.T @ left - np.eye(m))) < 1e-12
+    resid = mat - left @ right
+    measured = float(np.vdot(resid, resid) / np.vdot(mat, mat))
+    assert abs(discarded - measured) <= 1e-12 * measured + 32 * eps
+    assert discarded <= 1.02 * float(np.sum(s[m:] ** 2) / np.sum(s**2)) + 32 * eps
+
+
 def test_mps_value_moves_less_than_its_chi_gap():
     # chi_convergence rows of the rtn_chain benchmark (N=8, gamma=0.01, t=8):
     # chi=64 with the exact-eigendecomposition split, and chi=256
