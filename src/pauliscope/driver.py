@@ -37,8 +37,9 @@ ENGINES = {
     "rmpu_asymptotic": (("rmpu",), "per_gate_support", (2, math.inf)),
 }
 
-#: absolute slack of ``moment_row``'s invariants mu_k >= 1 and nu_1 <= 1; the largest
-#: deviation measured on a correct value is |mu_1 - 1| = 6.2e-12 (rtn, chain N=20, gamma=0)
+#: absolute slack of ``moment_row``'s invariants mu_k >= 1, mu_1 = 1 and nu_1 <= 1; the
+#: largest deviation measured on a correct value is |mu_1 - 1| = 6.2e-12 (rtn, chain
+#: N=20, gamma=0)
 INVARIANT_SLACK = 1e-9
 
 
@@ -180,15 +181,15 @@ def moment_row(engine: str, spec: CircuitSpec, t: int, k: int, quantity: str,
                value: float, stderr: float, n_samples: int) -> dict:
     """The moments CSV row of ``quantity`` (mu, nu or nu_over_F2k) of order k
     at depth t of the circuit ``spec``; deterministic engines have n_samples 0.
-    A value that is not finite and >= 0, a mu_k < 1 or a nu_1 > 1 (each beyond
-    ``INVARIANT_SLACK``) raises FloatingPointError, whatever the engine."""
+    A value that is not finite and >= 0, a mu_k < 1, a mu_1 > 1 or a nu_1 > 1 (each
+    beyond ``INVARIANT_SLACK``) raises FloatingPointError, whatever the engine."""
     if quantity not in ("mu", "nu", "nu_over_F2k"):
         raise ValueError(f"unknown quantity {quantity!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (math.isfinite(value) and value >= 0.0
             and (quantity != "mu" or value >= 1.0 - INVARIANT_SLACK)
-            and (quantity != "nu" or k != 1 or value <= 1.0 + INVARIANT_SLACK)):
+            and (quantity not in ("mu", "nu") or k != 1 or value <= 1.0 + INVARIANT_SLACK)):
         raise FloatingPointError(
             f"{engine} {quantity} at N={spec.n_sites}, t={t}, k={k} gave the non-physical "
             f"value {value!r} (stderr column {stderr:.3g})"

@@ -15,6 +15,11 @@ import numpy as np
 
 LETTERS = "IXYZ"
 
+#: entries of a coefficient vector that the simulator's kernels update or
+#: reduce at a time: 2^15 doubles (256 KB) stay in cache, and a temporary of
+#: this size is reused by the allocator instead of being faulted in afresh
+BLOCK = 2**15
+
 # Site-local change of basis: _SITE_FORWARD[a, 2*i + j] = P_a[j, i], so that
 # contracting it with the (row, col) pair of one site computes Tr[. P_a] on
 # that site.  Its inverse (adjoint / 2) undoes the rotation.

@@ -15,29 +15,51 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliCoefficients
+from .pauli import BLOCK, PauliCoefficients
+
+
+def _squares(coeffs: PauliCoefficients):
+    """a_P^2, ``BLOCK`` entries at a time, each block in the same reused buffer."""
+    values = coeffs.values.reshape(-1)
+    out = np.empty(min(values.size, BLOCK))
+    for start in range(0, values.size, BLOCK):
+        yield np.square(values[start:start + BLOCK], out=out)
+
+
+def _pairwise(sums: list) -> float:
+    """The total of a power-of-two number of equal blocks' sums, joined in the
+    binary tree numpy's pairwise sum makes over the blocks as one array, so
+    the total has the bits of ``np.sum`` of the whole."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return float(sums[0])
 
 
 def moment_nu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
     """Unnormalized moments nu_k = D^(2k-2) sum_P a_P^(2k) (nu_1 = |O|_2^2) for
     each order k in ks, all from one squared coefficient vector.
 
-    a^(2k) comes from in-place products of one running power, squared in place
-    when no k exceeds 2 and multiplied by a kept copy of a^2 otherwise.  numpy's
-    pairwise sum of these terms >= 0 is accurate to O(eps log 4^N) and calls no
-    BLAS, so the sums do not depend on the thread count.
+    The vector is squared a block of ``BLOCK`` entries at a time.  a^(2k)
+    comes from in-place products of one running power, squared in place when
+    no k exceeds 2 and multiplied by a kept copy of a^2 otherwise.  numpy's
+    pairwise sum of each block's terms >= 0, joined across blocks by
+    :func:`_pairwise`, is accurate to O(eps log 4^N), gives the bits of one
+    sum over the whole vector and calls no BLAS, so the sums depend on
+    neither the block size nor the thread count.
     """
     if not ks or min(ks) < 1:
         raise ValueError(f"moment orders {list(ks)} must be >= 1")
-    power = np.square(coeffs.values)
-    a2 = power.copy() if max(ks) > 2 else power
-    d, nu = 2.0**coeffs.n_sites, {}
-    for k in range(1, max(ks) + 1):
-        if k >= 2:
-            np.multiply(power, a2, out=power)
-        if k in ks:
-            nu[k] = d ** (2 * k - 2) * float(np.sum(power))
-    return np.array([nu[k] for k in ks])
+    top = max(ks)
+    sums = {k: [] for k in ks}
+    for power in _squares(coeffs):
+        a2 = power.copy() if top > 2 else power
+        for k in range(1, top + 1):
+            if k >= 2:
+                np.multiply(power, a2, out=power)
+            if k in sums:
+                sums[k].append(np.sum(power))
+    d = 2.0**coeffs.n_sites
+    return np.array([d ** (2 * k - 2) * _pairwise(sums[k]) for k in ks])
 
 
 def moment_mu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
@@ -97,18 +119,20 @@ def spectrum_histogram(coeffs: PauliCoefficients) -> np.ndarray:
 
     Every string carries mass D^-2; mass below the first edge is the zero
     mass and mass at or above the last edge is folded into the last bin, so
-    zero_mass + sum(density * width) = 1.
+    zero_mass + sum(density * width) = 1.  The counts are made a block of
+    ``BLOCK`` entries at a time, after the norm (:func:`moment_nu`'s nu_1).
     """
-    u = np.square(coeffs.values)
-    s2 = float(np.sum(u))
+    (s2,) = moment_nu(coeffs, [1])
     if s2 <= 0.0:
         raise ValueError("zero operator has no Pauli distribution")
     d2 = float(4.0**coeffs.n_sites)
-    u /= s2
-    u *= d2  # u = D^2 pi(P)
-    below = int(np.count_nonzero(u < HIST_U_MIN))
-    clipped = np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0))
-    counts, _ = np.histogram(clipped, bins=HIST_EDGES)
+    counts, below = np.zeros(HIST_BINS, dtype=np.int64), 0
+    for u in _squares(coeffs):
+        u /= s2
+        u *= d2  # u = D^2 pi(P)
+        below += int(np.count_nonzero(u < HIST_U_MIN))
+        np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0), out=u)
+        counts += np.histogram(u, bins=HIST_EDGES)[0]
     counts = counts.astype(float)
     counts[0] -= below  # clipped-from-below entries landed in bin 0
     density = counts / d2 / np.diff(HIST_EDGES)

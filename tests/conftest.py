@@ -5,11 +5,14 @@ words are decoded digit by digit and built by Kronecker products, permutation
 states are filled entry by entry, top-N_P truncation is a Python sort, the
 replica algebra is the dense n! x n! Gram matrix with its LU solve or SVD
 pseudo-inverse, and the staircase transfer matrix is the dense
-(2k)! x (2k)! product.
+(2k)! x (2k)! product.  The simulator's block-by-block kernels are graded
+against their whole-vector forms: one product over the vector read as
+(4^lo, 4^w, 4^hi), one squared copy summed whole, one histogram call.
 """
 
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -24,7 +27,9 @@ from pauliscope.opsim import (
     init_local_pauli,
     pauli_transfer_matrix,
 )
+from pauliscope.pauli import BLOCK
 from pauliscope.rtn import _wire_basis
+from pauliscope.spectrum import HIST_EDGES, HIST_U_MAX, HIST_U_MIN
 
 # every run draws the same examples, so tier-1 reruns are identical
 settings.register_profile("deterministic", derandomize=True)
@@ -323,3 +328,57 @@ def unfolded_per_gate_layers(spec, realization):
 def truncate_top(values, n_keep: int) -> list[int]:
     """Indices of the n_keep largest |a|, ties to the lower Pauli index."""
     return sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))[:n_keep]
+
+
+def whole_vector_gate(values, n: int, support, r) -> np.ndarray:
+    """The coefficient vector after the gate with transfer matrix ``r`` on
+    ``support``, made as one product over the whole vector read as
+    (4^lo, 4^w, 4^hi), with the support's axes moved in a full copy."""
+    w = len(support)
+    src = [n - 1 - s for s in reversed(support)]
+    lo = n - w - min(support)
+    dst = list(range(lo, lo + w))
+    x = np.moveaxis(values.reshape((4,) * n), src, dst).reshape(4**lo, 4**w, -1)
+    out = x[:, :, 0] @ r.T if x.shape[2] == 1 else r @ x
+    return np.moveaxis(out.reshape((4,) * n), dst, src).reshape(-1)
+
+
+def whole_vector_moment_nu(values, n: int, ks) -> list[float]:
+    """nu_k = D^(2k-2) sum a^(2k) for each k, each one numpy sum over the
+    whole vector of a^(2k), made as a running product of copies of a^2."""
+    a2 = np.square(values)
+    power, nu = a2.copy(), {}
+    for k in range(1, max(ks) + 1):
+        if k >= 2:
+            power *= a2
+        nu[k] = 2.0 ** (n * (2 * k - 2)) * float(np.sum(power))
+    return [nu[k] for k in ks]
+
+
+def whole_vector_histogram(values, n: int) -> np.ndarray:
+    """The spectrum histogram of one coefficient vector from one histogram
+    call over all its clipped u = D^2 pi(P)."""
+    u = np.square(values)
+    u = u / float(np.sum(u)) * float(4.0**n)
+    below = int(np.count_nonzero(u < HIST_U_MIN))
+    counts = np.histogram(np.clip(u, HIST_U_MIN, np.nextafter(HIST_U_MAX, 0.0)),
+                          bins=HIST_EDGES)[0].astype(float)
+    counts[0] -= below
+    return np.append(counts / 4.0**n / np.diff(HIST_EDGES), below / 4.0**n)
+
+
+#: what one call of a blocked simulator kernel may allocate: three blocks
+#: (the product's buffer, a moved block's copy, or a^2 and its kept copy, and
+#: the next such copy made before the last is freed), plus 16 KiB for
+#: Python's own objects
+BLOCKED_PEAK_BYTES = 3 * 8 * BLOCK + 2**14
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -115,13 +115,19 @@ def _csv_at_blas_threads(tmp_path, command, cfg, csv_name, threads=("1", "2")) -
 
 
 def test_seeded_moments_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """A seeded N=9 noisy-chain moments run at k = 2, 3 (a 4^9 spectrum, past any
+    """A seeded N=9 noisy moments run at k = 2, 3 (a 4^9 spectrum, past any
     BLAS threading threshold) writes the same moments.csv, byte for byte, with
-    OpenBLAS at 1 and at 2 threads: no threaded BLAS call splits a reduction."""
-    cfg = {**CFG, "circuit": {**CFG["circuit"], "n_sites": 9, "depth": 4},
-           "sweep": {"t": [2, 4], "k": [2, 3]}, "n_realizations": 2}
-    first, second = _csv_at_blas_threads(tmp_path, "moments", cfg, "moments.csv")
-    assert first == second
+    OpenBLAS at 1 and at 2 threads: no threaded BLAS call splits a reduction.
+    It runs on a chain and on a 3x3 grid, whose vertical pairs are
+    non-adjacent supports: their gates move the axes of each block."""
+    base = {key: value for key, value in CFG["circuit"].items() if key != "n_sites"}
+    for name, circuit in (("chain", {"n_sites": 9}),
+                          ("grid", {"geometry": "grid", "lx": 3, "ly": 3})):
+        cfg = {**CFG, "circuit": {**base, **circuit, "depth": 4},
+               "sweep": {"t": [2, 4], "k": [2, 3]}, "n_realizations": 2}
+        (tmp_path / name).mkdir()
+        first, second = _csv_at_blas_threads(tmp_path / name, "moments", cfg, "moments.csv")
+        assert first == second, name
 
 
 def test_exact_rtn_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -157,6 +163,10 @@ PINNED_SMOKE_CSVS = {
 #: largest N_P, 4096, is below 4^7, so it keeps a top selection, not the
 #: whole vector, as the smoke config's N=6 does
 PINNED_FULL_TRUNC_CSV = "d20f52f97f3e6c63b9003b8c1f412716d817cdd99141ca2f170bf5124fac1731"
+#: the same for the full mc_chain config (N=10, t = 10..20, 2 realizations):
+#: its 4^10 vector spans many of the simulator's blocks, where the smoke
+#: config's 4^6 fits in one
+PINNED_FULL_MC_CSV = "42fe78bc87737504017150fdffc28d439d5c46a6cbd7c0727e7ed89cf0eb40f1"
 
 
 def _workload_csv(tmp_path, size, name) -> bytes:
@@ -189,6 +199,13 @@ def test_full_trunc_chain_csv_is_pinned_bit_for_bit(tmp_path):
     every realization sorted all 4^N coefficients: selecting only the top
     N_P changes no bit."""
     assert _workload_csv_sha256(tmp_path, "full", "trunc_chain") == PINNED_FULL_TRUNC_CSV
+
+
+def test_full_mc_chain_csv_is_pinned_bit_for_bit(tmp_path):
+    """The full-size Monte Carlo workload's CSV, byte for byte as recorded when
+    every gate and every moment reduction passed over the whole 4^10 vector at
+    once: updating and reducing it block by block changes no bit."""
+    assert _workload_csv_sha256(tmp_path, "full", "mc_chain") == PINNED_FULL_MC_CSV
 
 
 #: sha256 of the moments_rtn.csv that each rtn_chain config writes at master
@@ -553,6 +570,24 @@ def test_rtn_command_rejects_non_physical_values(tmp_path, capsys):
         main(["rtn", "--config", str(p), "--out", str(out)])
     assert exc.value.code == 1
     assert re.search(r"N=7, t=6, k=2 .* non-physical value -\d", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_rtn_command_rejects_a_mu_1_that_is_not_1(tmp_path, capsys):
+    # the k = 1 boundary MPS of a long noiseless chain drifts above mu_1 = 1
+    # (1.0000000178 here, in about 0.2 s), with an estimate of the same size
+    cfg = {"circuit": {"geometry": "chain", "n_sites": 32, "depth": 64, "gamma": 0.0},
+           "sweep": {"t": [64], "k": [1]}, "engine": "rtn", "chi_mps": 16}
+    p = tmp_path / "rtn.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["rtn", "--config", str(p), "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("pauliscope rtn: error: rtn mu at N=32, t=64, k=1 gave the "
+                          "non-physical value 1.00000001")
     assert not out.exists()
 
 

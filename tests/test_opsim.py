@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauliscope import opsim
 from pauliscope.circuits import (
     CircuitSpec,
     iter_circuit,
@@ -20,13 +21,22 @@ from pauliscope.opsim import (
     pauli_transfer_matrix,
 )
 from pauliscope.pauli import (
+    BLOCK,
     PauliCoefficients,
     inverse_pauli_transform,
     pauli_transform,
 )
 from pauliscope.spectrum import HIST_EDGES, moment_mu, moment_nu, spectrum_histogram
 
-from conftest import PAULI_MATRICES, dense_circuit_layers, embedded_unitary, random_hermitian
+from conftest import (
+    BLOCKED_PEAK_BYTES,
+    PAULI_MATRICES,
+    dense_circuit_layers,
+    embedded_unitary,
+    random_hermitian,
+    traced_peak,
+    whole_vector_gate,
+)
 
 #: agreement of the coefficient evolution with the dense oracle
 ORACLE_TOL = 1e-12
@@ -139,6 +149,53 @@ def test_gate_preserves_norm_and_trace(rng):
     apply_gate(coeffs, (1, 2), pauli_transfer_matrix(sample_haar_unitary(4, rng)))
     assert abs(moment_nu(coeffs, [1])[0] - before) < 1e-10 * before
     assert abs(coeffs.values[0] - trace_before) < 1e-10
+
+
+#: supports on N=9 sites, whose 4^9 vector is 8 blocks: every pair of the
+#: chain (site 0's pair takes the 2-D product), staircase blocks of w = 4
+#: and 5 at both ends (the top ones' slices are wider than a block, so they
+#: run in column strips), the vertical pairs of a 3x3 grid, a reversed pair
+#: and a scrambled triple, whose axes are moved block by block
+BLOCKED_GATE_CASES = (
+    [(s, s + 1) for s in range(8)]
+    + [(0, 1, 2, 3), (5, 6, 7, 8), (0, 1, 2, 3, 4), (4, 5, 6, 7, 8)]
+    + [(s, s + 3) for s in range(6)]
+    + [(3, 0), (2, 0, 5)]
+)
+
+
+@pytest.mark.parametrize("block", [2**11, BLOCK])
+@pytest.mark.parametrize("support", BLOCKED_GATE_CASES, ids=str)
+def test_blocked_gate_matches_the_whole_vector_product_bit_for_bit(support, block,
+                                                                   monkeypatch, rng):
+    # a scaled R, as a gate with folded noise has; the smaller block runs the
+    # w = 5 gates in strips of two columns
+    monkeypatch.setattr(opsim, "BLOCK", block)
+    n, w = 9, len(support)
+    r = pauli_transfer_matrix(sample_haar_unitary(2**w, rng))
+    r *= rng.uniform(0.5, 1.0, size=(4**w, 1))
+    coeffs = PauliCoefficients(n, rng.normal(size=4**n))
+    want = whole_vector_gate(coeffs.values, n, support, r)
+    values = coeffs.values
+    apply_gate(coeffs, support, r)
+    assert coeffs.values is values  # updated in place
+    assert coeffs.values.tobytes() == want.tobytes()
+
+
+def test_blocked_gate_makes_no_vector_sized_temporary(rng):
+    """At N=9 the vector takes 8 blocks, and a whole-vector product would
+    allocate at least one more vector; the blocked gate stays under three
+    blocks at every chain pair, on a w = 4 staircase block and on the grid's
+    vertical pairs."""
+    n = 9
+    coeffs = PauliCoefficients(n, rng.normal(size=4**n))
+    assert coeffs.values.nbytes == 8 * 4**n > 2 * BLOCKED_PEAK_BYTES
+    rs = {w: pauli_transfer_matrix(sample_haar_unitary(2**w, rng)) for w in (2, 4)}
+    supports = ([(s, s + 1) for s in range(n - 1)] + [(0, 1, 2, 3), (5, 6, 7, 8)]
+                + [(s, s + 3) for s in range(n - 3)])
+    for support in supports:
+        peak = traced_peak(lambda: apply_gate(coeffs, support, rs[len(support)]))
+        assert peak <= BLOCKED_PEAK_BYTES, (support, peak)
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from pauliscope import spectrum
 from pauliscope.circuits import CircuitSpec
 from pauliscope.csvio import MOMENTS_HEADER
 from pauliscope.driver import INVARIANT_SLACK, moment_row
 from pauliscope.opsim import init_local_pauli
-from pauliscope.pauli import PauliCoefficients, pauli_transform
+from pauliscope.pauli import BLOCK, PauliCoefficients, pauli_transform
 from pauliscope.spectrum import (
     HIST_EDGES,
     haar_moment,
@@ -21,7 +22,14 @@ from pauliscope.spectrum import (
     spectrum_histogram,
 )
 
-from conftest import PAULI_MATRICES, random_hermitian
+from conftest import (
+    BLOCKED_PEAK_BYTES,
+    PAULI_MATRICES,
+    random_hermitian,
+    traced_peak,
+    whole_vector_histogram,
+    whole_vector_moment_nu,
+)
 
 
 def test_local_pauli_moments_exact():
@@ -157,6 +165,31 @@ def test_one_reduction_matches_fsum_at_every_order(rng):
         moment_nu(PauliCoefficients(n, a), [0, 2])
 
 
+@pytest.mark.parametrize("block", [2**7, 2**11, BLOCK])
+@pytest.mark.parametrize("n", [9, 10])
+def test_blocked_reductions_match_whole_vector_sums_bit_for_bit(n, block, monkeypatch, rng):
+    # a^2 spans about 30 orders of magnitude, and a quarter of it is exactly 0
+    monkeypatch.setattr(spectrum, "BLOCK", block)
+    a = rng.normal(size=4**n) * 10.0 ** rng.uniform(-15.0, 0.0, size=4**n)
+    a[rng.uniform(size=a.size) < 0.25] = 0.0
+    ks = [1, 2, 3, 4, 5]
+    assert moment_nu(PauliCoefficients(n, a), ks).tolist() == whole_vector_moment_nu(a, n, ks)
+    hist = spectrum_histogram(PauliCoefficients(n, a))
+    assert hist.tobytes() == whole_vector_histogram(a, n).tobytes()
+
+
+def test_blocked_reductions_make_no_vector_sized_temporary(rng):
+    """At N=9 the vector takes 8 blocks, and a whole-vector reduction would
+    allocate at least one more vector; moment_nu at each k = 1..4 and at all
+    of them at once, and the histogram, stay under three blocks."""
+    n = 9
+    coeffs = PauliCoefficients(n, rng.normal(size=4**n))
+    assert coeffs.values.nbytes > 2 * BLOCKED_PEAK_BYTES
+    for ks in ([1], [2], [3], [4], [1, 2, 3, 4]):
+        assert traced_peak(lambda: moment_nu(coeffs, ks)) <= BLOCKED_PEAK_BYTES, ks
+    assert traced_peak(lambda: spectrum_histogram(coeffs)) <= BLOCKED_PEAK_BYTES
+
+
 def test_moment_estimate_validation():
     # a moments CSV row has a known quantity, k >= 1 and a stderr >= 0
     spec = CircuitSpec(n_sites=4)
@@ -175,10 +208,11 @@ def test_moment_estimate_validation():
 @pytest.mark.parametrize("quantity, k, value", [
     ("mu", 2, math.nan), ("nu", 2, math.inf), ("nu_over_F2k", 2, -1e-300),
     ("nu", 3, -2.0), ("mu", 2, 0.34), ("mu", 1, 1.0 - 10 * INVARIANT_SLACK),
-    ("nu", 1, 1.0 + 10 * INVARIANT_SLACK),
+    ("nu", 1, 1.0 + 10 * INVARIANT_SLACK), ("mu", 1, 1.0 + 10 * INVARIANT_SLACK),
 ])
 def test_moment_row_rejects_non_physical_values(quantity, k, value):
-    # every engine's rows pass the same invariants: finite, >= 0, mu_k >= 1, nu_1 <= 1
+    # every engine's rows pass the same invariants: finite, >= 0, mu_k >= 1, mu_1 = 1,
+    # nu_1 <= 1
     spec = CircuitSpec(n_sites=5, gamma=0.1)
     with pytest.raises(FloatingPointError,
                        match=rf"N=5, t=3, k={k} .* non-physical value .*stderr column 0.25"):
@@ -186,7 +220,8 @@ def test_moment_row_rejects_non_physical_values(quantity, k, value):
 
 
 @pytest.mark.parametrize("quantity, k, value", [
-    ("mu", 1, 1.0 - INVARIANT_SLACK / 2), ("mu", 3, 1e6), ("nu", 1, 1.0 + INVARIANT_SLACK / 2),
+    ("mu", 1, 1.0 - INVARIANT_SLACK / 2), ("mu", 1, 1.0 + INVARIANT_SLACK / 2), ("mu", 3, 1e6),
+    ("nu", 1, 1.0 + INVARIANT_SLACK / 2),
     ("nu", 1, 0.0), ("nu", 2, 40.0), ("nu_over_F2k", 1, 3.0),
 ])
 def test_moment_row_keeps_physical_values(quantity, k, value):
