@@ -120,7 +120,9 @@ def apply_gate(
     last axis has length 1, and one 2-D product x @ R^T replaces 4^lo tiny
     ones.  A vector of at most ``BLOCK`` entries is read that way whole: for
     a run of adjacent, ascending sites the move is the identity and the
-    reshape a view; other supports pay one copy in the reshape.
+    reshape a view; other supports pay one copy in the reshape.  The product
+    is a new array that becomes the vector, which saves the copy back that
+    an update in place makes.
 
     A longer vector is updated block by block: each block of ``BLOCK``
     entries, whole slices or a column strip of one slice, is multiplied by
@@ -146,8 +148,8 @@ def apply_gate(
     hi = min(support)
     lo = n - w - hi
     dst = list(range(lo, lo + w))
-    moved = src != dst
     if coeffs.values.size <= BLOCK:
+        moved = src != dst
         x = coeffs.values.reshape((4,) * n)
         x = (np.moveaxis(x, src, dst) if moved else x).reshape(4**lo, q, -1)
         out = x[:, :, 0] @ r.T if hi == 0 else r @ x
@@ -155,26 +157,22 @@ def apply_gate(
         coeffs.values = (np.moveaxis(out, dst, src) if moved else out).reshape(-1)
         return coeffs
     # blocks of 2^e whole slices, or column strips of one slice, each a basic
-    # index of a view: with the support in place, the lo axes are merged into
-    # one of 2^e-slice blocks; with it moved, each lo axis is split in two
-    # (which never copies) and a block fixes the leading halves
+    # index of a view whose lo axes are split in two (which never copies):
+    # a block fixes the leading halves
     strip = min(4**hi, BLOCK // q)
     e = (BLOCK // (q * strip)).bit_length() - 1
-    if moved:
-        x = np.moveaxis(coeffs.values.reshape((4,) * (n - hi) + (4**hi,)), src, dst)
-        x = x.reshape((2,) * (2 * lo) + (4,) * w + (4**hi,))
-        lead = 2 * lo - e
-    else:
-        x = coeffs.values.reshape(-1, 2**e, q, 4**hi)
-        lead = 1
-    # numpy multiplies into `out` faster by a C-ordered R^T than by r.T's view
-    # (about 1.0 against 1.7 ms for a site-0 pair at N=10), with the same bits
-    rt = np.ascontiguousarray(r.T)
+    x = np.moveaxis(coeffs.values.reshape((4,) * (n - hi) + (4**hi,)), src, dst)
+    x = x.reshape((2,) * (2 * lo) + (4,) * w + (4**hi,))
+    if hi == 0:
+        # numpy multiplies into `out` by a C-ordered R^T about twice as fast
+        # as by r.T's view for w <= 2, with the same bits; from w = 4, where
+        # the copy would outgrow a block, the two run alike
+        rt = np.ascontiguousarray(r.T) if q * q <= BLOCK else r.T
     out = np.empty((2**e, q, strip))
-    for index in np.ndindex(x.shape[:lead]):
+    for index in np.ndindex(x.shape[:2 * lo - e]):
         for start in range(0, 4**hi, strip):
             view = x[index + (Ellipsis, slice(start, start + strip))]
-            block = view.reshape(2**e, q, strip)  # a copy only where `moved`
+            block = view.reshape(2**e, q, strip)  # a copy only where moved
             if hi == 0:
                 np.matmul(block[:, :, 0], rt, out=out[:, :, 0])
             else:

@@ -185,14 +185,15 @@ def test_blocked_gate_matches_the_whole_vector_product_bit_for_bit(support, bloc
 def test_blocked_gate_makes_no_vector_sized_temporary(rng):
     """At N=9 the vector takes 8 blocks, and a whole-vector product would
     allocate at least one more vector; the blocked gate stays under three
-    blocks at every chain pair, on a w = 4 staircase block and on the grid's
-    vertical pairs."""
+    blocks at every chain pair, on w = 4 and 5 staircase blocks at both ends
+    (whose R is as big as the vector at w = 5) and on the grid's vertical
+    pairs."""
     n = 9
     coeffs = PauliCoefficients(n, rng.normal(size=4**n))
     assert coeffs.values.nbytes == 8 * 4**n > 2 * BLOCKED_PEAK_BYTES
-    rs = {w: pauli_transfer_matrix(sample_haar_unitary(2**w, rng)) for w in (2, 4)}
+    rs = {w: pauli_transfer_matrix(sample_haar_unitary(2**w, rng)) for w in (2, 4, 5)}
     supports = ([(s, s + 1) for s in range(n - 1)] + [(0, 1, 2, 3), (5, 6, 7, 8)]
-                + [(s, s + 3) for s in range(n - 3)])
+                + [(0, 1, 2, 3, 4), (4, 5, 6, 7, 8)] + [(s, s + 3) for s in range(n - 3)])
     for support in supports:
         peak = traced_peak(lambda: apply_gate(coeffs, support, rs[len(support)]))
         assert peak <= BLOCKED_PEAK_BYTES, (support, peak)
