@@ -27,6 +27,7 @@ gate's sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -148,11 +149,16 @@ def apply_gate(
     hi = min(support)
     lo = n - w - hi
     dst = list(range(lo, lo + w))
+    if hi == 0:
+        # numpy multiplies by a C-ordered R^T about twice as fast as by r.T's
+        # view for w <= 2, with the same bits; from w = 4, where the copy
+        # would outgrow a block, the two run alike
+        rt = np.ascontiguousarray(r.T) if q * q <= BLOCK else r.T
     if coeffs.values.size <= BLOCK:
         moved = src != dst
         x = coeffs.values.reshape((4,) * n)
         x = (np.moveaxis(x, src, dst) if moved else x).reshape(4**lo, q, -1)
-        out = x[:, :, 0] @ r.T if hi == 0 else r @ x
+        out = x[:, :, 0] @ rt if hi == 0 else r @ x
         out = out.reshape((4,) * n)
         coeffs.values = (np.moveaxis(out, dst, src) if moved else out).reshape(-1)
         return coeffs
@@ -163,11 +169,6 @@ def apply_gate(
     e = (BLOCK // (q * strip)).bit_length() - 1
     x = np.moveaxis(coeffs.values.reshape((4,) * (n - hi) + (4**hi,)), src, dst)
     x = x.reshape((2,) * (2 * lo) + (4,) * w + (4**hi,))
-    if hi == 0:
-        # numpy multiplies into `out` by a C-ordered R^T about twice as fast
-        # as by r.T's view for w <= 2, with the same bits; from w = 4, where
-        # the copy would outgrow a block, the two run alike
-        rt = np.ascontiguousarray(r.T) if q * q <= BLOCK else r.T
     out = np.empty((2**e, q, strip))
     for index in np.ndindex(x.shape[:2 * lo - e]):
         for start in range(0, 4**hi, strip):
@@ -179,6 +180,16 @@ def apply_gate(
                 np.matmul(r, block, out=out)
             view[...] = out.reshape(view.shape)
     return coeffs
+
+
+@lru_cache(maxsize=64)
+def _factor_row(n_sites: int, site: int, gamma: float) -> np.ndarray:
+    """Read-only factors of one row of 4^min(N, 5) strings under the channel on
+    ``site`` (< 3): 1 where the string's letter there is I, else 1 - gamma."""
+    width = 4 ** min(n_sites, 5)
+    row = np.where(np.arange(width) // 4**site % 4 == 0, 1.0, 1.0 - gamma)
+    row.flags.writeable = False
+    return row
 
 
 def apply_depolarizing(
@@ -197,9 +208,8 @@ def apply_depolarizing(
     n = coeffs.n_sites
     for s in sites:
         if s < 3:  # runs of 3 * 4^s are short: scale rows of 4^5 by one factor row
-            width = 4 ** min(n, 5)
-            row = np.where(np.arange(width) // 4**s % 4 == 0, 1.0, 1.0 - gamma)
-            coeffs.values.reshape(-1, width)[...] *= row
+            row = _factor_row(n, s, gamma)
+            coeffs.values.reshape(-1, row.size)[...] *= row
         else:
             coeffs.values.reshape(4 ** (n - 1 - s), 4, 4**s)[:, 1:, :] *= 1.0 - gamma
     return coeffs

@@ -113,23 +113,26 @@ def pauli_transform(op) -> PauliCoefficients:
     stack gives coefficient vectors of shape (..., 4^N), each bit for bit
     the transform of its operator alone.  The result of a Hermitian input
     is real; a residual imaginary part above 1e-10 (relative to the
-    operator's largest coefficient) raises.
+    operator's largest coefficient, or to 1 if that is smaller) raises.  The
+    check is made on the rotation before its scaling by 1/D, against
+    1e-10 max(D, max|Re|): D is a power of two, so that is the same
+    decision, and only the real part is then divided by D.
     """
     mat, n = _as_matrix(op)
     batch = mat.shape[:-2]
     d = 2**n
-    t = _rotate_legs(_interleave(mat, n), n, _SITE_FORWARD).reshape(batch + (4**n,)) / d
-    scale = np.maximum(1.0, np.max(np.abs(t.real), axis=-1))
+    t = _rotate_legs(_interleave(mat, n), n, _SITE_FORWARD).reshape(batch + (4**n,))
+    scale = np.maximum(d, np.max(np.abs(t.real), axis=-1))
     resid = np.max(np.abs(t.imag), axis=-1)
     over = resid > 1e-10 * scale
     if over.any():
         first = np.unravel_index(np.argmax(over), over.shape)
         which = f" of operator {', '.join(map(str, first))}" if batch else ""
         raise ValueError(
-            f"imaginary residue {resid[first]:.3e}{which} exceeds tolerance "
+            f"imaginary residue {resid[first] / d:.3e}{which} exceeds tolerance "
             "(non-Hermitian input?)"
         )
-    return PauliCoefficients(n, np.ascontiguousarray(t.real))
+    return PauliCoefficients(n, t.real / d)
 
 
 def inverse_pauli_transform(coeffs: PauliCoefficients) -> np.ndarray:

@@ -43,16 +43,36 @@ def _top_order(values: np.ndarray, n: int) -> np.ndarray:
 def _squared_tails(coeffs: PauliCoefficients, mask: np.ndarray, np_grid: list[int]) -> np.ndarray:
     """Squared zero-state error each cutoff of the grid leaves in one operator.
 
-    The top max(grid) order says how many diagonal strings each cutoff keeps;
-    the dropped ones are the rest of the diagonal strings in the same order,
-    summed from the smallest up as one suffix sum.
+    The top n strings (by descending |a|, ties to the lower Pauli index) keep
+    the diagonal strings with |a| above the cut c_n, the n-th largest |a|,
+    and those with |a| = c_n that come first in index order.  The cuts come
+    from one partition and one plain sort of the top max(grid) magnitudes,
+    and each count from a search of the diagonal's magnitudes; only a run of
+    |a| = c_n that straddles the cut, or may go on past the partition, is
+    scanned for its strings' indices.  Nothing is ordered but the diagonal:
+    its dropped strings, in the same order, are summed from the smallest up
+    as one suffix sum.
     """
     values = coeffs.values
-    kept = np.concatenate([[0], np.cumsum(mask[_top_order(values, max(np_grid))])])
+    mag = np.abs(values)
+    size, most = mag.size, max(np_grid)
+    top = np.sort(np.partition(mag, size - most)[size - most:] if most < size else mag)
     diagonal = values[mask]
     diagonal = diagonal[_top_order(diagonal, diagonal.size)]
+    cuts = top[most - np.asarray(np_grid)]
+    # how many of the top candidates, and of the diagonal strings, have
+    # |a| > c and |a| >= c
+    above = most - np.searchsorted(top, cuts, side="right")
+    ends = most - np.searchsorted(top, cuts, side="left")
+    ascending = np.abs(diagonal[::-1])
+    kept = diagonal.size - np.searchsorted(ascending, cuts, side="left")
+    for j, n in enumerate(np_grid):
+        if ends[j] > n or ends[j] == most < size:
+            ties = np.flatnonzero(mag == cuts[j])[:n - above[j]]
+            kept[j] = (diagonal.size - np.searchsorted(ascending, cuts[j], side="right")
+                       + np.count_nonzero(mask[ties]))
     suffix = np.concatenate([np.cumsum(diagonal[::-1])[::-1], [0.0]])
-    return suffix[kept[np_grid]] ** 2
+    return suffix[kept] ** 2
 
 
 def simulability_bound(norm: float, m2: float, n_paulis: int, n_sites: int) -> float:

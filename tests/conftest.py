@@ -7,12 +7,16 @@ replica algebra is the dense n! x n! Gram matrix with its LU solve or SVD
 pseudo-inverse, and the staircase transfer matrix is the dense
 (2k)! x (2k)! product.  The simulator's block-by-block kernels are graded
 against their whole-vector forms: one product over the vector read as
-(4^lo, 4^w, 4^hi), one squared copy summed whole, one histogram call.
+(4^lo, 4^w, 4^hi), one squared copy summed whole, one histogram call.  The
+Pauli transform, which checks its imaginary residue before it scales, is
+graded against the form that divides the whole complex rotation by D first
+and checks after; the class Weingarten solve against exact rationals.
 """
 
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -27,7 +31,7 @@ from pauliscope.opsim import (
     init_local_pauli,
     pauli_transfer_matrix,
 )
-from pauliscope.pauli import BLOCK
+from pauliscope.pauli import BLOCK, _SITE_FORWARD, _as_matrix, _interleave, _rotate_legs
 from pauliscope.rtn import _wire_basis
 from pauliscope.spectrum import HIST_EDGES, HIST_U_MAX, HIST_U_MIN
 
@@ -151,6 +155,40 @@ def dense_weingarten(n: int, q: float) -> np.ndarray:
         x += np.linalg.solve(gs, np.eye(len(gs)) - gs @ x)
         return x / scale
     return np.linalg.pinv(gs, rcond=1e-12) / scale
+
+
+@lru_cache(maxsize=None)
+def exact_weingarten(n: int, q: int) -> tuple[Fraction, ...]:
+    """Wg(q) by class, sorted cycle types, as exact rationals for q >= n.
+
+    S_n is enumerated by ``itertools.permutations`` (n <= 6 keeps it quick),
+    and the class system sum_t q^#(t) Wg(t^-1 s_E) = [s_E = e], one row per
+    class representative s_E, is solved by Gauss-Jordan elimination over
+    ``fractions.Fraction``."""
+    if n > 6 or q < n:
+        raise ValueError(f"exact Weingarten needs n <= 6 and q >= n, got n={n}, q={q}")
+    perms = list(itertools.permutations(range(n)))
+    types = [cycle_type(p) for p in perms]
+    classes = sorted(set(types))
+    size = len(classes)
+    rows = []
+    for e, ctype in enumerate(classes):
+        rep = perms[types.index(ctype)]
+        rep_inv = [rep.index(i) for i in range(n)]
+        row = [Fraction(0)] * size + [Fraction(int(e == 0))]
+        for t, t_type in zip(perms, types):
+            # the class of t^-1 s_E is that of its inverse s_E^-1 t
+            rel = tuple(rep_inv[t[i]] for i in range(n))
+            row[classes.index(cycle_type(rel))] += Fraction(q) ** len(t_type)
+        rows.append(row)
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(size):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(row[size] for row in rows)
 
 
 def dense_noisy_weingarten(n: int, q: float, gamma: float) -> np.ndarray:
@@ -328,6 +366,26 @@ def unfolded_per_gate_layers(spec, realization):
 def truncate_top(values, n_keep: int) -> list[int]:
     """Indices of the n_keep largest |a|, ties to the lower Pauli index."""
     return sorted(range(len(values)), key=lambda i: (-abs(values[i]), i))[:n_keep]
+
+
+def divide_then_check_transform(op) -> np.ndarray:
+    """The Pauli coefficients of an operator or a stack, made by dividing the
+    complex rotation by D and then checking its imaginary part against
+    1e-10 max(1, max|Re|); raises with that divided residue."""
+    mat, n = _as_matrix(op)
+    batch = mat.shape[:-2]
+    t = _rotate_legs(_interleave(mat, n), n, _SITE_FORWARD).reshape(batch + (4**n,)) / 2**n
+    scale = np.maximum(1.0, np.max(np.abs(t.real), axis=-1))
+    resid = np.max(np.abs(t.imag), axis=-1)
+    over = resid > 1e-10 * scale
+    if over.any():
+        first = np.unravel_index(np.argmax(over), over.shape)
+        which = f" of operator {', '.join(map(str, first))}" if batch else ""
+        raise ValueError(
+            f"imaginary residue {resid[first]:.3e}{which} exceeds tolerance "
+            "(non-Hermitian input?)"
+        )
+    return np.ascontiguousarray(t.real)
 
 
 def whole_vector_gate(values, n: int, support, r) -> np.ndarray:

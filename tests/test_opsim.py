@@ -32,6 +32,7 @@ from conftest import (
     BLOCKED_PEAK_BYTES,
     PAULI_MATRICES,
     dense_circuit_layers,
+    divide_then_check_transform,
     embedded_unitary,
     random_hermitian,
     traced_peak,
@@ -216,6 +217,20 @@ def test_stacked_transfer_matrices_equal_single_builds_bit_for_bit(w, count, rng
     assert stack.shape == (count, 1, 4**w, 4**w)
     for i in range(count):
         assert stack[i, 0].tobytes() == pauli_transfer_matrix(u[i, 0]).tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_transfer_matrices_equal_the_divide_then_check_transform_bit_for_bit(w):
+    """1000 Haar gates of each width, in stacks of 250: the transfer
+    matrices equal q times the coefficients of the divide-then-check
+    transform, bit for bit, signs of zeros included."""
+    rng = np.random.default_rng(40 + w)
+    q = 2**w
+    for _ in range(4):
+        u = sample_haar_unitary(q, rng, 250)
+        x = np.einsum("...jk,...il->...jlik", u, u.conj()).reshape(250, q * q, q * q)
+        want = q * divide_then_check_transform(x).reshape(250, q * q, q * q)
+        assert pauli_transfer_matrix(u).tobytes() == want.tobytes()
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,7 +10,13 @@ from pauliscope.pauli import (
     zdiag_mask,
 )
 
-from conftest import decode_pauli, pauli_matrix, random_hermitian, zdiag_indicator
+from conftest import (
+    decode_pauli,
+    divide_then_check_transform,
+    pauli_matrix,
+    random_hermitian,
+    zdiag_indicator,
+)
 
 
 def _index_of(word: str) -> int:
@@ -123,6 +129,40 @@ def test_stacked_transform_names_its_non_hermitian_operator(rng):
         pauli_transform(stack)
     with pytest.raises(ValueError, match="of operator 1, 0 exceeds"):
         pauli_transform(stack.reshape(2, 2, 4, 4))
+
+
+@pytest.mark.parametrize("n, word, level", [(1, "Z", 1.0), (1, "Y", 0.25), (3, "XIZ", 3.7),
+                                            (3, "YYZ", 1e6), (2, "IX", 1.0 + 2**-40)])
+def test_residue_check_decides_as_dividing_first(n, word, level):
+    """O = level 1 + i e P has the imaginary residue e exactly, and the check
+    on the unscaled rotation, against 1e-10 max(D, max|Re|), raises or passes
+    as the divide-then-check form does for e a few ulp either side of
+    1e-10 max(1, level), with the same message (the residue divided by D)."""
+    at = 1e-10 * max(1.0, level)
+    below, above = at, at
+    es = [at]
+    for _ in range(4):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+        es += [below, above]
+    outcomes = set()
+    for e in es:
+        op = level * np.eye(2**n) + 1j * e * pauli_matrix(word)
+        ops = np.stack([np.eye(2**n), op])
+        for mat in (op, ops):
+            try:
+                want = divide_then_check_transform(mat)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    pauli_transform(mat)
+                assert str(got.value) == str(err)
+                outcomes.add("raises")
+            else:
+                assert pauli_transform(mat).values.tobytes() == want.tobytes()
+                outcomes.add("passes")
+    assert outcomes == {"raises", "passes"}
+    with pytest.raises(ValueError, match=f"residue {np.nextafter(at, 1.0):.3e} of operator 1 "):
+        pauli_transform(np.stack([np.eye(2**n), level * np.eye(2**n)
+                                  + 1j * np.nextafter(at, 1.0) * pauli_matrix(word)]))
 
 
 def test_coefficients_shape_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauliscope.circuits import CircuitSpec, run_circuit
+from pauliscope.circuits import CircuitSpec, iter_circuit, run_circuit
 from pauliscope.opsim import init_local_pauli
 from pauliscope.pauli import PauliCoefficients, pauli_transform, zdiag_mask
 from pauliscope.spectrum import moment_mu, moment_nu, ose
@@ -61,16 +61,43 @@ def _tie_heavy_values(rng, n):
     return values
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _default_grid(n):
+    return [2**j for j in range(0, min(12, 2 * n) + 1)]
+
+
+def _boundary_tie_values(rng, n, most, run, before):
+    """Coefficients whose ``most``-th largest |a| = 1 sits in a run of ``run``
+    tied magnitudes, ``before`` of them within the top ``most``: distinct
+    magnitudes above 1 and below it around the run, both signs everywhere,
+    and a third of the run (up to 32) on diagonal strings."""
+    size = 4**n
+    mask = zdiag_mask(n)
+    on_diagonal = min(run // 3, 32)
+    tied = np.concatenate([rng.choice(np.flatnonzero(mask), on_diagonal, replace=False),
+                           rng.choice(np.flatnonzero(~mask), run - on_diagonal, replace=False)])
+    rest = rng.permutation(np.setdiff1d(np.arange(size), tied))
+    values = np.empty(size)
+    values[tied] = 1.0
+    values[rest[: most - before]] = 2.0 + rng.random(most - before)
+    values[rest[most - before:]] = 0.9 * rng.random(rest.size - most + before)
+    return values * rng.choice([-1.0, 1.0], size)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_selected_tails_equal_the_full_sort_bit_for_bit(n):
     """The selection's squared tails and top order equal the full stable
     sort's, bit for bit, on tie- and zero-heavy vectors with negative
     diagonal values, on grids that are not powers of two, with cutoffs inside
-    runs of tied |a|, and with N_P = 4^N."""
+    runs of tied |a|, with N_P = 4^N, and on the default grid.  At N = 7
+    the default grid stops at 4096 < 4^7, so the top magnitudes come from a
+    partition; there it also runs tie runs that straddle, end at, or start
+    at the partition boundary, an all-zero diagonal, and early-depth
+    operators whose strings outside the light cone are exact zeros."""
     rng = np.random.default_rng(1000 + n)
     mask = zdiag_mask(n)
     size = 4**n
-    for trial in range(60):
+    trials = 20 if n == 7 else 60
+    for trial in range(trials):
         values = _tie_heavy_values(rng, n)
         full = np.argsort(-np.abs(values), kind="stable")
         mag = np.abs(values[full])
@@ -84,8 +111,30 @@ def test_selected_tails_equal_the_full_sort_bit_for_bit(n):
         coeffs = PauliCoefficients(n, values)
         got = _squared_tails(coeffs, mask, grid)
         assert np.array_equal(got, _full_sort_squared_tails(coeffs, mask, grid))
-        for cut in grid:
+        default = _default_grid(n)
+        got = _squared_tails(coeffs, mask, default)
+        assert np.array_equal(got, _full_sort_squared_tails(coeffs, mask, default))
+        for cut in grid[:3] if n == 7 else grid:
             assert np.array_equal(_top_order(values, cut), full[:cut])
+    if n < 7:
+        return
+    default = _default_grid(n)
+    most = default[-1]
+    assert most < size
+    cases = [_boundary_tie_values(rng, n, most, run, before)
+             for run, before in ((40, 17), (40, 40), (40, 1), (9, 9), (2 * most, most))]
+    zero_diagonal = rng.standard_normal(size)
+    zero_diagonal[mask] = 0.0
+    cases.append(zero_diagonal)
+    spec = CircuitSpec(geometry="chain", n_sites=n, depth=4, gamma=0.05, master_seed=17)
+    for _, op in iter_circuit(spec, 0):
+        cases.append(op.values.copy())
+    assert np.count_nonzero(cases[-4] == 0.0) > size - most  # the cut falls among zeros
+    for values in cases:
+        coeffs = PauliCoefficients(n, values)
+        for grid in (default, [most], [most - 1, most, most + 1]):
+            got = _squared_tails(coeffs, mask, grid)
+            assert np.array_equal(got, _full_sort_squared_tails(coeffs, mask, grid))
 
 
 def test_expectation_zero_state_examples(rng):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 import time
 import tracemalloc
 
@@ -22,6 +23,7 @@ from conftest import (
     dense_group,
     dense_noisy_weingarten,
     dense_weingarten,
+    exact_weingarten,
     permutation_vectors,
 )
 
@@ -148,6 +150,32 @@ def test_weingarten_hand_values():
     assert abs(w[0] - 1 / 15) < 1e-14
     assert abs(w[1] + 1 / 60) < 1e-14
     assert abs(weingarten_matrix(1, 5)[0] - 0.2) < 1e-15
+
+
+#: largest relative error of a class Weingarten entry against exact rationals,
+#: per degree, at q >= n: twice the worst measured (n=2: 5.6e-17; n=4: 7.1e-16 at
+#: q=4; n=6: 1.8e-14 at q=6)
+EXACT_WG_BOUND = {2: 1e-16, 4: 1.5e-15, 6: 4e-14}
+
+
+def test_exact_weingarten_oracle_has_the_closed_form_at_n_2():
+    """Wg(e) = 1/(q^2-1) and Wg((12)) = -1/(q(q^2-1)), exactly."""
+    for q in (2, 3, 4, 16, 1024):
+        assert exact_weingarten(2, q) == (Fraction(1, q * q - 1), Fraction(-1, q * (q * q - 1)))
+    with pytest.raises(ValueError):
+        exact_weingarten(4, 3)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_weingarten_matches_exact_rationals(n):
+    """The class solve at q >= n, each entry within ``EXACT_WG_BOUND[n]`` of
+    the exact rational, relative to it; q = n is the worst conditioned."""
+    for q in sorted({n, n + 1, 2, 4, 8, 16, 32, 64, 1024}):
+        if q < n:
+            continue
+        got = weingarten_matrix(n, float(q))
+        for value, exact in zip(got.tolist(), exact_weingarten(n, q)):
+            assert abs(Fraction(value) - exact) <= EXACT_WG_BOUND[n] * abs(exact), (q, exact)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
