@@ -60,8 +60,9 @@ def _squared_tails(coeffs: PauliCoefficients, mask: np.ndarray, np_grid: list[in
     diagonal = values[mask]
     diagonal = diagonal[_top_order(diagonal, diagonal.size)]
     cuts = top[most - np.asarray(np_grid)]
-    # how many of the top candidates, and of the diagonal strings, have
-    # |a| > c and |a| >= c
+    # top candidates with |a| > c and with |a| >= c; every diagonal string
+    # with |a| >= c is kept unless the run of |a| = c straddles the cut or
+    # may go on past the partition
     above = most - np.searchsorted(top, cuts, side="right")
     ends = most - np.searchsorted(top, cuts, side="left")
     ascending = np.abs(diagonal[::-1])

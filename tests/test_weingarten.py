@@ -153,8 +153,8 @@ def test_weingarten_hand_values():
 
 
 #: largest relative error of a class Weingarten entry against exact rationals,
-#: per degree, at q >= n: twice the worst measured (n=2: 5.6e-17; n=4: 7.1e-16 at
-#: q=4; n=6: 1.8e-14 at q=6)
+#: per degree, at q >= n: about twice the worst measured (n=2: 5.6e-17; n=4:
+#: 7.1e-16 at q=4; n=6: 1.8e-14 at q=6)
 EXACT_WG_BOUND = {2: 1e-16, 4: 1.5e-15, 6: 4e-14}
 
 
