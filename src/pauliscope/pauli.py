@@ -114,9 +114,9 @@ def pauli_transform(op) -> PauliCoefficients:
     the transform of its operator alone.  The result of a Hermitian input
     is real; a residual imaginary part above 1e-10 (relative to the
     operator's largest coefficient, or to 1 if that is smaller) raises.  The
-    check is made on the rotation before its scaling by 1/D, against
-    1e-10 max(D, max|Re|): D is a power of two, so that is the same
-    decision, and only the real part is then divided by D.
+    check reads the rotation before its scaling by 1/D, against
+    1e-10 max(D, max|Re|), which is the same decision since D is a power of
+    two; only the real part is then divided by D.
     """
     mat, n = _as_matrix(op)
     batch = mat.shape[:-2]

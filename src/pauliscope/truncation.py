@@ -56,7 +56,7 @@ def _squared_tails(coeffs: PauliCoefficients, mask: np.ndarray, np_grid: list[in
     values = coeffs.values
     mag = np.abs(values)
     size, most = mag.size, max(np_grid)
-    top = np.sort(np.partition(mag, size - most)[size - most:] if most < size else mag)
+    top = np.sort(np.partition(mag, size - most)[size - most:])
     diagonal = values[mask]
     diagonal = diagonal[_top_order(diagonal, diagonal.size)]
     cuts = top[most - np.asarray(np_grid)]
