@@ -13,7 +13,7 @@ from collections import defaultdict
 
 from pauliscope.csvio import MOMENTS_HEADER, read_csv_rows
 from pauliscope.fits import weighted_line_fit
-from pauliscope.rmpu import scaling_predictions
+from pauliscope.rmpu import TAU, t_star
 from pauliscope.spectrum import haar_moment
 
 
@@ -40,16 +40,15 @@ def main():
                 if t in curve:
                     raise ValueError(f"two k=2 mu rows at N={row['N']}, t={t}")
                 curve[t] = float(row["value"])
-    sp = scaling_predictions(k=2)
     crossings = {}
     for n_sites in sorted(curves):
         crossings[n_sites] = crossing_depth(curves[n_sites], args.threshold)
         print(
             f"N={n_sites}: crossing at t={crossings[n_sites]:.2f} "
-            f"(t/t* = {crossings[n_sites] / sp.t_star(n_sites):.3f})"
+            f"(t/t* = {crossings[n_sites] / t_star(n_sites, 2):.3f})"
         )
     fit = weighted_line_fit(list(crossings), list(crossings.values()))
-    print(f"crossing-depth slope vs N: {fit.slope:.3f} (prediction {sp.tau * math.log(2) / 2:.3f})")
+    print(f"crossing-depth slope vs N: {fit.slope:.3f} (prediction {TAU * math.log(2) / 2:.3f})")
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .circuits import CircuitSpec, json_fields
@@ -28,7 +31,7 @@ from .csvio import (
 )
 from .driver import ExperimentConfig, SweepSpec, run_ensemble, simulate_histogram, simulate_mse
 from .fits import fit_kappa, locate_threshold
-from .rmpu import scaling_predictions
+from .rmpu import GAMMA_C_TIMES_N
 
 
 _MOMENT_SWEEPS = ("t", "gamma", "n", "k")
@@ -126,6 +129,15 @@ def cmd_run(cfg: ExperimentConfig, command: str) -> int:
     return 0
 
 
+def _finite(row: dict, keys, where: str) -> list[float]:
+    """The row's ``keys`` read as floats; one that is not finite is rejected."""
+    values = [float(row[key]) for key in keys]
+    for key, value in zip(keys, values):
+        if not math.isfinite(value):
+            raise ValueError(f"{key} = {row[key]} at {where} is not finite")
+    return values
+
+
 def cmd_fit_kappa(args) -> int:
     """kappa per gamma from the k=2 nu/F^4 rows of one system's moments CSV."""
     rows = [
@@ -144,27 +156,15 @@ def cmd_fit_kappa(args) -> int:
             )
     series = defaultdict(list)
     for row in rows:
-        series[float(row["gamma"])].append(
-            (int(row["t"]), float(row["value"]), float(row["stderr"]))
-        )
+        value, stderr = _finite(row, ("value", "stderr"), f"gamma={row['gamma']}, t={row['t']}")
+        series[float(row["gamma"])].append((int(row["t"]), value, stderr))
     window = tuple(args.window) if args.window else None
     n_sites = int(rows[0]["N"])
     out_rows = []
     for gamma in sorted(series):
         t, v, s = zip(*sorted(series[gamma]))
-        fit = fit_kappa(t, v, s, window=window)
-        out_rows.append(
-            {
-                "gamma": gamma,
-                "gammaN": gamma * n_sites,
-                "kappa": fit.kappa,
-                "kappa_stderr": fit.kappa_stderr,
-                "t_min": fit.window[0],
-                "t_max": fit.window[1],
-                "r_squared": fit.r_squared,
-                "n_points": fit.n_points,
-            }
-        )
+        out_rows.append({"gamma": gamma, "gammaN": gamma * n_sites,
+                         **fit_kappa(t, v, s, window=window)})
     out = Path(args.out or "kappa.csv")
     write_kappa_csv(out, out_rows)
     print(f"wrote {out}")
@@ -173,18 +173,12 @@ def cmd_fit_kappa(args) -> int:
 
 def cmd_threshold(args) -> int:
     """The gamma*N where kappa changes sign, next to the large-N prediction."""
-    rows = read_csv_rows(args.input, ("gammaN", "kappa", "kappa_stderr"))
-    xs = [float(r["gammaN"]) for r in rows]
-    ks = [float(r["kappa"]) for r in rows]
-    ss = [float(r["kappa_stderr"]) for r in rows]
-    res = locate_threshold(xs, ks, ss)
-    payload = {
-        "gammaN_critical": res.value,
-        "stderr": res.stderr,
-        "n_sign_changes": res.n_sign_changes,
-        "bracket": list(res.bracket),
-        "gammaN_prediction": scaling_predictions().gamma_c_times_n,
-    }
+    columns = ("gammaN", "kappa", "kappa_stderr")
+    rows = read_csv_rows(args.input, columns)
+    xs, ks, ss = np.reshape(
+        [_finite(row, columns, f"line {line}") for line, row in enumerate(rows, start=2)], (-1, 3)
+    ).T
+    payload = {**locate_threshold(xs, ks, ss), "gammaN_prediction": GAMMA_C_TIMES_N}
     print(json.dumps(payload, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -193,8 +187,6 @@ def cmd_threshold(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Fast oracle-equivalence sweep (a scaled-down acceptance suite)."""
-    import numpy as np
-
     from .circuits import run_circuit
     from .rmpu import global_haar_moment, rmpu_moment_exact
     from .rtn import contract_brickwork_series

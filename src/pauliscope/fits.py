@@ -11,29 +11,20 @@ import numpy as np
 from .spectrum import haar_moment
 
 
-@dataclass
-class FitResult:
-    """Exponential decay rate of |nu2/F^4 - 3| ~ exp(-kappa t)."""
-
-    kappa: float
-    kappa_stderr: float
-    window: tuple[float, float]
-    r_squared: float
-    n_points: int
-
-
 def fit_kappa(
     depths: Sequence[float],
     values: Sequence[float],
     stderrs: Sequence[float],
     window: Optional[tuple[float, float]] = None,
-) -> FitResult:
+) -> dict:
     """Weighted linear least squares of log|value - 3| against depth, where
     the values are nu_2/F^4 and 3 is its fully scrambled value.
 
     Points whose deviation is within 3 standard errors of zero carry no
     usable sign and are excluded; at least 3 significant points are
     required.  kappa = -slope, so decay gives kappa > 0 and growth < 0.
+    Returns the fit columns of a kappa row: kappa, kappa_stderr, the depths
+    t_min and t_max of the points fitted, r_squared and n_points.
     """
     t = np.asarray(depths, dtype=float)
     dev = np.abs(np.asarray(values, dtype=float) - haar_moment(2))
@@ -46,39 +37,30 @@ def fit_kappa(
             f"only {np.count_nonzero(keep)} significant points in the window, need >= 3"
         )
     t, dev, sig = t[keep], dev[keep], sig[keep]
-    # relative errors of the deviation become absolute errors of its log;
-    # exact series (stderr 0) get uniform unit weights
-    line = weighted_line_fit(t, np.log(dev), np.where(sig > 0, sig / dev, 1.0))
-    return FitResult(
-        kappa=-line.slope,
-        kappa_stderr=line.slope_stderr,
-        window=(float(t.min()), float(t.max())),
-        r_squared=line.r_squared,
-        n_points=int(len(t)),
-    )
-
-
-@dataclass
-class ThresholdResult:
-    value: float
-    stderr: float
-    n_sign_changes: int
-    bracket: tuple[float, float]
+    # relative errors of the deviation become absolute errors of its log; an
+    # exact point (stderr 0) takes weighted_line_fit's rule for a zero stderr
+    line = weighted_line_fit(t, np.log(dev), sig / dev)
+    return {"kappa": -line.slope, "kappa_stderr": line.slope_stderr, "t_min": float(t.min()),
+            "t_max": float(t.max()), "r_squared": line.r_squared, "n_points": len(t)}
 
 
 def locate_threshold(
     x: Sequence[float], kappas: Sequence[float], stderrs: Sequence[float]
-) -> ThresholdResult:
+) -> dict:
     """Zero crossing of kappa(x) by linear interpolation of the bracketing
-    pair, with error propagation from the kappa uncertainties."""
+    pair, with error propagation from the kappa uncertainties; an exact
+    kappa = 0 carries no sign, so only the nonzero kappas are compared.
+    Returns the threshold payload: gammaN_critical (the root in x), stderr,
+    n_sign_changes and the bracket of the first change.
+    """
     x = np.asarray(x, dtype=float)
     k = np.asarray(kappas, dtype=float)
     s = np.asarray(stderrs, dtype=float)
     order = np.argsort(x)
+    order = order[k[order] != 0]
     x, k, s = x[order], k[order], s[order]
-    signs = np.sign(k)
-    changes = [i for i in range(len(k) - 1) if signs[i] != 0 and signs[i + 1] == -signs[i]]
-    if not changes:
+    changes = np.flatnonzero(np.sign(k[:-1]) != np.sign(k[1:]))
+    if not len(changes):
         raise ValueError("kappa series does not bracket a sign change")
     i = changes[0]
     dx = x[i + 1] - x[i]
@@ -87,12 +69,8 @@ def locate_threshold(
     d_ki = -k[i + 1] * dx / denom**2
     d_kj = k[i] * dx / denom**2
     err = math.sqrt((d_ki * s[i]) ** 2 + (d_kj * s[i + 1]) ** 2)
-    return ThresholdResult(
-        value=float(root),
-        stderr=float(err),
-        n_sign_changes=len(changes),
-        bracket=(float(x[i]), float(x[i + 1])),
-    )
+    return {"gammaN_critical": float(root), "stderr": float(err),
+            "n_sign_changes": len(changes), "bracket": [float(x[i]), float(x[i + 1])]}
 
 
 @dataclass

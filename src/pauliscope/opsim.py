@@ -64,7 +64,7 @@ class GateMatrix:
                 raise ValueError(f"repeated sites in support {support}")
         u = self.matrices
         dev = np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(2**w)), axis=(1, 2))
-        over = dev > 1e-12
+        over = ~(dev <= 1e-12)  # NaN fails the check too
         if over.any():
             i = int(np.argmax(over))
             raise ValueError(f"gate {i} on sites {self.supports[i]} is not unitary "

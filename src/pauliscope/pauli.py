@@ -124,7 +124,7 @@ def pauli_transform(op) -> PauliCoefficients:
     t = _rotate_legs(_interleave(mat, n), n, _SITE_FORWARD).reshape(batch + (4**n,))
     scale = np.maximum(d, np.max(np.abs(t.real), axis=-1))
     resid = np.max(np.abs(t.imag), axis=-1)
-    over = resid > 1e-10 * scale
+    over = ~(resid <= 1e-10 * scale)  # NaN fails the check too
     if over.any():
         first = np.unravel_index(np.argmax(over), over.shape)
         which = f" of operator {', '.join(map(str, first))}" if batch else ""

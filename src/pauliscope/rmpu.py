@@ -32,7 +32,6 @@ with C_k(gamma) = (d^2-1)/(d^2k (1-gamma)^(-2k) - d^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -162,21 +161,12 @@ def global_haar_moment(q: float, k: int) -> float:
     return float(top @ _class_sums(noisy_weingarten(n, q, 0.0), tb.type_of) @ bottom)
 
 
-@dataclass(frozen=True)
-class ScalingPredictions:
-    """Closed-form brickwork scaling constants derived from tau (qubits, d = 2)."""
-
-    k: int
-    tau: float
-    gamma_c_times_n: float
-
-    def t_star(self, n_sites: int) -> float:
-        """Scrambling depth t_k* = N tau (1 - 1/k) log d."""
-        return n_sites * self.tau * (1.0 - 1.0 / self.k) * math.log(2)
+#: tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d)) with d = 2,
+#: and the large-N noise threshold gamma_c N = 1/tau derived from it
+GAMMA_C_TIMES_N = math.log(5.0 / 4.0)
+TAU = 1.0 / GAMMA_C_TIMES_N
 
 
-def scaling_predictions(k: int = 2) -> ScalingPredictions:
-    """tau from the half-system purity decay, 1/tau = log((d^2+1)/(2d)) with
-    d = 2; derived thresholds follow from it."""
-    rate = math.log(5.0 / 4.0)
-    return ScalingPredictions(k=k, tau=1.0 / rate, gamma_c_times_n=rate)
+def t_star(n_sites: int, k: int) -> float:
+    """Brickwork scrambling depth t_k* = N tau (1 - 1/k) log d (qubits, d = 2)."""
+    return n_sites * TAU * (1.0 - 1.0 / k) * math.log(2)

@@ -723,6 +723,41 @@ def _moments_csv(path, series, quantity="nu_over_F2k"):
     return path
 
 
+#: kappa.csv then threshold.json of the synthetic fit-kappa -> threshold pipeline
+PINNED_SYNTHETIC_PIPELINE = (
+    b'gamma,gammaN,kappa,kappa_stderr,t_min,t_max,r_squared,n_points\n'
+    b'0.01,0.07,0.40000000000000174,0.00015421313879672446,4.0,12.0,1.0,9\n'
+    b'0.05,0.35000000000000003,-0.20000000000000084,1.3497037263085823e-06,4.0,12.0,1.0,9\n'
+    b'{\n'
+    b'  "gammaN_critical": 0.2566666666666667,\n'
+    b'  "stderr": 2.3992385313909824e-05,\n'
+    b'  "n_sign_changes": 1,\n'
+    b'  "bracket": [\n'
+    b'    0.07,\n'
+    b'    0.35000000000000003\n'
+    b'  ],\n'
+    b'  "gammaN_prediction": 0.22314355131420976\n'
+    b'}\n'
+)
+
+#: kappa.csv then threshold.json of the seeded N=4 moments -> fit-kappa -> threshold run
+PINNED_SEEDED_PIPELINE = (
+    b'gamma,gammaN,kappa,kappa_stderr,t_min,t_max,r_squared,n_points\n'
+    b'0.025,0.1,0.06594168674749225,0.03967068226089114,4.0,8.0,0.8842273901754897,5\n'
+    b'0.125,0.5,-0.7730298705145461,0.059696217494157156,4.0,8.0,0.9944530002524624,5\n'
+    b'{\n'
+    b'  "gammaN_critical": 0.13143929549301586,\n'
+    b'  "stderr": 0.017570344203553172,\n'
+    b'  "n_sign_changes": 1,\n'
+    b'  "bracket": [\n'
+    b'    0.1,\n'
+    b'    0.5\n'
+    b'  ],\n'
+    b'  "gammaN_prediction": 0.22314355131420976\n'
+    b'}\n'
+)
+
+
 def test_fit_kappa_and_threshold_pipeline(tmp_path):
     # synthetic moments CSV: two gammas, one decaying and one growing
     moments = _moments_csv(tmp_path / "moments.csv", [
@@ -743,6 +778,7 @@ def test_fit_kappa_and_threshold_pipeline(tmp_path):
     payload = json.loads(out_json.read_text())
     assert 0.07 < payload["gammaN_critical"] < 0.35
     assert payload["n_sign_changes"] == 1
+    assert data + out_json.read_bytes() == PINNED_SYNTHETIC_PIPELINE
 
 
 def test_moments_fit_kappa_threshold_find_the_transition(tmp_path):
@@ -754,7 +790,8 @@ def test_moments_fit_kappa_threshold_find_the_transition(tmp_path):
     folded per-site noise sum in another order than the tensordot and the
     separate noise pass that recorded them (measured change 5.5e-15);
     reruns of one build stay byte-identical
-    (``test_seeded_moments_rerun_is_byte_identical``)."""
+    (``test_seeded_moments_rerun_is_byte_identical``), so the kappa.csv and
+    threshold.json this build writes are pinned byte for byte."""
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({
         "circuit": {"geometry": "chain", "n_sites": 4, "depth": 8, "master_seed": 20250809},
@@ -776,6 +813,7 @@ def test_moments_fit_kappa_threshold_find_the_transition(tmp_path):
     assert payload["n_sign_changes"] == 1 and payload["bracket"] == [0.1, 0.5]
     assert abs(payload["gammaN_critical"] - 0.1314) < 1e-4
     assert payload["gammaN_prediction"] == math.log(5 / 4)
+    assert data + out_json.read_bytes() == PINNED_SEEDED_PIPELINE
 
 
 def test_fit_kappa_rejects_mixed_sizes(tmp_path, capsys):
@@ -787,6 +825,41 @@ def test_fit_kappa_rejects_mixed_sizes(tmp_path, capsys):
     )
     assert "N = 6, 8" in err
     assert not (tmp_path / "k.csv").exists()
+
+
+def _with_cell(path, index, column, text):
+    """``path`` with the cell ``column`` of data row ``index`` set to ``text``."""
+    rows = read_csv_rows(path)
+    rows[index][column] = text
+    path.write_text("\n".join([",".join(rows[0])] + [",".join(r.values()) for r in rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, column, text, where",
+    [
+        ("fit-kappa", "value", "nan", "gamma=0.01, t=7"),
+        ("fit-kappa", "stderr", "inf", "gamma=0.01, t=7"),
+        ("threshold", "gammaN", "nan", "line 3"),
+        ("threshold", "kappa", "-inf", "line 3"),
+        ("threshold", "kappa_stderr", "nan", "line 3"),
+    ],
+)
+def test_fit_and_threshold_reject_non_finite_input(tmp_path, capsys, command, column, text,
+                                                   where):
+    if command == "fit-kappa":
+        path = _with_cell(_moments_csv(tmp_path / "moments.csv", [
+            (7, 0.01, t, float(3.0 + 2.0 * np.exp(-0.4 * t))) for t in range(4, 13)
+        ]), 3, column, text)
+    else:
+        path = tmp_path / "kappa.csv"
+        path.write_text("gamma,gammaN,kappa,kappa_stderr\n0.01,0.1,0.3,0.01\n"
+                        "0.03,0.3,0.2,0.01\n0.05,0.5,-0.1,0.01\n")
+        _with_cell(path, 1, column, text)
+    out = tmp_path / "out"
+    err = _config_error([command, "--input", str(path), "--out", str(out)], capsys)
+    assert err == f"pauliscope {command}: error: {column} = {text} at {where} is not finite\n"
+    assert not out.exists()
 
 
 def _mu_rows_csv(tmp_path):

@@ -89,6 +89,18 @@ def test_gate_matrix_validation(rng):
         GateMatrix([(0, 1), (2,)], np.eye(4)[None])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gate_stack_rejects_non_finite_gates(bad, rng):
+    # U U+ of an infinite entry holds inf - inf = NaN; numpy warns of it, silenced here
+    u = sample_haar_unitary(4, rng, 3)
+    u[2, 3, 3] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"gate 0 on sites \(0, 1\) is not unitary .* nan"):
+            GateMatrix([(0, 1)], np.full((1, 4, 4), bad))
+        with pytest.raises(ValueError, match=r"gate 2 on sites \(2, 3\) is not unitary .* nan"):
+            GateMatrix([(0, 1), (1, 2), (2, 3)], u)
+
+
 def test_gate_stack_names_its_non_unitary_gate(rng):
     supports = [(0, 1), (2, 3), (1, 2), (3, 4), (0, 4)]
     u = sample_haar_unitary(4, rng, len(supports))

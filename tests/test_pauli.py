@@ -131,6 +131,23 @@ def test_stacked_transform_names_its_non_hermitian_operator(rng):
         pauli_transform(stack.reshape(2, 2, 4, 4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 3])
+def test_transform_rejects_non_finite_entries(n, bad, rng):
+    """A NaN fails the residue check as a too large residue does, and an
+    infinite entry turns the rotation into NaN (inf * 0, which numpy warns
+    of, so the warning is silenced here), for one operator and for a stack."""
+    mat = random_hermitian(n, rng)
+    mat[-1, -1] = bad
+    stack = np.stack([random_hermitian(n, rng) for _ in range(3)])
+    stack[1, 0, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="imaginary residue nan exceeds"):
+            pauli_transform(mat)
+        with pytest.raises(ValueError, match="imaginary residue nan of operator 1 exceeds"):
+            pauli_transform(stack)
+
+
 @pytest.mark.parametrize("n, word, level", [(1, "Z", 1.0), (1, "Y", 0.25), (3, "XIZ", 3.7),
                                             (3, "YYZ", 1e6), (2, "IX", 1.0 + 2**-40)])
 def test_residue_check_decides_as_dividing_first(n, word, level):

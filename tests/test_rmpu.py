@@ -11,10 +11,12 @@ import pytest
 
 from pauliscope.circuits import CircuitSpec, run_circuit
 from pauliscope.rmpu import (
+    GAMMA_C_TIMES_N,
+    TAU,
     global_haar_moment,
     rmpu_moment_asymptotic,
     rmpu_moment_exact,
-    scaling_predictions,
+    t_star,
     transfer_matrix,
 )
 from pauliscope.spectrum import haar_moment, moment_nu
@@ -268,10 +270,9 @@ def test_staircase_hierarchy_steps_at_r_star(n_sites):
 
 
 def test_scaling_predictions():
-    sp = scaling_predictions(k=2)
-    assert abs(sp.tau - 4.4814) < 1e-3
-    assert abs(sp.gamma_c_times_n - math.log(1.25)) < 1e-12
-    assert abs(sp.t_star(10) - 15.53) < 0.01
+    assert abs(TAU - 4.4814) < 1e-3
+    assert abs(GAMMA_C_TIMES_N - math.log(1.25)) < 1e-12
+    assert abs(t_star(10, 2) - 15.53) < 0.01
 
 
 def test_params_validation():
