@@ -835,33 +835,6 @@ def _with_cell(path, index, column, text):
     return path
 
 
-@pytest.mark.parametrize(
-    "command, column, text, where",
-    [
-        ("fit-kappa", "value", "nan", "gamma=0.01, t=7"),
-        ("fit-kappa", "stderr", "inf", "gamma=0.01, t=7"),
-        ("threshold", "gammaN", "nan", "line 3"),
-        ("threshold", "kappa", "-inf", "line 3"),
-        ("threshold", "kappa_stderr", "nan", "line 3"),
-    ],
-)
-def test_fit_and_threshold_reject_non_finite_input(tmp_path, capsys, command, column, text,
-                                                   where):
-    if command == "fit-kappa":
-        path = _with_cell(_moments_csv(tmp_path / "moments.csv", [
-            (7, 0.01, t, float(3.0 + 2.0 * np.exp(-0.4 * t))) for t in range(4, 13)
-        ]), 3, column, text)
-    else:
-        path = tmp_path / "kappa.csv"
-        path.write_text("gamma,gammaN,kappa,kappa_stderr\n0.01,0.1,0.3,0.01\n"
-                        "0.03,0.3,0.2,0.01\n0.05,0.5,-0.1,0.01\n")
-        _with_cell(path, 1, column, text)
-    out = tmp_path / "out"
-    err = _config_error([command, "--input", str(path), "--out", str(out)], capsys)
-    assert err == f"pauliscope {command}: error: {column} = {text} at {where} is not finite\n"
-    assert not out.exists()
-
-
 def _mu_rows_csv(tmp_path):
     # the mu and nu rows rtn and rmpu-* write carry no transition to fit
     return _moments_csv(tmp_path / "rtn.csv", [
@@ -882,6 +855,23 @@ def _kappa_csv_without_crossing(tmp_path):
     return p
 
 
+def _moments_csv_with(column, text):
+    """A synthetic moments CSV whose row at t = 7 has ``column`` set to ``text``."""
+    return lambda tmp_path: _with_cell(_moments_csv(tmp_path / "moments.csv", [
+        (7, 0.01, t, float(3.0 + 2.0 * np.exp(-0.4 * t))) for t in range(4, 13)
+    ]), 3, column, text)
+
+
+def _kappa_csv_with(column, text):
+    """A kappa CSV with one sign change whose line 3 has ``column`` set to ``text``."""
+    def make(tmp_path):
+        path = tmp_path / "kappa.csv"
+        path.write_text("gamma,gammaN,kappa,kappa_stderr\n0.01,0.1,0.3,0.01\n"
+                        "0.03,0.3,0.2,0.01\n0.05,0.5,-0.1,0.01\n")
+        return _with_cell(path, 1, column, text)
+    return make
+
+
 @pytest.mark.parametrize(
     "command, make_input, message",
     [
@@ -890,9 +880,18 @@ def _kappa_csv_without_crossing(tmp_path):
         ("fit-kappa", lambda tmp_path: tmp_path / "missing.csv", "No such file or directory"),
         ("threshold", _kappa_csv_without_crossing, "does not bracket a sign change"),
         ("threshold", _mu_rows_csv, "lacks columns: gammaN, kappa, kappa_stderr"),
+        ("fit-kappa", _moments_csv_with("value", "nan"),
+         "value = nan at gamma=0.01, t=7 is not finite"),
+        ("fit-kappa", _moments_csv_with("stderr", "inf"),
+         "stderr = inf at gamma=0.01, t=7 is not finite"),
+        ("threshold", _kappa_csv_with("gammaN", "nan"), "gammaN = nan at line 3 is not finite"),
+        ("threshold", _kappa_csv_with("kappa", "-inf"), "kappa = -inf at line 3 is not finite"),
+        ("threshold", _kappa_csv_with("kappa_stderr", "nan"),
+         "kappa_stderr = nan at line 3 is not finite"),
     ],
     ids=["fit_mu_rows", "fit_histogram", "fit_missing_path", "threshold_no_crossing",
-         "threshold_moments"],
+         "threshold_moments", "fit_nan_value", "fit_inf_stderr", "threshold_nan_gammaN",
+         "threshold_minus_inf_kappa", "threshold_nan_kappa_stderr"],
 )
 def test_fit_and_threshold_input_errors_are_one_line_usage_errors(tmp_path, capsys, command,
                                                                    make_input, message):
