@@ -47,8 +47,8 @@ def main():
             f"N={n_sites}: crossing at t={crossings[n_sites]:.2f} "
             f"(t/t* = {crossings[n_sites] / t_star(n_sites, 2):.3f})"
         )
-    fit = weighted_line_fit(list(crossings), list(crossings.values()))
-    print(f"crossing-depth slope vs N: {fit.slope:.3f} (prediction {TAU * math.log(2) / 2:.3f})")
+    slope, _, _ = weighted_line_fit(list(crossings), list(crossings.values()))
+    print(f"crossing-depth slope vs N: {slope:.3f} (prediction {TAU * math.log(2) / 2:.3f})")
 
 
 if __name__ == "__main__":

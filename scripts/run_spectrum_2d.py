@@ -27,14 +27,14 @@ def main():
         centers = np.sqrt(lo * hi)
         opt = np.array([opt_bin_mass(a, b) for a, b in zip(lo, hi)]) / (hi - lo)
         sel = (centers >= 3) & (centers <= 100) & (density > 0)
-        fit = weighted_line_fit(
+        slope, slope_stderr, _ = weighted_line_fit(
             np.log(centers[sel]), np.log(density[sel]), stderr[sel] / density[sel]
         )
         mid = (centers >= 0.1) & (centers <= 10)
         pulls = np.abs(density[mid] - opt[mid]) / np.maximum(stderr[mid], 1e-30)
         print(
-            f"N={n} t={t} gammaN={gamma * n:g}: tail slope {fit.slope:.2f} +- "
-            f"{fit.slope_stderr:.2f}, max OPT pull in [0.1,10]: {np.max(pulls):.1f} sigma"
+            f"N={n} t={t} gammaN={gamma * n:g}: tail slope {slope:.2f} +- "
+            f"{slope_stderr:.2f}, max OPT pull in [0.1,10]: {np.max(pulls):.1f} sigma"
         )
 
 

@@ -23,9 +23,9 @@ def main():
                 (int(row["N_P"]), float(row["mse"]), float(row["stderr"])))
     for (n, gamma), points in sorted(curves.items()):
         n_p, mse, stderr = np.array([p for p in points if p[1] > 0]).T
-        fit = weighted_line_fit(np.log(n_p), np.log(mse), stderr / mse)
+        slope, slope_stderr, _ = weighted_line_fit(np.log(n_p), np.log(mse), stderr / mse)
         print(f"N={n} gammaN={gamma * n:g}: log-log MSE slope "
-              f"{fit.slope:.3f} +- {fit.slope_stderr:.3f}")
+              f"{slope:.3f} +- {slope_stderr:.3f}")
 
 
 if __name__ == "__main__":

@@ -221,8 +221,29 @@ def layer_supports(spec: CircuitSpec, layer: int) -> list[tuple[int, ...]]:
     return out
 
 
-def gates_per_layer(spec: CircuitSpec) -> list[int]:
-    return [len(layer_supports(spec, t)) for t in range(spec.depth)]
+def gate_plan(spec: CircuitSpec) -> tuple[list[tuple[int, ...]], list[tuple[list, list]]]:
+    """(supports, plan): every gate's support in (layer, gate) order, and per
+    layer the indices into ``supports`` of the gates it applies with the cone
+    sites they leave idle.
+
+    Gates whose support lies outside the causal cone of the initial site are
+    not applied: on the cone's complement the operator is the identity, so the
+    gate conjugation and any per-gate noise act as exact identities.  This
+    keeps out-of-cone Pauli coefficients exactly zero instead of accumulating
+    rounding noise.  The cone does not depend on the draws, and since a
+    layer's supports are disjoint, a gate of the layer is applied iff it meets
+    the cone before it.
+    """
+    layers = [layer_supports(spec, t) for t in range(spec.depth)]
+    supports = [support for layer in layers for support in layer]
+    cone, plan, first = {spec.initial_site}, [], 0
+    for layer in layers:
+        applied = [first + i for i, support in enumerate(layer) if not cone.isdisjoint(support)]
+        first += len(layer)
+        touched = {s for i in applied for s in supports[i]}
+        plan.append((applied, sorted(cone - touched)))
+        cone |= touched
+    return supports, plan
 
 
 def circuit_fidelity(spec: CircuitSpec, depth: Optional[int] = None) -> float:
@@ -235,7 +256,7 @@ def circuit_fidelity(spec: CircuitSpec, depth: Optional[int] = None) -> float:
         return 1.0
     if spec.noise_placement == "per_qubit_per_layer":
         return (1.0 - spec.gamma) ** (spec.n_sites * t)
-    n_gates = sum(gates_per_layer(spec)[:t])
+    n_gates = sum(len(layer_supports(spec, layer)) for layer in range(t))
     return (1.0 - spec.gamma) ** n_gates
 
 
@@ -251,20 +272,12 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
     iteration.  All gates of the realization are drawn first, in (layer,
     gate) order, as one stack from the realization stream, and checked for
     unitarity at once; identical (spec, realization) reproduce identical
-    circuits.  The gates to apply and the idle sites of every layer are
-    planned first, then the transfer matrices of the applied gates are built
-    in applied order, as many per transform as ``_BUILD_ENTRY_CAP`` allows,
-    and applied one by one.  ``pauli_transform`` gives each operator of a
-    stack the same bits whatever the stack size, so the grouping changes no
-    output.
-
-    Gates whose support lies outside the causal cone of the initial site are
-    drawn but not applied: on the cone's complement the operator is the
-    identity, so the gate conjugation and any per-gate noise act as exact
-    identities.  This keeps out-of-cone Pauli coefficients exactly zero
-    instead of accumulating rounding noise.  The cone does not depend on the
-    draws, and since a layer's supports are disjoint, a gate of the layer is
-    applied iff it meets the cone before it.
+    circuits.  The gates to apply and the idle sites of every layer come from
+    :func:`gate_plan` (gates outside the causal cone are drawn but not
+    applied), then the transfer matrices of the applied gates are built in
+    applied order, as many per transform as ``_BUILD_ENTRY_CAP`` allows, and
+    applied one by one.  ``pauli_transform`` gives each operator of a stack
+    the same bits whatever the stack size, so the grouping changes no output.
 
     Noise of either placement is folded into the gates: its channel right
     after a gate rescales exactly the strings that are non-identity on the
@@ -275,8 +288,7 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
     per-qubit noise on the sites no gate touched in the layer gets a pass of
     its own.
     """
-    layers = [layer_supports(spec, t) for t in range(spec.depth)]
-    supports = [support for layer in layers for support in layer]
+    supports, plan = gate_plan(spec)
     width = len(supports[0])
     rng = realization_rng(spec.master_seed, realization)
     gates = GateMatrix(supports, sample_haar_unitary(2**width, rng, len(supports)))
@@ -284,15 +296,6 @@ def iter_circuit(spec: CircuitSpec, realization: int) -> Iterator[tuple[int, Pau
     per_site = spec.noise_placement == "per_qubit_per_layer"
     channel = apply_depolarizing if per_site else apply_depolarizing_support
     rows = channel(PauliCoefficients(width, np.ones(4**width)), spec.gamma, range(width)).values
-    cone = {spec.initial_site}
-    plan = []  # per layer: the gates it applies and the cone sites they leave idle
-    first = 0
-    for layer in layers:
-        applied = [first + i for i, support in enumerate(layer) if not cone.isdisjoint(support)]
-        first += len(layer)
-        touched = {s for i in applied for s in supports[i]}
-        plan.append((applied, sorted(cone - touched)))
-        cone |= touched
     order = [i for applied, _ in plan for i in applied]
     per_build = max(1, _BUILD_ENTRY_CAP // 16**width)
     done = 0

@@ -21,7 +21,6 @@ from . import __version__
 from .circuits import CircuitSpec, json_fields
 from .csvio import (
     MOMENTS_HEADER,
-    ensure_dir,
     read_csv_rows,
     write_histogram_csv,
     write_kappa_csv,
@@ -121,7 +120,8 @@ def cmd_run(cfg: ExperimentConfig, command: str) -> int:
     else:
         write = write_moments_csv
         tables = {name: run_ensemble(cfg)}
-    out = ensure_dir(cfg.out_dir)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for file_name, rows in tables.items():
         write(out / file_name, rows)
         print(f"wrote {out / file_name}")
@@ -130,11 +130,14 @@ def cmd_run(cfg: ExperimentConfig, command: str) -> int:
 
 
 def _finite(row: dict, keys, where: str) -> list[float]:
-    """The row's ``keys`` read as floats; one that is not finite is rejected."""
+    """The row's ``keys`` read as floats; one that is not finite, or a
+    negative standard error, is rejected."""
     values = [float(row[key]) for key in keys]
     for key, value in zip(keys, values):
         if not math.isfinite(value):
             raise ValueError(f"{key} = {row[key]} at {where} is not finite")
+        if key.endswith("stderr") and value < 0.0:
+            raise ValueError(f"{key} = {row[key]} at {where} is negative")
     return values
 
 
@@ -154,15 +157,18 @@ def cmd_fit_kappa(args) -> int:
             raise ValueError(
                 f"fit-kappa needs one {key} per input CSV, found {key} = {', '.join(values)}"
             )
-    series = defaultdict(list)
+    series = defaultdict(dict)  # gamma -> {t: (value, stderr)}
     for row in rows:
-        value, stderr = _finite(row, ("value", "stderr"), f"gamma={row['gamma']}, t={row['t']}")
-        series[float(row["gamma"])].append((int(row["t"]), value, stderr))
+        where = f"gamma={row['gamma']}, t={row['t']}"
+        points, t = series[float(row["gamma"])], int(row["t"])
+        if t in points:  # two runs joined in one CSV would be fitted as one series
+            raise ValueError(f"two k=2 nu_over_F2k rows at {where}")
+        points[t] = _finite(row, ("value", "stderr"), where)
     window = tuple(args.window) if args.window else None
     n_sites = int(rows[0]["N"])
     out_rows = []
     for gamma in sorted(series):
-        t, v, s = zip(*sorted(series[gamma]))
+        t, v, s = zip(*sorted((t, v, s) for t, (v, s) in series[gamma].items()))
         out_rows.append({"gamma": gamma, "gammaN": gamma * n_sites,
                          **fit_kappa(t, v, s, window=window)})
     out = Path(args.out or "kappa.csv")

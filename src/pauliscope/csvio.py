@@ -10,7 +10,6 @@ import csv
 import json
 import numbers
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -84,9 +83,3 @@ def read_csv_rows(path, columns=()) -> list[dict]:
         if missing:
             raise ValueError(f"{path} lacks columns: {', '.join(missing)}")
         return list(reader)
-
-
-def ensure_dir(path) -> Path:
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

@@ -25,7 +25,7 @@ from .opsim import MAX_SITES
 from .pauli import PauliCoefficients
 from .rmpu import rmpu_moment_asymptotic, rmpu_moment_exact
 from .rtn import contract_brickwork_series
-from .spectrum import HIST_EDGES, moment_nu, spectrum_histogram
+from .spectrum import HIST_EDGES, moment_pairs, spectrum_histogram
 from .weingarten import MAX_DEGREE
 
 #: engine -> (geometries it evaluates, noise placement it needs (None: either),
@@ -170,13 +170,6 @@ def ensemble(
     return depths, samples.mean(axis=0), stderr
 
 
-def _moment_pairs(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
-    """(mu_k, nu_k) for each k, shape (len(ks), 2), from one spectrum reduction;
-    a zero operator gives mu = NaN, which ``moment_row`` rejects."""
-    nu1, *nu = moment_nu(coeffs, [1, *ks]).tolist()
-    return np.array([(v / nu1**k if nu1 > 0.0 else math.nan, v) for k, v in zip(ks, nu)])
-
-
 def moment_row(engine: str, spec: CircuitSpec, t: int, k: int, quantity: str,
                value: float, stderr: float, n_samples: int) -> dict:
     """The moments CSV row of ``quantity`` (mu, nu or nu_over_F2k) of order k
@@ -213,7 +206,7 @@ def simulate_moments(
 ) -> list[dict]:
     """Ensemble mean +- stderr of mu_k, nu_k and nu_k/F^2k at each depth."""
     depths, mean, stderr = ensemble(
-        spec, depths, partial(_moment_pairs, ks=list(ks)), n_realizations, threads
+        spec, depths, partial(moment_pairs, ks=list(ks)), n_realizations, threads
     )
     out = []
     for i, t in enumerate(depths):

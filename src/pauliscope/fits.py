@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,9 +38,9 @@ def fit_kappa(
     t, dev, sig = t[keep], dev[keep], sig[keep]
     # relative errors of the deviation become absolute errors of its log; an
     # exact point (stderr 0) takes weighted_line_fit's rule for a zero stderr
-    line = weighted_line_fit(t, np.log(dev), sig / dev)
-    return {"kappa": -line.slope, "kappa_stderr": line.slope_stderr, "t_min": float(t.min()),
-            "t_max": float(t.max()), "r_squared": line.r_squared, "n_points": len(t)}
+    slope, slope_stderr, r_squared = weighted_line_fit(t, np.log(dev), sig / dev)
+    return {"kappa": -slope, "kappa_stderr": slope_stderr, "t_min": float(t.min()),
+            "t_max": float(t.max()), "r_squared": r_squared, "n_points": len(t)}
 
 
 def locate_threshold(
@@ -73,18 +72,11 @@ def locate_threshold(
             "n_sign_changes": len(changes), "bracket": [float(x[i]), float(x[i + 1])]}
 
 
-@dataclass
-class LineFit:
-    slope: float
-    slope_stderr: float
-    r_squared: float
-
-
 def weighted_line_fit(
     x: Sequence[float], y: Sequence[float], stderrs: Optional[Sequence[float]] = None
-) -> LineFit:
-    """Plain weighted least-squares line, used for log-log slope estimates;
-    it needs at least two distinct x."""
+) -> tuple[float, float, float]:
+    """(slope, slope_stderr, r_squared) of the plain weighted least-squares
+    line, used for log-log slope estimates; it needs at least two distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(np.unique(x)) < 2:
@@ -103,4 +95,4 @@ def weighted_line_fit(
     ybar = sy / s0
     ss_tot = float(np.sum(w * (y - ybar) ** 2))
     r2 = 1.0 - float(np.sum(w * resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return LineFit(float(slope), math.sqrt(s0 / delta), r2)
+    return float(slope), math.sqrt(s0 / delta), r2

@@ -40,6 +40,7 @@ from .circuits import CircuitSpec
 from .spectrum import haar_moment
 from .weingarten import (
     _tables,
+    gram_matrix,
     noisy_weingarten,
     pauli_sum_weights,
     traceless_seed_weights,
@@ -61,7 +62,7 @@ def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarra
     class vector steps with M[C, D] = |C| T_red[C, D] / |D|, l_C = L[s_C] and
     w_C = |C| R[s_C].  Lam2 is a class function and sum_{t in D} G[p, t]
     depends only on the class E of p, so T_red needs only class sums of the
-    representatives' rows:
+    representatives' rows and the class Gram matrix H = ``gram_matrix(2k, chi)``:
 
         T_red[C, D] = Lam1[s_C] sum_E Wbar[C, E] Lam2[s_E] H[E, D],
         Wbar[C, E] = sum_{p in E} Wg~[s_C, p],  H[E, D] = sum_{t in D} chi^#(s_E^-1 t).
@@ -72,8 +73,7 @@ def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarra
     lam1 = 2.0 ** tb.cycles[tb.reps]
     lam2 = pauli_sum_weights(n, 2.0)[tb.reps]
     wbar = _class_sums(noisy_weingarten(n, 2.0 * chi, gamma), tb.type_of)
-    h = _class_sums(chi ** tb.cycles[tb.reps][tb.rep_class], tb.type_of)
-    t_red = (lam1[:, None] * wbar * lam2) @ h
+    t_red = (lam1[:, None] * wbar * lam2) @ gram_matrix(n, chi)
     left = traceless_seed_weights(n, chi)[tb.reps]
     right = tb.sizes * lam1 * (wbar @ lam2 ** (r + 1))
     return tb.sizes[:, None] * t_red / tb.sizes, left, right

@@ -55,7 +55,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .circuits import CircuitSpec, layer_supports
+from .circuits import CircuitSpec, gate_plan
 from .rmpu import rescale_pow2, unscale
 from .weingarten import (
     _tables,
@@ -315,8 +315,11 @@ def contract_brickwork_series(
     one bottom-to-top sweep, contracted up to the reported MPS truncation error.
 
     The exact state runs while r^N <= ``_EXACT_ENTRY_CAP``, the boundary MPS
-    of at most ``chi_mps`` bonds beyond.  Gates outside the causal cone of the
-    initial site are skipped: their kernel fixes the e x e they act on.
+    of at most ``chi_mps`` bonds beyond.  The gates applied are those of
+    ``gate_plan``: a gate outside the causal cone of the initial site is
+    skipped, since its kernel fixes the e x e it acts on.  At a depth where no
+    gate has touched the seed, the value is the bare Pauli's exact
+    nu_k = D^(2k-2) = 4^(N(k-1)): the raw seed lies outside the wire span.
     """
     depths = sorted(set(int(t) for t in depths))
     if depths and not 0 <= depths[0] <= depths[-1] <= spec.depth:
@@ -336,22 +339,18 @@ def contract_brickwork_series(
     else:
         state = _BoundaryMps(site_vectors, gate, chi_mps)
         step = state.apply_two_site
-    top = [f_top] * n_sites
-    # until a gate meets it, the raw seed is outside the permutation-state span;
-    # its direct top contraction is q^(2k-2) = 4^(k-1), not f_top . g_op
-    seed_top = top.copy()
-    seed_top[spec.initial_site] = g_op * (4.0 ** (k - 1) / float(g_op @ g_op))
-    cone, done, out = {spec.initial_site}, 0, {}
+    top, bare = [f_top] * n_sites, 4.0 ** (n_sites * (k - 1))
+    supports, plan = gate_plan(spec)
+    touched, done, out = False, 0, {}
     for t in depths:
-        for layer in range(done, t):
-            for (i, j) in layer_supports(spec, layer):
-                if not cone.isdisjoint((i, j)):
-                    cone.update((i, j))
-                    step(i)
+        for applied, _ in plan[done:t]:
+            for i in applied:
+                step(supports[i][0])
+            touched |= bool(applied)
         done = t
         err = state.trunc_error
         out[t] = RtnResult(
-            value=state.contract_with(seed_top if len(cone) == 1 else top),
+            value=state.contract_with(top) if touched else bare,
             truncation_error=err,
             flagged=err > FLAG_THRESHOLD,
             max_bond=state.max_bond,

@@ -62,13 +62,21 @@ def moment_nu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
     return np.array([d ** (2 * k - 2) * _pairwise(sums[k]) for k in ks])
 
 
+def moment_pairs(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
+    """(mu_k, nu_k) for each k in ks, shape (len(ks), 2), from one spectrum
+    reduction, with mu_k = nu_k / nu_1^k; a zero operator gives mu = NaN."""
+    nu1, *nu = moment_nu(coeffs, [1, *ks]).tolist()
+    pairs = [(v / nu1**k if nu1 > 0.0 else math.nan, v) for k, v in zip(ks, nu)]
+    return np.array(pairs, dtype=float).reshape(-1, 2)
+
+
 def moment_mu(coeffs: PauliCoefficients, ks: Sequence[int]) -> np.ndarray:
     """Normalized moments mu_k = D^(2k-2) sum_P pi(P)^k = nu_k / nu_1^k for
-    each k in ks (mu_1 = 1)."""
-    nu1, *nu = moment_nu(coeffs, [1, *ks]).tolist()
-    if nu1 <= 0.0:
+    each k in ks (mu_1 = 1): the mu column of :func:`moment_pairs`."""
+    mu = moment_pairs(coeffs, ks)[:, 0]
+    if np.isnan(mu).any():
         raise ValueError("zero operator has no Pauli distribution")
-    return np.array([v / nu1**k for k, v in zip(ks, nu)])
+    return mu
 
 
 def ose(coeffs: PauliCoefficients, k: int) -> float:

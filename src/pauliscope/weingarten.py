@@ -30,6 +30,7 @@ at MAX_DEGREE, checked in ``_tables`` alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -51,11 +52,7 @@ class _GroupTables:
     """S_n: images, classes (cycle types, sorted), and the representatives' pair tables."""
 
     def __init__(self, n: int):
-        images = np.zeros((1, 0), dtype=np.intp)
-        for m in range(1, n + 1):  # S_m from S_(m-1): first image i, the rest relabelled past it
-            images = np.concatenate([np.hstack([np.full((len(images), 1), i), images + (images >= i)])
-                                     for i in range(m)])
-        self.images = images
+        self.images = images = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
         self.types = sorted(_partitions(n, n))
         # a cycle type's code: each element adds (n+1)^(l-1), l the length of its cycle
         codes = np.array([sum(l * (n + 1) ** (l - 1) for l in t) for t in self.types])

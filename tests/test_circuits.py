@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pauliscope import circuits
+from pauliscope import circuits, opsim
 from pauliscope.circuits import (
     CircuitSpec,
     _as_json_of,
@@ -279,3 +279,83 @@ def test_wide_staircase_builds_one_gate_per_call_in_bounded_memory(monkeypatch):
     builds, applied, peak = _spied_realization(monkeypatch, spec)
     assert builds == [1, 1, 1, 1] and applied == 4
     assert peak < 60e6
+
+
+#: the Clifford letters of the oracle's gate words, on (support[1], support[0])
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_S = np.diag([1.0, 1.0j])
+CLIFFORD_LETTERS = (
+    np.kron(_H, np.eye(2)), np.kron(np.eye(2), _H), np.kron(_S, np.eye(2)),
+    np.kron(np.eye(2), _S),
+    np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),  # CNOT
+)
+#: largest move of a Clifford transfer-matrix entry when rounded to an integer
+CLIFFORD_ROUNDING = 1e-14
+
+CLIFFORD_CIRCUITS = {
+    # 4^10 coefficients run the blocked path, with gates on site 0
+    "chain10": dict(geometry="chain", n_sites=10, depth=12),
+    # row-major 3 x 3 sites: the vertical pairs (i, i + 3) are not adjacent
+    "grid3x3": dict(geometry="grid", lx=3, ly=3, depth=8),
+}
+
+
+def _integer_transfer(u):
+    """The gates' transfer matrices rounded to integers, after checking that
+    rounding moves no entry by more than ``CLIFFORD_ROUNDING``."""
+    r = opsim.pauli_transfer_matrix(u)
+    rounded = np.rint(r)
+    assert np.max(np.abs(r - rounded)) <= CLIFFORD_ROUNDING
+    return rounded
+
+
+@pytest.mark.parametrize("name", sorted(CLIFFORD_CIRCUITS))
+@pytest.mark.parametrize("placement", ["per_qubit_per_layer", "per_gate_support"])
+@pytest.mark.parametrize("gamma", [0.0, 0.03])
+def test_clifford_circuits_follow_one_string_exactly(monkeypatch, name, placement, gamma):
+    """With random two-qubit Clifford words for the Haar gates and their
+    transfer matrices rounded to integers, every layer's state holds exactly
+    one nonzero coefficient: at the string a tracker finds by following the
+    initial Z through each gate's signed permutation R, with the value +- the
+    product of the noise factors on its path, bit for bit.  The tracker walks
+    ``layer_supports`` and applies every gate, so it shares neither the causal
+    cone plan nor the folding of the noise into R's rows."""
+    drawn = []
+
+    def clifford_words(dim, rng, count):
+        words = rng.integers(len(CLIFFORD_LETTERS), size=(count, 12))
+        drawn.append(np.stack([reduce(np.matmul, [CLIFFORD_LETTERS[i] for i in word])
+                               for word in words]))
+        return drawn[-1]
+
+    monkeypatch.setattr(circuits, "sample_haar_unitary", clifford_words)
+    monkeypatch.setattr(circuits, "pauli_transfer_matrix", _integer_transfer)
+    spec = CircuitSpec(gamma=gamma, noise_placement=placement, master_seed=3,
+                       **CLIFFORD_CIRCUITS[name])
+    per_site = placement == "per_qubit_per_layer"
+
+    def noise(letters):  # the factor of the channel on sites holding these letters
+        factor = 1.0
+        for letter in letters if per_site else [max(letters)]:
+            if letter:
+                factor *= 1.0 - gamma
+        return factor
+
+    index, value, gate = 3 << (2 * spec.initial_site), 1.0, 0
+    for t, op in iter_circuit(spec, 0):
+        (r_stack,) = drawn
+        touched = set()
+        for support in layer_supports(spec, t - 1):
+            r = _integer_transfer(r_stack[gate])
+            gate += 1
+            touched.update(support)
+            b = sum((index >> 2 * s & 3) << 2 * j for j, s in enumerate(support))
+            (a,) = np.flatnonzero(r[:, b])
+            for j, s in enumerate(support):
+                index += ((a >> 2 * j & 3) - (index >> 2 * s & 3)) << 2 * s
+            value *= r[a, b] * noise([a & 3, a >> 2])
+        if per_site:
+            for s in sorted(set(range(spec.n_sites)) - touched):
+                value *= noise([index >> 2 * s & 3])
+        assert np.flatnonzero(op.values).tolist() == [index], t
+        assert op.values[index] == value, t

@@ -862,6 +862,12 @@ def _moments_csv_with(column, text):
     ]), 3, column, text)
 
 
+def _two_runs_csv(tmp_path):
+    """Two runs' moments rows joined in one CSV: every (gamma, t) appears twice."""
+    series = [(7, 0.01, t, float(3.0 + 2.0 * np.exp(-0.4 * t))) for t in range(4, 13)]
+    return _moments_csv(tmp_path / "moments.csv", series + series)
+
+
 def _kappa_csv_with(column, text):
     """A kappa CSV with one sign change whose line 3 has ``column`` set to ``text``."""
     def make(tmp_path):
@@ -888,10 +894,16 @@ def _kappa_csv_with(column, text):
         ("threshold", _kappa_csv_with("kappa", "-inf"), "kappa = -inf at line 3 is not finite"),
         ("threshold", _kappa_csv_with("kappa_stderr", "nan"),
          "kappa_stderr = nan at line 3 is not finite"),
+        ("fit-kappa", _moments_csv_with("stderr", "-0.5"),
+         "stderr = -0.5 at gamma=0.01, t=7 is negative"),
+        ("threshold", _kappa_csv_with("kappa_stderr", "-0.01"),
+         "kappa_stderr = -0.01 at line 3 is negative"),
+        ("fit-kappa", _two_runs_csv, "two k=2 nu_over_F2k rows at gamma=0.01, t=4"),
     ],
     ids=["fit_mu_rows", "fit_histogram", "fit_missing_path", "threshold_no_crossing",
          "threshold_moments", "fit_nan_value", "fit_inf_stderr", "threshold_nan_gammaN",
-         "threshold_minus_inf_kappa", "threshold_nan_kappa_stderr"],
+         "threshold_minus_inf_kappa", "threshold_nan_kappa_stderr", "fit_negative_stderr",
+         "threshold_negative_kappa_stderr", "fit_two_runs"],
 )
 def test_fit_and_threshold_input_errors_are_one_line_usage_errors(tmp_path, capsys, command,
                                                                    make_input, message):

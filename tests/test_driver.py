@@ -17,7 +17,6 @@ from pauliscope.csvio import (
 from pauliscope.driver import (
     ExperimentConfig,
     SweepSpec,
-    _moment_pairs,
     ensemble,
     run_ensemble,
     simulate_histogram,
@@ -26,7 +25,7 @@ from pauliscope.driver import (
 )
 from pauliscope.rmpu import global_haar_moment
 from pauliscope.rtn import contract_brickwork_series
-from pauliscope.spectrum import HIST_EDGES, moment_mu, moment_nu
+from pauliscope.spectrum import HIST_EDGES, moment_mu, moment_nu, moment_pairs
 
 BASE = {
     "circuit": {
@@ -206,7 +205,7 @@ def test_moment_pairs_match_moment_mu_bit_for_bit():
         spec = CircuitSpec(geometry="chain", n_sites=5, depth=6, gamma=gamma, master_seed=seed)
         for _, coeffs in iter_circuit(spec, 0):
             ks = [1, 2, 3, 5]
-            pairs = _moment_pairs(coeffs, ks)
+            pairs = moment_pairs(coeffs, ks)
             assert pairs[:, 0].tolist() == moment_mu(coeffs, ks).tolist()
             assert pairs[:, 1].tolist() == moment_nu(coeffs, ks).tolist()
 

@@ -44,12 +44,12 @@ def test_fit_gives_an_exact_point_the_weight_of_the_most_precise_one():
     stderrs[[0, 5]] = 0.0
     rel = stderrs / dev
     rel[[0, 5]] = np.min(rel[rel > 0])
-    line = weighted_line_fit(t, np.log(dev), rel)
+    slope, slope_stderr, r_squared = weighted_line_fit(t, np.log(dev), rel)
     fit = fit_kappa(t, values, stderrs)
     assert (fit["kappa"], fit["kappa_stderr"], fit["r_squared"], fit["n_points"]) == (
-        -line.slope, line.slope_stderr, line.r_squared, len(t))
+        -slope, slope_stderr, r_squared, len(t))
     rel[[0, 5]] = 1.0
-    assert fit["kappa"] != -weighted_line_fit(t, np.log(dev), rel).slope
+    assert fit["kappa"] != -weighted_line_fit(t, np.log(dev), rel)[0]
 
 
 def test_threshold_interpolation():
@@ -76,9 +76,9 @@ def test_threshold_error_propagation():
 def test_weighted_line_fit():
     x = np.linspace(0, 10, 20)
     y = 2.5 * x - 1.0
-    fit = weighted_line_fit(x, y)
-    assert abs(fit.slope - 2.5) < 1e-12
-    assert fit.r_squared > 1 - 1e-12
+    slope, _, r_squared = weighted_line_fit(x, y)
+    assert abs(slope - 2.5) < 1e-12
+    assert r_squared > 1 - 1e-12
 
 
 @pytest.mark.parametrize("x, y", [([6.0], [8.8]), ([6.0, 6.0], [8.8, 9.1]), ([], [])])

@@ -117,6 +117,17 @@ def test_unevolved_value_is_d_squared_k():
     assert abs(contract_brickwork_series(chain(4), [0], k=2)[0].value - 4.0**4) < 1e-9
 
 
+@pytest.mark.parametrize("k, want", [(1, 1.0), (2, 1024.0)])
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_rows_before_a_gate_touches_the_seed_are_exact(k, want, gamma):
+    """On N=5 with the seed at site 4, layer 1 leaves the seed idle: the rows at
+    t = 0 and 1 are the bare Pauli's nu_k = D^(2k-2) = 4^(N(k-1)) exactly,
+    with truncation error 0."""
+    series = contract_brickwork_series(chain(5, 3, gamma, initial_site=4), [0, 1, 2], k)
+    for t in (0, 1):
+        assert (series[t].value, series[t].truncation_error) == (want, 0.0)
+
+
 # r^N against _EXACT_ENTRY_CAP = 9e6 picks the state: rank r = 14 at k = 2
 # (exact to N = 6) and r = 2 at k = 1 (exact to N = 23, since 2^23 <= 9e6 < 2^24)
 @pytest.mark.parametrize("k, n_sites, state_class", [
