@@ -30,6 +30,13 @@ KAPPA_HEADER = [
 
 
 def _fmt(value) -> str:
+    """A cell's text: "" for None, repr of the float for a real that is not
+    an integral, else str.  Plain floats, ints and strs are told by exact type."""
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):

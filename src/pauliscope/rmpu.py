@@ -79,10 +79,15 @@ def transfer_matrix(r: int, k: int, gamma: float) -> tuple[np.ndarray, np.ndarra
     return tb.sizes[:, None] * t_red / tb.sizes, left, right
 
 
+def pow2_below(peak: float) -> float:
+    """The largest power of two <= ``peak`` > 0: dividing by it is exact in
+    floating point."""
+    return 2.0 ** math.floor(math.log2(peak))
+
+
 def rescale_pow2(arr: np.ndarray, peak: float) -> float:
-    """Divide ``arr`` in place by the largest power of two <= ``peak`` > 0 and
-    return the log of the divisor; the division is exact in floating point."""
-    s = 2.0 ** math.floor(math.log2(peak))
+    """Divide ``arr`` in place by ``pow2_below(peak)`` and return the log of the divisor."""
+    s = pow2_below(peak)
     arr /= s
     return math.log(s)
 
@@ -95,25 +100,28 @@ def unscale(val: float, log_scale: float) -> float:
 
 
 def _scaled_product(
-    op: tuple[np.ndarray, np.ndarray, np.ndarray], ms: Sequence[int]
-) -> list[float]:
-    """l^T M^(m-1) w for ``op = (M, l, w)`` at each of the ascending ``ms``,
-    read off one pass of the running vector with power-of-two rescaling;
-    0.0 once the vector vanishes."""
-    t, left, right = op
-    out: list[float] = []
-    v = left.copy()
-    log_scale = 0.0
+    ops: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]], depths: Sequence[Sequence[int]]
+) -> list[list[float]]:
+    """l^T M^(m-1) w for each ``ops[g] = (M, l, w)`` at each m of ``depths[g]``,
+    read off one stacked sweep: all running vectors step together as one
+    (G, 1, p) @ (G, p, p) product up to the deepest m, each rescaled by its own
+    power of two; a row reads 0.0 once its vector vanishes."""
+    t, left, right = (np.stack(part) for part in zip(*ops))
+    v = left[:, None, :]
+    log_scale = [0.0] * len(ops)
+    out = [[0.0] * len(ms) for ms in depths]
     steps = 1
-    for m in ms:
+    for m, g, j in sorted((m, g, j) for g, ms in enumerate(depths) for j, m in enumerate(ms)):
         while steps < m:
             v = v @ t
-            peak = float(np.max(np.abs(v)))
-            if peak == 0.0:
-                return out + [0.0] * (len(ms) - len(out))
-            log_scale += rescale_pow2(v, peak)
+            scales = [1.0] * len(ops)  # a vanished row stays 0 and is not rescaled
+            for row, peak in enumerate(np.max(np.abs(v), axis=2)[:, 0].tolist()):
+                if peak != 0.0:
+                    scales[row] = pow2_below(peak)
+                    log_scale[row] += math.log(scales[row])
+            v /= np.array(scales)[:, None, None]
             steps += 1
-        out.append(unscale(float(v @ right), log_scale))
+        out[g][j] = unscale(float(v[g, 0] @ right[g]), log_scale[g])
     return out
 
 
@@ -124,18 +132,20 @@ def rmpu_moment_exact(points: Sequence[tuple[CircuitSpec, int]]) -> list[float]:
 
     Each value is mu_k for gamma = 0 (where nu_1 = 1 deterministically) and the
     unnormalized nu_k average for gamma > 0.  The class-reduced transfer
-    matrix depends only on (r, k, gamma), so every N of one such group is read
-    off one transfer matrix and one sweep of the running class vector.
+    matrix depends only on (r, k, gamma), so every N of one (r, k) is read off
+    one stacked sweep of the running class vectors, one row per gamma.
     """
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[float, list[int]]] = {}
     for i, (spec, k) in enumerate(points):
-        groups.setdefault((spec.r, k, spec.gamma), []).append(i)
+        groups.setdefault((spec.r, k), {}).setdefault(spec.gamma, []).append(i)
     out = [0.0] * len(points)
-    for key, idx in groups.items():
-        idx.sort(key=lambda i: points[i][0].depth)
-        values = _scaled_product(transfer_matrix(*key), [points[i][0].depth for i in idx])
-        for i, value in zip(idx, values):
-            out[i] = value
+    for (r, k), by_gamma in groups.items():
+        ops = [transfer_matrix(r, k, gamma) for gamma in by_gamma]
+        rows = list(by_gamma.values())
+        values = _scaled_product(ops, [[points[i][0].depth for i in idx] for idx in rows])
+        for idx, row in zip(rows, values):
+            for i, value in zip(idx, row):
+                out[i] = value
     return out
 
 

@@ -81,11 +81,24 @@ class _GroupTables:
 
     def pairs(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """(cls, nf), int8, for s_a at ``rows`` (indices or a slice) and every t:
-        cls[a, t] is the class of s_a^-1 t (t applied first) and nf[a, t] the
-        number of fixed points s_a and t share.  Built one row at a time."""
+        cls[a, t] is the class of s_a^-1 t (t applied first), read off its
+        rank, and nf[a, t] the number of fixed points s_a and t share.  Built
+        one row at a time."""
         inverses = np.argsort(self.images[rows], axis=1)
-        cls = np.stack([self._classes(inv[self.images]).astype(np.int8) for inv in inverses])
+        columns = np.ascontiguousarray(self.images.T)
+        cls = np.stack([self.type_of[_rank(inv[columns])].astype(np.int8) for inv in inverses])
         return cls, self._fixed[rows] @ self._fixed.T
+
+
+def _rank(columns: np.ndarray) -> np.ndarray:
+    """Index in ``itertools.permutations`` order of each permutation p whose
+    images p(i) are ``columns[i]``: its Lehmer code, sum_i (n-1-i)! #{j > i:
+    p(j) < p(i)}, by Horner's rule."""
+    rank = np.zeros(columns.shape[1], dtype=np.intp)
+    for i in range(len(columns) - 1):
+        rank *= len(columns) - i
+        rank += (columns[i + 1:] < columns[i]).sum(axis=0)
+    return rank
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from pauliscope.opsim import (
     pauli_transfer_matrix,
 )
 from pauliscope.pauli import BLOCK, _SITE_FORWARD, _as_matrix, _interleave, _rotate_legs
+from pauliscope.rmpu import rescale_pow2, unscale
 from pauliscope.rtn import _wire_basis
 from pauliscope.spectrum import HIST_EDGES, HIST_U_MAX, HIST_U_MIN
 
@@ -137,6 +138,34 @@ def dense_group(n: int) -> SimpleNamespace:
         pair_code=type_of[rel] * (n + 1) + fixed @ fixed.T)
 
 
+@lru_cache(maxsize=None)
+def _image_code_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(images of S_n in ``itertools.permutations`` order, the class of every
+    image code sum_j p(j) n^j), each class from ``cycle_type``."""
+    perms = list(itertools.permutations(range(n)))
+    types = [cycle_type(p) for p in perms]
+    classes = sorted(set(types))
+    images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
+    lookup = np.full(n**n, -1, dtype=np.int8)
+    lookup[images @ n ** np.arange(n)] = [classes.index(t) for t in types]
+    return images, lookup
+
+
+def composed_pair_tables(n: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(cls, nf) for the permutations s_a at the indices ``rows`` of S_n and
+    every t: s_a^-1 t is composed explicitly (t applied first) and classed by
+    following its cycles, through a lookup of its image code; nf counts the
+    positions that s_a and t both fix."""
+    images, lookup = _image_code_classes(n)
+    inverses = np.argsort(images[rows], axis=1)
+    fixed = images == np.arange(n)
+    code, nf = 0, np.int8(0)
+    for j in range(n):  # position j of s_a^-1 t is s_a^-1(t(j))
+        code = code + inverses[:, images[:, j]] * n**j
+        nf = nf + np.multiply.outer(fixed[rows, j], fixed[:, j]).astype(np.int8)
+    return lookup[code], nf
+
+
 def dense_gram(n: int, q: float) -> np.ndarray:
     """G_{p,s}(q) = q^#(p^-1 s) over all of S_n."""
     group = dense_group(n)
@@ -236,6 +265,80 @@ def dense_staircase_moments(r: int, k: int, gamma: float, ms) -> dict[int, float
         v = v @ t
         shift = math.frexp(float(np.max(np.abs(v))))[1]
         v, exp2 = np.ldexp(v, -shift), exp2 + shift
+    return out
+
+
+def one_vector_scaled_product(op, ms) -> list[float]:
+    """l^T M^(m-1) w for ``op = (M, l, w)`` at each of the ascending ``ms``,
+    read off one pass of a single running vector, v @ M per step, with
+    power-of-two rescaling; 0.0 once the vector vanishes."""
+    t, left, right = op
+    out: list[float] = []
+    v = left.copy()
+    log_scale = 0.0
+    steps = 1
+    for m in ms:
+        while steps < m:
+            v = v @ t
+            peak = float(np.max(np.abs(v)))
+            if peak == 0.0:
+                return out + [0.0] * (len(ms) - len(out))
+            log_scale += rescale_pow2(v, peak)
+            steps += 1
+        out.append(unscale(float(v @ right), log_scale))
+    return out
+
+
+def exact_staircase_moments(r: int, k: int, gamma: float, ms) -> dict[int, Fraction]:
+    """L^T T^(m-1) R (``dense_transfer``) at each m in ``ms`` as exact
+    rationals, gamma read exactly from its float; needs k <= 3 and a gate
+    dimension q = 2^(r+1) >= 2k (``exact_weingarten``).
+
+    T and R are reduced to the conjugacy classes C of S_2k, the class sums of
+    Wg~ and of chi^#(s_C^-1 t) summed over every t of ``itertools.permutations``:
+    M[C, D] = |C| sum_{t in D} T[s_C, t] / |D|, l_C = L[s_C], w_C = |C| R[s_C].
+    The sweep runs on integers: M = A / den, so l^T M^j w = (l A^j) . w / den^j."""
+    n, chi, q, g = 2 * k, 2**r, 2 ** (r + 1), Fraction(gamma)
+    wg_of = {(): Fraction(1)}
+    for m in range(1, n + 1):
+        wg_of.update(zip(sorted({cycle_type(p) for p in itertools.permutations(range(m))}),
+                         exact_weingarten(m, q)))
+
+    @lru_cache(maxsize=None)
+    def noisy(ctype, nf):
+        return sum(math.comb(nf, i) * (g / q) ** i * (1 - g) ** (n - i)
+                   * wg_of[ctype[:len(ctype) - i]] for i in range(nf + 1))
+
+    perms = list(itertools.permutations(range(n)))
+    types = [cycle_type(p) for p in perms]
+    classes = sorted(set(types))
+    size = len(classes)
+    wbar = [[Fraction(0)] * size for _ in classes]
+    gram = [[0] * size for _ in classes]
+    for c, ctype in enumerate(classes):
+        rep = perms[types.index(ctype)]
+        inv = [rep.index(i) for i in range(n)]
+        for p, p_type in zip(perms, types):
+            rel = cycle_type([inv[p[j]] for j in range(n)])
+            nf = sum(rep[j] == j == p[j] for j in range(n))
+            wbar[c][classes.index(p_type)] += noisy(rel, nf)
+            gram[c][classes.index(p_type)] += chi ** len(rel)
+    sizes = [types.count(t) for t in classes]
+    even = [all(x % 2 == 0 for x in t) for t in classes]
+    lam1 = [2 ** len(t) for t in classes]
+    lam2 = [Fraction(2) ** (len(t) + 2 * e - 2) for t, e in zip(classes, even)]
+    mat = [[sizes[c] * lam1[c] * sum(wbar[c][e] * lam2[e] * gram[e][d] for e in range(size))
+            / sizes[d] for d in range(size)] for c in range(size)]
+    left = [chi ** len(t) if e else 0 for t, e in zip(classes, even)]
+    right = [sizes[c] * lam1[c] * sum(wbar[c][e] * lam2[e] ** (r + 1) for e in range(size))
+             for c in range(size)]
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    a = [[int(x * den) for x in row] for row in mat]
+    out, v = {}, left
+    for m in range(1, max(ms) + 1):
+        if m in ms:
+            out[m] = sum(x * y for x, y in zip(v, right)) / Fraction(den) ** (m - 1)
+        v = [sum(v[c] * a[c][d] for c in range(size)) for d in range(size)]
     return out
 
 

@@ -153,6 +153,24 @@ def test_rmpu_exact_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert first == second and first.count(b"\n") == 13, r
 
 
+#: sha256 of the moments_rmpu_exact.csv of a k = 4 staircase scan (r = 4,
+#: N = 8..64 in steps of 4, gamma = 0, 0.016 and 0.04) with OpenBLAS at 1
+#: thread, recorded when S_8's pair tables were built by following cycles and
+#: each gamma swept its own running vector.  No benchmark workload reaches k = 4
+PINNED_K4_RMPU_CSV = "0dbb479739c65115ae7f5cfab061239c63bc91278934812552644968168ebf19"
+
+
+def test_k4_rmpu_exact_csv_is_pinned_bit_for_bit(tmp_path):
+    """The k = 4 staircase rows, end to end through the CLI, byte for byte as
+    recorded: this pins S_8's pair tables and the stacked class sweep."""
+    cfg = {"circuit": {"geometry": "rmpu", "n_sites": 8, "r": 4}, "engine": "rmpu_exact",
+           "sweep": {"gamma": [0.0, 0.016, 0.04], "k": [4], "n": list(range(8, 65, 4))}}
+    (data,) = _csv_at_blas_threads(tmp_path, "rmpu-exact", cfg, "moments_rmpu_exact.csv",
+                                   threads=("1",))
+    assert data.count(b"\n") == 46
+    assert hashlib.sha256(data).hexdigest() == PINNED_K4_RMPU_CSV
+
+
 #: sha256 of the CSV that the smoke config of each simulator benchmark
 #: workload writes at master seed 101 with OpenBLAS at 1 thread
 PINNED_SMOKE_CSVS = {

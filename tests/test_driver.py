@@ -1,4 +1,5 @@
 import json
+import numbers
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pauliscope.csvio import (
     HISTOGRAM_HEADER,
     MOMENTS_HEADER,
     MSE_HEADER,
+    _fmt,
     read_csv_rows,
     write_histogram_csv,
     write_moments_csv,
@@ -274,6 +276,28 @@ def test_csv_schemas(tmp_path):
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["wall_seconds"] == 1.23
     assert meta["circuit"]["n_sites"] == 4
+
+
+def abc_cell(value) -> str:
+    """A CSV cell's text told by the ``numbers`` ABCs alone: "" for None, the
+    repr of the float for a real that is not an integral, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        return repr(float(value))
+    return str(value)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.1"), (-0.0, "-0.0"), (1e22, "1e+22"), (5e-324, "5e-324"), (float("inf"), "inf"),
+    (0, "0"), (-3, "-3"), (2**70, "1180591620717411303424"), ("rmpu_exact", "rmpu_exact"),
+    ("", ""), (None, ""), (True, "True"), (False, "False"), (np.float64(0.1), "0.1"),
+    (np.float64(1e-300), "1e-300"), (np.int64(7), "7"), (np.int64(-2), "-2"),
+])
+def test_csv_cells_have_the_text_of_the_abc_path(value, text):
+    """Plain floats, ints and strs are told by exact type; every other value,
+    bools and numpy scalars included, takes the ABC path, with the same text."""
+    assert _fmt(value) == abc_cell(value) == text
 
 
 def test_histogram_ensemble_normalization():

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,8 @@ from conftest import (
     dense_noisy_weingarten,
     dense_staircase_moments,
     dense_transfer,
+    exact_staircase_moments,
+    one_vector_scaled_product,
     pauli_matrix,
 )
 from pauliscope.weingarten import _tables, pauli_sum_weights
@@ -172,24 +176,67 @@ def test_k1_transfer_pipeline():
 
 
 def test_grouped_points_match_single_points():
-    # two (r, k, gamma) groups interleaved, N shuffled, N = 7 of the first twice
+    # (r, k) = (2, 2) stacks three gammas with different N lists, N = 7 of the
+    # first twice, and a gamma = 1 row that vanishes; (1, 3) and (3, 4) are
+    # one and two rows; all interleaved, N shuffled
     first = [(staircase(n, 2, 0.05), 2) for n in (9, 4, 7, 3, 7)]
     second = [(staircase(n, 1), 3) for n in (6, 2, 5)]
-    points = [first[0], second[0], first[1], first[2], second[1], first[3],
-              second[2], first[4]]
+    third = [(staircase(n, 2, 0.2), 2) for n in (12, 5)]
+    # gamma = 1 keeps only the identity-identity coefficient, where L vanishes:
+    # the vector dies on the first step, so that m and every later one read 0.0
+    dead = [(staircase(n, 2, 1.0), 2) for n in (4, 3, 10)]
+    k4 = [(staircase(n, 3, gamma), 4) for n, gamma in ((4, 0.0), (9, 0.03), (6, 0.0), (5, 0.03))]
+    points = [first[0], second[0], dead[0], first[1], k4[0], first[2], third[0], second[1],
+              k4[1], first[3], dead[1], second[2], k4[2], third[1], first[4], dead[2], k4[3]]
     values = rmpu_moment_exact(points)
     assert values == [rmpu_moment_exact([p])[0] for p in points]
-    assert values[3] == values[7]  # the repeated N
-    assert len({values[i] for i in (0, 2, 3, 5)}) == 4  # distinct N, distinct values
+    # bit for bit against one pass of a single running vector per (r, k, gamma)
+    for group in (first, second, third, dead, k4):
+        for gamma in {p[0].gamma for p in group}:
+            specs = [p[0] for p in group if p[0].gamma == gamma]
+            ms = sorted({spec.depth for spec in specs})
+            want = one_vector_scaled_product(transfer_matrix(specs[0].r, group[0][1], gamma), ms)
+            for spec in specs:
+                assert values[points.index((spec, group[0][1]))] == want[ms.index(spec.depth)]
+    assert values[points.index(first[2])] == values[points.index(first[4])]  # the repeated N
+    assert len({values[points.index(p)] for p in first}) == 4  # distinct N, distinct values
+    assert [values[points.index(p)] for p in dead] == [0.0, 0.0, 0.0]
+    assert all(values[points.index(p)] > 0.0 for p in first + third)  # live rows of that stack
     t, left, right = dense_transfer(2, 2, 0.05)  # unscaled reference at these small m
     for p in first:
         ref = float(left @ np.linalg.matrix_power(t, p[0].depth - 1) @ right)
         assert values[points.index(p)] == pytest.approx(ref, rel=1e-12)
-    # gamma = 1 keeps only the identity-identity coefficient, where L vanishes:
-    # the vector dies on the first step, so that m and every later one read 0.0
-    dead = [(staircase(n, 1, 1.0), 2) for n in (4, 2, 3)]
-    assert rmpu_moment_exact(dead) == [0.0, 0.0, 0.0]
+    assert rmpu_moment_exact([(staircase(n, 1, 1.0), 2) for n in (4, 2, 3)]) == [0.0, 0.0, 0.0]
     assert rmpu_moment_exact([]) == []
+
+
+#: largest relative error of an rmpu_moment_exact value against exact
+#: rationals, per k, over test_staircase_moments_match_exact_rationals'
+#: points: about twice the worst measured (k=1: 6.9e-15, k=2: 7.9e-14,
+#: k=3: 1.62e-13, each at m = N - r up to 60)
+EXACT_STAIRCASE_BOUND = {1: 1.5e-14, 2: 1.6e-13, 3: 3.5e-13}
+
+
+def test_staircase_moments_match_exact_rationals():
+    """The whole staircase sweep, transfer matrix and rescaled class sweep,
+    against ``exact_staircase_moments``: the benchmark's full scan (r = 4,
+    N = 8..64 in steps of 2, six gammas, k = 1..3) and r = 2, k = 3 (gate
+    dimension q = 8 nearest 2k = 6) at N = 3..62 for gamma = 0, 0.3 and 1.
+    About 2 s; gamma = 1 rows are exactly 0.0, and noiseless k = 1 rows 1.0."""
+    start = time.perf_counter()
+    scan = [(4, k, gamma, range(8, 65, 2)) for k in (1, 2, 3)
+            for gamma in (0.0, 0.008, 0.016, 0.024, 0.032, 0.04)]
+    for r, k, gamma, ns in scan + [(2, 3, gamma, range(3, 63)) for gamma in (0.0, 0.3, 1.0)]:
+        exact = exact_staircase_moments(r, k, gamma, {n - r for n in ns})
+        got = rmpu_moment_exact([(staircase(n, r, gamma), k) for n in ns])
+        for n, value in zip(ns, got):
+            want = exact[n - r]
+            assert abs(Fraction(value) - want) <= EXACT_STAIRCASE_BOUND[k] * abs(want), (r, k, gamma, n)
+            if gamma == 1.0:
+                assert value == want == 0.0
+            elif gamma == 0.0 and k == 1:
+                assert value == want == 1.0
+    assert time.perf_counter() - start < 5.0
 
 
 def test_class_sweep_matches_dense_oracle():

@@ -19,6 +19,7 @@ from pauliscope.weingarten import (
 )
 
 from conftest import (
+    composed_pair_tables,
     dense_gram,
     dense_group,
     dense_noisy_weingarten,
@@ -109,6 +110,26 @@ def test_representative_pair_tables_match_brute_force(n):
             rel = tuple(inv[tau[j]] for j in range(n))
             assert tb.types[tb.rep_class[row, t]] == brute_force_cycle_type(rel)
             assert tb.rep_fixed[row, t] == sum(sigma[j] == j == tau[j] for j in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_pair_tables_match_the_composed_oracle(n):
+    """``pairs``, which reads the class of s_a^-1 t off its rank, against
+    ``composed_pair_tables``, bit for bit with the dtype: every row for n <= 7
+    (the RTN's n = 2 and 4 tables among them), the 22 representatives at n = 8.
+    n = 7 is checked in blocks of 252 rows."""
+    tb = _tables(n)
+    if n <= 6:
+        blocks = [(slice(None), np.arange(len(tb.images)))]
+    else:
+        rows = np.arange(len(tb.images)) if n == 7 else tb.reps
+        blocks = [(block, block) for block in np.array_split(rows, -(-len(rows) // 252))]
+    if n == 8:
+        assert np.array_equal(tb.pairs(tb.reps)[0], tb.rep_class)
+    for rows, indices in blocks:
+        got, want = tb.pairs(rows), composed_pair_tables(n, indices)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int8 and np.array_equal(a, b)
 
 
 def test_degree_8_tables_are_small_and_quick():
