@@ -30,8 +30,7 @@ KAPPA_HEADER = [
 
 
 def _fmt(value) -> str:
-    """A cell's text: "" for None, repr of the float for a real that is not
-    an integral, else str.  Plain floats, ints and strs are told by exact type."""
+    """A cell's text; plain floats, ints and strs are told by exact type, the rest by ABC."""
     kind = type(value)
     if kind is float:
         return repr(value)

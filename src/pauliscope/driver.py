@@ -225,7 +225,7 @@ def run_ensemble(config: ExperimentConfig) -> list[dict]:
     ks = list(config.sweep.k)
     if config.engine in ("rmpu_exact", "rmpu_asymptotic"):
         points = [(spec, k) for spec in config.points() for k in ks]
-        # one call over every point, so each (r, k, gamma) builds one T for all N
+        # one call over every point: one T per (r, k, gamma), one sweep per (r, k)
         values = (rmpu_moment_exact(points) if config.engine == "rmpu_exact"
                   else [rmpu_moment_asymptotic(spec, k) for spec, k in points])
         return [moment_row(config.engine, spec, spec.depth, k,

@@ -10,7 +10,10 @@ against their whole-vector forms: one product over the vector read as
 (4^lo, 4^w, 4^hi), one squared copy summed whole, one histogram call.  The
 Pauli transform, which checks its imaginary residue before it scales, is
 graded against the form that divides the whole complex rotation by D first
-and checks after; the class Weingarten solve against exact rationals.
+and checks after; the class Weingarten solve and the whole staircase sweep
+against exact rationals.  The staircase's stacked sweep is graded bit for bit
+against one pass of a single running vector, and the pair tables, which read
+a class off a permutation's rank, against explicit composition.
 """
 
 import itertools

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,7 +222,6 @@ def test_staircase_moments_match_exact_rationals():
     N = 8..64 in steps of 2, six gammas, k = 1..3) and r = 2, k = 3 (gate
     dimension q = 8 nearest 2k = 6) at N = 3..62 for gamma = 0, 0.3 and 1.
     About 2 s; gamma = 1 rows are exactly 0.0, and noiseless k = 1 rows 1.0."""
-    start = time.perf_counter()
     scan = [(4, k, gamma, range(8, 65, 2)) for k in (1, 2, 3)
             for gamma in (0.0, 0.008, 0.016, 0.024, 0.032, 0.04)]
     for r, k, gamma, ns in scan + [(2, 3, gamma, range(3, 63)) for gamma in (0.0, 0.3, 1.0)]:
@@ -236,7 +234,6 @@ def test_staircase_moments_match_exact_rationals():
                 assert value == want == 0.0
             elif gamma == 0.0 and k == 1:
                 assert value == want == 1.0
-    assert time.perf_counter() - start < 5.0
 
 
 def test_class_sweep_matches_dense_oracle():
