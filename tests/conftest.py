@@ -315,17 +315,18 @@ def exact_staircase_moments(r: int, k: int, gamma: float, ms) -> dict[int, Fract
     perms = list(itertools.permutations(range(n)))
     types = [cycle_type(p) for p in perms]
     classes = sorted(set(types))
+    type_ids = [classes.index(t) for t in types]
     size = len(classes)
     wbar = [[Fraction(0)] * size for _ in classes]
     gram = [[0] * size for _ in classes]
     for c, ctype in enumerate(classes):
         rep = perms[types.index(ctype)]
         inv = [rep.index(i) for i in range(n)]
-        for p, p_type in zip(perms, types):
+        for p, e in zip(perms, type_ids):
             rel = cycle_type([inv[p[j]] for j in range(n)])
             nf = sum(rep[j] == j == p[j] for j in range(n))
-            wbar[c][classes.index(p_type)] += noisy(rel, nf)
-            gram[c][classes.index(p_type)] += chi ** len(rel)
+            wbar[c][e] += noisy(rel, nf)
+            gram[c][e] += chi ** len(rel)
     sizes = [types.count(t) for t in classes]
     even = [all(x % 2 == 0 for x in t) for t in classes]
     lam1 = [2 ** len(t) for t in classes]
