@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import time
 
 import numpy as np
@@ -30,15 +29,10 @@ KAPPA_HEADER = [
 
 
 def _fmt(value) -> str:
-    """A cell's text; plain floats, ints and strs are told by exact type, the rest by ABC."""
-    kind = type(value)
-    if kind is float:
-        return repr(value)
-    if kind is int or kind is str:
-        return str(value)
+    """A cell's text: "" for None, the repr of a (numpy) float, else str."""
     if value is None:
         return ""
-    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

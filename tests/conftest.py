@@ -118,40 +118,19 @@ def cycle_type(image) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def dense_group(n: int) -> SimpleNamespace:
-    """S_n in ``itertools.permutations`` order with its dense pair tables:
-    rel[a, b] indexes s_a^-1 s_b (s_b applied first), found by a lookup of
-    image codes, and pair_code[a, b] = class of rel * (n+1) + the number of
-    fixed points s_a and s_b share.  Classes are cycle types, sorted."""
+def _enumerated_group(n: int) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """(images, classes, type_of, code_class) of S_n in ``itertools.permutations``
+    order: classes are the sorted cycle types, type_of[s] indexes the class of
+    s, and code_class maps the image code sum_j p(j) n^j of a permutation p to
+    its class (-1 for a code that is no permutation)."""
     perms = list(itertools.permutations(range(n)))
     types = [cycle_type(p) for p in perms]
-    images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
-    lookup = np.zeros(n**n, dtype=np.int64)
-    lookup[images @ n ** np.arange(n)] = np.arange(len(perms))
-    inverses = np.argsort(images, axis=1)
-    rel = lookup[inverses[:, images] @ n ** np.arange(n)]
     classes = sorted(set(types))
+    images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
     type_of = np.array([classes.index(t) for t in types])
-    fixed = (images == np.arange(n)).astype(np.int64)
-    return SimpleNamespace(
-        images=images, classes=classes, type_of=type_of, rel=rel,
-        reps=np.unique(type_of, return_index=True)[1],
-        cycles=np.array([len(t) for t in types]),
-        even=np.array([all(c % 2 == 0 for c in t) for t in types]),
-        pair_code=type_of[rel] * (n + 1) + fixed @ fixed.T)
-
-
-@lru_cache(maxsize=None)
-def _image_code_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(images of S_n in ``itertools.permutations`` order, the class of every
-    image code sum_j p(j) n^j), each class from ``cycle_type``."""
-    perms = list(itertools.permutations(range(n)))
-    types = [cycle_type(p) for p in perms]
-    classes = sorted(set(types))
-    images = np.array(perms, dtype=np.int64).reshape(len(perms), n)
-    lookup = np.full(n**n, -1, dtype=np.int8)
-    lookup[images @ n ** np.arange(n)] = [classes.index(t) for t in types]
-    return images, lookup
+    code_class = np.full(n**n, -1, dtype=np.int8)
+    code_class[images @ n ** np.arange(n)] = type_of
+    return images, classes, type_of, code_class
 
 
 def composed_pair_tables(n: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -159,20 +138,38 @@ def composed_pair_tables(n: int, rows) -> tuple[np.ndarray, np.ndarray]:
     every t: s_a^-1 t is composed explicitly (t applied first) and classed by
     following its cycles, through a lookup of its image code; nf counts the
     positions that s_a and t both fix."""
-    images, lookup = _image_code_classes(n)
+    images, _, _, code_class = _enumerated_group(n)
     inverses = np.argsort(images[rows], axis=1)
     fixed = images == np.arange(n)
     code, nf = 0, np.int8(0)
     for j in range(n):  # position j of s_a^-1 t is s_a^-1(t(j))
         code = code + inverses[:, images[:, j]] * n**j
         nf = nf + np.multiply.outer(fixed[rows, j], fixed[:, j]).astype(np.int8)
-    return lookup[code], nf
+    return code_class[code], nf
+
+
+@lru_cache(maxsize=None)
+def dense_group(n: int) -> SimpleNamespace:
+    """S_n in ``itertools.permutations`` order with its dense pair tables, the
+    ``composed_pair_tables`` of every row: rel_type[a, b] is the class of
+    s_a^-1 s_b (s_b applied first), and pair_code[a, b] = rel_type * (n+1) +
+    the number of fixed points s_a and s_b share.  Classes are cycle types,
+    sorted; class_cycles counts each class's cycles."""
+    images, classes, type_of, _ = _enumerated_group(n)
+    rel_type, nf = composed_pair_tables(n, slice(None))
+    class_cycles = np.array([len(t) for t in classes])
+    class_even = np.array([all(c % 2 == 0 for c in t) for t in classes])
+    return SimpleNamespace(
+        images=images, classes=classes, type_of=type_of, rel_type=rel_type,
+        reps=np.unique(type_of, return_index=True)[1], class_cycles=class_cycles,
+        cycles=class_cycles[type_of], even=class_even[type_of],
+        pair_code=rel_type.astype(np.int64) * (n + 1) + nf)
 
 
 def dense_gram(n: int, q: float) -> np.ndarray:
     """G_{p,s}(q) = q^#(p^-1 s) over all of S_n."""
     group = dense_group(n)
-    return float(q) ** group.cycles[group.rel]
+    return float(q) ** group.class_cycles[group.rel_type]
 
 
 @lru_cache(maxsize=None)

@@ -295,8 +295,8 @@ def abc_cell(value) -> str:
     (np.float64(1e-300), "1e-300"), (np.int64(7), "7"), (np.int64(-2), "-2"),
 ])
 def test_csv_cells_have_the_text_of_the_abc_path(value, text):
-    """Plain floats, ints and strs are told by exact type; every other value,
-    bools and numpy scalars included, takes the ABC path, with the same text."""
+    """Cells are told by concrete type (float or numpy floating, else str),
+    with the text of the ``numbers`` ABC path for every value the CSVs hold."""
     assert _fmt(value) == abc_cell(value) == text
 
 

@@ -232,7 +232,7 @@ def test_weingarten_class_function():
     group = dense_group(3)
     full = noisy_weingarten(3, 5, 0.0, rows=slice(None))
     assert np.max(np.abs(full - dense_weingarten(3, 5))) < 1e-15
-    rel_types = group.type_of[group.rel]
+    rel_types = group.rel_type
     for t in np.unique(rel_types):
         assert np.ptp(full[rel_types == t]) == 0.0
 
